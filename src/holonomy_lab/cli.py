@@ -9,8 +9,10 @@ that any plotting tool can consume.  Nothing here owns numerics.
 Exit codes: 0 success; 1 a mathematical verdict failed under ``--strict``;
 2 usage or input errors; 3 numeric failures inside an operation.
 Reports never embed timestamps or environment data, so a fixed command
-line with a fixed seed reproduces byte-identical output.  The environment
-variable ``HOLONOMY_LAB_THREADS`` caps worker fan-out for batch runs.
+line with a fixed seed reproduces byte-identical output.
+
+A smooth connection document is restricted to the graph once per command;
+every command then works with the resulting edge values.
 """
 
 from __future__ import annotations
@@ -20,22 +22,17 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import matrixgroups as mg
 from .connections import (
-    GeneralizedConnection,
     GeometryError,
     IndependenceError,
-    SmoothConnection,
     generalized_from_dict,
     holonomy_general,
-    holonomy_smooth,
-    holonomy_smooth_path,
-    edge_polyline,
+    restrict,
     smooth_from_dict,
 )
 from .cylindrical import HaarMean, cyl_from_dict, invariance_check
@@ -59,9 +56,6 @@ from .spectra import (
     tree_decompose,
     tree_reconstruct,
 )
-
-DEFAULT_WORKERS = 4
-
 
 class CliError(Exception):
     """Input or usage problem; carries the process exit code."""
@@ -91,11 +85,12 @@ def _load_graph(path):
         raise CliError(f"{path}: {exc}") from None
 
 
-def _load_connection(graph, path):
+def _load_connection(graph, path, steps, tol):
+    """A generalized connection; smooth documents are restricted to the graph."""
     data = _load_json(path)
     try:
         if isinstance(data, dict) and "terms" in data:
-            return smooth_from_dict(data)
+            return restrict(smooth_from_dict(data), graph, steps, tol)
         return generalized_from_dict(graph, data)
     except (ValueError, KeyError, mg.DescriptorMismatchError) as exc:
         raise CliError(f"{path}: {exc}") from None
@@ -148,28 +143,6 @@ def _path_word(graph, text):
         raise CliError(f"--path: {exc}") from None
 
 
-def _holonomy(conn, graph, word, steps, tol):
-    if isinstance(conn, SmoothConnection):
-        return holonomy_smooth_path(conn, graph, word, steps, tol)
-    return holonomy_general(conn, word)
-
-
-def _as_generalized(conn, graph, steps, tol):
-    """Edge holonomies of a smooth connection as a generalized one."""
-    if isinstance(conn, GeneralizedConnection):
-        return conn
-    values = {}
-    for eid in conn_edge_ids(graph):
-        h = holonomy_smooth(conn, edge_polyline(graph, eid), steps, tol)
-        values[eid] = h
-    return GeneralizedConnection(graph, conn.descriptor, values, check=False)
-
-
-def conn_edge_ids(graph):
-    from .pathgroupoid import _id_key
-    return sorted(graph.edges, key=_id_key)
-
-
 def _pair(z):
     return [float(np.real(z)), float(np.imag(z))]
 
@@ -192,23 +165,14 @@ def _emit(report, out, name, extra_files=()):
             (directory / fname).write_text(content, encoding="utf-8")
 
 
-def _max_workers(jobs):
-    cap = os.environ.get("HOLONOMY_LAB_THREADS", "")
-    try:
-        cap = int(cap) if cap else DEFAULT_WORKERS
-    except ValueError:
-        raise CliError(f"HOLONOMY_LAB_THREADS={cap!r} is not an integer")
-    return max(1, min(jobs, cap))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_holonomy(args):
     graph = _load_graph(args.graph)
-    conn = _load_connection(graph, args.connection)
+    conn = _load_connection(graph, args.connection, args.steps, args.tolerance)
     word = _path_word(graph, args.path)
-    h = _holonomy(conn, graph, word, args.steps, args.tolerance)
+    h = holonomy_general(conn, word)
     tr = complex(np.trace(h.matrix))
     report = {
         "command": "holonomy",
@@ -226,11 +190,11 @@ def cmd_holonomy(args):
 
 def cmd_wilson(args):
     graph = _load_graph(args.graph)
-    conn = _load_connection(graph, args.connection)
+    conn = _load_connection(graph, args.connection, args.steps, args.tolerance)
     word = _path_word(graph, args.path)
     if not word.is_loop():
         raise CliError(f"--path: wilson needs a loop, got {word.source!r} -> {word.range!r}")
-    h = _holonomy(conn, graph, word, args.steps, args.tolerance)
+    h = holonomy_general(conn, word)
     value = complex(np.trace(h.matrix)) / mg.dim(conn.descriptor)
     report = {
         "command": "wilson",
@@ -245,13 +209,12 @@ def cmd_wilson(args):
 
 def cmd_gauge_orbit(args):
     graph = _load_graph(args.graph)
-    conn = _load_connection(graph, args.connection)
+    conn = _load_connection(graph, args.connection, args.steps, args.tolerance)
     desc = conn.descriptor
     basis = tree_basis(graph)
     if not basis.loop_ids:
         raise CliError("graph has no independent loops; the orbit is a point")
-    values = [_holonomy(conn, graph, basis.loops[eid], args.steps, args.tolerance)
-              for eid in basis.loop_ids]
+    values = [holonomy_general(conn, basis.loops[eid]) for eid in basis.loop_ids]
     rep = orbit_representative(desc, values)
     report = {
         "command": "gauge-orbit",
@@ -265,28 +228,24 @@ def cmd_gauge_orbit(args):
     }
     if args.function is not None:
         f = _load_function(graph, args.function)
-        drift = invariance_check(f, conn, desc, gauges=args.samples, seed=args.seed,
-                                 graph=graph, steps=args.steps, tol=args.tolerance)
+        drift = invariance_check(f, conn, desc, gauges=args.samples, seed=args.seed)
         report["function_drift"] = drift
         report["ok"] = drift <= args.check_tolerance
     return report, []
 
 
 def cmd_haar_mean(args):
+    if args.samples < 2:
+        raise CliError(f"--samples must be at least 2 for an error bar, got {args.samples}")
     graph = _load_graph(args.graph)
-    conn = _load_connection(graph, args.connection)
+    conn = _load_connection(graph, args.connection, args.steps, args.tolerance)
     f = _load_function(graph, args.function)
     hm = HaarMean(f, conn.descriptor, layers=args.layers)
-
-    def run(n):
-        return hm.estimate(conn, n, args.seed, graph=graph,
-                           steps=args.steps, tol=args.tolerance)
-
     ladder = sorted({max(2, args.samples >> k) for k in range(5, 0, -1)} | {args.samples})
     rows = []
     est = None
     for n in ladder:
-        e = run(n)
+        e = hm.estimate(conn, n, args.seed)
         rows.append(f"{n} {e.value.real!r}\n")
         if n == args.samples:
             est = e
@@ -305,16 +264,15 @@ def cmd_haar_mean(args):
 
 def cmd_theta(args):
     graph = _load_graph(args.graph)
-    conn = _load_connection(graph, args.connection)
-    edge_conn = _as_generalized(conn, graph, args.steps, args.tolerance)
+    conn = _load_connection(graph, args.connection, args.steps, args.tolerance)
     basis = tree_basis(graph)
-    dec = tree_decompose(basis, edge_conn)
-    back = tree_reconstruct(basis, edge_conn.descriptor, dec.loop_values, frames=dec.frames)
-    err = max(float(mg.distance(back.value(eid), edge_conn.value(eid)))
+    dec = tree_decompose(basis, conn)
+    back = tree_reconstruct(basis, conn.descriptor, dec.loop_values, frames=dec.frames)
+    err = max(float(mg.distance(back.value(eid), conn.value(eid)))
               for eid in graph.edges)
     report = {
         "command": "theta",
-        "group": mg.descriptor_to_dict(edge_conn.descriptor),
+        "group": mg.descriptor_to_dict(conn.descriptor),
         "tree_edges": sorted(str(eid) for eid in basis.tree_edges),
         "loop_ids": [str(eid) for eid in basis.loop_ids],
         "frames": {str(v): mg.matrix_to_pairs(dec.frames[v].matrix)
@@ -347,18 +305,10 @@ def cmd_approx(args):
         windows = [tuple(w) for w in windows]
     label = family.get("label", "interpolation")
     desc = parse_group(args.group)
-    seeds = list(range(args.seed, args.seed + args.seeds))
-
-    def run(seed):
-        return approximation_experiment(
-            graph, words, desc, seed, windows=windows, bound=args.bound,
-            label=label, steps=args.steps, tol=args.tolerance)
-
-    if len(seeds) == 1:
-        reports = [run(seeds[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=_max_workers(len(seeds))) as pool:
-            reports = list(pool.map(run, seeds))
+    reports = [approximation_experiment(graph, words, desc, seed, windows=windows,
+                                        bound=args.bound, label=label,
+                                        steps=args.steps, tol=args.tolerance)
+               for seed in range(args.seed, args.seed + args.seeds)]
     ok = all(r.verdict for r in reports)
     csv_rows = ["seed,max_error,verdict\n"]
     dat_rows = []
@@ -403,9 +353,8 @@ def cmd_obstruction(args):
     }
     report.update(wit.to_dict())
     if args.connection is not None:
-        conn = _load_connection(graph, args.connection)
-        defect = wit.abelian_defect(conn, graph=graph,
-                                    steps=args.steps, tol=args.tolerance)
+        conn = _load_connection(graph, args.connection, args.steps, args.tolerance)
+        defect = wit.abelian_defect(conn)
         report["abelian_defect"] = defect
         report["ok"] = report["ok"] and defect <= args.check_tolerance
     return report, []
@@ -416,9 +365,7 @@ def cmd_closure(args):
     if (args.family is None) == (args.connection is None):
         raise CliError("closure needs exactly one of --family or --connection")
     if args.connection is not None:
-        data = _load_connection(graph, args.connection)
-        if isinstance(data, SmoothConnection):
-            data = _as_generalized(data, graph, args.steps, args.tolerance)
+        data = _load_connection(graph, args.connection, args.steps, args.tolerance)
     else:
         try:
             data = loop_assignment_from_dict(graph, _load_json(args.family))

@@ -20,12 +20,18 @@ result is stable.
 Conventions match the combinatorial side: traversing an edge against its
 direction contributes the inverse transport, and the transport of a
 reversed sub-segment is the exact matrix inverse of the forward one.
+
+A smooth connection reaches path words only through :func:`restrict`,
+the embedding of smooth connections into generalized ones: each edge
+carries its transport, computed the first time a word walks it, and
+:func:`holonomy_general` multiplies those values like any other edge
+assignment.  Words therefore have a single evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,10 +63,8 @@ class GeneralizedConnection:
         if missing or extra:
             raise ValueError(f"edge values do not match the graph "
                              f"(missing {sorted(map(str, missing))}, extra {sorted(map(str, extra))})")
-        store = {}
-        for eid, v in values.items():
-            m = v.matrix if isinstance(v, mg.GroupElement) else np.asarray(v, dtype=complex)
-            store[eid] = mg.GroupElement(descriptor, m, check=check).matrix
+        store = {eid: mg.GroupElement(descriptor, mg.as_matrix(v), check=check).matrix
+                 for eid, v in values.items()}
         self.graph = graph
         self.descriptor = descriptor
         self.values = store
@@ -73,6 +77,9 @@ class GeneralizedConnection:
 
 def holonomy_general(conn: GeneralizedConnection, word: PathWord) -> mg.GroupElement:
     """Holonomy of a reduced word: the first-walked letter acts first."""
+    if not isinstance(conn, GeneralizedConnection):
+        raise TypeError(f"cannot take holonomies of {type(conn).__name__}; "
+                        f"restrict smooth connections to the graph first")
     acc = mg.identity(conn.descriptor)
     for eid, o in reversed(word.letters):
         v = conn.value(eid)
@@ -95,8 +102,7 @@ class DiscreteGauge:
             raise ValueError("gauge values must cover exactly the vertex set")
         self.graph = graph
         self.descriptor = descriptor
-        self.values = {v: mg.GroupElement(descriptor, m.matrix if isinstance(m, mg.GroupElement) else m,
-                                          check=check).matrix
+        self.values = {v: mg.GroupElement(descriptor, mg.as_matrix(m), check=check).matrix
                        for v, m in values.items()}
 
     def value(self, vertex) -> mg.GroupElement:
@@ -205,17 +211,19 @@ class SmoothConnection:
         return np.tensordot(w, self._X, axes=(0, 0))
 
 
+def _curve_points(graph: Graph) -> np.ndarray:
+    """Every curve point of every edge, in edge order: the bump anchor pool."""
+    return np.asarray([p for e in graph.edges.values() if e.curve for p in e.curve],
+                      dtype=float)
+
+
 def random_smooth_connection(descriptor, graph: Graph, n_terms: int, seed: int,
                              scale: float = 0.8, radius: float = 0.6) -> SmoothConnection:
     """Random bump terms centered on curve points of the graph."""
     rng = np.random.default_rng(seed)
-    pool = []
-    for e in graph.edges.values():
-        if e.curve:
-            pool.extend(e.curve)
-    if not pool:
+    pool = _curve_points(graph)
+    if not pool.size:
         raise GeometryError("graph has no curve data to anchor bump terms")
-    pool = np.asarray(pool, dtype=float)
     terms = []
     for _ in range(n_terms):
         c = pool[rng.integers(len(pool))] + rng.normal(scale=0.1, size=pool.shape[1])
@@ -352,36 +360,48 @@ def transport(conn: SmoothConnection, polyline, steps: int = DEFAULT_STEPS,
     return acc
 
 
-def transport_field(field: Callable[[np.ndarray, np.ndarray], np.ndarray], polyline,
-                    n: int, steps: int = 64) -> np.ndarray:
-    """Transport for an arbitrary one-form ``field(x, v) -> matrix``.
-
-    Plain fixed-step midpoint integrator used for cross-checks; no bump
-    structure is assumed so nothing is skipped or vectorized.
-    """
-    pts = np.atleast_2d(np.asarray(polyline, dtype=float))
-    acc = np.eye(n, dtype=complex)
-    for p, q in zip(pts[:-1], pts[1:]):
-        delta = (q - p) / steps
-        for i in range(steps):
-            mid = p + (i + 0.5) * delta
-            M = -field(mid, delta)
-            w, v = np.linalg.eigh(-1j * M)
-            acc = ((v * np.exp(1j * w)) @ v.conj().T) @ acc
-    return acc
-
-
 def holonomy_smooth(conn: SmoothConnection, polyline, steps: int = DEFAULT_STEPS,
                     tol: float = DEFAULT_TOL) -> mg.GroupElement:
-    m = transport(conn, polyline, steps, tol)
-    if isinstance(conn.descriptor, mg.CentralQuotient):
-        return mg.quotient_project(conn.descriptor, m)
-    return mg.GroupElement(conn.descriptor, m)
+    return mg.GroupElement(conn.descriptor, transport(conn, polyline, steps, tol))
 
 
-def holonomy_smooth_path(conn: SmoothConnection, graph: Graph, word: PathWord,
-                         steps: int = DEFAULT_STEPS, tol: float = DEFAULT_TOL) -> mg.GroupElement:
-    return holonomy_smooth(conn, path_polyline(graph, word), steps, tol)
+class _EdgeTransports(Mapping):
+    """Edge id -> transport matrix of a smooth connection, filled on first use."""
+
+    def __init__(self, conn: SmoothConnection, graph: Graph, steps: int, tol: float):
+        self._conn, self._graph = conn, graph
+        self._steps, self._tol = steps, tol
+        self._cache = {}
+
+    def __getitem__(self, eid):
+        m = self._cache.get(eid)
+        if m is None:
+            h = holonomy_smooth(self._conn, edge_polyline(self._graph, eid), self._steps, self._tol)
+            m = self._cache[eid] = h.matrix
+        return m
+
+    def __contains__(self, eid):
+        return eid in self._graph.edges
+
+    def __iter__(self):
+        return iter(self._graph.edges)
+
+    def __len__(self):
+        return len(self._graph.edges)
+
+
+def restrict(conn: SmoothConnection, graph: Graph, steps: int = DEFAULT_STEPS,
+             tol: float = DEFAULT_TOL) -> GeneralizedConnection:
+    """The generalized connection a smooth one induces on a graph's edges.
+
+    Each edge holds the transport along its curve.  Transports are computed
+    when an edge is first read and kept, so an edge that no word walks is
+    never integrated; reading ``values`` as a whole fills every edge.
+    """
+    out = GeneralizedConnection.__new__(GeneralizedConnection)
+    out.graph, out.descriptor = graph, conn.descriptor
+    out.values = _EdgeTransports(conn, graph, steps, tol)
+    return out
 
 
 def split_holonomy(conn: SmoothConnection, polyline, steps: int = DEFAULT_STEPS,
@@ -439,10 +459,7 @@ class SmoothGauge:
         return (v * np.exp(1j * w)) @ v.conj().T
 
     def element_at(self, point) -> mg.GroupElement:
-        m = self.at(point)
-        if isinstance(self.descriptor, mg.CentralQuotient):
-            return mg.quotient_project(self.descriptor, m)
-        return mg.GroupElement(self.descriptor, m, check=False)
+        return mg.GroupElement(self.descriptor, self.at(point))
 
     def as_discrete(self, graph: Graph) -> DiscreteGauge:
         try:
@@ -455,11 +472,9 @@ class SmoothGauge:
 def random_smooth_gauge(descriptor, graph: Graph, n_terms: int, seed: int,
                         scale: float = 0.7, radius: float = 0.9) -> SmoothGauge:
     rng = np.random.default_rng(seed)
-    pool = []
-    for e in graph.edges.values():
-        if e.curve:
-            pool.extend(e.curve)
-    pool = np.asarray(pool if pool else [graph.positions[v] for v in graph.vertices], dtype=float)
+    pool = _curve_points(graph)
+    if not pool.size:
+        pool = np.asarray([graph.positions[v] for v in graph.vertices], dtype=float)
     terms = []
     for _ in range(n_terms):
         c = pool[rng.integers(len(pool))] + rng.normal(scale=0.15, size=pool.shape[1])
@@ -487,13 +502,7 @@ class TransformedSmoothHolonomy:
         pts = np.atleast_2d(np.asarray(polyline, dtype=float))
         m = transport(self.connection, pts, steps, tol)
         out = self.gauge.at(pts[-1]).conj().T @ m @ self.gauge.at(pts[0])
-        if isinstance(self.connection.descriptor, mg.CentralQuotient):
-            return mg.quotient_project(self.connection.descriptor, out)
         return mg.GroupElement(self.connection.descriptor, out)
-
-    def holonomy_path(self, graph: Graph, word: PathWord,
-                      steps: int = DEFAULT_STEPS, tol: float = DEFAULT_TOL) -> mg.GroupElement:
-        return self.holonomy(path_polyline(graph, word), steps, tol)
 
 
 def gauge_act_smooth(conn: SmoothConnection, gauge: SmoothGauge) -> TransformedSmoothHolonomy:

@@ -24,12 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import matrixgroups as mg
-from .connections import (
-    GeneralizedConnection,
-    SmoothConnection,
-    holonomy_general,
-    holonomy_smooth_path,
-)
+from .connections import GeneralizedConnection, holonomy_general
 from .pathgroupoid import Graph, PathWord, word_from_tokens, word_to_tokens
 
 MEAN_CHUNK = 8192
@@ -231,29 +226,19 @@ def cyl_from_dict(graph: Graph, data: Mapping) -> CylFunction:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def holonomy_stack(f: CylFunction, conn, graph: Graph = None,
-                   steps: int = 8, tol: float = 1e-9) -> np.ndarray:
+def holonomy_stack(f: CylFunction, conn: GeneralizedConnection) -> np.ndarray:
     """Holonomy matrices of the function's paths, shape (k, n, n)."""
-    if isinstance(conn, GeneralizedConnection):
-        return np.array([holonomy_general(conn, p).matrix for p in f.paths])
-    if isinstance(conn, SmoothConnection):
-        if graph is None:
-            raise ValueError("smooth connections need the graph to trace out paths")
-        return np.array([holonomy_smooth_path(conn, graph, p, steps, tol).matrix
-                         for p in f.paths])
-    raise TypeError(f"cannot take holonomies of {type(conn).__name__}")
+    return np.array([holonomy_general(conn, p).matrix for p in f.paths])
 
 
-def evaluate(f: CylFunction, conn, graph: Graph = None,
-             steps: int = 8, tol: float = 1e-9) -> complex:
-    stack = holonomy_stack(f, conn, graph, steps, tol)
+def evaluate(f: CylFunction, conn: GeneralizedConnection) -> complex:
+    stack = holonomy_stack(f, conn)
     return complex(f.expr.eval(stack[None, ...])[0])
 
 
 def evaluate_stack(f: CylFunction, stack) -> complex:
     """Evaluate on explicit holonomy matrices (one per path)."""
-    arr = np.asarray([m.matrix if isinstance(m, mg.GroupElement) else m for m in stack],
-                     dtype=complex)
+    arr = np.array([mg.as_matrix(m) for m in stack], dtype=complex)
     return complex(f.expr.eval(arr[None, ...])[0])
 
 
@@ -301,14 +286,11 @@ class HaarMean:
         self.descriptor = descriptor
         self.layers = layers
 
-    def estimate(self, conn, samples: int, seed: int, graph: Graph = None,
-                 steps: int = 8, tol: float = 1e-9) -> MeanEstimate:
-        stack = holonomy_stack(self.function, conn, graph, steps, tol)
-        return self.estimate_stack(stack, samples, seed)
+    def estimate(self, conn: GeneralizedConnection, samples: int, seed: int) -> MeanEstimate:
+        return self.estimate_stack(holonomy_stack(self.function, conn), samples, seed)
 
     def estimate_stack(self, stack, samples: int, seed: int) -> MeanEstimate:
-        arr = np.asarray([m.matrix if isinstance(m, mg.GroupElement) else m for m in stack],
-                         dtype=complex)
+        arr = np.array([mg.as_matrix(m) for m in stack], dtype=complex)
         if samples < 2:
             raise ValueError("need at least two samples for an error bar")
         nverts, src, dst = _endpoint_slots(self.function)
@@ -333,10 +315,10 @@ class HaarMean:
         return MeanEstimate(complex(mean), float(np.sqrt(var / samples)), samples, self.layers)
 
 
-def invariance_check(f: CylFunction, conn, descriptor, gauges: int = 20, seed: int = 0,
-                     graph: Graph = None, steps: int = 8, tol: float = 1e-9) -> float:
+def invariance_check(f: CylFunction, conn: GeneralizedConnection, descriptor,
+                     gauges: int = 20, seed: int = 0) -> float:
     """Largest deviation |F(A.g) - F(A)| over random gauge tuples."""
-    stack = holonomy_stack(f, conn, graph, steps, tol)
+    stack = holonomy_stack(f, conn)
     nverts, src, dst = _endpoint_slots(f)
     n = mg.dim(descriptor)
     rng = np.random.default_rng(seed)
@@ -402,10 +384,8 @@ def separation_test(stack_a, stack_b, max_len: int = 3,
     conjugation, so a gap larger than the threshold certifies the tuples
     lie on different gauge orbits.
     """
-    a = np.asarray([m.matrix if isinstance(m, mg.GroupElement) else m for m in stack_a],
-                   dtype=complex)
-    b = np.asarray([m.matrix if isinstance(m, mg.GroupElement) else m for m in stack_b],
-                   dtype=complex)
+    a = np.array([mg.as_matrix(m) for m in stack_a], dtype=complex)
+    b = np.array([mg.as_matrix(m) for m in stack_b], dtype=complex)
     if a.shape != b.shape:
         raise ValueError("holonomy tuples must have matching shapes")
     best_gap, best_word = 0.0, None
@@ -419,11 +399,10 @@ def separation_test(stack_a, stack_b, max_len: int = 3,
                              threshold, len(words))
 
 
-def loop_stack(conn, loops: Sequence[PathWord], graph: Graph = None,
-               steps: int = 8, tol: float = 1e-9) -> np.ndarray:
+def loop_stack(conn: GeneralizedConnection, loops: Sequence[PathWord]) -> np.ndarray:
     """Holonomy matrices of a loop family at a common basepoint."""
     base = {w.source for w in loops} | {w.range for w in loops}
     if len(base) != 1:
         raise ValueError("loops must share a single basepoint")
     f = CylFunction(tuple(loops), Const(0.0))
-    return holonomy_stack(f, conn, graph, steps, tol)
+    return holonomy_stack(f, conn)

@@ -217,6 +217,11 @@ class GroupElement:
         return f"GroupElement({self.descriptor!r},\n{np.array_str(self.matrix, precision=4)})"
 
 
+def as_matrix(g) -> np.ndarray:
+    """The matrix of a GroupElement, or ``g`` itself as a complex array."""
+    return g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=complex)
+
+
 @dataclass(frozen=True)
 class LieAlgebraElement:
     """Anti-hermitian matrix in the Lie algebra of a descriptor."""
@@ -291,7 +296,7 @@ def canonicalize_batch(desc: CentralQuotient, batch: np.ndarray) -> np.ndarray:
 
 def quotient_project(desc: CentralQuotient, g) -> GroupElement:
     """Project a base-group matrix or element to its canonical coset rep."""
-    m = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=complex)
+    m = as_matrix(g)
     validate_matrix(desc.base, m)
     rep = canonicalize_batch(desc, m[None])[0]
     return GroupElement(desc, rep, check=False)

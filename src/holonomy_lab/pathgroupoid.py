@@ -17,6 +17,7 @@ reduced normal form regardless of cancellation order.
 from __future__ import annotations
 
 import collections
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -80,6 +81,16 @@ class Graph:
             raise ValueError("basepoint is not a vertex")
         self.basepoint = basepoint
         self.positions = {v: tuple(float(c) for c in p) for v, p in (positions or {}).items()}
+        # a word's curve is its edges' curves laid end to end, so every
+        # curve must end where the other curves at that vertex end
+        ends = {}
+        for e in self.edges.values():
+            if not e.curve:
+                continue
+            for v, pt in ((e.src, e.curve[0]), (e.dst, e.curve[-1])):
+                ref = ends.setdefault(v, self.positions.get(v, pt))
+                if math.dist(ref, pt) > 1e-9:
+                    raise ValueError(f"curve of edge {e.id!r} does not end at vertex {v!r}")
         incident = collections.defaultdict(list)
         for e in self.edges.values():
             incident[e.src].append(e.id)

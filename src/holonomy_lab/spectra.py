@@ -26,12 +26,13 @@ from scipy.linalg import block_diag
 
 from . import matrixgroups as mg
 from .connections import (
+    DEFAULT_STEPS,
+    DEFAULT_TOL,
     GeneralizedConnection,
-    SmoothConnection,
     holonomy_general,
-    holonomy_smooth_path,
     interpolate_connection,
     InterpolationTarget,
+    restrict,
 )
 from .pathgroupoid import (
     Graph,
@@ -206,25 +207,6 @@ def _unitary_representative(mats: np.ndarray, tol: float) -> np.ndarray:
     return np.conj(phase)[None, :, None] * conj * phase[None, None, :]
 
 
-def _stack_key(mats: np.ndarray) -> np.ndarray:
-    flat = mats.reshape(-1)
-    return np.stack([flat.real, flat.imag], axis=-1).reshape(-1)
-
-
-def _stack_lex_less(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    ka, kb = _stack_key(a), _stack_key(b)
-    diff = ka - kb
-    sig = np.abs(diff) > tol
-    if not np.any(sig):
-        return False
-    return diff[np.argmax(sig)] < 0
-
-
-def _as_matrices(values) -> np.ndarray:
-    return np.asarray([v.matrix if isinstance(v, mg.GroupElement) else v for v in values],
-                      dtype=complex)
-
-
 def orbit_representative(descriptor, values, tol: float = CLUSTER_ATOL):
     """Canonical point on the simultaneous-conjugation orbit of a tuple.
 
@@ -233,7 +215,7 @@ def orbit_representative(descriptor, values, tol: float = CLUSTER_ATOL):
     which separates the spectrum), and for tuples of scalars, which are
     fixed points of conjugation anyway.
     """
-    mats = _as_matrices(values)
+    mats = np.array([mg.as_matrix(v) for v in values], dtype=complex)
     if mats.ndim != 3 or mats.shape[0] == 0:
         raise ValueError("need a nonempty stack of square matrices")
 
@@ -245,17 +227,18 @@ def orbit_representative(descriptor, values, tol: float = CLUSTER_ATOL):
         parts = []
         for sl, f in mg.block_slices(descriptor):
             sub = orbit_representative(f, mats[:, sl, sl], tol)
-            parts.append(_as_matrices(sub))
+            parts.append(np.array([g.matrix for g in sub]))
         out = np.array([block_diag(*[p[k] for p in parts])
                         for k in range(mats.shape[0])])
     elif isinstance(descriptor, mg.CentralQuotient):
         center = descriptor.center_matrices()
-        best = None
+        best = best_key = None
         for choice in itertools.product(range(len(center)), repeat=mats.shape[0]):
             shifted = np.array([center[z] @ m for z, m in zip(choice, mats)])
-            cand = _as_matrices(orbit_representative(descriptor.base, shifted, tol))
-            if best is None or _stack_lex_less(cand, best):
-                best = cand
+            cand = np.array([g.matrix for g in orbit_representative(descriptor.base, shifted, tol)])
+            key = mg._lex_keys(cand[None])
+            if best is None or mg._lex_less(key, best_key)[0]:
+                best, best_key = cand, key
         out = best
     else:
         raise TypeError(f"no representative rule for {type(descriptor).__name__}")
@@ -305,8 +288,8 @@ def default_windows(graph: Graph, words: Sequence[PathWord]) -> list:
 def approximation_experiment(graph: Graph, words: Sequence[PathWord], descriptor,
                              seed: int, windows: Sequence = None,
                              bound: float = 1e-6, label: str = "interpolation",
-                             clearance: float = 0.7,
-                             steps: int = 8, tol: float = 1e-9) -> ApproximationReport:
+                             clearance: float = 0.7, steps: int = DEFAULT_STEPS,
+                             tol: float = DEFAULT_TOL) -> ApproximationReport:
     """Draw Haar targets, interpolate, and measure the holonomy errors."""
     rng = np.random.default_rng(seed)
     targets_mats = mg.haar_batch(descriptor, len(words), rng)
@@ -314,11 +297,9 @@ def approximation_experiment(graph: Graph, words: Sequence[PathWord], descriptor
         windows = default_windows(graph, words)
     targets = [InterpolationTarget(w, mg.GroupElement(descriptor, m, check=False), tuple(win))
                for w, m, win in zip(words, targets_mats, windows)]
-    conn = interpolate_connection(graph, targets, clearance=clearance)
-    errors = []
-    for t in targets:
-        got = holonomy_smooth_path(conn, graph, t.word, steps, tol)
-        errors.append(float(mg.distance(got, t.value)))
+    conn = restrict(interpolate_connection(graph, targets, clearance=clearance),
+                    graph, steps, tol)
+    errors = [float(mg.distance(holonomy_general(conn, t.word), t.value)) for t in targets]
     return ApproximationReport(label, mg.descriptor_to_dict(descriptor), seed,
                                tuple(errors), bound, max(errors) <= bound)
 
@@ -352,16 +333,9 @@ class ObstructionWitness:
     nonabelian_connection: GeneralizedConnection
     nonabelian_defect: float
 
-    def abelian_defect(self, conn, graph: Graph = None,
-                       steps: int = 8, tol: float = 1e-9) -> float:
+    def abelian_defect(self, conn: GeneralizedConnection) -> float:
         """Distance of the witness word's holonomy from the identity."""
-        if isinstance(conn, GeneralizedConnection):
-            h = holonomy_general(conn, self.word)
-        elif isinstance(conn, SmoothConnection):
-            h = holonomy_smooth_path(conn, graph if graph is not None else self.graph,
-                                     self.word, steps, tol)
-        else:
-            raise TypeError(f"cannot evaluate holonomy of {type(conn).__name__}")
+        h = holonomy_general(conn, self.word)
         return float(mg.distance(h, mg.identity(h.descriptor)))
 
     def to_dict(self) -> dict:

@@ -1,6 +1,23 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
+
+import holonomy_lab.connections as connections
+
+
+@pytest.fixture
+def transport_calls(monkeypatch):
+    """Polylines of every ``connections.transport`` call made during a test."""
+    calls = []
+    original = connections.transport
+
+    def counting(conn, polyline, *args, **kwargs):
+        calls.append(np.asarray(polyline))
+        return original(conn, polyline, *args, **kwargs)
+
+    monkeypatch.setattr(connections, "transport", counting)
+    return calls
 
 
 def pytest_runtest_logreport(report):

@@ -149,3 +149,24 @@ def polyline_line_integral(f_vec, polyline, per_segment=256):
             mid = p + (i + 0.5) * delta
             total += f_vec(mid, delta)
     return total
+
+
+# ---------------------------------------------------------------------------
+# parallel transport
+
+def transport_field(field, polyline, n, steps=64):
+    """Transport for an arbitrary one-form ``field(x, v) -> matrix``.
+
+    Plain fixed-step midpoint integrator: no bump structure is assumed, so
+    nothing is skipped, vectorized or refined adaptively.
+    """
+    pts = np.atleast_2d(np.asarray(polyline, dtype=float))
+    acc = np.eye(n, dtype=complex)
+    for p, q in zip(pts[:-1], pts[1:]):
+        delta = (q - p) / steps
+        for i in range(steps):
+            mid = p + (i + 0.5) * delta
+            M = -field(mid, delta)
+            w, v = np.linalg.eigh(-1j * M)
+            acc = ((v * np.exp(1j * w)) @ v.conj().T) @ acc
+    return acc

@@ -11,12 +11,16 @@ import pytest
 import holonomy_lab.matrixgroups as mg
 from holonomy_lab.cli import main, parse_group, parse_path_tokens
 from holonomy_lab.connections import (
+    edge_polyline,
     gauge_act_general,
     generalized_to_dict,
     holonomy_general,
+    holonomy_smooth,
+    path_polyline,
     random_discrete_gauge,
     random_generalized_connection,
     random_smooth_connection,
+    smooth_from_dict,
     smooth_to_dict,
 )
 from holonomy_lab.cylindrical import cyl_to_dict, wilson_loop
@@ -24,10 +28,12 @@ from holonomy_lab.pathgroupoid import (
     compose,
     edge_word,
     graph_to_dict,
+    word_from_tokens,
     word_to_tokens,
 )
 from holonomy_lab.spectra import (
     LoopAssignment,
+    abelian_obstruction_witness,
     commutator_word,
     loop_assignment_to_dict,
     tree_basis,
@@ -157,6 +163,75 @@ def test_theta_roundtrip_strict(workspace):
     assert report["roundtrip_error"] <= 1e-12
 
 
+def test_smooth_connection_commands_match_whole_path_transport(workspace):
+    # every command restricts the smooth connection to the edges; the
+    # product of edge transports must agree with transporting along the
+    # word's whole polyline
+    tmp, graph, _ = workspace
+    smooth = smooth_from_dict(json.loads((tmp / "smooth.json").read_text()))
+    common = ["--graph", str(tmp / "graph.json"), "--connection", str(tmp / "smooth.json")]
+
+    def whole(word):
+        return holonomy_smooth(smooth, path_polyline(graph, word)).matrix
+
+    def report(*argv):
+        result = run_cli([argv[0], *common, *argv[1:]])
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    loop = word_from_tokens(graph, [1, 2, 3, 4, 5])
+    got = mg.matrix_from_pairs(report("holonomy", "--path", "1,2,-6")["matrix"])
+    assert np.max(np.abs(got - whole(word_from_tokens(graph, [1, 2, -6])))) <= 1e-10
+    value = complex(*report("wilson", "--path", "1,2,3,4,5")["value"])
+    assert abs(value - np.trace(whole(loop)) / 2) <= 1e-10
+
+    orbit = report("gauge-orbit", "--seed", "5", "--function", str(tmp / "wilson.json"))
+    basis = tree_basis(graph)
+    for eid, pairs in zip(basis.loop_ids, orbit["loop_values"]):
+        assert np.max(np.abs(mg.matrix_from_pairs(pairs) - whole(basis.loops[eid]))) <= 1e-10
+    assert orbit["function_drift"] <= 1e-10
+
+    mean = report("haar-mean", "--seed", "1", "--samples", "64",
+                  "--function", str(tmp / "wilson.json"))
+    assert abs(complex(*mean["value"]) - np.trace(whole(loop)) / 2) <= 1e-10
+
+    wit = abelian_obstruction_witness(graph)
+    defect = report("obstruction")["abelian_defect"]
+    assert abs(defect - np.linalg.norm(whole(wit.word) - np.eye(2))) <= 1e-10
+
+
+def test_closure_on_smooth_connection_transports_nothing(workspace, transport_calls, capsys):
+    tmp, _, _ = workspace
+    assert main(["closure", "--graph", str(tmp / "graph.json"),
+                 "--connection", str(tmp / "smooth.json"), "--strict"]) == 0
+    assert json.loads(capsys.readouterr().out)["member"] is True
+    assert transport_calls == []
+
+
+def test_haar_mean_ladder_transports_each_edge_once(workspace, transport_calls, capsys):
+    tmp, graph, _ = workspace
+    assert main(["haar-mean", "--graph", str(tmp / "graph.json"),
+                 "--connection", str(tmp / "smooth.json"),
+                 "--function", str(tmp / "wilson.json"),
+                 "--samples", "256", "--seed", "1"]) == 0
+    capsys.readouterr()
+    # the Wilson loop walks edges 1..5 once each; the ladder has six rungs
+    walked = sorted(eid for pts in transport_calls for eid in graph.edges
+                    if np.array_equal(pts, edge_polyline(graph, eid)))
+    assert walked == [1, 2, 3, 4, 5]
+
+
+def test_haar_mean_rejects_single_sample(workspace):
+    tmp, _, _ = workspace
+    result = run_cli(["haar-mean", "--graph", str(tmp / "graph.json"),
+                      "--connection", str(tmp / "conn.json"),
+                      "--function", str(tmp / "wilson.json"),
+                      "--samples", "1", "--seed", "1"])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
+
+
 def test_theta_accepts_smooth_connection(workspace):
     tmp, _, _ = workspace
     result = run_cli(["theta", "--graph", str(tmp / "graph.json"),
@@ -192,16 +267,6 @@ def test_approx_batch_outputs(tmp_path):
     assert len(csv_lines) == 4 and csv_lines[1].startswith("7,")
     dat_lines = (out / "approx-errors.dat").read_text().splitlines()
     assert len(dat_lines) == 3 and all(len(l.split()) == 2 for l in dat_lines)
-
-
-def test_approx_thread_cap_keeps_bytes(tmp_path):
-    fam = family_file(tmp_path)
-    args = ["approx", "--group", "su2", "--family", str(fam),
-            "--seed", "3", "--seeds", "4"]
-    a = run_cli(args, env={"HOLONOMY_LAB_THREADS": "1"})
-    b = run_cli(args, env={"HOLONOMY_LAB_THREADS": "4"})
-    assert a.returncode == 0 and b.returncode == 0
-    assert a.stdout == b.stdout
 
 
 def test_obstruction_commutator_mode(workspace):

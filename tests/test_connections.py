@@ -31,7 +31,6 @@ from holonomy_lab.connections import (
     generalized_to_dict,
     holonomy_general,
     holonomy_smooth,
-    holonomy_smooth_path,
     interpolate_connection,
     path_polyline,
     pushforward_hom,
@@ -39,16 +38,17 @@ from holonomy_lab.connections import (
     random_generalized_connection,
     random_smooth_connection,
     random_smooth_gauge,
+    restrict,
     smooth_from_dict,
     smooth_to_dict,
     smoothstep,
     split_holonomy,
     transport,
-    transport_field,
 )
 from holonomy_lab.pathgroupoid import PathWord, compose, edge_word, inverse
 
 from graphs import pentagon_chord_graph, spider_graph, square_graph
+from oracles import transport_field
 
 SU2 = mg.SpecialUnitary(2)
 T2 = mg.Torus(2)
@@ -199,11 +199,13 @@ def test_smooth_functoriality_inverse_and_retracing():
     conn = random_smooth_connection(SU2, graph, 4, seed=12)
     p = compose(edge_word(graph, 2), edge_word(graph, 1))
     q = compose(edge_word(graph, 4), edge_word(graph, 3))
-    hp = holonomy_smooth_path(conn, graph, p, tol=1e-11)
-    hq = holonomy_smooth_path(conn, graph, q, tol=1e-11)
-    hqp = holonomy_smooth_path(conn, graph, compose(q, p), tol=1e-11)
+    edges = restrict(conn, graph, tol=1e-11)
+    hp = holonomy_general(edges, p)
+    hq = holonomy_general(edges, q)
+    hqp = holonomy_general(edges, compose(q, p))
     assert frob(hqp.matrix, hq.matrix @ hp.matrix) < 1e-9
-    hp_inv = holonomy_smooth_path(conn, graph, inverse(p), tol=1e-11)
+    assert frob(hqp.matrix, transport(conn, path_polyline(graph, compose(q, p)), tol=1e-11)) < 1e-9
+    hp_inv = holonomy_general(edges, inverse(p))
     assert frob(hp_inv.matrix, hp.matrix.conj().T) < 1e-9
     # walking out and straight back along the raw polyline cancels
     pts = path_polyline(graph, p)
@@ -215,7 +217,7 @@ def test_unit_word_has_identity_holonomy():
     graph = pentagon_chord_graph()
     conn = random_smooth_connection(SU2, graph, 3, seed=13)
     unit_word = PathWord((), "v0", "v0")
-    got = holonomy_smooth_path(conn, graph, unit_word)
+    got = holonomy_general(restrict(conn, graph), unit_word)
     assert frob(got.matrix, np.eye(2)) == 0.0
 
 
@@ -225,8 +227,12 @@ def test_smooth_holonomy_lands_in_group():
                    compose(edge_word(graph, 2), edge_word(graph, 1)))
     for desc, seed in ((SU2, 21), (T2, 22), (PROD, 23), (U2_AS_QUOTIENT, 24)):
         conn = random_smooth_connection(desc, graph, 3, seed=seed)
-        got = holonomy_smooth_path(conn, graph, loop, tol=1e-10)
+        got = holonomy_general(restrict(conn, graph, tol=1e-10), loop)
         mg.validate_matrix(desc, got.matrix)
+        # edge by edge or along the whole curve: the same segments, only
+        # the order of the matrix products differs
+        whole = holonomy_smooth(conn, path_polyline(graph, loop), tol=1e-10)
+        assert got.descriptor == desc and mg.distance(got, whole) < 1e-12
 
 
 def test_split_holonomy_blocks():
@@ -245,6 +251,26 @@ def test_split_holonomy_needs_product():
     conn = random_smooth_connection(SU2, pentagon_chord_graph(), 2, seed=15)
     with pytest.raises(TypeError):
         split_holonomy(conn, [(0.0, 0.0), (1.0, 0.0)])
+
+
+def test_restrict_transports_walked_edges_once(transport_calls):
+    graph = pentagon_chord_graph()
+    conn = random_smooth_connection(SU2, graph, 4, seed=16)
+    edges = restrict(conn, graph)
+    assert isinstance(edges, GeneralizedConnection) and transport_calls == []
+    word = compose(inverse(edge_word(graph, 6)), compose(edge_word(graph, 2), edge_word(graph, 1)))
+    first = holonomy_general(edges, word)
+    twice = holonomy_general(edges, compose(word, word))
+    assert frob(twice.matrix, first.matrix @ first.matrix) < 1e-13
+    walked = [eid for pts in transport_calls for eid in graph.edges
+              if np.array_equal(pts, edge_polyline(graph, eid))]
+    assert sorted(walked) == [1, 2, 6]
+    back = holonomy_general(edges, inverse(word))
+    assert frob(back.matrix, first.matrix.conj().T) < 1e-13
+    # reading the values as a whole fills the remaining edges exactly once
+    doc = generalized_to_dict(edges)
+    assert sorted(doc["values"]) == [str(e) for e in range(1, 7)]
+    assert len(transport_calls) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +410,9 @@ def test_interpolation_hits_targets():
     conn = interpolate_connection(graph, targets)
     assert isinstance(conn, SmoothConnection)
     assert len(conn.terms) == r
+    edges = restrict(conn, graph, tol=1e-11)
     for k in range(r):
-        got = holonomy_smooth_path(conn, graph, leg_word(graph, r, k), tol=1e-11)
+        got = holonomy_general(edges, leg_word(graph, r, k))
         assert mg.distance(got, values[k]) < 1e-8
 
 
@@ -399,7 +426,7 @@ def test_interpolation_respects_extra_paths():
     conn = interpolate_connection(graph, targets, extra_paths=[spectator])
     # the spectator path misses every bump, so its transport is skipped
     # segment by segment and comes out exactly the identity
-    got = holonomy_smooth_path(conn, graph, spectator)
+    got = holonomy_general(restrict(conn, graph), spectator)
     assert frob(got.matrix, np.eye(2)) == 0.0
 
 
@@ -411,8 +438,9 @@ def test_interpolation_torus_and_quotient_values():
         targets = [InterpolationTarget(leg_word(graph, r, k), values[k], (5, 8))
                    for k in range(r)]
         conn = interpolate_connection(graph, targets)
+        edges = restrict(conn, graph, tol=1e-11)
         for k in range(r):
-            got = holonomy_smooth_path(conn, graph, leg_word(graph, r, k), tol=1e-11)
+            got = holonomy_general(edges, leg_word(graph, r, k))
             assert mg.distance(got, values[k]) < 1e-8
 
 

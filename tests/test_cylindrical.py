@@ -9,6 +9,7 @@ from holonomy_lab.connections import (
     random_discrete_gauge,
     random_generalized_connection,
     random_smooth_connection,
+    restrict,
 )
 from holonomy_lab.cylindrical import (
     Conj,
@@ -126,9 +127,9 @@ def test_evaluate_smooth_needs_graph():
     graph = pentagon_chord_graph()
     conn = random_smooth_connection(SU2, graph, 2, seed=2)
     f = entry_function(edge_word(graph, 1), 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         evaluate(f, conn)
-    val = evaluate(f, conn, graph=graph)
+    val = evaluate(f, restrict(conn, graph))
     assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 

@@ -312,6 +312,15 @@ def test_graph_document_rejects_bad_edge():
         graph_from_dict(doc)
 
 
+def test_graph_rejects_curves_that_do_not_meet():
+    # against the vertex position, and against another curve at that vertex
+    with pytest.raises(ValueError, match="edge 2 does not end at vertex 'a'"):
+        Graph("ab", [Edge(1, "a", "b", ((0, 0), (1, 0))), Edge(2, "b", "a", ((1, 0), (0, 1)))],
+              "a", {"a": (0, 0), "b": (1, 0)})
+    with pytest.raises(ValueError, match="edge 2 does not end at vertex 'b'"):
+        Graph("ab", [Edge(1, "a", "b", ((0, 0), (1, 0))), Edge(2, "b", "a", ((5, 5), (0, 0)))], "a")
+
+
 def test_word_tokens_roundtrip_int_ids():
     p = reduce_word(SQUARE, [(1, 1), (2, 1), (2, -1), (2, 1)])
     tokens = word_to_tokens(p)

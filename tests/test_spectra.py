@@ -14,6 +14,7 @@ from holonomy_lab.connections import (
     random_discrete_gauge,
     random_generalized_connection,
     random_smooth_connection,
+    restrict,
 )
 from holonomy_lab.pathgroupoid import abelianize, compose, edge_word, inverse
 from holonomy_lab.spectra import (
@@ -326,7 +327,7 @@ def test_obstruction_witness_smooth_abelian():
     graph = pentagon_chord_graph()
     wit = abelian_obstruction_witness(graph)
     conn = random_smooth_connection(T2, graph, n_terms=6, seed=5)
-    assert wit.abelian_defect(conn) <= 1e-8
+    assert wit.abelian_defect(restrict(conn, graph)) <= 1e-8
 
 
 def test_obstruction_witness_needs_two_loops():
