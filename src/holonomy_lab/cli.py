@@ -103,7 +103,7 @@ def _load_function(graph, path):
         raise CliError(f"{path}: {exc}") from None
 
 
-_SHORTHAND = re.compile(r"^(su|u|t|torus)(\d+)$")
+_SHORTHAND = re.compile(r"^(su|u|t|torus)([1-9]\d*)$")
 
 
 def parse_group(text):
@@ -215,7 +215,10 @@ def cmd_gauge_orbit(args):
     if not basis.loop_ids:
         raise CliError("graph has no independent loops; the orbit is a point")
     values = [holonomy_general(conn, basis.loops[eid]) for eid in basis.loop_ids]
-    rep = orbit_representative(desc, values)
+    try:
+        rep = orbit_representative(desc, values)
+    except ValueError as exc:
+        raise CliError(f"gauge-orbit: {exc}") from None
     report = {
         "command": "gauge-orbit",
         "group": mg.descriptor_to_dict(desc),
@@ -371,7 +374,10 @@ def cmd_closure(args):
             data = loop_assignment_from_dict(graph, _load_json(args.family))
         except (ValueError, KeyError, mg.DescriptorMismatchError) as exc:
             raise CliError(f"{args.family}: {exc}") from None
-    verdict = closure_membership(data, bound=args.bound, tol=args.check_tolerance)
+    try:
+        verdict = closure_membership(data, bound=args.bound, tol=args.check_tolerance)
+    except ValueError as exc:
+        raise CliError(f"closure: {exc}") from None
     report = {"command": "closure", "ok": verdict.member}
     report.update(verdict.to_dict())
     return report, []

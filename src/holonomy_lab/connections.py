@@ -276,11 +276,6 @@ def path_polyline(graph: Graph, word: PathWord) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # parallel transport
 
-def _exp_antiherm_batch(M: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(-1j * M)
-    return np.einsum("sij,sj,skj->sik", v, np.exp(1j * w), v.conj())
-
-
 def _chain(mats: np.ndarray) -> np.ndarray:
     """Ordered product mats[-1] @ ... @ mats[0] by pairwise folding."""
     while mats.shape[0] > 1:
@@ -310,7 +305,7 @@ def _segment_transport(conn: SmoothConnection, p: np.ndarray, q: np.ndarray,
     M1 = np.tensordot(c1, conn._X, axes=(1, 0))
     M2 = np.tensordot(c2, conn._X, axes=(1, 0))
     omega = -0.5 * (M1 + M2) - (np.sqrt(3.0) / 12.0) * (M1 @ M2 - M2 @ M1)
-    return _chain(_exp_antiherm_batch(omega))
+    return _chain(mg.exp_antihermitian(omega))
 
 
 def _segment_far(conn: SmoothConnection, p: np.ndarray, q: np.ndarray) -> bool:
@@ -455,8 +450,7 @@ class SmoothGauge:
         M = np.zeros((n, n), dtype=complex)
         for t in self.terms:
             M = M + float(bump_value([point], t.center, t.radius)[0]) * t.Y
-        w, v = np.linalg.eigh(-1j * M)
-        return (v * np.exp(1j * w)) @ v.conj().T
+        return mg.exp_antihermitian(M)
 
     def element_at(self, point) -> mg.GroupElement:
         return mg.GroupElement(self.descriptor, self.at(point))

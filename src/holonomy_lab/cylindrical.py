@@ -296,8 +296,10 @@ class HaarMean:
         nverts, src, dst = _endpoint_slots(self.function)
         n = mg.dim(self.descriptor)
         rng = np.random.default_rng(seed)
-        total = 0.0 + 0.0j
-        total_sq = 0.0
+        # deviations from the first value: a near-constant f must not cancel in E|f|^2 - |Ef|^2
+        total = dev_total = 0.0 + 0.0j
+        dev_sq = 0.0
+        shift = None
         done = 0
         while done < samples:
             count = min(MEAN_CHUNK, samples - done)
@@ -308,10 +310,13 @@ class HaarMean:
                 gauges = layer if gauges is None else gauges @ layer
             vals = self.function.expr.eval(_transform_batch(arr, gauges, src, dst))
             total += vals.sum()
-            total_sq += float(np.sum(np.abs(vals) ** 2))
+            shift = vals[0] if shift is None else shift
+            dev = vals - shift
+            dev_total += dev.sum()
+            dev_sq += float(np.sum(np.abs(dev) ** 2))
             done += count
         mean = total / samples
-        var = max(total_sq / samples - abs(mean) ** 2, 0.0)
+        var = max(dev_sq / samples - abs(dev_total / samples) ** 2, 0.0)
         return MeanEstimate(complex(mean), float(np.sqrt(var / samples)), samples, self.layers)
 
 

@@ -12,12 +12,17 @@ Supported group kinds
                    represented by a canonical coset representative
 =================  ==========================================================
 
+Every group is a block-diagonal product of U, SU and torus blocks (its
+leaves), optionally divided by a finite central subgroup at the top level
+only: descriptors reject a quotient as a product factor, an empty product and
+``n < 1``.  :func:`leaf_blocks` is the one walk over this structure.
+
 Elements are plain complex matrices wrapped with their descriptor.  All
 operations are pure; random sampling is deterministic in an explicit seed.
 Haar sampling of U(n) uses the QR decomposition of a complex Ginibre matrix
 with the usual phase correction of the R diagonal, SU(n) divides out the
 determinant phase, the torus draws independent uniform phases and products
-sample factors independently.
+sample their leaves independently, in order.
 
 Matrix exponential and logarithm exploit that every element here is normal:
 both go through an eigendecomposition (Schur form for the logarithm), so the
@@ -56,18 +61,27 @@ class BranchCutError(ArithmeticError):
 # descriptors
 
 @dataclass(frozen=True)
-class Unitary:
+class _Leaf:
     n: int
+
+    def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError(f"{type(self).__name__} needs an integer n >= 1, got {self.n!r}")
 
 
 @dataclass(frozen=True)
-class SpecialUnitary:
-    n: int
+class Unitary(_Leaf):
+    """U(n)."""
 
 
 @dataclass(frozen=True)
-class Torus:
-    n: int
+class SpecialUnitary(_Leaf):
+    """SU(n)."""
+
+
+@dataclass(frozen=True)
+class Torus(_Leaf):
+    """The diagonal maximal torus of U(n)."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +89,10 @@ class ProductGroup:
     factors: tuple
 
     def __init__(self, factors):
-        object.__setattr__(self, "factors", tuple(factors))
+        factors = tuple(factors)
+        if not factors or any(isinstance(f, CentralQuotient) for f in factors):
+            raise ValueError("a product group needs one or more factors, none of them a quotient")
+        object.__setattr__(self, "factors", factors)
 
 
 @dataclass(frozen=True)
@@ -99,14 +116,24 @@ class CentralQuotient:
 GroupDescriptor = object  # any of the five kinds above
 
 
-def dim(desc) -> int:
-    if isinstance(desc, (Unitary, SpecialUnitary, Torus)):
-        return desc.n
-    if isinstance(desc, ProductGroup):
-        return sum(dim(f) for f in desc.factors)
+def leaf_blocks(desc) -> list:
+    """``(slice, leaf)`` for every U/SU/torus block of ``desc``, in order:
+    nested products are flattened and a quotient is looked through."""
     if isinstance(desc, CentralQuotient):
-        return dim(desc.base)
-    raise TypeError(f"not a group descriptor: {desc!r}")
+        desc = desc.base
+    if isinstance(desc, _Leaf):
+        return [(slice(0, desc.n), desc)]
+    if not isinstance(desc, ProductGroup):
+        raise TypeError(f"not a group descriptor: {desc!r}")
+    out = []
+    for f in desc.factors:
+        lo = out[-1][0].stop if out else 0
+        out += [(slice(lo + sl.start, lo + sl.stop), leaf) for sl, leaf in leaf_blocks(f)]
+    return out
+
+
+def dim(desc) -> int:
+    return leaf_blocks(desc)[-1][0].stop
 
 
 def block_slices(desc: ProductGroup):
@@ -128,7 +155,7 @@ def central_quotient(base: ProductGroup, center_matrices: Iterable[np.ndarray]) 
 
     The list must contain the identity, be closed under product and inverse
     (up to 1e-9) and every element must be central in the base: scalar on
-    U/SU factors, diagonal on torus factors.
+    U/SU blocks, diagonal on torus blocks.
     """
     if not isinstance(base, ProductGroup):
         raise TypeError("quotient base must be a ProductGroup")
@@ -136,11 +163,11 @@ def central_quotient(base: ProductGroup, center_matrices: Iterable[np.ndarray]) 
     n = dim(base)
     for k in mats:
         validate_matrix(base, k)
-        for sl, f in block_slices(base):
+        for sl, leaf in leaf_blocks(base):
             blk = k[sl, sl]
-            if isinstance(f, (Unitary, SpecialUnitary)):
-                if not np.allclose(blk, blk[0, 0] * np.eye(dim(f)), atol=1e-9):
-                    raise MembershipError("center element is not scalar on a U/SU factor")
+            if not isinstance(leaf, Torus) and \
+                    not np.allclose(blk, blk[0, 0] * np.eye(leaf.n), atol=1e-9):
+                raise MembershipError("center element is not scalar on a U/SU factor")
     def find(m):
         for j, k in enumerate(mats):
             if np.allclose(m, k, atol=1e-9):
@@ -171,29 +198,30 @@ def reunitarize(m: np.ndarray) -> np.ndarray:
     return u
 
 
-def validate_matrix(desc, m: np.ndarray, atol: float = UNITARY_ATOL) -> None:
-    """Raise MembershipError unless ``m`` lies in the group of ``desc``."""
-    m = np.asarray(m, dtype=complex)
+def _check_blocks(desc, m: np.ndarray, atol: float, what: str, su_bad, su_message: str) -> None:
+    """Shape, then diagonal torus blocks, no ``su_bad`` SU block, nothing off the blocks."""
     n = dim(desc)
     if m.shape != (n, n):
         raise MembershipError(f"expected shape {(n, n)}, got {m.shape}")
+    off = m.copy()
+    for sl, leaf in leaf_blocks(desc):
+        blk = m[sl, sl]
+        if isinstance(leaf, SpecialUnitary) and su_bad(blk):
+            raise MembershipError(su_message)
+        if isinstance(leaf, Torus) and np.max(np.abs(blk - np.diag(np.diag(blk)))) > atol:
+            raise MembershipError(f"torus {what} must be diagonal")
+        off[sl, sl] = 0.0
+    if np.max(np.abs(off)) > atol:
+        raise MembershipError(f"off block-diagonal entries in a product {what}")
+
+
+def validate_matrix(desc, m: np.ndarray, atol: float = UNITARY_ATOL) -> None:
+    """Raise MembershipError unless ``m`` lies in the group of ``desc``."""
+    m = np.asarray(m, dtype=complex)
+    _check_blocks(desc, m, atol, "element", lambda b: abs(np.linalg.det(b) - 1.0) > 10 * atol,
+                  "determinant differs from 1")
     if _unitarity_defect(m) > atol:
         raise MembershipError("matrix is not unitary within tolerance")
-    if isinstance(desc, SpecialUnitary):
-        if abs(np.linalg.det(m) - 1.0) > 10 * atol:
-            raise MembershipError("determinant differs from 1")
-    elif isinstance(desc, Torus):
-        if np.max(np.abs(m - np.diag(np.diag(m)))) > atol:
-            raise MembershipError("torus element must be diagonal")
-    elif isinstance(desc, ProductGroup):
-        off = m.copy()
-        for sl, f in block_slices(desc):
-            validate_matrix(f, m[sl, sl], atol)
-            off[sl, sl] = 0.0
-        if np.max(np.abs(off)) > atol:
-            raise MembershipError("off block-diagonal entries in a product element")
-    elif isinstance(desc, CentralQuotient):
-        validate_matrix(desc.base, m, atol)
 
 
 class GroupElement:
@@ -237,26 +265,10 @@ class LieAlgebraElement:
 
 
 def _validate_algebra(desc, X: np.ndarray, atol: float = 1e-8) -> None:
-    n = dim(desc)
-    if X.shape != (n, n):
-        raise MembershipError(f"expected shape {(n, n)}, got {X.shape}")
+    _check_blocks(desc, X, atol, "algebra element",
+                  lambda b: abs(np.trace(b)) > atol * b.shape[0], "su(n) element must be traceless")
     if np.max(np.abs(X + X.conj().T)) > atol:
         raise MembershipError("algebra element must be anti-hermitian")
-    if isinstance(desc, SpecialUnitary):
-        if abs(np.trace(X)) > atol * n:
-            raise MembershipError("su(n) element must be traceless")
-    elif isinstance(desc, Torus):
-        if np.max(np.abs(X - np.diag(np.diag(X)))) > atol:
-            raise MembershipError("torus algebra element must be diagonal")
-    elif isinstance(desc, ProductGroup):
-        off = X.copy()
-        for sl, f in block_slices(desc):
-            _validate_algebra(f, X[sl, sl], atol)
-            off[sl, sl] = 0.0
-        if np.max(np.abs(off)) > atol:
-            raise MembershipError("off block-diagonal entries in a product algebra element")
-    elif isinstance(desc, CentralQuotient):
-        _validate_algebra(desc.base, X, atol)
 
 
 def algebra_descriptor(desc):
@@ -294,22 +306,25 @@ def canonicalize_batch(desc: CentralQuotient, batch: np.ndarray) -> np.ndarray:
     return best
 
 
+def _wrap(desc, m: np.ndarray) -> GroupElement:
+    """``m`` in ``desc`` unchecked; in a quotient, its canonical coset representative."""
+    if isinstance(desc, CentralQuotient):
+        m = canonicalize_batch(desc, m[None])[0]
+    return GroupElement(desc, m, check=False)
+
+
 def quotient_project(desc: CentralQuotient, g) -> GroupElement:
     """Project a base-group matrix or element to its canonical coset rep."""
     m = as_matrix(g)
     validate_matrix(desc.base, m)
-    rep = canonicalize_batch(desc, m[None])[0]
-    return GroupElement(desc, rep, check=False)
+    return _wrap(desc, m)
 
 
 # ---------------------------------------------------------------------------
 # group operations
 
 def identity(desc) -> GroupElement:
-    m = np.eye(dim(desc), dtype=complex)
-    if isinstance(desc, CentralQuotient):
-        m = canonicalize_batch(desc, m[None])[0]
-    return GroupElement(desc, m, check=False)
+    return _wrap(desc, np.eye(dim(desc), dtype=complex))
 
 
 def _check_same(a: GroupElement, b: GroupElement) -> None:
@@ -323,16 +338,11 @@ def mul(a: GroupElement, b: GroupElement) -> GroupElement:
     m = a.matrix @ b.matrix
     if _unitarity_defect(m) > REPAIR_ATOL:
         m = reunitarize(m)
-    if isinstance(a.descriptor, CentralQuotient):
-        m = canonicalize_batch(a.descriptor, m[None])[0]
-    return GroupElement(a.descriptor, m, check=False)
+    return _wrap(a.descriptor, m)
 
 
 def inv(a: GroupElement) -> GroupElement:
-    m = a.matrix.conj().T
-    if isinstance(a.descriptor, CentralQuotient):
-        m = canonicalize_batch(a.descriptor, m[None])[0]
-    return GroupElement(a.descriptor, m, check=False)
+    return _wrap(a.descriptor, a.matrix.conj().T)
 
 
 def conjugate(h: GroupElement, a: GroupElement) -> GroupElement:
@@ -352,26 +362,19 @@ def distance(a: GroupElement, b: GroupElement) -> float:
 # ---------------------------------------------------------------------------
 # exponential and logarithm (normal matrices throughout)
 
-def _exp_matrix(desc, X: np.ndarray) -> np.ndarray:
-    if isinstance(desc, Torus):
-        return np.diag(np.exp(np.diag(X)))
-    if isinstance(desc, ProductGroup):
-        out = np.zeros_like(X)
-        for sl, f in block_slices(desc):
-            out[sl, sl] = _exp_matrix(f, X[sl, sl])
-        return out
-    if isinstance(desc, CentralQuotient):
-        return _exp_matrix(desc.base, X)
-    # unitary/special unitary: X = i H with H hermitian
+def exp_antihermitian(X: np.ndarray) -> np.ndarray:
+    """exp of a (..., n, n) stack of anti-hermitian matrices via eigh; unitary to roundoff."""
     w, v = np.linalg.eigh(-1j * X)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return np.einsum("...ij,...j,...kj->...ik", v, np.exp(1j * w), v.conj())
 
 
 def exp_map(X: LieAlgebraElement) -> GroupElement:
-    m = _exp_matrix(X.descriptor, X.matrix)
-    if isinstance(X.descriptor, CentralQuotient):
-        m = canonicalize_batch(X.descriptor, m[None])[0]
-    return GroupElement(X.descriptor, m, check=False)
+    out = np.zeros_like(X.matrix)
+    for sl, leaf in leaf_blocks(X.descriptor):
+        blk = X.matrix[sl, sl]
+        out[sl, sl] = (np.diag(np.exp(np.diag(blk))) if isinstance(leaf, Torus)
+                       else exp_antihermitian(blk))
+    return _wrap(X.descriptor, out)
 
 
 def _angles_from_unitary(eigvals: np.ndarray, branch_shift: float) -> np.ndarray:
@@ -382,20 +385,12 @@ def _angles_from_unitary(eigvals: np.ndarray, branch_shift: float) -> np.ndarray
     return rotated - branch_shift
 
 
-def _log_matrix(desc, m: np.ndarray, branch_shift: float) -> np.ndarray:
-    if isinstance(desc, Torus):
-        theta = _angles_from_unitary(np.diag(m), branch_shift)
-        return np.diag(1j * theta)
-    if isinstance(desc, ProductGroup):
-        out = np.zeros_like(m)
-        for sl, f in block_slices(desc):
-            out[sl, sl] = _log_matrix(f, m[sl, sl], branch_shift)
-        return out
-    if isinstance(desc, CentralQuotient):
-        return _log_matrix(desc.base, m, branch_shift)
+def _log_block(leaf, m: np.ndarray, branch_shift: float) -> np.ndarray:
+    if isinstance(leaf, Torus):
+        return np.diag(1j * _angles_from_unitary(np.diag(m), branch_shift))
     t, z = scipy.linalg.schur(m, output="complex")
     theta = _angles_from_unitary(np.diag(t), branch_shift)
-    if isinstance(desc, SpecialUnitary):
+    if isinstance(leaf, SpecialUnitary):
         # move whole 2*pi turns between eigenvalues so the log is traceless
         k = int(np.round(theta.sum() / (2.0 * np.pi)))
         if k > 0:
@@ -417,7 +412,9 @@ def log_map(g: GroupElement, branch_shift: float = 0.0) -> LieAlgebraElement:
     SpecialUnitary descriptors the eigenvalue angles are rebalanced by whole
     turns so the result is traceless.
     """
-    X = _log_matrix(g.descriptor, g.matrix, branch_shift)
+    X = np.zeros_like(g.matrix)
+    for sl, leaf in leaf_blocks(g.descriptor):
+        X[sl, sl] = _log_block(leaf, g.matrix[sl, sl], branch_shift)
     X = 0.5 * (X - X.conj().T)  # strip hermitian round-off
     return LieAlgebraElement(g.descriptor, X)
 
@@ -425,38 +422,43 @@ def log_map(g: GroupElement, branch_shift: float = 0.0) -> LieAlgebraElement:
 # ---------------------------------------------------------------------------
 # Haar sampling
 
-def haar_batch(desc, count: int, rng) -> np.ndarray:
-    """Stack of ``count`` Haar samples as a (count, n, n) array.
-
-    ``rng`` is a ``numpy.random.Generator``; draws are consumed sequentially
-    so results are deterministic in the generator state.
-    """
-    n = dim(desc)
-    if isinstance(desc, Unitary):
-        z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
-        z /= np.sqrt(2.0)
-        q, r = np.linalg.qr(z)
-        d = np.einsum("kii->ki", r)
-        ph = d / np.abs(d)
-        return q * ph[:, None, :]
-    if isinstance(desc, SpecialUnitary):
-        u = haar_batch(Unitary(n), count, rng)
-        det = np.linalg.det(u)
-        return u * np.exp(-1j * np.angle(det) / n)[:, None, None]
-    if isinstance(desc, Torus):
+def _haar_leaf(leaf, count: int, rng) -> np.ndarray:
+    n = leaf.n
+    if isinstance(leaf, Torus):
         theta = rng.uniform(-np.pi, np.pi, size=(count, n))
         out = np.zeros((count, n, n), dtype=complex)
         idx = np.arange(n)
         out[:, idx, idx] = np.exp(1j * theta)
         return out
-    if isinstance(desc, ProductGroup):
+    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
+    z /= np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.einsum("kii->ki", r)
+    ph = d / np.abs(d)
+    u = q * ph[:, None, :]
+    if isinstance(leaf, SpecialUnitary):
+        det = np.linalg.det(u)
+        u = u * np.exp(-1j * np.angle(det) / n)[:, None, None]
+    return u
+
+
+def haar_batch(desc, count: int, rng) -> np.ndarray:
+    """Stack of ``count`` Haar samples as a (count, n, n) array.
+
+    ``rng`` is a ``numpy.random.Generator``; draws are consumed sequentially
+    leaf by leaf, so results are deterministic in the generator state.
+    """
+    leaves = leaf_blocks(desc)
+    if len(leaves) == 1:
+        out = _haar_leaf(leaves[0][1], count, rng)
+    else:
+        n = dim(desc)
         out = np.zeros((count, n, n), dtype=complex)
-        for sl, f in block_slices(desc):
-            out[:, sl, sl] = haar_batch(f, count, rng)
-        return out
+        for sl, leaf in leaves:
+            out[:, sl, sl] = _haar_leaf(leaf, count, rng)
     if isinstance(desc, CentralQuotient):
-        return canonicalize_batch(desc, haar_batch(desc.base, count, rng))
-    raise TypeError(f"not a group descriptor: {desc!r}")
+        return canonicalize_batch(desc, out)
+    return out
 
 
 def haar_sample(desc, seed: int) -> GroupElement:
@@ -468,21 +470,18 @@ def haar_sample(desc, seed: int) -> GroupElement:
 def random_algebra(desc, rng, scale: float = 1.0) -> LieAlgebraElement:
     """Random anti-hermitian element with independent normal coefficients."""
     adesc = algebra_descriptor(desc)
-    def build(d):
-        n = dim(d)
-        if isinstance(d, Torus):
-            return np.diag(1j * rng.standard_normal(n) * scale)
-        if isinstance(d, ProductGroup):
-            out = np.zeros((dim(d), dim(d)), dtype=complex)
-            for sl, f in block_slices(d):
-                out[sl, sl] = build(f)
-            return out
+    out = np.zeros((dim(adesc), dim(adesc)), dtype=complex)
+    for sl, leaf in leaf_blocks(adesc):
+        n = leaf.n
+        if isinstance(leaf, Torus):
+            out[sl, sl] = np.diag(1j * rng.standard_normal(n) * scale)
+            continue
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         X = 0.5 * (z - z.conj().T) * scale
-        if isinstance(d, SpecialUnitary):
+        if isinstance(leaf, SpecialUnitary):
             X -= np.trace(X) / n * np.eye(n)
-        return X
-    return LieAlgebraElement(adesc, build(adesc))
+        out[sl, sl] = X
+    return LieAlgebraElement(adesc, out)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import matrixgroups as mg
 from .connections import (
@@ -50,6 +49,7 @@ from .pathgroupoid import (
 
 CLUSTER_ATOL = 1e-6
 ENTRY_ATOL = 1e-7
+MAX_CENTER_LIFTS = 4096  # exhaustive center-lift searches stop above this
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +122,16 @@ def tree_reconstruct(basis: TreeBasis, descriptor, loop_values: Mapping,
 
 # ---------------------------------------------------------------------------
 # canonical representatives of conjugation orbits
+
+def _center_lifts(descriptor, mats):
+    """Each ``(choice, stack)`` with ``stack[i] = center[choice[i]] @ mats[i]``;
+    ValueError up front when there are more than ``MAX_CENTER_LIFTS``."""
+    center = descriptor.center_matrices()
+    if len(center) ** len(mats) > MAX_CENTER_LIFTS:
+        raise ValueError("too many center lifts to search exhaustively")
+    return ((choice, np.array([center[z] @ m for z, m in zip(choice, mats)]))
+            for choice in itertools.product(range(len(center)), repeat=len(mats)))
+
 
 def _split_clusters(values: np.ndarray, tol: float):
     """Group sorted real values into clusters separated by gaps > tol."""
@@ -213,35 +223,24 @@ def orbit_representative(descriptor, values, tol: float = CLUSTER_ATOL):
     Conjugation-invariant by construction for tuples whose refinement ends
     in singleton blocks (generic tuples, and any tuple some generator of
     which separates the spectrum), and for tuples of scalars, which are
-    fixed points of conjugation anyway.
+    fixed points of conjugation anyway.  For a quotient the result is the
+    lexicographically least representative over all center lifts, of which
+    there may be at most ``MAX_CENTER_LIFTS``.
     """
     mats = np.array([mg.as_matrix(v) for v in values], dtype=complex)
     if mats.ndim != 3 or mats.shape[0] == 0:
         raise ValueError("need a nonempty stack of square matrices")
-
-    if isinstance(descriptor, mg.Torus):
-        out = mats
-    elif isinstance(descriptor, (mg.Unitary, mg.SpecialUnitary)):
-        out = _unitary_representative(mats, tol)
-    elif isinstance(descriptor, mg.ProductGroup):
-        parts = []
-        for sl, f in mg.block_slices(descriptor):
-            sub = orbit_representative(f, mats[:, sl, sl], tol)
-            parts.append(np.array([g.matrix for g in sub]))
-        out = np.array([block_diag(*[p[k] for p in parts])
-                        for k in range(mats.shape[0])])
-    elif isinstance(descriptor, mg.CentralQuotient):
-        center = descriptor.center_matrices()
-        best = best_key = None
-        for choice in itertools.product(range(len(center)), repeat=mats.shape[0]):
-            shifted = np.array([center[z] @ m for z, m in zip(choice, mats)])
-            cand = np.array([g.matrix for g in orbit_representative(descriptor.base, shifted, tol)])
-            key = mg._lex_keys(cand[None])
-            if best is None or mg._lex_less(key, best_key)[0]:
-                best, best_key = cand, key
-        out = best
-    else:
-        raise TypeError(f"no representative rule for {type(descriptor).__name__}")
+    leaves = mg.leaf_blocks(descriptor)
+    quotient = isinstance(descriptor, mg.CentralQuotient)
+    out = best_key = None
+    for _, lifted in _center_lifts(descriptor, mats) if quotient else [((), mats)]:
+        cand = np.zeros_like(lifted)
+        for sl, leaf in leaves:
+            blk = np.ascontiguousarray(lifted[:, sl, sl])
+            cand[:, sl, sl] = blk if isinstance(leaf, mg.Torus) else _unitary_representative(blk, tol)
+        key = mg._lex_keys(cand[None])
+        if out is None or mg._lex_less(key, best_key)[0]:
+            out, best_key = cand, key
     return [mg.GroupElement(descriptor, m, check=False) for m in out]
 
 
@@ -540,16 +539,11 @@ def _loop_verdict(graph, loops, values, descriptor, bound, tol) -> ClosureVerdic
                                       f"factor {idx}: {sub.detail}", total)
         return ClosureVerdict(True, mode, certified, (), "; ".join(details), total)
     if isinstance(descriptor, mg.CentralQuotient):
-        center = descriptor.center_matrices()
-        k = len(loops)
-        if len(center) ** k > 4096:
-            raise ValueError("too many center lifts to search exhaustively")
         total = 0
         certified = True
         first_failure = None
-        for choice in itertools.product(range(len(center)), repeat=k):
-            lifted = [mg.GroupElement(descriptor.base, center[z] @ v.matrix, check=False)
-                      for z, v in zip(choice, values)]
+        for choice, stack in _center_lifts(descriptor, [v.matrix for v in values]):
+            lifted = [mg.GroupElement(descriptor.base, m, check=False) for m in stack]
             sub = _loop_verdict(graph, loops, lifted, descriptor.base, bound, tol)
             total += sub.checked
             if sub.member:

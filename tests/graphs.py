@@ -36,6 +36,17 @@ def square_graph():
     return Graph("abcd", edges, "a", pos)
 
 
+def triangle_graph():
+    """Three vertices on a cycle, edges 1..3, basepoint 'a'."""
+    pos = {"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (0.5, 1.0)}
+    edges = [
+        Edge(1, "a", "b", line_points(pos["a"], pos["b"])),
+        Edge(2, "b", "c", line_points(pos["b"], pos["c"])),
+        Edge(3, "c", "a", line_points(pos["c"], pos["a"])),
+    ]
+    return Graph("abc", edges, "a", pos)
+
+
 def pentagon_chord_graph():
     """Five-cycle with one chord: six edges, two independent loops."""
     verts = [f"v{i}" for i in range(5)]

@@ -25,6 +25,8 @@ from holonomy_lab.connections import (
 )
 from holonomy_lab.cylindrical import cyl_to_dict, wilson_loop
 from holonomy_lab.pathgroupoid import (
+    Edge,
+    Graph,
     compose,
     edge_word,
     graph_to_dict,
@@ -39,7 +41,7 @@ from holonomy_lab.spectra import (
     tree_basis,
 )
 
-from graphs import pentagon_chord_graph, spider_graph
+from graphs import arc_points, pentagon_chord_graph, spider_graph
 
 SU2 = mg.SpecialUnitary(2)
 
@@ -267,6 +269,47 @@ def test_approx_batch_outputs(tmp_path):
     assert len(csv_lines) == 4 and csv_lines[1].startswith("7,")
     dat_lines = (out / "approx-errors.dat").read_text().splitlines()
     assert len(dat_lines) == 3 and all(len(l.split()) == 2 for l in dat_lines)
+
+
+NESTED_QUOTIENT = {"kind": "product", "factors": [
+    mg.descriptor_to_dict(mg.central_quotient(
+        mg.ProductGroup((mg.Torus(1), SU2)), [np.eye(3), -np.eye(3)])),
+    {"kind": "U", "n": 1}]}
+
+
+@pytest.mark.parametrize("group", [{"kind": "SU", "n": 0}, {"kind": "product", "factors": []},
+                                   NESTED_QUOTIENT, "su0"])
+def test_bad_group_is_usage_error(tmp_path, group):
+    if isinstance(group, dict):
+        (tmp_path / "group.json").write_text(json.dumps(group))
+        group = str(tmp_path / "group.json")
+    result = run_cli(["approx", "--group", group, "--family", str(family_file(tmp_path)),
+                      "--seed", "0"])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["gauge-orbit", "closure"])
+def test_too_many_center_lifts_is_usage_error(tmp_path, command):
+    # two vertices joined by 14 arcs: 13 independent loops, 2^13 lifts for a Z2 quotient
+    pos = {"a": (0.0, 0.0), "b": (1.0, 0.0)}
+    graph = Graph("ab", [Edge(k, "a", "b", arc_points(pos["a"], pos["b"], 0.1 * k - 0.7))
+                         for k in range(1, 15)], "a", pos)
+    desc = mg.central_quotient(mg.ProductGroup((mg.Torus(1), SU2)), [np.eye(3), -np.eye(3)])
+    conn = random_generalized_connection(graph, desc, seed=1)
+    basis = tree_basis(graph)
+    loops = tuple(basis.loops[eid] for eid in basis.loop_ids)
+    family = LoopAssignment(graph, loops, tuple(holonomy_general(conn, w) for w in loops))
+    (tmp_path / "graph.json").write_text(json.dumps(graph_to_dict(graph)))
+    (tmp_path / "conn.json").write_text(json.dumps(generalized_to_dict(conn)))
+    (tmp_path / "family.json").write_text(json.dumps(loop_assignment_to_dict(family)))
+    data = (["--connection", str(tmp_path / "conn.json"), "--seed", "0"]
+            if command == "gauge-orbit" else ["--family", str(tmp_path / "family.json")])
+    result = run_cli([command, "--graph", str(tmp_path / "graph.json")] + data)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "too many center lifts" in result.stderr and len(result.stderr.splitlines()) == 1
 
 
 def test_obstruction_commutator_mode(workspace):

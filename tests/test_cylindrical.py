@@ -36,7 +36,7 @@ from holonomy_lab.cylindrical import (
 )
 from holonomy_lab.pathgroupoid import PathWord, compose, edge_word, inverse
 
-from graphs import pentagon_chord_graph, square_graph
+from graphs import pentagon_chord_graph, square_graph, triangle_graph
 from oracles import brute_force_conjugator, su2_grid, su2_haar_mean
 
 SU2 = mg.SpecialUnitary(2)
@@ -160,6 +160,20 @@ def test_mean_of_invariant_function_is_its_value():
     est = HaarMean(f, SU2).estimate(conn, samples=200, seed=8)
     assert abs(est.value - evaluate(f, conn)) < 1e-12
     assert est.stderr < 1e-12
+
+
+def test_mean_of_invariant_function_has_roundoff_stderr():
+    # every sample of a gauge-invariant function is the same number up to
+    # roundoff, so its error bar is roundoff too, not the square root of a
+    # cancellation between E|f|^2 and |E f|^2
+    graph = triangle_graph()
+    desc = mg.ProductGroup((mg.Torus(1), SU2))
+    conn = random_generalized_connection(graph, desc, seed=0)
+    loop = compose(edge_word(graph, 3), compose(edge_word(graph, 2), edge_word(graph, 1)))
+    f = wilson_loop(loop, 3)
+    est = HaarMean(f, desc).estimate(conn, samples=4096, seed=0)
+    assert abs(est.value - evaluate(f, conn)) < 1e-12
+    assert est.stderr <= 1e-15
 
 
 def test_open_edge_entry_square_mean_is_half():

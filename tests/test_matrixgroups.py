@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from holonomy_lab.matrixgroups import (
     BranchCutError,
@@ -28,6 +29,7 @@ from holonomy_lab.matrixgroups import (
     haar_sample,
     identity,
     inv,
+    leaf_blocks,
     log_map,
     matrix_from_pairs,
     matrix_to_pairs,
@@ -75,6 +77,34 @@ def test_central_quotient_validation():
     bad = np.diag([1.0, 1.0, -1.0])  # not scalar on the SU(2) block
     with pytest.raises(MembershipError):
         central_quotient(PROD, [np.eye(3), bad])
+
+
+def test_descriptors_are_validated_where_built():
+    for bad in (0, -1, 1.5, True, "2"):
+        for kind in (Unitary, SpecialUnitary, Torus):
+            with pytest.raises(ValueError):
+                kind(bad)
+    with pytest.raises(ValueError):
+        ProductGroup(())
+    with pytest.raises(ValueError):  # quotients sit at the top level only
+        ProductGroup((U2_AS_QUOTIENT, T1))
+    with pytest.raises(ValueError):
+        descriptor_from_dict({"kind": "SU", "n": 0})
+
+
+def test_central_quotient_sees_nested_factors():
+    # diag(i, -i) is not scalar on the SU(2) block, however deep that block sits
+    base = ProductGroup((ProductGroup((SU2,)), T1))
+    gen = np.diag([1j, -1j, 1.0])
+    with pytest.raises(MembershipError):
+        central_quotient(base, [np.linalg.matrix_power(gen, k) for k in range(4)])
+
+
+def test_leaf_blocks_flatten_products_and_look_through_quotients():
+    desc = ProductGroup((ProductGroup((T1, SU2)), U2))
+    assert leaf_blocks(desc) == [(slice(0, 1), T1), (slice(1, 3), SU2), (slice(3, 5), U2)]
+    assert leaf_blocks(U2_AS_QUOTIENT) == leaf_blocks(PROD)
+    assert leaf_blocks(SU3) == [(slice(0, 3), SU3)]
 
 
 def test_descriptor_dict_roundtrip():
@@ -182,6 +212,15 @@ def test_exp_matches_taylor_oracle(desc):
     assert np.linalg.norm(got - taylor_exp(X.matrix)) < 1e-12
 
 
+@pytest.mark.parametrize("desc", [PROD, T2])
+def test_exp_map_matches_expm_blockwise(desc):
+    X = random_algebra(desc, np.random.default_rng(4), scale=0.8)
+    got = exp_map(X).matrix
+    assert np.linalg.norm(got - scipy.linalg.expm(X.matrix)) < 1e-13
+    # entries off the blocks and off the torus diagonal are zero in X, and exactly zero in exp(X)
+    assert np.all(got[X.matrix == 0] == 0)
+
+
 @pytest.mark.parametrize("desc", [U2, SU2, SU3, T2, PROD, U2_AS_QUOTIENT])
 def test_exp_log_roundtrip_on_haar(desc, seed=3):
     g = haar(desc, seed)
@@ -239,6 +278,22 @@ def test_haar_batch_deterministic_per_count_and_seed():
     again = haar_batch(SU2, 4, np.random.default_rng(5))
     assert np.array_equal(batch, again)
     assert not np.allclose(batch[0], batch[1])
+
+
+def test_draws_are_consumed_leaf_by_leaf():
+    desc = ProductGroup((ProductGroup((T1, SU2)), U2))
+    got = haar_batch(desc, 6, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    want = np.zeros((6, 5, 5), dtype=complex)
+    for lo, hi, leaf in ((0, 1, T1), (1, 3, SU2), (3, 5, U2)):
+        want[:, lo:hi, lo:hi] = haar_batch(leaf, 6, rng)
+    assert np.array_equal(got, want)
+    got = random_algebra(desc, np.random.default_rng(9), scale=0.7).matrix
+    rng = np.random.default_rng(9)
+    want = np.zeros((5, 5), dtype=complex)
+    for lo, hi, leaf in ((0, 1, T1), (1, 3, SU2), (3, 5, U2)):
+        want[lo:hi, lo:hi] = random_algebra(leaf, rng, scale=0.7).matrix
+    assert np.array_equal(got, want)
 
 
 def test_torus_phase_mean_is_zero():

@@ -235,6 +235,15 @@ def test_orbit_representative_quotient_invariance():
     assert worst <= 1e-8
 
 
+def test_orbit_representative_caps_center_lifts():
+    # 2^13 lifts exceed the cap that closure's lift search also has
+    desc = mg.central_quotient(mg.ProductGroup((mg.Unitary(1), SU2)), [np.eye(3), -np.eye(3)])
+    stack = mg.haar_batch(desc, 13, np.random.default_rng(44))
+    with pytest.raises(ValueError, match="too many center lifts"):
+        orbit_representative(desc, stack)
+    assert len(orbit_representative(desc, stack[:3])) == 3
+
+
 def test_orbit_representative_rejects_empty():
     with pytest.raises(ValueError, match="nonempty"):
         orbit_representative(SU2, [])
