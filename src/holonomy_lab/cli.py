@@ -6,8 +6,10 @@ inputs, run the named computation, and emit a deterministic JSON report
 commands additionally write a CSV summary and two-column ``.dat`` files
 that any plotting tool can consume.  Nothing here owns numerics.
 
-Exit codes: 0 success; 1 a mathematical verdict failed under ``--strict``;
-2 usage or input errors; 3 numeric failures inside an operation.
+Exit codes, decided in ``main`` alone: 0 success; 1 a mathematical verdict
+failed under ``--strict``; 2 usage or input errors, where a malformed
+document (non-finite numbers included) is named by its file and any other
+out-of-range parameter by the command; 3 numeric failures inside an operation.
 Reports never embed timestamps or environment data, so a fixed command
 line with a fixed seed reproduces byte-identical output.
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -36,17 +39,8 @@ from .connections import (
     smooth_from_dict,
 )
 from .cylindrical import HaarMean, cyl_from_dict, invariance_check
-from .pathgroupoid import (
-    CompositionError,
-    Graph,
-    UnknownEdgeError,
-    abelianize,
-    graph_from_dict,
-    word_from_tokens,
-    word_to_tokens,
-)
+from .pathgroupoid import abelianize, graph_from_dict, word_from_tokens, word_to_tokens
 from .spectra import (
-    LoopAssignment,
     abelian_obstruction_witness,
     approximation_experiment,
     closure_membership,
@@ -58,49 +52,59 @@ from .spectra import (
 )
 
 class CliError(Exception):
-    """Input or usage problem; carries the process exit code."""
-
-    def __init__(self, message, code=2):
-        super().__init__(message)
-        self.code = code
+    """Input or usage problem; ``main`` exits with code 2."""
 
 
 # ---------------------------------------------------------------------------
 # input plumbing
 
+def _finite(text):
+    """JSON number hook: ``NaN``, ``Infinity`` and overflowing floats are errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_finite, parse_constant=_finite)
     except FileNotFoundError:
         raise CliError(f"{path}: no such file") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-
-
-def _load_graph(path):
-    try:
-        return graph_from_dict(_load_json(path))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _load_connection(graph, path, steps, tol):
+def _load(path, build, *args):
+    """``build(*args, document)``; what a malformed document raises names ``path``."""
+    document = _load_json(path)
+    try:
+        return build(*args, document)
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError, OverflowError) as exc:
+        raise CliError(f"{path}: {exc}") from None
+
+
+def _connection_from_dict(graph, args, data):
     """A generalized connection; smooth documents are restricted to the graph."""
-    data = _load_json(path)
-    try:
-        if isinstance(data, dict) and "terms" in data:
-            return restrict(smooth_from_dict(data), graph, steps, tol)
-        return generalized_from_dict(graph, data)
-    except (ValueError, KeyError, mg.DescriptorMismatchError) as exc:
-        raise CliError(f"{path}: {exc}") from None
+    if isinstance(data, dict) and "terms" in data:
+        return restrict(smooth_from_dict(data), graph, args.steps, args.tolerance)
+    return generalized_from_dict(graph, data)
 
 
-def _load_function(graph, path):
-    try:
-        return cyl_from_dict(graph, _load_json(path))
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"{path}: {exc}") from None
+def _family_from_dict(graph, family):
+    """Graph, words, windows and label of an ``approx`` family document."""
+    if graph is None:
+        if "graph" not in family:
+            raise ValueError("no graph; pass --graph")
+        graph = graph_from_dict(family["graph"])
+    words = [word_from_tokens(graph, t) for t in family["words"]]
+    windows = family.get("windows")
+    if windows is not None:
+        windows = [(int(lo), int(hi)) for lo, hi in windows]
+    return graph, words, windows, family.get("label", "interpolation")
 
 
 _SHORTHAND = re.compile(r"^(su|u|t|torus)([1-9]\d*)$")
@@ -109,10 +113,7 @@ _SHORTHAND = re.compile(r"^(su|u|t|torus)([1-9]\d*)$")
 def parse_group(text):
     """A descriptor from a JSON file path or shorthand like su2, u1xsu2."""
     if os.path.exists(text):
-        try:
-            return mg.descriptor_from_dict(_load_json(text))
-        except ValueError as exc:
-            raise CliError(f"{text}: {exc}") from None
+        return _load(text, mg.descriptor_from_dict)
     factors = []
     for part in text.lower().split("x"):
         m = _SHORTHAND.match(part.strip())
@@ -139,7 +140,7 @@ def parse_path_tokens(text):
 def _path_word(graph, text):
     try:
         return word_from_tokens(graph, parse_path_tokens(text))
-    except (ValueError, UnknownEdgeError, CompositionError) as exc:
+    except (ValueError, KeyError) as exc:
         raise CliError(f"--path: {exc}") from None
 
 
@@ -169,8 +170,8 @@ def _emit(report, out, name, extra_files=()):
 # commands
 
 def cmd_holonomy(args):
-    graph = _load_graph(args.graph)
-    conn = _load_connection(graph, args.connection, args.steps, args.tolerance)
+    graph = _load(args.graph, graph_from_dict)
+    conn = _load(args.connection, _connection_from_dict, graph, args)
     word = _path_word(graph, args.path)
     h = holonomy_general(conn, word)
     tr = complex(np.trace(h.matrix))
@@ -189,8 +190,8 @@ def cmd_holonomy(args):
 
 
 def cmd_wilson(args):
-    graph = _load_graph(args.graph)
-    conn = _load_connection(graph, args.connection, args.steps, args.tolerance)
+    graph = _load(args.graph, graph_from_dict)
+    conn = _load(args.connection, _connection_from_dict, graph, args)
     word = _path_word(graph, args.path)
     if not word.is_loop():
         raise CliError(f"--path: wilson needs a loop, got {word.source!r} -> {word.range!r}")
@@ -208,17 +209,14 @@ def cmd_wilson(args):
 
 
 def cmd_gauge_orbit(args):
-    graph = _load_graph(args.graph)
-    conn = _load_connection(graph, args.connection, args.steps, args.tolerance)
+    graph = _load(args.graph, graph_from_dict)
+    conn = _load(args.connection, _connection_from_dict, graph, args)
     desc = conn.descriptor
     basis = tree_basis(graph)
     if not basis.loop_ids:
         raise CliError("graph has no independent loops; the orbit is a point")
     values = [holonomy_general(conn, basis.loops[eid]) for eid in basis.loop_ids]
-    try:
-        rep = orbit_representative(desc, values)
-    except ValueError as exc:
-        raise CliError(f"gauge-orbit: {exc}") from None
+    rep = orbit_representative(desc, values)
     report = {
         "command": "gauge-orbit",
         "group": mg.descriptor_to_dict(desc),
@@ -230,7 +228,7 @@ def cmd_gauge_orbit(args):
         "ok": True,
     }
     if args.function is not None:
-        f = _load_function(graph, args.function)
+        f = _load(args.function, cyl_from_dict, graph)
         drift = invariance_check(f, conn, desc, gauges=args.samples, seed=args.seed)
         report["function_drift"] = drift
         report["ok"] = drift <= args.check_tolerance
@@ -238,11 +236,9 @@ def cmd_gauge_orbit(args):
 
 
 def cmd_haar_mean(args):
-    if args.samples < 2:
-        raise CliError(f"--samples must be at least 2 for an error bar, got {args.samples}")
-    graph = _load_graph(args.graph)
-    conn = _load_connection(graph, args.connection, args.steps, args.tolerance)
-    f = _load_function(graph, args.function)
+    graph = _load(args.graph, graph_from_dict)
+    conn = _load(args.connection, _connection_from_dict, graph, args)
+    f = _load(args.function, cyl_from_dict, graph)
     hm = HaarMean(f, conn.descriptor, layers=args.layers)
     ladder = sorted({max(2, args.samples >> k) for k in range(5, 0, -1)} | {args.samples})
     rows = []
@@ -266,8 +262,8 @@ def cmd_haar_mean(args):
 
 
 def cmd_theta(args):
-    graph = _load_graph(args.graph)
-    conn = _load_connection(graph, args.connection, args.steps, args.tolerance)
+    graph = _load(args.graph, graph_from_dict)
+    conn = _load(args.connection, _connection_from_dict, graph, args)
     basis = tree_basis(graph)
     dec = tree_decompose(basis, conn)
     back = tree_reconstruct(basis, conn.descriptor, dec.loop_values, frames=dec.frames)
@@ -289,24 +285,8 @@ def cmd_theta(args):
 
 
 def cmd_approx(args):
-    family = _load_json(args.family)
-    if args.graph is not None:
-        graph = _load_graph(args.graph)
-    elif "graph" in family:
-        try:
-            graph = graph_from_dict(family["graph"])
-        except (ValueError, KeyError) as exc:
-            raise CliError(f"{args.family}: {exc}") from None
-    else:
-        raise CliError(f"{args.family} has no graph; pass --graph")
-    try:
-        words = [word_from_tokens(graph, t) for t in family["words"]]
-    except (KeyError, ValueError, UnknownEdgeError, CompositionError) as exc:
-        raise CliError(f"{args.family}: {exc}") from None
-    windows = family.get("windows")
-    if windows is not None:
-        windows = [tuple(w) for w in windows]
-    label = family.get("label", "interpolation")
+    graph = None if args.graph is None else _load(args.graph, graph_from_dict)
+    graph, words, windows, label = _load(args.family, _family_from_dict, graph)
     desc = parse_group(args.group)
     reports = [approximation_experiment(graph, words, desc, seed, windows=windows,
                                         bound=args.bound, label=label,
@@ -332,7 +312,7 @@ def cmd_approx(args):
 
 
 def cmd_obstruction(args):
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, graph_from_dict)
     if args.path is not None:
         word = _path_word(graph, args.path)
         exponents = abelianize(word)
@@ -356,7 +336,7 @@ def cmd_obstruction(args):
     }
     report.update(wit.to_dict())
     if args.connection is not None:
-        conn = _load_connection(graph, args.connection, args.steps, args.tolerance)
+        conn = _load(args.connection, _connection_from_dict, graph, args)
         defect = wit.abelian_defect(conn)
         report["abelian_defect"] = defect
         report["ok"] = report["ok"] and defect <= args.check_tolerance
@@ -364,20 +344,14 @@ def cmd_obstruction(args):
 
 
 def cmd_closure(args):
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, graph_from_dict)
     if (args.family is None) == (args.connection is None):
         raise CliError("closure needs exactly one of --family or --connection")
     if args.connection is not None:
-        data = _load_connection(graph, args.connection, args.steps, args.tolerance)
+        data = _load(args.connection, _connection_from_dict, graph, args)
     else:
-        try:
-            data = loop_assignment_from_dict(graph, _load_json(args.family))
-        except (ValueError, KeyError, mg.DescriptorMismatchError) as exc:
-            raise CliError(f"{args.family}: {exc}") from None
-    try:
-        verdict = closure_membership(data, bound=args.bound, tol=args.check_tolerance)
-    except ValueError as exc:
-        raise CliError(f"closure: {exc}") from None
+        data = _load(args.family, loop_assignment_from_dict, graph)
+    verdict = closure_membership(data, bound=args.bound, tol=args.check_tolerance)
     report = {"command": "closure", "ok": verdict.member}
     report.update(verdict.to_dict())
     return report, []
@@ -448,11 +422,15 @@ def main(argv=None):
         report, extras = args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
+    # before ValueError: all but BranchCutError subclass it
     except (IndependenceError, GeometryError, mg.BranchCutError,
             np.linalg.LinAlgError) as exc:
         print(f"error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, KeyError) as exc:
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
+        return 2
     _emit(report, args.out, args.command, extras)
     if args.strict and not report.get("ok", True):
         return 1

@@ -166,10 +166,10 @@ class BumpTerm:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         d = np.asarray(self.direction, dtype=float)
-        if self.radius <= 0:
-            raise ValueError("bump radius must be positive")
-        if np.linalg.norm(d) < 1e-12:
-            raise ValueError("bump direction must be nonzero")
+        if not 0 < self.radius < np.inf:
+            raise ValueError("bump radius must be positive and finite")
+        if not 1e-12 <= np.linalg.norm(d) < np.inf:
+            raise ValueError("bump direction must be nonzero and finite")
         object.__setattr__(self, "direction", tuple(float(c) for c in d))
 
 
@@ -331,6 +331,8 @@ def transport(conn: SmoothConnection, polyline, steps: int = DEFAULT_STEPS,
     Frobenius norm.  Segments outside every bump contribute the identity
     exactly.
     """
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
     pts = np.atleast_2d(np.asarray(polyline, dtype=float))
     n = mg.dim(conn.descriptor)
     acc = np.eye(n, dtype=complex)
@@ -431,8 +433,8 @@ class GaugeBump:
         Y.setflags(write=False)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if self.radius <= 0:
-            raise ValueError("bump radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise ValueError("bump radius must be positive and finite")
 
 
 class SmoothGauge:

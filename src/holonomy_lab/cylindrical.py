@@ -64,6 +64,10 @@ class Entry(Expr):
             raise ValueError("entry indices are 1-based")
 
     def eval(self, stack):
+        n = stack.shape[-1]
+        if max(self.row, self.col) > n:
+            raise ValueError(f"entry {[self.path, self.row, self.col]} is outside "
+                             f"the {n}x{n} holonomy")
         return stack[:, self.path - 1, self.row - 1, self.col - 1]
 
     def max_path(self):

@@ -199,10 +199,12 @@ def reunitarize(m: np.ndarray) -> np.ndarray:
 
 
 def _check_blocks(desc, m: np.ndarray, atol: float, what: str, su_bad, su_message: str) -> None:
-    """Shape, then diagonal torus blocks, no ``su_bad`` SU block, nothing off the blocks."""
+    """Shape, finiteness, diagonal torus blocks, no ``su_bad`` SU block, nothing off the blocks."""
     n = dim(desc)
     if m.shape != (n, n):
         raise MembershipError(f"expected shape {(n, n)}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise MembershipError(f"{what} has a non-finite entry")
     off = m.copy()
     for sl, leaf in leaf_blocks(desc):
         blk = m[sl, sl]

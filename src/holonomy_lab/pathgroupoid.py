@@ -76,6 +76,8 @@ class Graph:
                 raise ValueError(f"edge {e.id!r} has endpoint outside the vertex set")
             if e.curve is not None:
                 e = Edge(e.id, e.src, e.dst, tuple(tuple(float(c) for c in pt) for pt in e.curve))
+                if len(e.curve) < 2:
+                    raise ValueError(f"curve of edge {e.id!r} needs two or more points")
             self.edges[e.id] = e
         if basepoint not in vset:
             raise ValueError("basepoint is not a vertex")
@@ -85,7 +87,7 @@ class Graph:
         # curve must end where the other curves at that vertex end
         ends = {}
         for e in self.edges.values():
-            if not e.curve:
+            if e.curve is None:
                 continue
             for v, pt in ((e.src, e.curve[0]), (e.dst, e.curve[-1])):
                 ref = ends.setdefault(v, self.positions.get(v, pt))

@@ -41,7 +41,7 @@ from holonomy_lab.spectra import (
     tree_basis,
 )
 
-from graphs import arc_points, pentagon_chord_graph, spider_graph
+from graphs import arc_points, pentagon_chord_graph, spider_graph, triangle_graph
 
 SU2 = mg.SpecialUnitary(2)
 
@@ -278,7 +278,7 @@ NESTED_QUOTIENT = {"kind": "product", "factors": [
 
 
 @pytest.mark.parametrize("group", [{"kind": "SU", "n": 0}, {"kind": "product", "factors": []},
-                                   NESTED_QUOTIENT, "su0"])
+                                   NESTED_QUOTIENT, "su0", {"kind": "U"}, {"kind": "product"}])
 def test_bad_group_is_usage_error(tmp_path, group):
     if isinstance(group, dict):
         (tmp_path / "group.json").write_text(json.dumps(group))
@@ -310,6 +310,107 @@ def test_too_many_center_lifts_is_usage_error(tmp_path, command):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert "too many center lifts" in result.stderr and len(result.stderr.splitlines()) == 1
+
+
+def usage_error(capsys, argv):
+    """Run ``main`` in-process; it must exit 2 with one ``error:`` line."""
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    return err
+
+
+def test_haar_mean_rejects_zero_layers(workspace, capsys):
+    tmp, _, _ = workspace
+    usage_error(capsys, ["haar-mean", "--graph", tmp / "graph.json",
+                         "--connection", tmp / "conn.json", "--function", tmp / "wilson.json",
+                         "--seed", "1", "--samples", "64", "--layers", "0"])
+
+
+@pytest.mark.parametrize("family, named", [
+    (lambda doc: dict(doc, windows=[[0, 99], [0, 99]]), "window (0, 99)"),
+    (lambda doc: dict(doc, windows=3), "family.json"),
+    (lambda doc: [doc], "family.json"),
+], ids=["window-past-polyline", "windows-number", "family-list"])
+def test_malformed_approx_family_is_usage_error(tmp_path, capsys, family, named):
+    path = family_file(tmp_path)
+    doc = json.loads(path.read_text())
+    (tmp_path / "graph.json").write_text(json.dumps(doc["graph"]))
+    path.write_text(json.dumps(family(doc)))
+    err = usage_error(capsys, ["approx", "--group", "su2", "--family", path, "--seed", "0",
+                               "--graph", tmp_path / "graph.json"])
+    assert named in err
+
+
+def test_obstruction_needs_two_loops(tmp_path, capsys):
+    (tmp_path / "graph.json").write_text(json.dumps(graph_to_dict(triangle_graph())))
+    usage_error(capsys, ["obstruction", "--graph", tmp_path / "graph.json"])
+
+
+def test_gauge_orbit_rejects_negative_samples(workspace, capsys):
+    tmp, _, _ = workspace
+    usage_error(capsys, ["gauge-orbit", "--graph", tmp / "graph.json",
+                         "--connection", tmp / "conn.json", "--function", tmp / "wilson.json",
+                         "--seed", "0", "--samples", "-3"])
+
+
+@pytest.mark.parametrize("command", ["haar-mean", "gauge-orbit"])
+def test_entry_past_matrix_size_is_usage_error(workspace, tmp_path, capsys, command):
+    tmp, _, _ = workspace
+    doc = json.loads((tmp / "wilson.json").read_text())
+    doc["expr"] = {"entry": [1, 5, 1]}
+    (tmp_path / "entry.json").write_text(json.dumps(doc))
+    err = usage_error(capsys, [command, "--graph", tmp / "graph.json",
+                               "--connection", tmp / "conn.json",
+                               "--function", tmp_path / "entry.json",
+                               "--seed", "0", "--samples", "64"])
+    assert "[1, 5, 1]" in err and "2x2" in err
+
+
+def test_zero_transport_steps_is_usage_error(workspace, capsys):
+    tmp, _, _ = workspace
+    err = usage_error(capsys, ["holonomy", "--graph", tmp / "graph.json",
+                               "--connection", tmp / "smooth.json", "--path", "1,2",
+                               "--steps", "0"])
+    assert "steps must be at least 1" in err
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("NaN", "non-finite number NaN"), ("Infinity", "non-finite number Infinity"),
+    ("-Infinity", "non-finite number -Infinity"), ("1e400", "non-finite number 1e400"),
+    ("1" + "0" * 400, "too large to convert to float"),
+], ids=["NaN", "Infinity", "-Infinity", "1e400", "10^400"])
+def test_unrepresentable_number_is_usage_error(workspace, tmp_path, capsys, literal, message):
+    tmp, _, _ = workspace
+    text = (tmp / "conn.json").read_text()
+    first = json.dumps(json.loads(text)["values"]["1"][0][0][0])
+    (tmp_path / "conn.json").write_text(text.replace(first, literal, 1))
+    err = usage_error(capsys, ["holonomy", "--graph", tmp / "graph.json",
+                               "--connection", tmp_path / "conn.json", "--path", "1"])
+    assert str(tmp_path / "conn.json") in err and message in err
+
+
+def test_null_matrix_entry_is_usage_error(workspace, tmp_path, capsys):
+    # a JSON null becomes NaN in a matrix; NaN passed every tolerance check
+    tmp, _, _ = workspace
+    doc = json.loads((tmp / "conn.json").read_text())
+    doc["values"]["1"][0][0][0] = None
+    (tmp_path / "conn.json").write_text(json.dumps(doc))
+    err = usage_error(capsys, ["holonomy", "--graph", tmp / "graph.json",
+                               "--connection", tmp_path / "conn.json", "--path", "1,2,3,4,5"])
+    assert "non-finite" in err
+
+
+def test_null_bump_generator_is_usage_error_before_transport(workspace, tmp_path, capsys,
+                                                             transport_calls):
+    tmp, _, _ = workspace
+    doc = json.loads((tmp / "smooth.json").read_text())
+    doc["terms"][0]["X"][0][1][0] = None
+    (tmp_path / "smooth.json").write_text(json.dumps(doc))
+    err = usage_error(capsys, ["wilson", "--graph", tmp / "graph.json",
+                               "--connection", tmp_path / "smooth.json",
+                               "--path", "1,2,3,4,5"])
+    assert "non-finite" in err and transport_calls == []
 
 
 def test_obstruction_commutator_mode(workspace):

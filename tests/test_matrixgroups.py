@@ -142,6 +142,20 @@ def test_validate_rejects_cross_block():
         validate_matrix(PROD, m)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("desc", [SU2, T2, PROD])
+def test_non_finite_entries_are_not_members(desc, bad):
+    # every comparison with NaN is False, so the tolerance checks alone pass it
+    g = identity(desc).matrix.copy()
+    g[0, 0] = bad
+    x = np.zeros_like(g)
+    x[0, 0] = bad
+    with pytest.raises(MembershipError, match="non-finite"):
+        GroupElement(desc, g)
+    with pytest.raises(MembershipError, match="non-finite"):
+        LieAlgebraElement(desc, x)
+
+
 def test_reunitarize_idempotent():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

@@ -321,6 +321,13 @@ def test_graph_rejects_curves_that_do_not_meet():
         Graph("ab", [Edge(1, "a", "b", ((0, 0), (1, 0))), Edge(2, "b", "a", ((5, 5), (0, 0)))], "a")
 
 
+@pytest.mark.parametrize("curve", [(), ((0, 0),)])
+def test_graph_rejects_curves_with_fewer_than_two_points(curve):
+    # an empty curve used to pass the end check and fail later inside path_polyline
+    with pytest.raises(ValueError, match="edge 1 needs two or more points"):
+        Graph("ab", [Edge(1, "a", "b", curve)], "a", {"a": (0, 0), "b": (1, 0)})
+
+
 def test_word_tokens_roundtrip_int_ids():
     p = reduce_word(SQUARE, [(1, 1), (2, 1), (2, -1), (2, 1)])
     tokens = word_to_tokens(p)
