@@ -9,7 +9,8 @@ that any plotting tool can consume.  Nothing here owns numerics.
 Exit codes, decided in ``main`` alone: 0 success; 1 a mathematical verdict
 failed under ``--strict``; 2 usage or input errors, where a malformed
 document (non-finite numbers included) is named by its file and any other
-out-of-range parameter by the command; 3 numeric failures inside an operation.
+out-of-range parameter, or a size too large to allocate, by the command;
+3 numeric failures inside an operation.
 Reports never embed timestamps or environment data, so a fixed command
 line with a fixed seed reproduces byte-identical output.
 
@@ -430,6 +431,9 @@ def main(argv=None):
         return 3
     except (ValueError, KeyError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # the input asked for an impossible size
+        print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return 2
     _emit(report, args.out, args.command, extras)
     if args.strict and not report.get("ok", True):

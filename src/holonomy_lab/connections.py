@@ -25,7 +25,9 @@ A smooth connection reaches path words only through :func:`restrict`,
 the embedding of smooth connections into generalized ones: each edge
 carries its transport, computed the first time a word walks it, and
 :func:`holonomy_general` multiplies those values like any other edge
-assignment.  Words therefore have a single evaluator.
+assignment.  Words therefore have a single evaluator: it gathers the
+walked edges' matrices, multiplies them in one pairwise fold, repairs
+unitarity drift once and canonicalizes a quotient result once.
 """
 
 from __future__ import annotations
@@ -76,15 +78,27 @@ class GeneralizedConnection:
 
 
 def holonomy_general(conn: GeneralizedConnection, word: PathWord) -> mg.GroupElement:
-    """Holonomy of a reduced word: the first-walked letter acts first."""
+    """Holonomy of a reduced word: the first-walked letter acts first.
+
+    Gathers each letter's edge matrix (its adjoint for a letter walked
+    backwards), multiplies the stack with the pairwise fold of
+    :func:`_chain`, polar-repairs the product once if it drifted from
+    unitarity, and canonicalizes a quotient result once.
+    """
     if not isinstance(conn, GeneralizedConnection):
         raise TypeError(f"cannot take holonomies of {type(conn).__name__}; "
                         f"restrict smooth connections to the graph first")
-    acc = mg.identity(conn.descriptor)
-    for eid, o in reversed(word.letters):
-        v = conn.value(eid)
-        acc = mg.mul(acc, v if o == 1 else mg.inv(v))
-    return acc
+    desc, values = conn.descriptor, conn.values
+    for eid, _ in word.letters:
+        if eid not in values:
+            raise UnknownEdgeError(f"no edge with id {eid!r}")
+    if not word.letters:
+        return mg.identity(desc)
+    m = _chain(np.stack([values[eid] if o == 1 else values[eid].conj().T
+                         for eid, o in word.letters]))
+    if mg._unitarity_defect(m) > mg.REPAIR_ATOL:
+        m = mg.reunitarize(m)
+    return mg._wrap(desc, m)
 
 
 def random_generalized_connection(graph: Graph, descriptor, seed: int) -> GeneralizedConnection:

@@ -3,7 +3,9 @@
 Everything here is deliberately written the slow, obvious way and shares no
 code with the library: exhaustive cancellation for word reduction,
 deterministic quadrature over SU(2) for Haar means, grid search for
-conjugators, plain Simpson refinement for line integrals.
+conjugators, plain Simpson refinement for line integrals.  The exception
+is ``holonomy_letterwise``, the evaluator the library replaced, kept as it
+was: one group multiplication per letter.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import itertools
 
 import numpy as np
 
+import holonomy_lab.matrixgroups as mg
 from holonomy_lab.pathgroupoid import letter_endpoints
 
 
@@ -169,4 +172,21 @@ def transport_field(field, polyline, n, steps=64):
             M = -field(mid, delta)
             w, v = np.linalg.eigh(-1j * M)
             acc = ((v * np.exp(1j * w)) @ v.conj().T) @ acc
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# holonomy of words
+
+def holonomy_letterwise(conn, word):
+    """Left fold of group elements, last-walked letter first.
+
+    Every letter wraps its edge matrix, inverts it when walked backwards and
+    goes through ``mg.mul``, which repairs drift and canonicalizes a quotient
+    product at every step.
+    """
+    acc = mg.identity(conn.descriptor)
+    for eid, o in reversed(word.letters):
+        v = conn.value(eid)
+        acc = mg.mul(acc, v if o == 1 else mg.inv(v))
     return acc

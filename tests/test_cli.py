@@ -367,6 +367,24 @@ def test_entry_past_matrix_size_is_usage_error(workspace, tmp_path, capsys, comm
     assert "[1, 5, 1]" in err and "2x2" in err
 
 
+@pytest.mark.parametrize("command", ["approx", "haar-mean"])
+def test_out_of_memory_is_usage_error(workspace, tmp_path, capsys, monkeypatch, command):
+    # what numpy raises for a descriptor with n = 10**6; nothing is allocated here
+    def huge(desc, count, rng):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array with shape "
+                          "(2, 1000000, 1000000) and data type complex128")
+
+    monkeypatch.setattr(mg, "haar_batch", huge)
+    tmp, _, _ = workspace
+    argv = {"approx": ["approx", "--group", "su2", "--family", family_file(tmp_path),
+                       "--seed", "0"],
+            "haar-mean": ["haar-mean", "--graph", tmp / "graph.json",
+                          "--connection", tmp / "conn.json", "--function", tmp / "wilson.json",
+                          "--seed", "1", "--samples", "64"]}[command]
+    err = usage_error(capsys, argv)
+    assert err.startswith(f"error: {command}: out of memory: Unable to allocate 14.6 TiB")
+
+
 def test_zero_transport_steps_is_usage_error(workspace, capsys):
     tmp, _, _ = workspace
     err = usage_error(capsys, ["holonomy", "--graph", tmp / "graph.json",

@@ -4,6 +4,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import block_diag, expm
 
@@ -44,15 +46,27 @@ from holonomy_lab.connections import (
     split_holonomy,
     transport,
 )
-from holonomy_lab.pathgroupoid import PathWord, compose, edge_word, inverse
+from holonomy_lab.pathgroupoid import (
+    Edge,
+    Graph,
+    PathWord,
+    UnknownEdgeError,
+    compose,
+    edge_word,
+    inverse,
+    reduce_word,
+    unit,
+)
 
-from graphs import pentagon_chord_graph, spider_graph, square_graph
-from oracles import transport_field
+from graphs import pentagon_chord_graph, spider_graph, square_graph, theta_graph
+from oracles import holonomy_letterwise, transport_field
 
 SU2 = mg.SpecialUnitary(2)
 T2 = mg.Torus(2)
 PROD = mg.ProductGroup((mg.Torus(1), mg.SpecialUnitary(2)))
 U2_AS_QUOTIENT = mg.central_quotient(PROD, [np.eye(3), -np.eye(3)])
+U1_SU2_MOD_Z2 = mg.central_quotient(mg.ProductGroup((mg.Unitary(1), SU2)),
+                                    [np.eye(3), -np.eye(3)])
 
 
 def frob(a, b):
@@ -283,6 +297,83 @@ def test_generalized_holonomy_multiplies_in_walk_order():
     assert frob(holonomy_general(conn, w).matrix, want) < 1e-13
     w_back = inverse(w)
     assert frob(holonomy_general(conn, w_back).matrix, want.conj().T) < 1e-13
+
+
+def reduced_walk(graph, choices):
+    """Non-backtracking walk from the basepoint: a reduced word of len(choices) letters."""
+    letters, at = [], graph.basepoint
+    for c in choices:
+        options = [(eid, o) for eid, e in graph.edges.items() for o in (1, -1)
+                   if (e.src if o == 1 else e.dst) == at
+                   and not (letters and letters[-1] == (eid, -o))]
+        eid, o = options[c % len(options)]
+        letters.append((eid, o))
+        e = graph.edges[eid]
+        at = e.dst if o == 1 else e.src
+    return reduce_word(graph, letters, source=graph.basepoint)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=st.sampled_from([pentagon_chord_graph(), theta_graph()]),
+       desc=st.sampled_from([SU2, mg.Unitary(3), T2, PROD, U1_SU2_MOD_Z2]),
+       seed=st.integers(0, 2**16),
+       choices=st.lists(st.integers(0, 5), max_size=300))
+def test_holonomy_matches_letterwise_fold(graph, desc, seed, choices):
+    conn = random_generalized_connection(graph, desc, seed)
+    word = reduced_walk(graph, choices)
+    assert len(word) == len(choices)
+    got = holonomy_general(conn, word)
+    want = holonomy_letterwise(conn, word)
+    assert got.descriptor == desc
+    a, b = got.matrix, want.matrix
+    if isinstance(desc, mg.CentralQuotient):
+        assert np.array_equal(a, mg.canonicalize_batch(desc, a[None])[0])
+        a, b = mg.canonicalize_batch(desc, np.stack([a, b]))
+    assert frob(a, b) < 1e-12
+
+
+def test_unknown_edge_raises_before_any_matrix_work(transport_calls):
+    # the theta graph with its third arc renamed: pentagon-chord has no edge 9
+    theta = theta_graph()
+    edges = [Edge(9 if e.id == 3 else e.id, e.src, e.dst, e.curve) for e in theta.edges.values()]
+    word = reduce_word(Graph("LR", edges, "L", theta.positions), [(9, 1), (1, -1)])
+    graph = pentagon_chord_graph()
+    with pytest.raises(UnknownEdgeError):
+        holonomy_general(random_generalized_connection(graph, SU2, seed=3), word)
+    with pytest.raises(UnknownEdgeError):
+        holonomy_general(restrict(random_smooth_connection(SU2, graph, 4, seed=3), graph), word)
+    assert transport_calls == []
+
+
+@pytest.mark.parametrize("desc", [SU2, mg.Unitary(3), T2, PROD, U1_SU2_MOD_Z2],
+                         ids=["SU2", "U3", "T2", "T1xSU2", "quotient"])
+def test_empty_word_is_identity(desc):
+    graph = pentagon_chord_graph()
+    got = holonomy_general(random_generalized_connection(graph, desc, seed=4), unit(graph, "v2"))
+    assert got.descriptor == desc
+    assert np.array_equal(got.matrix, mg.identity(desc).matrix)
+    if isinstance(desc, mg.CentralQuotient):
+        assert np.array_equal(got.matrix, mg.canonicalize_batch(desc, np.eye(3)[None])[0])
+
+
+def test_long_word_holonomy_stays_unitary():
+    graph = pentagon_chord_graph()
+    U3 = mg.Unitary(3)
+    conn = random_generalized_connection(graph, U3, seed=5)
+    choices = np.random.default_rng(5).integers(0, 6, size=20_000)
+    word = reduced_walk(graph, choices.tolist())
+    assert len(word) == 20_000
+    # each Haar edge is unitary to ~1e-15 and those defects add up along the
+    # word (3.5e-12 here, 3.9e-12 for the letterwise fold), below the repair
+    # threshold, so the product is returned as folded
+    m = holonomy_general(conn, word).matrix
+    assert frob(m.conj().T @ m, np.eye(3)) < 1e-11
+    # edges scaled by 1 + 1e-11 pass as members without repair; their
+    # product drifts by ~1e-7 and is polar-repaired once at the end
+    drifted = GeneralizedConnection(graph, U3, {e: (1 + 1e-11) * v for e, v in conn.values.items()})
+    assert all(frob(v.conj().T @ v, np.eye(3)) > 3e-11 for v in drifted.values.values())
+    m = holonomy_general(drifted, word).matrix
+    assert frob(m.conj().T @ m, np.eye(3)) < 1e-12
 
 
 def test_generalized_connection_validates_edges():
