@@ -322,8 +322,7 @@ def cmd_obstruction(args):
             "command": "obstruction",
             "mode": "word",
             "word": word_to_tokens(word),
-            "abelianization": {str(eid): c for eid, c in sorted(
-                exponents.items(), key=lambda kv: str(kv[0]))},
+            "abelianization": {str(eid): c for eid, c in exponents.items()},
             "verdict": verdict,
             "ok": True,
         }

@@ -25,10 +25,11 @@ determinant phase, the torus draws independent uniform phases and products
 sample their leaves independently, in order.
 
 Matrix exponential and logarithm exploit that every element here is normal:
-both go through an eigendecomposition (Schur form for the logarithm), so the
+both diagonalize a hermitian matrix with ``eigh`` (``-iX`` for the
+exponential, a Cayley transform of the element for the logarithm), so the
 results are unitary/anti-hermitian to machine precision.  The logarithm
 refuses eigenvalues at the branch cut (angle pi); callers can rotate the cut
-with ``branch_shift``.
+with ``branch_shift``.  Drift is repaired with the SVD polar factor.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 UNITARY_ATOL = 1e-8      # membership gate on construction
 REPAIR_ATOL = 1e-10      # polar-project drift above this
@@ -193,9 +193,9 @@ def _unitarity_defect(m: np.ndarray) -> float:
 
 
 def reunitarize(m: np.ndarray) -> np.ndarray:
-    """Nearest unitary (polar factor); idempotent on unitaries."""
-    u, _ = scipy.linalg.polar(m)
-    return u
+    """Nearest unitary: the polar factor ``U Vᴴ`` of the SVD ``m = U S Vᴴ``."""
+    u, _, vh = np.linalg.svd(m)
+    return u @ vh
 
 
 def _check_blocks(desc, m: np.ndarray, atol: float, what: str, su_bad, su_message: str) -> None:
@@ -390,8 +390,19 @@ def _angles_from_unitary(eigvals: np.ndarray, branch_shift: float) -> np.ndarray
 def _log_block(leaf, m: np.ndarray, branch_shift: float) -> np.ndarray:
     if isinstance(leaf, Torus):
         return np.diag(1j * _angles_from_unitary(np.diag(m), branch_shift))
-    t, z = scipy.linalg.schur(m, output="complex")
-    theta = _angles_from_unitary(np.diag(t), branch_shift)
+    # Cayley transform about a pole in the widest gap of the spectrum: v has
+    # no eigenvalue within pi/n of -1, so h = i(I+v)^-1(I-v) is a
+    # well-conditioned hermitian matrix with the eigenvectors of m and
+    # eigenvalues tan(phi/2) for v's eigenvalues e^{i phi}.
+    ang = np.sort(np.angle(np.linalg.eigvals(m)))
+    gaps = np.diff(ang, append=ang[0] + 2.0 * np.pi)
+    widest = int(np.argmax(gaps))
+    pole = ang[widest] + 0.5 * gaps[widest]
+    v = m * np.exp(1j * (np.pi - pole))
+    eye = np.eye(len(m))
+    h = 1j * np.linalg.solve(eye + v, eye - v)
+    w, z = np.linalg.eigh(0.5 * (h + h.conj().T))
+    theta = _angles_from_unitary(np.exp(1j * (2.0 * np.arctan(w) + pole - np.pi)), branch_shift)
     if isinstance(leaf, SpecialUnitary):
         # move whole 2*pi turns between eigenvalues so the log is traceless
         k = int(np.round(theta.sum() / (2.0 * np.pi)))

@@ -3,9 +3,11 @@
 Everything here is deliberately written the slow, obvious way and shares no
 code with the library: exhaustive cancellation for word reduction,
 deterministic quadrature over SU(2) for Haar means, grid search for
-conjugators, plain Simpson refinement for line integrals.  The exception
-is ``holonomy_letterwise``, the evaluator the library replaced, kept as it
-was: one group multiplication per letter.
+conjugators, plain Simpson refinement for line integrals.  The exceptions
+are the implementations the library replaced, kept as they were:
+``holonomy_letterwise`` (one group multiplication per letter), and
+``polar_scipy`` and ``log_schur`` (the polar factor and the Schur-form
+logarithm of scipy, which the library no longer imports).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.linalg
 
 import holonomy_lab.matrixgroups as mg
 from holonomy_lab.pathgroupoid import letter_endpoints
@@ -190,3 +193,31 @@ def holonomy_letterwise(conn, word):
         v = conn.value(eid)
         acc = mg.mul(acc, v if o == 1 else mg.inv(v))
     return acc
+
+
+# ---------------------------------------------------------------------------
+# polar factor and logarithm through scipy
+
+def polar_scipy(m):
+    """Nearest unitary as ``scipy.linalg.polar`` computes it."""
+    u, _ = scipy.linalg.polar(m)
+    return u
+
+
+def log_schur(leaf, m, branch_shift):
+    """Logarithm of one leaf block through the complex Schur form."""
+    if isinstance(leaf, mg.Torus):
+        return np.diag(1j * mg._angles_from_unitary(np.diag(m), branch_shift))
+    t, z = scipy.linalg.schur(m, output="complex")
+    theta = mg._angles_from_unitary(np.diag(t), branch_shift)
+    if isinstance(leaf, mg.SpecialUnitary):
+        # move whole 2*pi turns between eigenvalues so the log is traceless
+        k = int(np.round(theta.sum() / (2.0 * np.pi)))
+        if k > 0:
+            for j in np.argsort(theta)[::-1][:k]:
+                theta[j] -= 2.0 * np.pi
+        elif k < 0:
+            for j in np.argsort(theta)[:-k]:
+                theta[j] += 2.0 * np.pi
+        theta = theta - theta.sum() / len(theta)
+    return (z * (1j * theta)) @ z.conj().T

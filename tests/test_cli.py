@@ -568,3 +568,13 @@ def test_reports_are_byte_identical_across_runs(workspace, tmp_path):
     assert a.stdout == b.stdout
     assert (tmp_path / "x" / "gauge-orbit.json").read_bytes() == \
         (tmp_path / "y" / "gauge-orbit.json").read_bytes()
+
+
+def test_cli_imports_no_scipy():
+    # numpy is the only runtime dependency: scipy is for the tests alone
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, holonomy_lab.cli; print([k for k in sys.modules if k.startswith('scipy')])"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -23,6 +23,7 @@ from holonomy_lab.matrixgroups import (
     descriptor_to_dict,
     dim,
     distance,
+    exp_antihermitian,
     exp_map,
     find_conjugator,
     haar_batch,
@@ -40,11 +41,13 @@ from holonomy_lab.matrixgroups import (
     trace_normalized,
     validate_matrix,
 )
-from oracles import su2_haar_mean
+from oracles import log_schur, polar_scipy, su2_haar_mean
 
 SU2 = SpecialUnitary(2)
 SU3 = SpecialUnitary(3)
 U2 = Unitary(2)
+U3 = Unitary(3)
+U4 = Unitary(4)
 T1 = Torus(1)
 T2 = Torus(2)
 PROD = ProductGroup((T1, SU2))
@@ -164,6 +167,16 @@ def test_reunitarize_idempotent():
     assert np.allclose(reunitarize(u), u, atol=1e-13)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_reunitarize_matches_scipy_polar(n):
+    rng = np.random.default_rng(n)
+    for k in range(40):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if k % 2:  # near-unitary, as drift repair sees it
+            m = haar_sample(Unitary(n), k).matrix + 1e-9 * m
+        assert np.max(np.abs(reunitarize(m) - polar_scipy(m))) <= 1e-15
+
+
 # --- group laws --------------------------------------------------------------
 
 @pytest.mark.parametrize("desc", ALL_KINDS)
@@ -263,6 +276,108 @@ def test_log_branch_cut_raises_and_shift_recovers():
         log_map(g)
     X = log_map(g, branch_shift=0.5)
     assert distance(exp_map(X), g) < 1e-14
+
+
+LOG_KINDS = [SU2, SU3, U3, U4, PROD, U2_AS_QUOTIENT]
+SHIFTS = [0.0, 0.41, 2.19]
+
+
+def schur_log(g, shift):
+    X = np.zeros_like(g.matrix)
+    for sl, leaf in leaf_blocks(g.descriptor):
+        X[sl, sl] = log_schur(leaf, g.matrix[sl, sl], shift)
+    return 0.5 * (X - X.conj().T)
+
+
+def log_condition(X, desc):
+    """Largest divided difference |a - b| / |e^{ia} - e^{ib}| of the log over
+    eigen-angle pairs within a leaf: the log's sensitivity to its argument."""
+    kappa = 1.0
+    for sl, _ in leaf_blocks(desc):
+        a = np.linalg.eigvalsh(-1j * X[sl, sl])
+        for i in range(len(a)):
+            for j in range(i):
+                chord = abs(np.exp(1j * a[i]) - np.exp(1j * a[j]))
+                if chord > 0:
+                    kappa = max(kappa, abs(a[i] - a[j]) / chord)
+    return kappa
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("desc", LOG_KINDS)
+def test_log_matches_schur_oracle_on_haar(desc, shift):
+    for seed in range(40):
+        g = haar(desc, seed)
+        assert np.max(np.abs(log_map(g, shift).matrix - schur_log(g, shift))) <= 1e-12
+
+
+def near_cut_element(desc, delta, shift, rng):
+    """An element whose leaves each have an eigenvalue ``delta`` inside the
+    (rotated) branch cut, the others spread evenly, in Haar-random eigenbases.
+
+    A quotient keeps this representative even where it is not the canonical
+    one, which could move the spectrum away from the cut: the logarithm
+    reads the leaves of whatever matrix it is given."""
+    m = np.zeros((dim(desc), dim(desc)), dtype=complex)
+    for sl, leaf in leaf_blocks(desc):
+        n = leaf.n
+        theta = np.pi - delta - shift - 2.0 * np.pi * np.arange(n) / n
+        if isinstance(leaf, SpecialUnitary):
+            theta[-1] -= theta.sum()
+        q = np.eye(n) if isinstance(leaf, Torus) else haar(Unitary(n), int(rng.integers(2**31))).matrix
+        m[sl, sl] = (q * np.exp(1j * theta)) @ q.conj().T
+    validate_matrix(desc, m)
+    return GroupElement(desc, m, check=False)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7])
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("desc", LOG_KINDS)
+def test_log_matches_schur_oracle_near_the_cut(desc, shift, delta):
+    # Two eigenvalues of a leaf on either side of the cut have log angles
+    # nearly 2 pi apart across a short chord, and that ratio is the log's
+    # condition number: ~pi/delta for an SU(2) leaf at shift 0, whose
+    # conjugate eigenvalue sits delta outside the cut.  Two backward-stable
+    # logs agree only to the condition number times roundoff.
+    rng = np.random.default_rng(int(1e9 * delta) + int(100 * shift))
+    for _ in range(8):
+        g = near_cut_element(desc, delta, shift, rng)
+        X, ref = log_map(g, shift).matrix, schur_log(g, shift)
+        assert np.max(np.abs(X - ref)) <= 1e-12 * log_condition(ref, desc)
+        assert np.max(np.abs(exp_antihermitian(X) - g.matrix)) <= 1e-13
+
+
+DEGENERATE = [
+    (SU3, np.full(3, 2.0 * np.pi / 3)),
+    (SpecialUnitary(4), np.array([0.5, 0.5, -0.5, -0.5]) * np.pi),
+    (U4, np.array([3.1, 3.1, -3.1, -3.1])),
+    (U3, np.full(3, 2.0)),
+]
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("desc,theta", DEGENERATE)
+def test_log_of_degenerate_spectra(desc, theta, shift):
+    # on tied angles the SU whole-turn rebalance may move a different
+    # eigenvalue than the Schur oracle does, so check what any log must meet
+    n = len(theta)
+    q = haar(Unitary(n), 5).matrix
+    g = GroupElement(desc, (q * np.exp(1j * theta)) @ q.conj().T)
+    X = log_map(g, shift)
+    assert np.linalg.norm(exp_map(X).matrix - g.matrix) <= 1e-13
+    angles = np.linalg.eigvalsh(-1j * X.matrix)
+    if isinstance(desc, SpecialUnitary):
+        assert abs(np.trace(X.matrix)) < 1e-12
+        assert angles[-1] - angles[0] <= 2.0 * np.pi + 1e-12
+    else:
+        assert np.all(np.abs(angles + shift) < np.pi)
+
+
+def test_log_at_the_cut_raises_branch_cut_error():
+    g = GroupElement(U2, -np.eye(2))
+    with pytest.raises(BranchCutError):
+        log_map(g)
+    assert distance(exp_map(log_map(g, branch_shift=0.5)), g) < 1e-14
 
 
 def test_algebra_membership_errors():
