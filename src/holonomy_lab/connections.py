@@ -43,6 +43,8 @@ from .pathgroupoid import Graph, PathWord, UnknownEdgeError
 DEFAULT_STEPS = 8
 DEFAULT_TOL = 1e-9
 MAX_DOUBLINGS = 14
+CLEARANCE = 0.7         # interpolation bump radius as a share of the window's room
+MIN_COEFFICIENT = 1e-8  # smallest bump line integral an interpolation target may have
 
 
 class IndependenceError(ValueError):
@@ -159,9 +161,16 @@ def smoothstep(t):
 
 
 def bump_value(points, center, radius):
-    """Bump profile: 1 inside radius/2, 0 outside radius, smooth in between."""
+    """Bump profile: 1 inside radius/2, 0 outside radius, smooth in between.
+
+    A stack of centers, shape (k, dim) with radii of shape (k,), gives one
+    column per center: shape (npoints, k).
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    r = np.linalg.norm(pts - np.asarray(center, dtype=float), axis=-1)
+    center = np.asarray(center, dtype=float)
+    if center.ndim == 2:
+        pts = pts[:, None, :]
+    r = np.linalg.norm(pts - center, axis=-1)
     return smoothstep(2.0 - 2.0 * r / radius)
 
 
@@ -210,11 +219,7 @@ class SmoothConnection:
 
     def coefficients(self, points) -> np.ndarray:
         """phi_k at each point: shape (npoints, nterms)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if not self.terms:
-            return np.zeros((pts.shape[0], 0))
-        d = np.linalg.norm(pts[:, None, :] - self._centers[None, :, :], axis=-1)
-        return smoothstep(2.0 - 2.0 * d / self._radii[None, :])
+        return bump_value(points, self._centers, self._radii)
 
     def apply(self, point, vector) -> np.ndarray:
         """A(x)[v] as a matrix."""
@@ -303,37 +308,33 @@ def _chain(mats: np.ndarray) -> np.ndarray:
 _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)
 
 
+def _segment_distances(points, starts, ends) -> np.ndarray:
+    """Distance from each point to each segment [starts[j], ends[j]]: shape (m, s).
+
+    The nearest point of a segment is p + t d with t clipped to [0, 1]; a
+    zero-length segment is its start point.
+    """
+    x = np.asarray(points, dtype=float)[:, None, :]
+    d = ends - starts
+    L2 = np.sum(d * d, axis=-1)
+    t = np.clip(np.sum((x - starts) * d, axis=-1) / np.where(L2 > 0.0, L2, 1.0), 0.0, 1.0)
+    return np.linalg.norm(x - (starts + t[..., None] * d), axis=-1)
+
+
 def _segment_transport(conn: SmoothConnection, p: np.ndarray, q: np.ndarray,
                        steps: int) -> np.ndarray:
     """One fourth-order Magnus step per sub-interval (two Gauss nodes)."""
-    n = mg.dim(conn.descriptor)
-    if not conn.terms:
-        return np.eye(n, dtype=complex)
     delta = (q - p) / steps
     base = np.arange(steps)[:, None] + 0.5
     scale = conn._dirs @ delta
     c1 = conn.coefficients(p + (base - _GAUSS_OFFSET) * delta) * scale
     c2 = conn.coefficients(p + (base + _GAUSS_OFFSET) * delta) * scale
     if max(np.max(np.abs(c1)), np.max(np.abs(c2))) == 0.0:
-        return np.eye(n, dtype=complex)
+        return np.eye(mg.dim(conn.descriptor), dtype=complex)
     M1 = np.tensordot(c1, conn._X, axes=(1, 0))
     M2 = np.tensordot(c2, conn._X, axes=(1, 0))
     omega = -0.5 * (M1 + M2) - (np.sqrt(3.0) / 12.0) * (M1 @ M2 - M2 @ M1)
     return _chain(mg.exp_antihermitian(omega))
-
-
-def _segment_far(conn: SmoothConnection, p: np.ndarray, q: np.ndarray) -> bool:
-    if not conn.terms:
-        return True
-    d = q - p
-    L2 = float(d @ d)
-    if L2 == 0.0:
-        dist = np.linalg.norm(conn._centers - p, axis=1)
-    else:
-        t = np.clip((conn._centers - p) @ d / L2, 0.0, 1.0)
-        proj = p + t[:, None] * d
-        dist = np.linalg.norm(conn._centers - proj, axis=1)
-    return bool(np.all(dist >= conn._radii))
 
 
 def transport(conn: SmoothConnection, polyline, steps: int = DEFAULT_STEPS,
@@ -348,11 +349,12 @@ def transport(conn: SmoothConnection, polyline, steps: int = DEFAULT_STEPS,
     if steps < 1:
         raise ValueError("steps must be at least 1")
     pts = np.atleast_2d(np.asarray(polyline, dtype=float))
-    n = mg.dim(conn.descriptor)
-    acc = np.eye(n, dtype=complex)
-    for p, q in zip(pts[:-1], pts[1:]):
-        if _segment_far(conn, p, q):
-            continue
+    acc = np.eye(mg.dim(conn.descriptor), dtype=complex)
+    if not conn.terms:
+        return acc
+    near = np.any(_segment_distances(conn._centers, pts[:-1], pts[1:])
+                  < conn._radii[:, None], axis=0)
+    for p, q in zip(pts[:-1][near], pts[1:][near]):
         s = steps
         u = _segment_transport(conn, p, q, s)
         prev = None
@@ -537,19 +539,7 @@ class InterpolationTarget:
     window: tuple
 
 
-def _point_polyline_distance(point: np.ndarray, pts: np.ndarray) -> float:
-    if pts.shape[0] == 1:
-        return float(np.linalg.norm(point - pts[0]))
-    best = np.inf
-    for p, q in zip(pts[:-1], pts[1:]):
-        d = q - p
-        L2 = float(d @ d)
-        t = 0.0 if L2 == 0.0 else float(np.clip((point - p) @ d / L2, 0.0, 1.0))
-        best = min(best, float(np.linalg.norm(point - (p + t * d))))
-    return best
-
-
-def _scalar_line_integral(center, radius, direction, polyline, base_steps=64):
+def _scalar_line_integral(center, radius, direction, polyline):
     """Refined midpoint quadrature of phi(x) <u, dx> along a polyline."""
     pts = np.atleast_2d(np.asarray(polyline, dtype=float))
     u = np.asarray(direction, dtype=float)
@@ -562,7 +552,7 @@ def _scalar_line_integral(center, radius, direction, polyline, base_steps=64):
             total += float(bump_value(mids, center, radius).sum() * (u @ delta))
         return total
 
-    s = base_steps
+    s = 64
     val = once(s)
     for _ in range(12):
         s *= 2
@@ -586,9 +576,7 @@ def _robust_log(value: mg.GroupElement) -> np.ndarray:
 
 
 def interpolate_connection(graph: Graph, targets: Sequence[InterpolationTarget],
-                           extra_paths: Sequence[PathWord] = (),
-                           clearance: float = 0.7,
-                           min_coefficient: float = 1e-8) -> SmoothConnection:
+                           extra_paths: Sequence[PathWord] = ()) -> SmoothConnection:
     """Smooth connection whose holonomy hits each target on its path.
 
     Places one bump term on each target's private window and solves for the
@@ -596,17 +584,26 @@ def interpolate_connection(graph: Graph, targets: Sequence[InterpolationTarget],
     transport collapses to ``exp(-c X)`` with ``c`` the scalar bump line
     integral, so ``X = -log(value)/c`` is exact up to integration error.
 
-    Raises IndependenceError when a window has no clearance from the other
-    family paths (the bump radius would have to be zero or would leak onto
-    another path).
+    The bump sits at the window's arc-length midpoint.  Its room is the
+    distance from there to the nearest segment of every other family path,
+    every extra path and the target's own path outside the window, capped at
+    half the window's length; its radius is ``CLEARANCE`` times the room.
+    Since ``CLEARANCE < 1``, a positive room leaves every foreign path
+    strictly outside the bump, so no bump can leak onto another path.
+
+    Raises IndependenceError when a window has no room (another path
+    crosses it), or when its own path barely meets its bump.
     """
     if not targets:
         raise ValueError("no targets")
     desc = targets[0].value.descriptor
     polylines = [path_polyline(graph, t.word) for t in targets]
-    others = [path_polyline(graph, w) for w in extra_paths]
-    terms = []
-    geometry = []
+    lines = polylines + [path_polyline(graph, w) for w in extra_paths]
+    # every segment of every line, a one-point line being one zero-length segment
+    starts = np.concatenate([line[:-1] if len(line) > 1 else line for line in lines])
+    ends = np.concatenate([line[1:] if len(line) > 1 else line for line in lines])
+    offsets = np.cumsum([0] + [max(len(line) - 1, 1) for line in lines])
+    mids, halves, directions = [], [], []
     for k, t in enumerate(targets):
         if t.value.descriptor != desc:
             raise mg.DescriptorMismatchError("targets mix group descriptors")
@@ -619,6 +616,10 @@ def interpolate_connection(graph: Graph, targets: Sequence[InterpolationTarget],
         total = float(lengths.sum())
         if total <= 0:
             raise ValueError(f"target {k}: window has zero length")
+        chord = np.linalg.norm(window[-1] - window[0])
+        if chord == 0.0:
+            raise ValueError(f"target {k}: window ends coincide at {window[0].tolist()}, "
+                             f"so its bump has no direction")
         # arc-length midpoint of the window
         acc, mid = 0.0, window[0]
         for p, q, L in zip(window[:-1], window[1:], lengths):
@@ -626,43 +627,25 @@ def interpolate_connection(graph: Graph, targets: Sequence[InterpolationTarget],
                 mid = p + (total / 2.0 - acc) / L * (q - p)
                 break
             acc += L
-        direction = window[-1] - window[0]
-        direction = direction / np.linalg.norm(direction)
-        room = total / 2.0
-        for j, other in enumerate(polylines):
-            if j != k:
-                room = min(room, _point_polyline_distance(mid, other))
-        for other in others:
-            room = min(room, _point_polyline_distance(mid, other))
-        # keep away from our own path outside the window too
-        before, after = pts[:lo + 1], pts[hi:]
-        if before.shape[0] > 1:
-            room = min(room, _point_polyline_distance(mid, before))
-        if after.shape[0] > 1:
-            room = min(room, _point_polyline_distance(mid, after))
-        radius = clearance * room
+        mids.append(mid)
+        halves.append(total / 2.0)
+        directions.append((window[-1] - window[0]) / chord)
+    dist = _segment_distances(mids, starts, ends)
+    for k, t in enumerate(targets):
+        dist[k, offsets[k] + t.window[0]:offsets[k] + t.window[1]] = np.inf
+    radii = CLEARANCE * np.minimum(dist.min(axis=1), halves)
+    terms = []
+    for k, (t, radius) in enumerate(zip(targets, radii)):
         if radius <= 1e-9:
             raise IndependenceError(
                 f"target {k}: window has no clearance; paths overlap its segment")
-        geometry.append((mid, radius, direction))
-    for k, t in enumerate(targets):
-        mid, radius, direction = geometry[k]
-        c = _scalar_line_integral(mid, radius, direction, polylines[k])
-        if abs(c) < min_coefficient:
+        c = _scalar_line_integral(mids[k], radius, directions[k], polylines[k])
+        if abs(c) < MIN_COEFFICIENT:
             raise IndependenceError(
                 f"target {k}: path barely meets its own bump (coefficient {c:.2e})")
         X = -_robust_log(t.value) / c
-        terms.append(BumpTerm(X, tuple(mid), float(radius), tuple(direction)))
-    conn = SmoothConnection(desc, terms)
-    # final safety net: no bump may touch a foreign path
-    all_lines = polylines + others
-    for k, (mid, radius, _) in enumerate(geometry):
-        for j, line in enumerate(all_lines):
-            if j == k:
-                continue
-            if _point_polyline_distance(np.asarray(mid), line) <= radius:
-                raise IndependenceError(f"bump {k} leaks onto family path {j}")
-    return conn
+        terms.append(BumpTerm(X, tuple(mids[k]), float(radius), tuple(directions[k])))
+    return SmoothConnection(desc, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -203,10 +203,6 @@ def _fix_phases(mats: np.ndarray, tol: float) -> np.ndarray:
                         phase[r] = g[r, c] * phase[c] / abs(g[r, c])
                         known[r] = True
                         changed = True
-    # anchor any indices in unreached components
-    for r in range(n):
-        if not known[r]:
-            phase[r] = 1.0
     return phase
 
 
@@ -287,7 +283,7 @@ def default_windows(graph: Graph, words: Sequence[PathWord]) -> list:
 def approximation_experiment(graph: Graph, words: Sequence[PathWord], descriptor,
                              seed: int, windows: Sequence = None,
                              bound: float = 1e-6, label: str = "interpolation",
-                             clearance: float = 0.7, steps: int = DEFAULT_STEPS,
+                             steps: int = DEFAULT_STEPS,
                              tol: float = DEFAULT_TOL) -> ApproximationReport:
     """Draw Haar targets, interpolate, and measure the holonomy errors."""
     rng = np.random.default_rng(seed)
@@ -296,8 +292,7 @@ def approximation_experiment(graph: Graph, words: Sequence[PathWord], descriptor
         windows = default_windows(graph, words)
     targets = [InterpolationTarget(w, mg.GroupElement(descriptor, m, check=False), tuple(win))
                for w, m, win in zip(words, targets_mats, windows)]
-    conn = restrict(interpolate_connection(graph, targets, clearance=clearance),
-                    graph, steps, tol)
+    conn = restrict(interpolate_connection(graph, targets), graph, steps, tol)
     errors = [float(mg.distance(holonomy_general(conn, t.word), t.value)) for t in targets]
     return ApproximationReport(label, mg.descriptor_to_dict(descriptor), seed,
                                tuple(errors), bound, max(errors) <= bound)

@@ -5,7 +5,8 @@ code with the library: exhaustive cancellation for word reduction,
 deterministic quadrature over SU(2) for Haar means, grid search for
 conjugators, plain Simpson refinement for line integrals.  The exceptions
 are the implementations the library replaced, kept as they were:
-``holonomy_letterwise`` (one group multiplication per letter), and
+``holonomy_letterwise`` (one group multiplication per letter),
+``point_polyline_distance`` (one Python step per segment), and
 ``polar_scipy`` and ``log_schur`` (the polar factor and the Schur-form
 logarithm of scipy, which the library no longer imports).
 """
@@ -155,6 +156,21 @@ def polyline_line_integral(f_vec, polyline, per_segment=256):
             mid = p + (i + 0.5) * delta
             total += f_vec(mid, delta)
     return total
+
+
+# ---------------------------------------------------------------------------
+# point-to-polyline distance
+
+def point_polyline_distance(point: np.ndarray, pts: np.ndarray) -> float:
+    if pts.shape[0] == 1:
+        return float(np.linalg.norm(point - pts[0]))
+    best = np.inf
+    for p, q in zip(pts[:-1], pts[1:]):
+        d = q - p
+        L2 = float(d @ d)
+        t = 0.0 if L2 == 0.0 else float(np.clip((point - p) @ d / L2, 0.0, 1.0))
+        best = min(best, float(np.linalg.norm(point - (p + t * d))))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +341,20 @@ def test_malformed_approx_family_is_usage_error(tmp_path, capsys, family, named)
     err = usage_error(capsys, ["approx", "--group", "su2", "--family", path, "--seed", "0",
                                "--graph", tmp_path / "graph.json"])
     assert named in err
+
+
+def test_approx_window_with_coinciding_ends_is_usage_error(tmp_path, capsys):
+    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
+    graph = Graph("a", [Edge(1, "a", "a", square)], "a", {"a": (0.0, 0.0)})
+    doc = {"graph": graph_to_dict(graph), "words": [word_to_tokens(edge_word(graph, 1))],
+           "windows": [[0, 4]]}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = usage_error(capsys, ["approx", "--group", "su2", "--family", path, "--seed", "0"])
+    assert caught == []
+    assert "target 0: window ends coincide" in err
 
 
 def test_obstruction_needs_two_loops(tmp_path, capsys):

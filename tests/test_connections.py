@@ -1,14 +1,16 @@
 """Tests for connections, transport, gauge actions and interpolation."""
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import block_diag, expm
 
+import holonomy_lab.connections as connections
 import holonomy_lab.matrixgroups as mg
 from holonomy_lab.connections import (
     BumpTerm,
@@ -21,6 +23,7 @@ from holonomy_lab.connections import (
     SmoothConnection,
     SmoothGauge,
     _chain,
+    _segment_distances,
     _segment_transport,
     bump_value,
     edge_polyline,
@@ -59,7 +62,7 @@ from holonomy_lab.pathgroupoid import (
 )
 
 from graphs import pentagon_chord_graph, spider_graph, square_graph, theta_graph
-from oracles import holonomy_letterwise, transport_field
+from oracles import holonomy_letterwise, point_polyline_distance, transport_field
 
 SU2 = mg.SpecialUnitary(2)
 T2 = mg.Torus(2)
@@ -135,6 +138,51 @@ def test_transport_without_terms_is_identity():
     conn = SmoothConnection(SU2, [])
     pts = [(0.0, 0.0), (1.0, 2.0), (3.0, -1.0)]
     assert frob(transport(conn, pts), np.eye(2)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# point-to-segment distances
+
+# coarse values make repeated points, hence zero-length segments, common
+coordinates = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                        st.floats(-2.0, 2.0, allow_nan=False))
+points_2d = st.tuples(coordinates, coordinates)
+polylines = st.lists(points_2d, min_size=1, max_size=8).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=polylines, points=st.lists(points_2d, min_size=1, max_size=5).map(np.array))
+def test_segment_distances_match_oracle(line, points):
+    # a one-point polyline is one zero-length segment
+    starts, ends = (line[:-1], line[1:]) if len(line) > 1 else (line, line)
+    dist = _segment_distances(points, starts, ends)
+    assert dist.shape == (len(points), max(len(line) - 1, 1))
+    # the kernel sums the two squares itself where the oracle's norm calls a
+    # BLAS dot, which may fuse them: the two can differ in the last bits
+    atol = 8 * np.finfo(float).eps * (1.0 + np.abs(line).max() + np.abs(points).max())
+    for x, row in zip(points, dist):
+        assert abs(row.min() - point_polyline_distance(x, line)) <= atol
+
+
+@settings(max_examples=150, deadline=None)
+@given(line=polylines, centers=st.lists(points_2d, min_size=1, max_size=4),
+       radii=st.lists(st.floats(0.1, 1.5), min_size=4, max_size=4))
+def test_transport_integrates_exactly_the_near_segments(line, centers, radii):
+    X = np.array([[0.5j, 0.3], [-0.3, -0.5j]])
+    conn = SmoothConnection(SU2, [BumpTerm(X, c, r, (0.6, 0.8))
+                                  for c, r in zip(centers, radii)])
+    dist = [[point_polyline_distance(np.array(t.center), np.array([p, q])) - t.radius
+             for t in conn.terms] for p, q in zip(line[:-1], line[1:])]
+    assume(all(abs(gap) > 1e-9 for row in dist for gap in row))  # no last-bit ties
+    near = [(p, q) for p, q, row in zip(line[:-1], line[1:], dist) if min(row) < 0.0]
+    with mock.patch.object(connections, "_segment_transport",
+                           wraps=connections._segment_transport) as spy:
+        # steps=1 and a loose tol: one refinement per segment, whose first call has s == 1
+        transport(conn, line, steps=1, tol=10.0)
+    integrated = [(c.args[1], c.args[2]) for c in spy.call_args_list if c.args[3] == 1]
+    assert len(integrated) == len(near)
+    for (p, q), (a, b) in zip(integrated, near):
+        assert np.array_equal(p, a) and np.array_equal(q, b)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +554,36 @@ def test_interpolation_hits_targets():
         assert mg.distance(got, values[k]) < 1e-8
 
 
+def assert_no_bump_leaks(graph, targets, extra_paths, conn):
+    """Every bump lies farther than its radius from every path but its own."""
+    lines = [path_polyline(graph, w) for w in [t.word for t in targets] + list(extra_paths)]
+    assert len(conn.terms) == len(targets)
+    for k, term in enumerate(conn.terms):
+        for j, line in enumerate(lines):
+            if j != k:
+                assert point_polyline_distance(np.array(term.center), line) > term.radius
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_interpolation_bumps_miss_foreign_paths(r):
+    graph = spider_graph(r)
+    for seed in range(3):
+        rng = np.random.default_rng([r, seed])
+        legs = rng.permutation(r)
+        n_targets = int(rng.integers(1, r + 1))
+        targets = []
+        for k in legs[:n_targets]:
+            lo = int(rng.integers(0, 8))
+            hi = int(rng.integers(lo + 1, 9))
+            targets.append(InterpolationTarget(leg_word(graph, r, int(k)),
+                                               mg.haar_sample(SU2, seed=seed), (lo, hi)))
+        # the legs left over, and the basepoint's one-point unit path
+        extra = ([leg_word(graph, r, int(k)) for k in legs[n_targets:]]
+                 + [unit(graph, graph.basepoint)])
+        conn = interpolate_connection(graph, targets, extra_paths=extra)
+        assert_no_bump_leaks(graph, targets, extra, conn)
+
+
 def test_interpolation_respects_extra_paths():
     r = 3
     graph = spider_graph(r)
@@ -514,6 +592,7 @@ def test_interpolation_respects_extra_paths():
                for k in range(2)]
     spectator = leg_word(graph, r, 2)
     conn = interpolate_connection(graph, targets, extra_paths=[spectator])
+    assert_no_bump_leaks(graph, targets, [spectator], conn)
     # the spectator path misses every bump, so its transport is skipped
     # segment by segment and comes out exactly the identity
     got = holonomy_general(restrict(conn, graph), spectator)
