@@ -67,6 +67,13 @@ def _finite(text):
     return value
 
 
+def _tolerance(text):
+    """argparse type of tolerances and bounds: a finite number >= 0."""
+    if not 0.0 <= float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return float(text)
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -393,8 +400,8 @@ def _build_parser():
         if "loops" in needs:
             p.add_argument("--loops", choices=["commutator"], default="commutator")
         p.add_argument("--steps", type=int, default=8)
-        p.add_argument("--tolerance", type=float, default=1e-9)
-        p.add_argument("--check-tolerance", type=float, default=needs.get("check_tol", 1e-8))
+        p.add_argument("--tolerance", type=_tolerance, default=1e-9)
+        p.add_argument("--check-tolerance", type=_tolerance, default=needs.get("check_tol", 1e-8))
         p.add_argument("--out", default=None)
         p.add_argument("--strict", action="store_true")
         return p
@@ -407,7 +414,7 @@ def _build_parser():
         function=True, seed=True, samples=4096, layers=1)
     add("theta", cmd_theta, graph=True, connection=True, check_tol=1e-9)
     add("approx", cmd_approx, graph=False, group=True, family=True,
-        seed=True, seeds=True, bound=(float, 1e-6))
+        seed=True, seeds=True, bound=(_tolerance, 1e-6))
     add("obstruction", cmd_obstruction, graph=True, connection=False,
         path=False, loops=True)
     add("closure", cmd_closure, graph=True, connection=False, family=False,

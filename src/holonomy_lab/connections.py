@@ -15,7 +15,9 @@ U(0) = 1, so that walking eta then lam multiplies as H(lam eta) = H(lam) H(eta)
 and a gauge transformation g acts by H ->  g(end)^-1 H g(start).  The
 integrator takes one fourth-order Magnus step (two Gauss nodes) per
 sub-interval and doubles the step count per polyline segment until the
-result is stable.
+result is stable.  Interpolation's scalar bump integral uses the same
+Gauss nodes; both skip every segment the bumps do not reach.  Every gauge
+action on holonomies is the one broadcast product :func:`gauge_transform`.
 
 Conventions match the combinatorial side: traversing an edge against its
 direction contributes the inverse transport, and the transport of a
@@ -132,15 +134,21 @@ def random_discrete_gauge(graph: Graph, descriptor, seed: int) -> DiscreteGauge:
     return DiscreteGauge(graph, descriptor, dict(zip(verts, mats)), check=False)
 
 
+def gauge_transform(stack: np.ndarray, g_src: np.ndarray, g_dst: np.ndarray) -> np.ndarray:
+    """Broadcast gauge action H -> g_dst^-1 H g_src on unitary matrix stacks."""
+    return np.conj(np.swapaxes(g_dst, -1, -2)) @ stack @ g_src
+
+
 def gauge_act_general(conn: GeneralizedConnection, gauge: DiscreteGauge) -> GeneralizedConnection:
-    """Edge-wise action value(e) -> g(dst)^-1 value(e) g(src)."""
+    """Edge-wise action value(e) -> g(dst)^-1 value(e) g(src), checked like any edge data."""
     if gauge.descriptor != conn.descriptor:
         raise mg.DescriptorMismatchError("gauge and connection descriptors differ")
-    out = {}
-    for eid, e in conn.graph.edges.items():
-        v = conn.value(eid)
-        out[eid] = mg.mul(mg.mul(mg.inv(gauge.value(e.dst)), v), gauge.value(e.src))
-    return GeneralizedConnection(conn.graph, conn.descriptor, out, check=False)
+    edges = conn.graph.edges
+    if not edges:
+        return GeneralizedConnection(conn.graph, conn.descriptor, {})
+    g = np.stack([(gauge.values[e.src], gauge.values[e.dst]) for e in edges.values()])
+    out = gauge_transform(np.stack([conn.values[eid] for eid in edges]), g[:, 0], g[:, 1])
+    return GeneralizedConnection(conn.graph, conn.descriptor, dict(zip(edges, out)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +157,9 @@ def gauge_act_general(conn: GeneralizedConnection, gauge: DiscreteGauge) -> Gene
 def smoothstep(t):
     """C-infinity step: 0 for t <= 0, 1 for t >= 1, built from exp(-1/t)."""
     t = np.asarray(t, dtype=float)
-    lo = t <= 0.0
-    hi = t >= 1.0
-    mid = ~lo & ~hi
-    out = np.where(hi, 1.0, 0.0)
     tm = np.clip(t, 1e-12, 1.0 - 1e-12)
-    f = np.exp(-1.0 / tm)
-    g = np.exp(-1.0 / (1.0 - tm))
-    out = np.where(mid, f / (f + g), out)
-    return out
+    f, g = np.exp(-1.0 / tm), np.exp(-1.0 / (1.0 - tm))
+    return np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, f / (f + g)))
 
 
 def bump_value(points, center, radius):
@@ -321,14 +323,21 @@ def _segment_distances(points, starts, ends) -> np.ndarray:
     return np.linalg.norm(x - (starts + t[..., None] * d), axis=-1)
 
 
+def _gauss_nodes(p: np.ndarray, q: np.ndarray, steps: int):
+    """Both Gauss nodes of ``steps`` equal sub-intervals of [p, q], shape
+    (..., steps, dim), and the sub-interval vector; p, q may lead with a segment axis."""
+    delta = (q - p) / steps
+    base = np.arange(steps)[:, None] + 0.5
+    p0, d = p[..., None, :], delta[..., None, :]
+    return p0 + (base - _GAUSS_OFFSET) * d, p0 + (base + _GAUSS_OFFSET) * d, delta
+
+
 def _segment_transport(conn: SmoothConnection, p: np.ndarray, q: np.ndarray,
                        steps: int) -> np.ndarray:
     """One fourth-order Magnus step per sub-interval (two Gauss nodes)."""
-    delta = (q - p) / steps
-    base = np.arange(steps)[:, None] + 0.5
+    x1, x2, delta = _gauss_nodes(p, q, steps)
     scale = conn._dirs @ delta
-    c1 = conn.coefficients(p + (base - _GAUSS_OFFSET) * delta) * scale
-    c2 = conn.coefficients(p + (base + _GAUSS_OFFSET) * delta) * scale
+    c1, c2 = conn.coefficients(x1) * scale, conn.coefficients(x2) * scale
     if max(np.max(np.abs(c1)), np.max(np.abs(c2))) == 0.0:
         return np.eye(mg.dim(conn.descriptor), dtype=complex)
     M1 = np.tensordot(c1, conn._X, axes=(1, 0))
@@ -421,18 +430,14 @@ def split_holonomy(conn: SmoothConnection, polyline, steps: int = DEFAULT_STEPS,
                    tol: float = DEFAULT_TOL):
     """Factor-wise holonomies of a product-group connection.
 
-    The factors commute inside the block-diagonal embedding, so the full
-    transport is the block-diagonal assembly of the returned elements.
+    The factors commute inside the block-diagonal embedding, so each
+    factor's holonomy is a diagonal block of the full transport.
     """
     desc = conn.descriptor
     if not isinstance(desc, mg.ProductGroup):
         raise TypeError("split_holonomy needs a ProductGroup connection")
-    out = []
-    for sl, f in mg.block_slices(desc):
-        terms = [BumpTerm(t.X[sl, sl], t.center, t.radius, t.direction) for t in conn.terms]
-        part = SmoothConnection(f, terms)
-        out.append(holonomy_smooth(part, polyline, steps, tol))
-    return tuple(out)
+    m = transport(conn, polyline, steps, tol)
+    return tuple(mg.GroupElement(f, m[sl, sl]) for sl, f in mg.block_slices(desc))
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +503,8 @@ def random_smooth_gauge(descriptor, graph: Graph, n_terms: int, seed: int,
 class TransformedSmoothHolonomy:
     """Holonomy evaluator of a gauge-transformed smooth connection.
 
-    Evaluates through the covariance identity
-    ``H'(curve) = g(end)^-1 H(curve) g(start)`` rather than by
-    differentiating the gauge; the one-form picture is exercised separately
-    by finite-difference cross-checks in the test suite.
+    Evaluates through the covariance identity ``H'(curve) = g(end)^-1
+    H(curve) g(start)`` rather than by differentiating the gauge.
     """
 
     def __init__(self, conn: SmoothConnection, gauge: SmoothGauge):
@@ -513,7 +516,7 @@ class TransformedSmoothHolonomy:
     def holonomy(self, polyline, steps: int = DEFAULT_STEPS, tol: float = DEFAULT_TOL) -> mg.GroupElement:
         pts = np.atleast_2d(np.asarray(polyline, dtype=float))
         m = transport(self.connection, pts, steps, tol)
-        out = self.gauge.at(pts[-1]).conj().T @ m @ self.gauge.at(pts[0])
+        out = gauge_transform(m, self.gauge.at(pts[0]), self.gauge.at(pts[-1]))
         return mg.GroupElement(self.connection.descriptor, out)
 
 
@@ -539,20 +542,31 @@ class InterpolationTarget:
     window: tuple
 
 
-def _scalar_line_integral(center, radius, direction, polyline):
-    """Refined midpoint quadrature of phi(x) <u, dx> along a polyline."""
+def _scalar_line_integral(center, radius, direction, polyline) -> float:
+    """Integral of phi(x) <u, dx> along a polyline, at the Gauss nodes of transport.
+
+    Each segment the bump reaches is integrated along its chord inside the
+    bump's disk, so no level can miss a grazing bump; chords start at
+    ``DEFAULT_STEPS`` sub-steps, doubling to a relative change <= 1e-12.
+    """
     pts = np.atleast_2d(np.asarray(polyline, dtype=float))
-    u = np.asarray(direction, dtype=float)
+    near = _segment_distances(center[None], pts[:-1], pts[1:])[0] < radius
+    if not near.any():
+        return 0.0
+    p, d = pts[:-1][near], np.diff(pts, axis=0)[near]
+    rel = p - center
+    # p + t d meets the bump's circle at t = (-b -+ half) / L2
+    L2, b = np.sum(d * d, axis=-1), np.sum(rel * d, axis=-1)
+    half = np.sqrt(np.maximum(b * b - L2 * (np.sum(rel * rel, axis=-1) - radius ** 2), 0.0))
+    L2 = np.where(L2 > 0.0, L2, 1.0)
+    t0, t1 = (np.clip((-b + sign * half) / L2, 0.0, 1.0)[:, None] for sign in (-1.0, 1.0))
 
-    def once(per_seg):
-        total = 0.0
-        for p, q in zip(pts[:-1], pts[1:]):
-            delta = (q - p) / per_seg
-            mids = p + (np.arange(per_seg)[:, None] + 0.5) * delta
-            total += float(bump_value(mids, center, radius).sum() * (u @ delta))
-        return total
+    def once(steps):
+        x1, x2, delta = _gauss_nodes(p + t0 * d, p + t1 * d, steps)
+        weights = bump_value(x1, center, radius) + bump_value(x2, center, radius)
+        return 0.5 * float(weights.sum(axis=-1) @ (delta @ direction))
 
-    s = 64
+    s = DEFAULT_STEPS
     val = once(s)
     for _ in range(12):
         s *= 2
@@ -583,6 +597,8 @@ def interpolate_connection(graph: Graph, targets: Sequence[InterpolationTarget],
     generator, using that a single path meets only its own bump: the
     transport collapses to ``exp(-c X)`` with ``c`` the scalar bump line
     integral, so ``X = -log(value)/c`` is exact up to integration error.
+    ``c`` is integrated at the Gauss nodes :func:`transport` uses, over the
+    segments of the path that the bump reaches.
 
     The bump sits at the window's arc-length midpoint.  Its room is the
     distance from there to the nearest segment of every other family path,
@@ -614,20 +630,15 @@ def interpolate_connection(graph: Graph, targets: Sequence[InterpolationTarget],
         window = pts[lo:hi + 1]
         lengths = np.linalg.norm(np.diff(window, axis=0), axis=1)
         total = float(lengths.sum())
-        if total <= 0:
-            raise ValueError(f"target {k}: window has zero length")
         chord = np.linalg.norm(window[-1] - window[0])
         if chord == 0.0:
             raise ValueError(f"target {k}: window ends coincide at {window[0].tolist()}, "
                              f"so its bump has no direction")
-        # arc-length midpoint of the window
-        acc, mid = 0.0, window[0]
-        for p, q, L in zip(window[:-1], window[1:], lengths):
-            if acc + L >= total / 2.0:
-                mid = p + (total / 2.0 - acc) / L * (q - p)
-                break
-            acc += L
-        mids.append(mid)
+        # arc-length midpoint of the window, on the first segment reaching it
+        cum = np.cumsum(lengths)
+        j = int(np.searchsorted(cum, total / 2.0))
+        acc = cum[j - 1] if j else 0.0
+        mids.append(window[j] + (total / 2.0 - acc) / lengths[j] * (window[j + 1] - window[j]))
         halves.append(total / 2.0)
         directions.append((window[-1] - window[0]) / chord)
     dist = _segment_distances(mids, starts, ends)

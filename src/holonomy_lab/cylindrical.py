@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import matrixgroups as mg
-from .connections import GeneralizedConnection, holonomy_general
+from .connections import GeneralizedConnection, gauge_transform, holonomy_general
 from .pathgroupoid import Graph, PathWord, word_from_tokens, word_to_tokens
 
 MEAN_CHUNK = 8192
@@ -108,10 +108,7 @@ class Sum(Expr):
         object.__setattr__(self, "terms", tuple(self.terms))
 
     def eval(self, stack):
-        out = np.zeros(stack.shape[0], dtype=complex)
-        for t in self.terms:
-            out += t.eval(stack)
-        return out
+        return sum((t.eval(stack) for t in self.terms), np.zeros(stack.shape[0], dtype=complex))
 
     def max_path(self):
         return max((t.max_path() for t in self.terms), default=0)
@@ -183,12 +180,7 @@ class CylFunction:
                              f"but only {len(self.paths)} paths are given")
 
     def endpoint_vertices(self) -> tuple:
-        seen = []
-        for p in self.paths:
-            for v in (p.source, p.range):
-                if v not in seen:
-                    seen.append(v)
-        return tuple(seen)
+        return tuple(dict.fromkeys(v for p in self.paths for v in (p.source, p.range)))
 
 
 def wilson_loop(word: PathWord, n: int) -> CylFunction:
@@ -236,8 +228,7 @@ def holonomy_stack(f: CylFunction, conn: GeneralizedConnection) -> np.ndarray:
 
 
 def evaluate(f: CylFunction, conn: GeneralizedConnection) -> complex:
-    stack = holonomy_stack(f, conn)
-    return complex(f.expr.eval(stack[None, ...])[0])
+    return evaluate_stack(f, holonomy_stack(f, conn))
 
 
 def evaluate_stack(f: CylFunction, stack) -> complex:
@@ -252,15 +243,6 @@ def _endpoint_slots(f: CylFunction):
     src = np.array([index[p.source] for p in f.paths])
     dst = np.array([index[p.range] for p in f.paths])
     return len(verts), src, dst
-
-
-def _transform_batch(stack: np.ndarray, gauges: np.ndarray, src, dst) -> np.ndarray:
-    """stack (k,n,n), gauges (N,V,n,n) -> (N,k,n,n) transformed holonomies."""
-    out = np.empty((gauges.shape[0],) + stack.shape, dtype=complex)
-    for k in range(stack.shape[0]):
-        gd = np.conj(np.swapaxes(gauges[:, dst[k]], -1, -2))
-        out[:, k] = gd @ stack[k] @ gauges[:, src[k]]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +294,7 @@ class HaarMean:
                 layer = mg.haar_batch(self.descriptor, count * nverts, rng)
                 layer = layer.reshape(count, nverts, n, n)
                 gauges = layer if gauges is None else gauges @ layer
-            vals = self.function.expr.eval(_transform_batch(arr, gauges, src, dst))
+            vals = self.function.expr.eval(gauge_transform(arr, gauges[:, src], gauges[:, dst]))
             total += vals.sum()
             shift = vals[0] if shift is None else shift
             dev = vals - shift
@@ -327,13 +309,15 @@ class HaarMean:
 def invariance_check(f: CylFunction, conn: GeneralizedConnection, descriptor,
                      gauges: int = 20, seed: int = 0) -> float:
     """Largest deviation |F(A.g) - F(A)| over random gauge tuples."""
+    if gauges < 1:
+        raise ValueError("need at least one gauge sample")
     stack = holonomy_stack(f, conn)
     nverts, src, dst = _endpoint_slots(f)
     n = mg.dim(descriptor)
     rng = np.random.default_rng(seed)
     base = complex(f.expr.eval(stack[None, ...])[0])
     g = mg.haar_batch(descriptor, gauges * nverts, rng).reshape(gauges, nverts, n, n)
-    vals = f.expr.eval(_transform_batch(stack, g, src, dst))
+    vals = f.expr.eval(gauge_transform(stack, g[:, src], g[:, dst]))
     return float(np.max(np.abs(vals - base)))
 
 

@@ -27,7 +27,9 @@ from . import matrixgroups as mg
 from .connections import (
     DEFAULT_STEPS,
     DEFAULT_TOL,
+    DiscreteGauge,
     GeneralizedConnection,
+    gauge_act_general,
     holonomy_general,
     interpolate_connection,
     InterpolationTarget,
@@ -95,29 +97,24 @@ def tree_reconstruct(basis: TreeBasis, descriptor, loop_values: Mapping,
                      frames: Mapping = None) -> GeneralizedConnection:
     """Rebuild the edge assignment from tree frames and loop holonomies.
 
-    Tree edges carry frame(dst)^-1-free transport (identity loop part), so
-    omitting ``frames`` lands on the canonical section where every tree edge
-    holds the identity.
+    Without ``frames`` this is the canonical section: every tree edge holds
+    the identity and every loop edge its loop value.  With them, the
+    section is gauged by the inverse frames, so each edge holds
+    frame(dst) h(loop_e) frame(src)^-1.
     """
     extra = set(loop_values) - set(basis.loop_ids)
     missing = set(basis.loop_ids) - set(loop_values)
     if extra or missing:
         raise ValueError(f"loop values must cover exactly the non-tree edges "
                          f"(missing {sorted(map(str, missing))}, extra {sorted(map(str, extra))})")
-    ident = mg.identity(descriptor)
-
-    def as_element(v):
-        return v if isinstance(v, mg.GroupElement) else mg.GroupElement(descriptor, v)
-
+    ident = np.eye(mg.dim(descriptor), dtype=complex)
+    section = GeneralizedConnection(basis.graph, descriptor, {
+        eid: mg.as_matrix(loop_values[eid]) if eid in basis.loops else ident
+        for eid in basis.graph.edges})
     if frames is None:
-        frame = {v: ident for v in basis.graph.vertices}
-    else:
-        frame = {v: as_element(frames[v]) for v in basis.graph.vertices}
-    values = {}
-    for eid, e in basis.graph.edges.items():
-        h = as_element(loop_values[eid]) if eid in basis.loops else ident
-        values[eid] = mg.mul(mg.mul(frame[e.dst], h), mg.inv(frame[e.src]))
-    return GeneralizedConnection(basis.graph, descriptor, values, check=False)
+        return section
+    inverse = {v: mg.as_matrix(frames[v]).conj().T for v in basis.graph.vertices}
+    return gauge_act_general(section, DiscreteGauge(basis.graph, descriptor, inverse))
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +262,16 @@ class ApproximationReport:
 
 
 def default_windows(graph: Graph, words: Sequence[PathWord]) -> list:
-    """Interior of each word's final edge, a natural private segment."""
+    """Each word's final edge from its second curve point on, a natural
+    private segment; a straight two-point final edge gives its one segment."""
     out = []
     for w in words:
         if w.is_unit():
             raise ValueError("unit words have no window")
-        counts = []
-        for eid, _ in w.letters:
-            curve = graph.edges[eid].curve
-            counts.append(len(curve) if curve is not None else 2)
-        total = sum(counts) - (len(counts) - 1) - 1  # last point index
-        last = counts[-1]
-        out.append((total - last + 2, total))
+        curves = [graph.edges[eid].curve for eid, _ in w.letters]
+        counts = [2 if c is None else len(c) for c in curves]
+        total = sum(counts) - len(counts)  # last point index
+        out.append((total - max(counts[-1] - 2, 1), total))
     return out
 
 

@@ -6,9 +6,14 @@ deterministic quadrature over SU(2) for Haar means, grid search for
 conjugators, plain Simpson refinement for line integrals.  The exceptions
 are the implementations the library replaced, kept as they were:
 ``holonomy_letterwise`` (one group multiplication per letter),
-``point_polyline_distance`` (one Python step per segment), and
+``point_polyline_distance`` (one Python step per segment),
 ``polar_scipy`` and ``log_schur`` (the polar factor and the Schur-form
-logarithm of scipy, which the library no longer imports).
+logarithm of scipy, which the library no longer imports),
+``scalar_line_integral_midpoint`` (the refined midpoint rule over every
+segment that interpolation used for its bump coefficient),
+``gauge_act_edgewise`` (the vertex gauge action as three group operations
+per edge) and ``split_holonomy_per_factor`` (one transport per factor of a
+product-group connection).
 """
 
 from __future__ import annotations
@@ -19,6 +24,13 @@ import numpy as np
 import scipy.linalg
 
 import holonomy_lab.matrixgroups as mg
+from holonomy_lab.connections import (
+    BumpTerm,
+    GeneralizedConnection,
+    SmoothConnection,
+    bump_value,
+    holonomy_smooth,
+)
 from holonomy_lab.pathgroupoid import letter_endpoints
 
 
@@ -158,6 +170,30 @@ def polyline_line_integral(f_vec, polyline, per_segment=256):
     return total
 
 
+def scalar_line_integral_midpoint(center, radius, direction, polyline):
+    """Refined midpoint quadrature of phi(x) <u, dx> along a polyline."""
+    pts = np.atleast_2d(np.asarray(polyline, dtype=float))
+    u = np.asarray(direction, dtype=float)
+
+    def once(per_seg):
+        total = 0.0
+        for p, q in zip(pts[:-1], pts[1:]):
+            delta = (q - p) / per_seg
+            mids = p + (np.arange(per_seg)[:, None] + 0.5) * delta
+            total += float(bump_value(mids, center, radius).sum() * (u @ delta))
+        return total
+
+    s = 64
+    val = once(s)
+    for _ in range(12):
+        s *= 2
+        nxt = once(s)
+        if abs(nxt - val) <= 1e-12 * max(1.0, abs(nxt)):
+            return nxt
+        val = nxt
+    return val
+
+
 # ---------------------------------------------------------------------------
 # point-to-polyline distance
 
@@ -209,6 +245,28 @@ def holonomy_letterwise(conn, word):
         v = conn.value(eid)
         acc = mg.mul(acc, v if o == 1 else mg.inv(v))
     return acc
+
+
+# ---------------------------------------------------------------------------
+# gauge actions and product groups
+
+def gauge_act_edgewise(conn, gauge):
+    """value(e) -> g(dst)^-1 value(e) g(src) as group operations, edge by edge."""
+    out = {}
+    for eid, e in conn.graph.edges.items():
+        v = conn.value(eid)
+        out[eid] = mg.mul(mg.mul(mg.inv(gauge.value(e.dst)), v), gauge.value(e.src))
+    return GeneralizedConnection(conn.graph, conn.descriptor, out, check=False)
+
+
+def split_holonomy_per_factor(conn, polyline, steps, tol):
+    """Each factor's holonomy from its own connection, terms cut to its block."""
+    out = []
+    for sl, f in mg.block_slices(conn.descriptor):
+        terms = [BumpTerm(t.X[sl, sl], t.center, t.radius, t.direction) for t in conn.terms]
+        part = SmoothConnection(f, terms)
+        out.append(holonomy_smooth(part, polyline, steps, tol))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

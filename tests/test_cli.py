@@ -272,6 +272,18 @@ def test_approx_batch_outputs(tmp_path):
     assert len(dat_lines) == 3 and all(len(l.split()) == 2 for l in dat_lines)
 
 
+def test_approx_default_window_on_straight_edges(tmp_path, capsys):
+    # two straight two-point edges: each final edge's window is its one segment
+    pos = {"o": (0.0, 0.0), "a": (1.0, 0.0), "b": (0.0, 1.0)}
+    graph = Graph("oab", [Edge(1, "o", "a", None), Edge(2, "o", "b", None)], "o", pos)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"graph": graph_to_dict(graph), "words": [[1], [2]]}))
+    assert main(["approx", "--group", "su2", "--family", str(path), "--seed", "0",
+                 "--strict"]) == 0
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["verdict"] and report["max_error"] <= 1e-12
+
+
 NESTED_QUOTIENT = {"kind": "product", "factors": [
     mg.descriptor_to_dict(mg.central_quotient(
         mg.ProductGroup((mg.Torus(1), SU2)), [np.eye(3), -np.eye(3)])),
@@ -367,6 +379,33 @@ def test_gauge_orbit_rejects_negative_samples(workspace, capsys):
     usage_error(capsys, ["gauge-orbit", "--graph", tmp / "graph.json",
                          "--connection", tmp / "conn.json", "--function", tmp / "wilson.json",
                          "--seed", "0", "--samples", "-3"])
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["holonomy", "--path", "1,2", "--connection", "smooth.json", "--tolerance", "nan"],
+     "--tolerance"),
+    (["holonomy", "--path", "1,2", "--connection", "smooth.json", "--tolerance", "inf"],
+     "--tolerance"),
+    (["holonomy", "--path", "1,2", "--connection", "smooth.json", "--tolerance=-1e-9"],
+     "--tolerance"),
+    (["gauge-orbit", "--connection", "conn.json", "--function", "wilson.json", "--seed", "0",
+      "--check-tolerance", "nan"], "--check-tolerance"),
+    (["approx", "--group", "su2", "--seed", "0", "--bound", "nan"], "--bound"),
+    (["gauge-orbit", "--connection", "conn.json", "--function", "wilson.json", "--seed", "0",
+      "--samples", "0"], "need at least one gauge sample"),
+], ids=["tolerance-nan", "tolerance-inf", "tolerance-negative", "check-tolerance-nan",
+        "bound-nan", "zero-samples"])
+def test_bad_numeric_flag_is_usage_error(workspace, tmp_path, capsys, argv, named):
+    tmp, _, _ = workspace
+    inputs = (["--family", str(family_file(tmp_path))] if argv[0] == "approx"
+              else ["--graph", str(tmp / "graph.json")])
+    argv = [str(tmp / a) if a.endswith(".json") else a for a in argv] + inputs
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value before any command runs
+        code = exc.code
+    assert code == 2
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["haar-mean", "gauge-orbit"])

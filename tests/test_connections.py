@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.linalg import block_diag, expm
+from scipy.linalg import expm
 
 import holonomy_lab.connections as connections
 import holonomy_lab.matrixgroups as mg
@@ -62,7 +62,14 @@ from holonomy_lab.pathgroupoid import (
 )
 
 from graphs import pentagon_chord_graph, spider_graph, square_graph, theta_graph
-from oracles import holonomy_letterwise, point_polyline_distance, transport_field
+from oracles import (
+    gauge_act_edgewise,
+    holonomy_letterwise,
+    point_polyline_distance,
+    scalar_line_integral_midpoint,
+    split_holonomy_per_factor,
+    transport_field,
+)
 
 SU2 = mg.SpecialUnitary(2)
 T2 = mg.Torus(2)
@@ -70,6 +77,8 @@ PROD = mg.ProductGroup((mg.Torus(1), mg.SpecialUnitary(2)))
 U2_AS_QUOTIENT = mg.central_quotient(PROD, [np.eye(3), -np.eye(3)])
 U1_SU2_MOD_Z2 = mg.central_quotient(mg.ProductGroup((mg.Unitary(1), SU2)),
                                     [np.eye(3), -np.eye(3)])
+ALL_KINDS = [SU2, mg.SpecialUnitary(3), mg.Unitary(2), T2, PROD, U2_AS_QUOTIENT, U1_SU2_MOD_Z2]
+KIND_IDS = ["su2", "su3", "u2", "t2", "t1xsu2", "t1xsu2-mod-z2", "u1xsu2-mod-z2"]
 
 
 def frob(a, b):
@@ -298,14 +307,16 @@ def test_smooth_holonomy_lands_in_group():
 
 def test_split_holonomy_blocks():
     graph = pentagon_chord_graph()
-    conn = random_smooth_connection(PROD, graph, 4, seed=14)
     loop = compose(inverse(edge_word(graph, 6)),
                    compose(edge_word(graph, 2), edge_word(graph, 1)))
     pts = path_polyline(graph, loop)
-    parts = split_holonomy(conn, pts, tol=1e-11)
-    assert [p.descriptor for p in parts] == [mg.Torus(1), SU2]
-    full = holonomy_smooth(conn, pts, tol=1e-11)
-    assert frob(full.matrix, block_diag(parts[0].matrix, parts[1].matrix)) < 1e-9
+    for desc in (PROD, mg.ProductGroup((T2, mg.Unitary(2)))):
+        conn = random_smooth_connection(desc, graph, 4, seed=14)
+        parts = split_holonomy(conn, pts, tol=1e-11)
+        want = split_holonomy_per_factor(conn, pts, connections.DEFAULT_STEPS, 1e-11)
+        assert [p.descriptor for p in parts] == list(desc.factors)
+        for got, ref in zip(parts, want):
+            assert got.descriptor == ref.descriptor and mg.distance(got, ref) < 1e-9
 
 
 def test_split_holonomy_needs_product():
@@ -463,6 +474,26 @@ def test_discrete_gauge_actions_compose_pointwise():
     once = gauge_act_general(conn, prod)
     for eid in graph.edges:
         assert frob(twice.values[eid], once.values[eid]) < 1e-12
+
+
+@pytest.mark.parametrize("desc", ALL_KINDS, ids=KIND_IDS)
+def test_gauge_act_general_matches_edgewise_oracle(desc):
+    graph = pentagon_chord_graph()
+    conn = random_generalized_connection(graph, desc, seed=25)
+    gauge = random_discrete_gauge(graph, desc, seed=26)
+    got = gauge_act_general(conn, gauge)
+    want = gauge_act_edgewise(conn, gauge)
+    for eid in graph.edges:
+        assert frob(got.values[eid], want.values[eid]) < 1e-12
+    if isinstance(desc, mg.CentralQuotient):
+        stack = np.stack([got.values[eid] for eid in graph.edges])
+        assert np.array_equal(mg.canonicalize_batch(desc, stack), stack)
+
+
+def test_gauge_act_general_on_edgeless_graph():
+    graph = Graph("a", [], "a")
+    conn = GeneralizedConnection(graph, SU2, {})
+    assert gauge_act_general(conn, random_discrete_gauge(graph, SU2, seed=27)).values == {}
 
 
 def test_gauge_needs_matching_descriptor():
@@ -634,6 +665,60 @@ def test_interpolation_rejects_bad_window():
         interpolate_connection(graph, [InterpolationTarget(w, v, (8, 5))])
     with pytest.raises(ValueError):
         interpolate_connection(graph, [InterpolationTarget(w, v, (0, 99))])
+
+
+@st.composite
+def bumps_near_polylines(draw):
+    """A 2-D polyline with repeated points and a bump centered on or near it.
+
+    The center is a vertex (so the bump straddles it) or a point along a
+    segment, moved by up to 0.3.  Radii stay at 0.2 or more: the midpoint
+    oracle starts at 64 points per segment and can miss a much smaller bump
+    that only grazes a segment.
+    """
+    coord = st.floats(-1.0, 1.0, allow_nan=False)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=4))
+    for i in sorted(draw(st.lists(st.integers(0, len(pts) - 1), max_size=2)), reverse=True):
+        pts.insert(i, pts[i])
+    pts = np.array(pts)
+    k = draw(st.integers(0, len(pts) - 2))
+    t = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    offset = np.array(draw(st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3))))
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    return (pts[k] + t * (pts[k + 1] - pts[k]) + offset, draw(st.floats(0.2, 1.0)),
+            np.array([np.cos(angle), np.sin(angle)]), pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=bumps_near_polylines())
+def test_scalar_line_integral_matches_midpoint_oracle(case):
+    center, radius, direction, pts = case
+    got = connections._scalar_line_integral(center, radius, direction, pts)
+    want = scalar_line_integral_midpoint(center, radius, direction, pts)
+    if not np.any(_segment_distances(center[None], pts[:-1], pts[1:]) < radius):
+        assert got == 0.0
+    # relative on the scale both refinements stop at
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_scalar_line_integral_of_far_bump_is_exactly_zero():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    center, direction = np.array([3.0, 0.5]), np.array([0.6, 0.8])
+    assert connections._scalar_line_integral(center, 1.9, direction, pts) == 0.0
+    assert connections._scalar_line_integral(center, 1.9, direction, pts[:1]) == 0.0
+
+
+def test_scalar_line_integral_finds_grazing_bump():
+    # the bump meets the segment along a chord of length 0.026 only: Gauss
+    # nodes spread over the whole segment miss it at 8 and at 16 sub-steps
+    radius, height = 0.036, 0.93 * 0.036
+    center, direction = np.array([0.49, height]), np.array([0.6, 0.8])
+    pts = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    got = connections._scalar_line_integral(center, radius, direction, pts)
+    half = np.sqrt(radius ** 2 - height ** 2)
+    want, _ = quad(lambda x: bump_value([(x, 0.0)], center, radius)[0] * direction[0],
+                   center[0] - half, center[0] + half, epsabs=0.0, epsrel=1e-13)
+    assert want > 1e-6 and abs(got - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from scipy.linalg import block_diag
 
 import holonomy_lab.matrixgroups as mg
 from holonomy_lab.connections import (
+    DiscreteGauge,
     gauge_act_general,
     random_discrete_gauge,
     random_generalized_connection,
@@ -34,7 +35,7 @@ from holonomy_lab.spectra import (
 )
 
 from graphs import pentagon_chord_graph, spider_graph, square_graph
-from oracles import brute_force_conjugator, su2_grid
+from oracles import brute_force_conjugator, gauge_act_edgewise, su2_grid
 
 SU2 = mg.SpecialUnitary(2)
 SU3 = mg.SpecialUnitary(3)
@@ -44,6 +45,8 @@ PROD = mg.ProductGroup((mg.Torus(1), mg.SpecialUnitary(2)))
 U2_AS_QUOTIENT = mg.central_quotient(
     PROD, [np.eye(3), -np.eye(3)])
 ALL_KINDS = [SU2, SU3, U2, T2, PROD, U2_AS_QUOTIENT]
+U1_SU2_MOD_Z2 = mg.central_quotient(
+    mg.ProductGroup((mg.Unitary(1), SU2)), [np.eye(3), -np.eye(3)])
 
 QI = np.array([[1j, 0.0], [0.0, -1j]])
 QJ = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -93,6 +96,27 @@ def test_tree_reconstruct_canonical_section():
     redec = tree_decompose(basis, canon)
     for eid in basis.loop_ids:
         assert float(mg.distance(redec.loop_values[eid], dec.loop_values[eid])) <= 1e-13
+
+
+@pytest.mark.parametrize("desc", ALL_KINDS + [U1_SU2_MOD_Z2],
+                         ids=lambda d: type(d).__name__ + str(mg.dim(d)))
+def test_tree_reconstruct_matches_edgewise_gauge_oracle(desc):
+    # frames f act on the canonical section as the gauge f^-1, edge by edge
+    graph = pentagon_chord_graph()
+    basis = tree_basis(graph)
+    dec = tree_decompose(basis, random_generalized_connection(graph, desc, seed=8))
+    section = tree_reconstruct(basis, desc, dec.loop_values)
+    inverse_frames = DiscreteGauge(graph, desc, {v: f.matrix.conj().T
+                                                 for v, f in dec.frames.items()})
+    want = gauge_act_edgewise(section, inverse_frames)
+    raw_frames = {v: f.matrix for v, f in dec.frames.items()}
+    for frames in (dec.frames, raw_frames):
+        got = tree_reconstruct(basis, desc, dec.loop_values, frames=frames)
+        for eid in graph.edges:
+            assert float(np.linalg.norm(got.values[eid] - want.values[eid])) <= 1e-12
+        if isinstance(desc, mg.CentralQuotient):
+            stack = np.stack([got.values[eid] for eid in graph.edges])
+            assert np.array_equal(mg.canonicalize_batch(desc, stack), stack)
 
 
 def test_tree_reconstruct_validates_loop_keys():
