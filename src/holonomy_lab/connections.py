@@ -27,8 +27,8 @@ A smooth connection reaches path words only through :func:`restrict`,
 the embedding of smooth connections into generalized ones: each edge
 carries its transport, computed the first time a word walks it, and
 :func:`holonomy_general` multiplies those values like any other edge
-assignment.  Words therefore have a single evaluator: it gathers the
-walked edges' matrices, multiplies them in one pairwise fold, repairs
+assignment.  Every product of a letter word over a matrix table is the
+one gather-and-fold :func:`_word_product`; a word's holonomy then repairs
 unitarity drift once and canonicalizes a quotient result once.
 """
 
@@ -63,13 +63,13 @@ class GeometryError(ValueError):
 class GeneralizedConnection:
     """One group element per edge; holonomy extends multiplicatively."""
 
-    def __init__(self, graph: Graph, descriptor, values: Mapping, check: bool = True):
+    def __init__(self, graph: Graph, descriptor, values: Mapping):
         missing = set(graph.edges) - set(values)
         extra = set(values) - set(graph.edges)
         if missing or extra:
             raise ValueError(f"edge values do not match the graph "
                              f"(missing {sorted(map(str, missing))}, extra {sorted(map(str, extra))})")
-        store = {eid: mg.GroupElement(descriptor, mg.as_matrix(v), check=check).matrix
+        store = {eid: mg.GroupElement(descriptor, mg.as_matrix(v)).matrix
                  for eid, v in values.items()}
         self.graph = graph
         self.descriptor = descriptor
@@ -81,13 +81,17 @@ class GeneralizedConnection:
         return mg.GroupElement(self.descriptor, self.values[eid], check=False)
 
 
+def _word_product(table, letters) -> np.ndarray:
+    """Letters (i, 1) -> table[i], (i, -1) -> its adjoint, folded by :func:`_chain`;
+    the first letter acts first."""
+    return _chain(np.stack([table[i] if o == 1 else table[i].conj().T for i, o in letters]))
+
+
 def holonomy_general(conn: GeneralizedConnection, word: PathWord) -> mg.GroupElement:
     """Holonomy of a reduced word: the first-walked letter acts first.
 
-    Gathers each letter's edge matrix (its adjoint for a letter walked
-    backwards), multiplies the stack with the pairwise fold of
-    :func:`_chain`, polar-repairs the product once if it drifted from
-    unitarity, and canonicalizes a quotient result once.
+    :func:`_word_product` of the edge matrices, polar-repaired once if it
+    drifted from unitarity and canonicalized once in a quotient.
     """
     if not isinstance(conn, GeneralizedConnection):
         raise TypeError(f"cannot take holonomies of {type(conn).__name__}; "
@@ -98,8 +102,7 @@ def holonomy_general(conn: GeneralizedConnection, word: PathWord) -> mg.GroupEle
             raise UnknownEdgeError(f"no edge with id {eid!r}")
     if not word.letters:
         return mg.identity(desc)
-    m = _chain(np.stack([values[eid] if o == 1 else values[eid].conj().T
-                         for eid, o in word.letters]))
+    m = _word_product(values, word.letters)
     if mg._unitarity_defect(m) > mg.REPAIR_ATOL:
         m = mg.reunitarize(m)
     return mg._wrap(desc, m)
@@ -109,18 +112,18 @@ def random_generalized_connection(graph: Graph, descriptor, seed: int) -> Genera
     rng = np.random.default_rng(seed)
     ids = sorted(graph.edges, key=lambda i: (isinstance(i, str), str(i)))
     mats = mg.haar_batch(descriptor, len(ids), rng)
-    return GeneralizedConnection(graph, descriptor, dict(zip(ids, mats)), check=True)
+    return GeneralizedConnection(graph, descriptor, dict(zip(ids, mats)))
 
 
 class DiscreteGauge:
     """One group element per vertex."""
 
-    def __init__(self, graph: Graph, descriptor, values: Mapping, check: bool = True):
+    def __init__(self, graph: Graph, descriptor, values: Mapping):
         if set(values) != set(graph.vertices):
             raise ValueError("gauge values must cover exactly the vertex set")
         self.graph = graph
         self.descriptor = descriptor
-        self.values = {v: mg.GroupElement(descriptor, mg.as_matrix(m), check=check).matrix
+        self.values = {v: mg.GroupElement(descriptor, mg.as_matrix(m)).matrix
                        for v, m in values.items()}
 
     def value(self, vertex) -> mg.GroupElement:
@@ -131,7 +134,7 @@ def random_discrete_gauge(graph: Graph, descriptor, seed: int) -> DiscreteGauge:
     rng = np.random.default_rng(seed)
     verts = list(graph.vertices)
     mats = mg.haar_batch(descriptor, len(verts), rng)
-    return DiscreteGauge(graph, descriptor, dict(zip(verts, mats)), check=False)
+    return DiscreteGauge(graph, descriptor, dict(zip(verts, mats)))
 
 
 def gauge_transform(stack: np.ndarray, g_src: np.ndarray, g_dst: np.ndarray) -> np.ndarray:
@@ -483,7 +486,7 @@ class SmoothGauge:
             vals = {v: self.element_at(graph.positions[v]) for v in graph.vertices}
         except KeyError as exc:
             raise GeometryError("every vertex needs a position to discretize a gauge") from exc
-        return DiscreteGauge(graph, self.descriptor, vals, check=False)
+        return DiscreteGauge(graph, self.descriptor, vals)
 
 
 def random_smooth_gauge(descriptor, graph: Graph, n_terms: int, seed: int,
@@ -731,4 +734,4 @@ def pushforward_hom(quotient: mg.CentralQuotient, conn: GeneralizedConnection) -
     if conn.descriptor != quotient.base:
         raise mg.DescriptorMismatchError("connection does not live in the quotient's base group")
     vals = {eid: mg.quotient_project(quotient, m) for eid, m in conn.values.items()}
-    return GeneralizedConnection(conn.graph, quotient, vals, check=False)
+    return GeneralizedConnection(conn.graph, quotient, vals)

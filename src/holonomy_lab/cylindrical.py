@@ -8,9 +8,9 @@ plain array arithmetic.
 
 Gauge transformations touch F only through the path endpoints,
 H_i -> g(range_i)^-1 H_i g(source_i), so averaging F over the gauge group
-is an integral over one Haar factor per distinct endpoint vertex.  The
-Monte Carlo estimator draws those factors in fixed-size chunks, which makes
-every estimate reproducible from (samples, seed) alone.
+is an integral over one Haar factor per endpoint vertex.  One sampler,
+``_gauged_values``, draws them; the Monte Carlo mean calls it in fixed-size
+chunks, which makes every estimate reproducible from (samples, seed) alone.
 
 Entry and trace indices are 1-based throughout (path 1 is the first path,
 H_11 the top-left entry), matching the usual matrix notation.
@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import matrixgroups as mg
-from .connections import GeneralizedConnection, gauge_transform, holonomy_general
+from .connections import GeneralizedConnection, _word_product, gauge_transform, holonomy_general
 from .pathgroupoid import Graph, PathWord, word_from_tokens, word_to_tokens
 
 MEAN_CHUNK = 8192
@@ -237,16 +237,24 @@ def evaluate_stack(f: CylFunction, stack) -> complex:
     return complex(f.expr.eval(arr[None, ...])[0])
 
 
-def _endpoint_slots(f: CylFunction):
-    verts = f.endpoint_vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    src = np.array([index[p.source] for p in f.paths])
-    dst = np.array([index[p.range] for p in f.paths])
-    return len(verts), src, dst
-
-
 # ---------------------------------------------------------------------------
 # gauge averaging
+
+def _gauged_values(f: CylFunction, stack: np.ndarray, descriptor, count: int,
+                   layers: int, rng) -> np.ndarray:
+    """f at ``count`` random gauge transforms of its holonomy stack, each
+    vertex's gauge the pointwise product of ``layers`` Haar draws."""
+    verts = f.endpoint_vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    n = mg.dim(descriptor)
+    gauges = None
+    for _ in range(layers):
+        layer = mg.haar_batch(descriptor, count * len(verts), rng).reshape(count, len(verts), n, n)
+        gauges = layer if gauges is None else gauges @ layer
+    src = [index[p.source] for p in f.paths]
+    dst = [index[p.range] for p in f.paths]
+    return f.expr.eval(gauge_transform(stack, gauges[:, src], gauges[:, dst]))
+
 
 @dataclass(frozen=True)
 class MeanEstimate:
@@ -279,8 +287,6 @@ class HaarMean:
         arr = np.array([mg.as_matrix(m) for m in stack], dtype=complex)
         if samples < 2:
             raise ValueError("need at least two samples for an error bar")
-        nverts, src, dst = _endpoint_slots(self.function)
-        n = mg.dim(self.descriptor)
         rng = np.random.default_rng(seed)
         # deviations from the first value: a near-constant f must not cancel in E|f|^2 - |Ef|^2
         total = dev_total = 0.0 + 0.0j
@@ -289,12 +295,7 @@ class HaarMean:
         done = 0
         while done < samples:
             count = min(MEAN_CHUNK, samples - done)
-            gauges = None
-            for _ in range(self.layers):
-                layer = mg.haar_batch(self.descriptor, count * nverts, rng)
-                layer = layer.reshape(count, nverts, n, n)
-                gauges = layer if gauges is None else gauges @ layer
-            vals = self.function.expr.eval(gauge_transform(arr, gauges[:, src], gauges[:, dst]))
+            vals = _gauged_values(self.function, arr, self.descriptor, count, self.layers, rng)
             total += vals.sum()
             shift = vals[0] if shift is None else shift
             dev = vals - shift
@@ -312,12 +313,8 @@ def invariance_check(f: CylFunction, conn: GeneralizedConnection, descriptor,
     if gauges < 1:
         raise ValueError("need at least one gauge sample")
     stack = holonomy_stack(f, conn)
-    nverts, src, dst = _endpoint_slots(f)
-    n = mg.dim(descriptor)
-    rng = np.random.default_rng(seed)
     base = complex(f.expr.eval(stack[None, ...])[0])
-    g = mg.haar_batch(descriptor, gauges * nverts, rng).reshape(gauges, nverts, n, n)
-    vals = f.expr.eval(gauge_transform(stack, g[:, src], g[:, dst]))
+    vals = _gauged_values(f, stack, descriptor, gauges, 1, np.random.default_rng(seed))
     return float(np.max(np.abs(vals - base)))
 
 
@@ -359,15 +356,6 @@ def _index_words(k: int, max_len: int):
     return out
 
 
-def _word_trace(stack: np.ndarray, word) -> complex:
-    n = stack.shape[-1]
-    acc = np.eye(n, dtype=complex)
-    for idx, o in word:
-        m = stack[idx]
-        acc = (m if o == 1 else m.conj().T) @ acc
-    return complex(np.trace(acc))
-
-
 def separation_test(stack_a, stack_b, max_len: int = 3,
                     threshold: float = 1e-8) -> SeparationVerdict:
     """Compare all trace invariants of two same-length holonomy tuples.
@@ -384,7 +372,7 @@ def separation_test(stack_a, stack_b, max_len: int = 3,
     best_gap, best_word = 0.0, None
     words = _index_words(a.shape[0], max_len)
     for w in words:
-        gap = abs(_word_trace(a, w) - _word_trace(b, w))
+        gap = abs(np.trace(_word_product(a, w)) - np.trace(_word_product(b, w)))
         if gap > best_gap:
             best_gap, best_word = gap, w
     return SeparationVerdict(best_gap > threshold, best_gap,

@@ -338,13 +338,18 @@ def depends_on(graph: Graph, p: PathWord, family: Sequence[PathWord],
     return None
 
 
+def dependencies(graph: Graph, family: Sequence[PathWord], bound: int) -> Iterator:
+    """Lazily, for each member: :func:`depends_on` against the other members,
+    with factor indices counted in the whole family."""
+    for j, p in enumerate(family):
+        others = [i for i in range(len(family)) if i != j]
+        dep = depends_on(graph, p, [family[i] for i in others], bound)
+        yield None if dep is None else [(others[i], o) for i, o in dep]
+
+
 def is_independent_family(graph: Graph, family: Sequence[PathWord], bound: int) -> bool:
     """True when no member factors through the others within the given bound."""
-    for k, p in enumerate(family):
-        rest = [f for i, f in enumerate(family) if i != k]
-        if depends_on(graph, p, rest, bound) is not None:
-            return False
-    return True
+    return all(dep is None for dep in dependencies(graph, family, bound))
 
 
 # ---------------------------------------------------------------------------

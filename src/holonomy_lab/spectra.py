@@ -34,13 +34,14 @@ from .connections import (
     interpolate_connection,
     InterpolationTarget,
     restrict,
+    _word_product,
 )
 from .pathgroupoid import (
     Graph,
     PathWord,
     abelianize,
     compose,
-    depends_on,
+    dependencies,
     edge_word,
     inverse,
     spanning_tree,
@@ -437,15 +438,22 @@ def _exponent_vectors(k: int, bound: int):
             yield m
 
 
+def _exponent_matrix(loops):
+    """Edge-exponent rows of the loops and whether their rank is k, when the loops
+    freely generate a free group (Nielsen-Schreier; Hopfian) and obey no relation."""
+    exps = [abelianize(w) for w in loops]
+    edge_ids = sorted({eid for a in exps for eid in a}, key=_id_key)
+    A = np.array([[a.get(eid, 0) for eid in edge_ids] for a in exps], dtype=int)
+    return A, bool(edge_ids) and np.linalg.matrix_rank(A.astype(float)) == len(loops)
+
+
 def _abelian_check(loops, diagonals, bound, tol, mode):
     """Zero-exponent words must multiply the abelian values to one.
 
     ``diagonals`` holds one complex vector of unit phases per loop; the
     value of an exponent vector m is the entrywise product of powers.
     """
-    exps = [abelianize(w) for w in loops]
-    edge_ids = sorted({eid for a in exps for eid in a}, key=_id_key)
-    A = np.array([[a.get(eid, 0) for eid in edge_ids] for a in exps], dtype=int)
+    A, trivial_kernel = _exponent_matrix(loops)
     diag = np.asarray(diagonals, dtype=complex)
     checked = 0
     for m in _exponent_vectors(len(loops), bound):
@@ -457,8 +465,6 @@ def _abelian_check(loops, diagonals, bound, tol, mode):
             return ClosureVerdict(False, mode, True, tuple(m),
                                   "zero-exponent word with nontrivial abelian value",
                                   checked)
-    trivial_kernel = (len(edge_ids) > 0
-                      and np.linalg.matrix_rank(A.astype(float)) == len(loops))
     detail = ("exponent relations have no nonzero solutions"
               if trivial_kernel else
               f"no violation among exponent vectors with L1 norm <= {bound}")
@@ -466,30 +472,24 @@ def _abelian_check(loops, diagonals, bound, tol, mode):
 
 
 def _functoriality_check(graph, loops, values, bound, tol, mode):
-    """Loop values must respect word factorizations found within the bound."""
-    checked = 0
+    """Loop values must respect word factorizations found within the bound; a
+    member verdict is certified only when no relation exists (rank k)."""
+    mats = np.array([v.matrix for v in values])
     dependent = False
-    for j, w in enumerate(loops):
-        rest = [f for i, f in enumerate(loops) if i != j]
-        dep = depends_on(graph, w, rest, bound)
-        checked += 1
+    for j, dep in enumerate(dependencies(graph, loops, bound)):
         if dep is None:
             continue
         dependent = True
-        required = mg.identity(values[j].descriptor)
-        for idx, o in dep:
-            real = idx if idx < j else idx + 1
-            v = values[real]
-            required = mg.mul(required, v if o == 1 else mg.inv(v))
-        if mg.distance(required, values[j]) > tol:
-            return ClosureVerdict(False, mode, True,
-                                  (j, tuple((idx if idx < j else idx + 1, o) for idx, o in dep)),
-                                  "loop value contradicts a word factorization",
-                                  checked)
-    detail = ("family is independent within the search bound"
-              if not dependent else
-              "factorizations found within the bound are consistent")
-    return ClosureVerdict(True, mode, not dependent, (), detail, checked)
+        # dep is in product order: its last factor is walked first
+        required = _word_product(mats, dep[::-1]) if dep else np.eye(mats.shape[-1])
+        if np.linalg.norm(required - mats[j]) > tol:
+            return ClosureVerdict(False, mode, True, (j, tuple(dep)),
+                                  "loop value contradicts a word factorization", j + 1)
+    free = _exponent_matrix(loops)[1]
+    detail = ("exponent vectors have full rank, so the family is independent" if free else
+              "factorizations found within the bound are consistent" if dependent else
+              "no factorization found within the search bound")
+    return ClosureVerdict(True, mode, free, (), detail, len(loops))
 
 
 def _loop_verdict(graph, loops, values, descriptor, bound, tol) -> ClosureVerdict:
@@ -553,8 +553,9 @@ def closure_membership(data, bound: int = 6, tol: float = 1e-8) -> ClosureVerdic
 
     Edge assignments always do: each mode's relations telescope on edges.
     Loop families are checked against the mode's relations up to the
-    search ``bound``; ``certified`` records whether the search was
-    conclusive or merely found nothing within the bound.
+    search ``bound``; ``certified`` records whether the verdict is a proof
+    (a violation found, or exponent vectors of full rank) or merely found
+    nothing within the bound.
     """
     if isinstance(data, GeneralizedConnection):
         mode = closure_mode(data.descriptor)

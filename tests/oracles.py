@@ -6,7 +6,8 @@ deterministic quadrature over SU(2) for Haar means, grid search for
 conjugators, plain Simpson refinement for line integrals.  The exceptions
 are the implementations the library replaced, kept as they were:
 ``holonomy_letterwise`` (one group multiplication per letter),
-``point_polyline_distance`` (one Python step per segment),
+``_word_trace`` (a word's trace over a matrix stack, one product per
+letter), ``point_polyline_distance`` (one Python step per segment),
 ``polar_scipy`` and ``log_schur`` (the polar factor and the Schur-form
 logarithm of scipy, which the library no longer imports),
 ``scalar_line_integral_midpoint`` (the refined midpoint rule over every
@@ -247,6 +248,15 @@ def holonomy_letterwise(conn, word):
     return acc
 
 
+def _word_trace(stack: np.ndarray, word) -> complex:
+    n = stack.shape[-1]
+    acc = np.eye(n, dtype=complex)
+    for idx, o in word:
+        m = stack[idx]
+        acc = (m if o == 1 else m.conj().T) @ acc
+    return complex(np.trace(acc))
+
+
 # ---------------------------------------------------------------------------
 # gauge actions and product groups
 
@@ -256,7 +266,7 @@ def gauge_act_edgewise(conn, gauge):
     for eid, e in conn.graph.edges.items():
         v = conn.value(eid)
         out[eid] = mg.mul(mg.mul(mg.inv(gauge.value(e.dst)), v), gauge.value(e.src))
-    return GeneralizedConnection(conn.graph, conn.descriptor, out, check=False)
+    return GeneralizedConnection(conn.graph, conn.descriptor, out)
 
 
 def split_holonomy_per_factor(conn, polyline, steps, tol):

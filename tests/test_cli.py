@@ -166,6 +166,20 @@ def test_theta_roundtrip_strict(workspace):
     assert report["roundtrip_error"] <= 1e-12
 
 
+def test_theta_on_edgeless_graph(tmp_path, capsys):
+    # an empty assignment reconstructs exactly, so the roundtrip error is 0
+    (tmp_path / "graph.json").write_text(json.dumps(
+        {"vertices": [{"id": "a", "pos": [0, 0]}], "edges": [], "basepoint": "a"}))
+    (tmp_path / "conn.json").write_text(json.dumps({"group": mg.descriptor_to_dict(SU2),
+                                                    "values": {}}))
+    assert main(["theta", "--graph", str(tmp_path / "graph.json"),
+                 "--connection", str(tmp_path / "conn.json"), "--strict"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["roundtrip_error"] == 0.0 and report["ok"] is True
+    assert report["loop_ids"] == [] and report["tree_edges"] == []
+    assert report["frames"] == {"a": mg.matrix_to_pairs(np.eye(2))}
+
+
 def test_smooth_connection_commands_match_whole_path_transport(workspace):
     # every command restricts the smooth connection to the edges; the
     # product of edge transports must agree with transporting along the

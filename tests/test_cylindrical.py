@@ -1,10 +1,13 @@
 """Tests for cylindrical functions, gauge means and trace separation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import holonomy_lab.matrixgroups as mg
 from holonomy_lab.connections import (
+    _word_product,
     gauge_act_general,
     random_discrete_gauge,
     random_generalized_connection,
@@ -37,7 +40,7 @@ from holonomy_lab.cylindrical import (
 from holonomy_lab.pathgroupoid import PathWord, compose, edge_word, inverse
 
 from graphs import pentagon_chord_graph, square_graph, triangle_graph
-from oracles import brute_force_conjugator, su2_grid, su2_haar_mean
+from oracles import _word_trace, brute_force_conjugator, su2_grid, su2_haar_mean
 
 SU2 = mg.SpecialUnitary(2)
 
@@ -316,6 +319,24 @@ def test_separation_quaternion_frames_need_length_three():
     assert full.gap > 3.9
     _, residual = brute_force_conjugator(a, b, su2_grid(10, 10))
     assert residual > 0.5
+
+
+@pytest.mark.parametrize("desc", [mg.SpecialUnitary(3), mg.Unitary(2)], ids=["SU3", "U2"])
+def test_word_product_and_separation_gaps_match_letterwise_oracle(desc):
+    rng = np.random.default_rng(40)
+    a, b = mg.haar_batch(desc, 3, rng), mg.haar_batch(desc, 3, rng)
+    for _ in range(50):
+        word = [(int(i), int(o)) for i, o in zip(rng.integers(3, size=rng.integers(1, 9)),
+                                                 rng.choice([-1, 1], size=8))]
+        assert abs(np.trace(_word_product(a, word)) - _word_trace(a, word)) <= 1e-12
+    # every word of length <= 3 over the letters (i, +-1) without backtracking
+    letters = [(i, o) for i in range(3) for o in (1, -1)]
+    words = [w for n in (1, 2, 3) for w in itertools.product(letters, repeat=n)
+             if all(p[0] != q[0] or p[1] != -q[1] for p, q in zip(w, w[1:]))]
+    gaps = [abs(_word_trace(a, w) - _word_trace(b, w)) for w in words]
+    verdict = separation_test(a, b, max_len=3)
+    assert verdict.words_checked == len(words)
+    assert abs(verdict.gap - max(gaps)) <= 1e-12
 
 
 def test_separation_validates_shapes():

@@ -14,6 +14,7 @@ from holonomy_lab.pathgroupoid import (
     abelianize,
     compose,
     compose_all,
+    dependencies,
     depends_on,
     edge_word,
     graph_from_dict,
@@ -282,6 +283,24 @@ def test_independent_family_detection():
     f1 = edge_word(SQUARE, 2)
     assert is_independent_family(SQUARE, [f0, f1], bound=4)
     assert not is_independent_family(SQUARE, [f0, f1, compose(f1, f0)], bound=4)
+
+
+def test_dependencies_count_indices_in_whole_family():
+    f0 = edge_word(SQUARE, 1)
+    f1 = edge_word(SQUARE, 2)
+    family = [f0, f1, compose(f1, f0)]
+    assert list(dependencies(SQUARE, family, bound=4)) == [
+        [(1, -1), (2, 1)], [(2, 1), (0, -1)], [(1, 1), (0, 1)]]
+    assert list(dependencies(SQUARE, [f0, f1], bound=4)) == [None, None]
+
+
+def test_dependencies_stop_at_the_first_consumed_member(monkeypatch):
+    calls = []
+    monkeypatch.setattr("holonomy_lab.pathgroupoid.depends_on",
+                        lambda *a: calls.append(a[1]) or depends_on(*a))
+    f0, f1 = edge_word(SQUARE, 1), edge_word(SQUARE, 2)
+    assert not is_independent_family(SQUARE, [f0, f1, compose(f1, f0)], bound=4)
+    assert calls == [f0]
 
 
 # --- serialization -----------------------------------------------------------

@@ -17,7 +17,7 @@ from holonomy_lab.connections import (
     random_smooth_connection,
     restrict,
 )
-from holonomy_lab.pathgroupoid import abelianize, compose, edge_word, inverse
+from holonomy_lab.pathgroupoid import abelianize, compose, edge_word, inverse, power
 from holonomy_lab.spectra import (
     ApproximationReport,
     LoopAssignment,
@@ -34,7 +34,7 @@ from holonomy_lab.spectra import (
     tree_reconstruct,
 )
 
-from graphs import pentagon_chord_graph, spider_graph, square_graph
+from graphs import bouquet_graph, pentagon_chord_graph, spider_graph, square_graph
 from oracles import brute_force_conjugator, gauge_act_edgewise, su2_grid
 
 SU2 = mg.SpecialUnitary(2)
@@ -464,6 +464,21 @@ def test_closure_su_independent_certified():
     verdict = closure_membership(LoopAssignment(graph, (la, lb), (a, b)), bound=4)
     assert verdict.member and verdict.certified
     assert "independent" in verdict.detail
+
+
+def test_closure_su_unsearched_relation_is_not_certified():
+    # (ab)^4 factors through a and b only with eight factors: a bound-6
+    # search finds nothing, which must not read as a proof of independence
+    graph = bouquet_graph()
+    a, b = edge_word(graph, 1), edge_word(graph, 2)
+    values = tuple(mg.GroupElement(SU2, m) for m in mg.haar_batch(SU2, 3, np.random.default_rng(0)))
+    data = LoopAssignment(graph, (a, b, power(compose(a, b), 4)), values)
+    short = closure_membership(data, bound=6)
+    assert short.member and not short.certified
+    assert short.detail == "no factorization found within the search bound"
+    full = closure_membership(data, bound=8)
+    assert not full.member and full.certified
+    assert full.to_dict()["witness"] == [2, ((0, 1), (1, 1)) * 4]
 
 
 def test_closure_unitary_determinant_check():
