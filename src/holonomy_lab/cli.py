@@ -74,6 +74,15 @@ def _tolerance(text):
     return float(text)
 
 
+def _count(minimum):
+    """argparse type of integer counts >= ``minimum``."""
+    def count(text):
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return int(text)
+    return count
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -98,7 +107,7 @@ def _load(path, build, *args):
 def _connection_from_dict(graph, args, data):
     """A generalized connection; smooth documents are restricted to the graph."""
     if isinstance(data, dict) and "terms" in data:
-        return restrict(smooth_from_dict(data), graph, args.steps, args.tolerance)
+        return restrict(smooth_from_dict(data), graph, args.tolerance)
     return generalized_from_dict(graph, data)
 
 
@@ -297,8 +306,7 @@ def cmd_approx(args):
     graph, words, windows, label = _load(args.family, _family_from_dict, graph)
     desc = parse_group(args.group)
     reports = [approximation_experiment(graph, words, desc, seed, windows=windows,
-                                        bound=args.bound, label=label,
-                                        steps=args.steps, tol=args.tolerance)
+                                        bound=args.bound, label=label, tol=args.tolerance)
                for seed in range(args.seed, args.seed + args.seeds)]
     ok = all(r.verdict for r in reports)
     csv_rows = ["seed,max_error,verdict\n"]
@@ -337,7 +345,7 @@ def cmd_obstruction(args):
     wit = abelian_obstruction_witness(graph)
     report = {
         "command": "obstruction",
-        "mode": args.loops,
+        "mode": "commutator",
         "verdict": "Obstructed",
         "ok": wit.nonabelian_defect > 1.0,
     }
@@ -392,16 +400,14 @@ def _build_parser():
         if "samples" in needs:
             p.add_argument("--samples", type=int, default=needs["samples"])
         if "seeds" in needs:
-            p.add_argument("--seeds", type=int, default=1)
+            p.add_argument("--seeds", type=_count(1), default=1)
         if "layers" in needs:
             p.add_argument("--layers", type=int, default=1)
         if "bound" in needs:
             p.add_argument("--bound", type=needs["bound"][0], default=needs["bound"][1])
-        if "loops" in needs:
-            p.add_argument("--loops", choices=["commutator"], default="commutator")
-        p.add_argument("--steps", type=int, default=8)
         p.add_argument("--tolerance", type=_tolerance, default=1e-9)
-        p.add_argument("--check-tolerance", type=_tolerance, default=needs.get("check_tol", 1e-8))
+        if "check_tol" in needs:
+            p.add_argument("--check-tolerance", type=_tolerance, default=needs["check_tol"])
         p.add_argument("--out", default=None)
         p.add_argument("--strict", action="store_true")
         return p
@@ -409,16 +415,16 @@ def _build_parser():
     add("holonomy", cmd_holonomy, graph=True, connection=True, path=True)
     add("wilson", cmd_wilson, graph=True, connection=True, path=True)
     add("gauge-orbit", cmd_gauge_orbit, graph=True, connection=True,
-        function=False, seed=True, samples=20)
+        function=False, seed=True, samples=20, check_tol=1e-8)
     add("haar-mean", cmd_haar_mean, graph=True, connection=True,
         function=True, seed=True, samples=4096, layers=1)
     add("theta", cmd_theta, graph=True, connection=True, check_tol=1e-9)
     add("approx", cmd_approx, graph=False, group=True, family=True,
         seed=True, seeds=True, bound=(_tolerance, 1e-6))
     add("obstruction", cmd_obstruction, graph=True, connection=False,
-        path=False, loops=True)
+        path=False, check_tol=1e-8)
     add("closure", cmd_closure, graph=True, connection=False, family=False,
-        bound=(int, 6))
+        bound=(_count(0), 6), check_tol=1e-8)
     return parser
 
 

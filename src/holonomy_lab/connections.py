@@ -13,11 +13,12 @@ outside the radius), ``u_k`` a constant covector and ``X_k`` anti-hermitian.
 Holonomy of a smooth connection along a curve solves U' = -A(c(t))[c'(t)] U,
 U(0) = 1, so that walking eta then lam multiplies as H(lam eta) = H(lam) H(eta)
 and a gauge transformation g acts by H ->  g(end)^-1 H g(start).  The
-integrator takes one fourth-order Magnus step (two Gauss nodes) per
-sub-interval and doubles the step count per polyline segment until the
-result is stable.  Interpolation's scalar bump integral uses the same
-Gauss nodes; both skip every segment the bumps do not reach.  Every gauge
-action on holonomies is the one broadcast product :func:`gauge_transform`.
+one-form vanishes off the chords the bumps' disks cut from each segment
+(:func:`_bump_chords`), so the integrator works on each segment's union of
+chords alone: one fourth-order Magnus step (two Gauss nodes) per
+sub-interval, from ``DEFAULT_STEPS`` sub-intervals doubling until the result
+is stable.  Interpolation's scalar bump integral uses the same chords and
+nodes.  Every gauge action on holonomies is :func:`gauge_transform`.
 
 Conventions match the combinatorial side: traversing an edge against its
 direction contributes the inverse transport, and the transport of a
@@ -326,6 +327,18 @@ def _segment_distances(points, starts, ends) -> np.ndarray:
     return np.linalg.norm(x - (starts + t[..., None] * d), axis=-1)
 
 
+def _bump_chords(starts, ends, centers, radii):
+    """Where p + t (q - p), t in [0, 1], enters and leaves each disk: t0 <= t1,
+    each of shape (s, k) for s segments and k disks, with t0 == t1 on a miss."""
+    d = ends - starts
+    rel = starts[:, None, :] - centers
+    # p + t d meets the circle at t = (-b -+ half) / L2
+    L2, b = np.sum(d * d, axis=-1)[:, None], np.sum(rel * d[:, None, :], axis=-1)
+    half = np.sqrt(np.maximum(b * b - L2 * (np.sum(rel * rel, axis=-1) - radii ** 2), 0.0))
+    L2 = np.where(L2 > 0.0, L2, 1.0)
+    return tuple(np.clip((-b + sign * half) / L2, 0.0, 1.0) for sign in (-1.0, 1.0))
+
+
 def _gauss_nodes(p: np.ndarray, q: np.ndarray, steps: int):
     """Both Gauss nodes of ``steps`` equal sub-intervals of [p, q], shape
     (..., steps, dim), and the sub-interval vector; p, q may lead with a segment axis."""
@@ -349,27 +362,31 @@ def _segment_transport(conn: SmoothConnection, p: np.ndarray, q: np.ndarray,
     return _chain(mg.exp_antihermitian(omega))
 
 
-def transport(conn: SmoothConnection, polyline, steps: int = DEFAULT_STEPS,
-              tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Transport matrix along a polyline, adaptive per segment.
+def transport(conn: SmoothConnection, polyline, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Transport matrix along a polyline, adaptive on each interval it integrates.
 
-    Each segment starts at ``steps`` Magnus sub-steps and the count doubles
-    until two successive refinements differ by less than ``tol`` in
-    Frobenius norm.  Segments outside every bump contribute the identity
-    exactly.
+    The one-form vanishes off the chords :func:`_bump_chords` cuts from each
+    segment, so the identity there is exact and only the union of a
+    segment's chords is integrated, one disjoint interval after another.
+    Each starts at ``DEFAULT_STEPS`` Magnus sub-steps, doubling until two
+    successive refinements differ by less than ``tol`` in Frobenius norm.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
     pts = np.atleast_2d(np.asarray(polyline, dtype=float))
     acc = np.eye(mg.dim(conn.descriptor), dtype=complex)
     if not conn.terms:
         return acc
-    near = np.any(_segment_distances(conn._centers, pts[:-1], pts[1:])
-                  < conn._radii[:, None], axis=0)
-    for p, q in zip(pts[:-1][near], pts[1:][near]):
-        s = steps
+    t0, t1 = _bump_chords(pts[:-1], pts[1:], conn._centers, conn._radii)
+    rows, cols = np.nonzero(t1 > t0)
+    spans = []  # [segment, a, b]: the union of each segment's chords, in order
+    for j, a, b in sorted(zip(rows, t0[rows, cols], t1[rows, cols])):
+        if spans and spans[-1][0] == j and a <= spans[-1][2]:
+            spans[-1][2] = max(spans[-1][2], b)
+        else:
+            spans.append([j, a, b])
+    for j, a, b in spans:
+        p, q = pts[j] + a * (pts[j + 1] - pts[j]), pts[j] + b * (pts[j + 1] - pts[j])
+        s, prev = DEFAULT_STEPS, None
         u = _segment_transport(conn, p, q, s)
-        prev = None
         for _ in range(MAX_DOUBLINGS):
             s *= 2
             u2 = _segment_transport(conn, p, q, s)
@@ -385,23 +402,21 @@ def transport(conn: SmoothConnection, polyline, steps: int = DEFAULT_STEPS,
     return acc
 
 
-def holonomy_smooth(conn: SmoothConnection, polyline, steps: int = DEFAULT_STEPS,
-                    tol: float = DEFAULT_TOL) -> mg.GroupElement:
-    return mg.GroupElement(conn.descriptor, transport(conn, polyline, steps, tol))
+def holonomy_smooth(conn: SmoothConnection, polyline, tol: float = DEFAULT_TOL) -> mg.GroupElement:
+    return mg.GroupElement(conn.descriptor, transport(conn, polyline, tol))
 
 
 class _EdgeTransports(Mapping):
     """Edge id -> transport matrix of a smooth connection, filled on first use."""
 
-    def __init__(self, conn: SmoothConnection, graph: Graph, steps: int, tol: float):
-        self._conn, self._graph = conn, graph
-        self._steps, self._tol = steps, tol
+    def __init__(self, conn: SmoothConnection, graph: Graph, tol: float):
+        self._conn, self._graph, self._tol = conn, graph, tol
         self._cache = {}
 
     def __getitem__(self, eid):
         m = self._cache.get(eid)
         if m is None:
-            h = holonomy_smooth(self._conn, edge_polyline(self._graph, eid), self._steps, self._tol)
+            h = holonomy_smooth(self._conn, edge_polyline(self._graph, eid), self._tol)
             m = self._cache[eid] = h.matrix
         return m
 
@@ -415,8 +430,7 @@ class _EdgeTransports(Mapping):
         return len(self._graph.edges)
 
 
-def restrict(conn: SmoothConnection, graph: Graph, steps: int = DEFAULT_STEPS,
-             tol: float = DEFAULT_TOL) -> GeneralizedConnection:
+def restrict(conn: SmoothConnection, graph: Graph, tol: float = DEFAULT_TOL) -> GeneralizedConnection:
     """The generalized connection a smooth one induces on a graph's edges.
 
     Each edge holds the transport along its curve.  Transports are computed
@@ -425,12 +439,11 @@ def restrict(conn: SmoothConnection, graph: Graph, steps: int = DEFAULT_STEPS,
     """
     out = GeneralizedConnection.__new__(GeneralizedConnection)
     out.graph, out.descriptor = graph, conn.descriptor
-    out.values = _EdgeTransports(conn, graph, steps, tol)
+    out.values = _EdgeTransports(conn, graph, tol)
     return out
 
 
-def split_holonomy(conn: SmoothConnection, polyline, steps: int = DEFAULT_STEPS,
-                   tol: float = DEFAULT_TOL):
+def split_holonomy(conn: SmoothConnection, polyline, tol: float = DEFAULT_TOL):
     """Factor-wise holonomies of a product-group connection.
 
     The factors commute inside the block-diagonal embedding, so each
@@ -439,7 +452,7 @@ def split_holonomy(conn: SmoothConnection, polyline, steps: int = DEFAULT_STEPS,
     desc = conn.descriptor
     if not isinstance(desc, mg.ProductGroup):
         raise TypeError("split_holonomy needs a ProductGroup connection")
-    m = transport(conn, polyline, steps, tol)
+    m = transport(conn, polyline, tol)
     return tuple(mg.GroupElement(f, m[sl, sl]) for sl, f in mg.block_slices(desc))
 
 
@@ -516,9 +529,9 @@ class TransformedSmoothHolonomy:
         self.connection = conn
         self.gauge = gauge
 
-    def holonomy(self, polyline, steps: int = DEFAULT_STEPS, tol: float = DEFAULT_TOL) -> mg.GroupElement:
+    def holonomy(self, polyline, tol: float = DEFAULT_TOL) -> mg.GroupElement:
         pts = np.atleast_2d(np.asarray(polyline, dtype=float))
-        m = transport(self.connection, pts, steps, tol)
+        m = transport(self.connection, pts, tol)
         out = gauge_transform(m, self.gauge.at(pts[0]), self.gauge.at(pts[-1]))
         return mg.GroupElement(self.connection.descriptor, out)
 
@@ -548,21 +561,13 @@ class InterpolationTarget:
 def _scalar_line_integral(center, radius, direction, polyline) -> float:
     """Integral of phi(x) <u, dx> along a polyline, at the Gauss nodes of transport.
 
-    Each segment the bump reaches is integrated along its chord inside the
-    bump's disk, so no level can miss a grazing bump; chords start at
-    ``DEFAULT_STEPS`` sub-steps, doubling to a relative change <= 1e-12.
+    Only the chords :func:`_bump_chords` cuts from the segments, where phi
+    lives, are integrated, so no level can miss a grazing bump; chords start
+    at ``DEFAULT_STEPS`` sub-steps, doubling to a relative change <= 1e-12.
     """
     pts = np.atleast_2d(np.asarray(polyline, dtype=float))
-    near = _segment_distances(center[None], pts[:-1], pts[1:])[0] < radius
-    if not near.any():
-        return 0.0
-    p, d = pts[:-1][near], np.diff(pts, axis=0)[near]
-    rel = p - center
-    # p + t d meets the bump's circle at t = (-b -+ half) / L2
-    L2, b = np.sum(d * d, axis=-1), np.sum(rel * d, axis=-1)
-    half = np.sqrt(np.maximum(b * b - L2 * (np.sum(rel * rel, axis=-1) - radius ** 2), 0.0))
-    L2 = np.where(L2 > 0.0, L2, 1.0)
-    t0, t1 = (np.clip((-b + sign * half) / L2, 0.0, 1.0)[:, None] for sign in (-1.0, 1.0))
+    p, d = pts[:-1], np.diff(pts, axis=0)
+    t0, t1 = _bump_chords(p, pts[1:], center[None], np.array([radius]))
 
     def once(steps):
         x1, x2, delta = _gauss_nodes(p + t0 * d, p + t1 * d, steps)
@@ -600,8 +605,8 @@ def interpolate_connection(graph: Graph, targets: Sequence[InterpolationTarget],
     generator, using that a single path meets only its own bump: the
     transport collapses to ``exp(-c X)`` with ``c`` the scalar bump line
     integral, so ``X = -log(value)/c`` is exact up to integration error.
-    ``c`` is integrated at the Gauss nodes :func:`transport` uses, over the
-    segments of the path that the bump reaches.
+    ``c`` is integrated at the Gauss nodes :func:`transport` uses, along the
+    chords the bump cuts from the path's segments.
 
     The bump sits at the window's arc-length midpoint.  Its room is the
     distance from there to the nearest segment of every other family path,

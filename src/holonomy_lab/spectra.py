@@ -25,7 +25,6 @@ import numpy as np
 
 from . import matrixgroups as mg
 from .connections import (
-    DEFAULT_STEPS,
     DEFAULT_TOL,
     DiscreteGauge,
     GeneralizedConnection,
@@ -279,7 +278,6 @@ def default_windows(graph: Graph, words: Sequence[PathWord]) -> list:
 def approximation_experiment(graph: Graph, words: Sequence[PathWord], descriptor,
                              seed: int, windows: Sequence = None,
                              bound: float = 1e-6, label: str = "interpolation",
-                             steps: int = DEFAULT_STEPS,
                              tol: float = DEFAULT_TOL) -> ApproximationReport:
     """Draw Haar targets, interpolate, and measure the holonomy errors."""
     rng = np.random.default_rng(seed)
@@ -288,7 +286,7 @@ def approximation_experiment(graph: Graph, words: Sequence[PathWord], descriptor
         windows = default_windows(graph, words)
     targets = [InterpolationTarget(w, mg.GroupElement(descriptor, m, check=False), tuple(win))
                for w, m, win in zip(words, targets_mats, windows)]
-    conn = restrict(interpolate_connection(graph, targets), graph, steps, tol)
+    conn = restrict(interpolate_connection(graph, targets), graph, tol)
     errors = [float(mg.distance(holonomy_general(conn, t.word), t.value)) for t in targets]
     return ApproximationReport(label, mg.descriptor_to_dict(descriptor), seed,
                                tuple(errors), bound, max(errors) <= bound)
@@ -555,8 +553,10 @@ def closure_membership(data, bound: int = 6, tol: float = 1e-8) -> ClosureVerdic
     Loop families are checked against the mode's relations up to the
     search ``bound``; ``certified`` records whether the verdict is a proof
     (a violation found, or exponent vectors of full rank) or merely found
-    nothing within the bound.
+    nothing within the bound.  A negative ``bound`` is a ValueError.
     """
+    if bound < 0:
+        raise ValueError(f"closure search bound must be >= 0, got {bound}")
     if isinstance(data, GeneralizedConnection):
         mode = closure_mode(data.descriptor)
         return ClosureVerdict(True, mode, True, (),

@@ -13,8 +13,11 @@ logarithm of scipy, which the library no longer imports),
 ``scalar_line_integral_midpoint`` (the refined midpoint rule over every
 segment that interpolation used for its bump coefficient),
 ``gauge_act_edgewise`` (the vertex gauge action as three group operations
-per edge) and ``split_holonomy_per_factor`` (one transport per factor of a
-product-group connection).
+per edge), ``split_holonomy_per_factor`` (one transport per factor of a
+product-group connection) and ``transport_whole_segments`` (the adaptive
+Magnus transport over every whole segment that a bump comes near, from a
+caller-chosen start count, which can step over a bump that only grazes a
+long segment).
 """
 
 from __future__ import annotations
@@ -26,9 +29,14 @@ import scipy.linalg
 
 import holonomy_lab.matrixgroups as mg
 from holonomy_lab.connections import (
+    DEFAULT_STEPS,
+    DEFAULT_TOL,
+    MAX_DOUBLINGS,
     BumpTerm,
     GeneralizedConnection,
     SmoothConnection,
+    _segment_distances,
+    _segment_transport,
     bump_value,
     holonomy_smooth,
 )
@@ -231,6 +239,41 @@ def transport_field(field, polyline, n, steps=64):
     return acc
 
 
+def transport_whole_segments(conn, polyline, steps=DEFAULT_STEPS, tol=DEFAULT_TOL):
+    """Transport matrix along a polyline, adaptive per segment.
+
+    Each segment starts at ``steps`` Magnus sub-steps and the count doubles
+    until two successive refinements differ by less than ``tol`` in
+    Frobenius norm.  Segments outside every bump contribute the identity
+    exactly.
+    """
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    pts = np.atleast_2d(np.asarray(polyline, dtype=float))
+    acc = np.eye(mg.dim(conn.descriptor), dtype=complex)
+    if not conn.terms:
+        return acc
+    near = np.any(_segment_distances(conn._centers, pts[:-1], pts[1:])
+                  < conn._radii[:, None], axis=0)
+    for p, q in zip(pts[:-1][near], pts[1:][near]):
+        s = steps
+        u = _segment_transport(conn, p, q, s)
+        prev = None
+        for _ in range(MAX_DOUBLINGS):
+            s *= 2
+            u2 = _segment_transport(conn, p, q, s)
+            diff = np.linalg.norm(u2 - u)
+            u = u2
+            # stop on target accuracy; a stall check guards against spinning
+            # on a tolerance below the roundoff floor, but only once the
+            # change is already tiny (convergence need not be monotone)
+            if diff <= tol or (prev is not None and diff > 0.5 * prev and diff < 1e-10):
+                break
+            prev = diff
+        acc = u @ acc
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # holonomy of words
 
@@ -269,13 +312,13 @@ def gauge_act_edgewise(conn, gauge):
     return GeneralizedConnection(conn.graph, conn.descriptor, out)
 
 
-def split_holonomy_per_factor(conn, polyline, steps, tol):
+def split_holonomy_per_factor(conn, polyline, tol):
     """Each factor's holonomy from its own connection, terms cut to its block."""
     out = []
     for sl, f in mg.block_slices(conn.descriptor):
         terms = [BumpTerm(t.X[sl, sl], t.center, t.radius, t.direction) for t in conn.terms]
         part = SmoothConnection(f, terms)
-        out.append(holonomy_smooth(part, polyline, steps, tol))
+        out.append(holonomy_smooth(part, polyline, tol))
     return tuple(out)
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front-end."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import holonomy_lab.matrixgroups as mg
-from holonomy_lab.cli import main, parse_group, parse_path_tokens
+from holonomy_lab.cli import _build_parser, main, parse_group, parse_path_tokens
 from holonomy_lab.connections import (
     edge_polyline,
     gauge_act_general,
@@ -71,6 +72,12 @@ def workspace(tmp_path_factory):
     (tmp / "wilson.json").write_text(json.dumps(cyl_to_dict(wilson_loop(loop, 2))))
     abelian = random_generalized_connection(graph, mg.Torus(2), seed=6)
     (tmp / "abelian.json").write_text(json.dumps(generalized_to_dict(abelian)))
+    basis = tree_basis(graph)
+    la, lb = basis.loops[basis.loop_ids[0]], basis.loops[basis.loop_ids[1]]
+    torus_values = mg.haar_batch(mg.Torus(2), 3, np.random.default_rng(7))
+    torus_loops = LoopAssignment(graph, (la, lb, compose(lb, la)),
+                                 tuple(mg.GroupElement(mg.Torus(2), m) for m in torus_values))
+    (tmp / "torus-loops.json").write_text(json.dumps(loop_assignment_to_dict(torus_loops)))
     return tmp, graph, conn
 
 
@@ -407,8 +414,13 @@ def test_gauge_orbit_rejects_negative_samples(workspace, capsys):
     (["approx", "--group", "su2", "--seed", "0", "--bound", "nan"], "--bound"),
     (["gauge-orbit", "--connection", "conn.json", "--function", "wilson.json", "--seed", "0",
       "--samples", "0"], "need at least one gauge sample"),
+    (["closure", "--family", "torus-loops.json", "--bound", "-1"], "--bound"),
+    (["closure", "--family", "torus-loops.json", "--bound", "2.5"], "--bound"),
+    (["approx", "--group", "su2", "--seed", "0", "--seeds", "0"], "--seeds"),
+    (["approx", "--group", "su2", "--seed", "0", "--seeds", "-2"], "--seeds"),
 ], ids=["tolerance-nan", "tolerance-inf", "tolerance-negative", "check-tolerance-nan",
-        "bound-nan", "zero-samples"])
+        "bound-nan", "zero-samples", "closure-bound-negative", "closure-bound-fraction",
+        "zero-seeds", "negative-seeds"])
 def test_bad_numeric_flag_is_usage_error(workspace, tmp_path, capsys, argv, named):
     tmp, _, _ = workspace
     inputs = (["--family", str(family_file(tmp_path))] if argv[0] == "approx"
@@ -420,6 +432,28 @@ def test_bad_numeric_flag_is_usage_error(workspace, tmp_path, capsys, argv, name
         code = exc.code
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+# every option each command takes: a flag a command never reads is not offered
+COMMON_OPTIONS = {"--graph", "--tolerance", "--out", "--strict"}
+COMMAND_OPTIONS = {
+    "holonomy": {"--connection", "--path"},
+    "wilson": {"--connection", "--path"},
+    "gauge-orbit": {"--connection", "--function", "--seed", "--samples", "--check-tolerance"},
+    "haar-mean": {"--connection", "--function", "--seed", "--samples", "--layers"},
+    "theta": {"--connection", "--check-tolerance"},
+    "approx": {"--group", "--family", "--seed", "--seeds", "--bound"},
+    "obstruction": {"--connection", "--path", "--check-tolerance"},
+    "closure": {"--connection", "--family", "--bound", "--check-tolerance"},
+}
+
+
+def test_option_census():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    census = {name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+              for name, sub in commands.choices.items()}
+    assert census == {name: COMMON_OPTIONS | extra for name, extra in COMMAND_OPTIONS.items()}
 
 
 @pytest.mark.parametrize("command", ["haar-mean", "gauge-orbit"])
@@ -451,14 +485,6 @@ def test_out_of_memory_is_usage_error(workspace, tmp_path, capsys, monkeypatch, 
                           "--seed", "1", "--samples", "64"]}[command]
     err = usage_error(capsys, argv)
     assert err.startswith(f"error: {command}: out of memory: Unable to allocate 14.6 TiB")
-
-
-def test_zero_transport_steps_is_usage_error(workspace, capsys):
-    tmp, _, _ = workspace
-    err = usage_error(capsys, ["holonomy", "--graph", tmp / "graph.json",
-                               "--connection", tmp / "smooth.json", "--path", "1,2",
-                               "--steps", "0"])
-    assert "steps must be at least 1" in err
 
 
 @pytest.mark.parametrize("literal, message", [

@@ -69,6 +69,7 @@ from oracles import (
     scalar_line_integral_midpoint,
     split_holonomy_per_factor,
     transport_field,
+    transport_whole_segments,
 )
 
 SU2 = mg.SpecialUnitary(2)
@@ -173,25 +174,126 @@ def test_segment_distances_match_oracle(line, points):
         assert abs(row.min() - point_polyline_distance(x, line)) <= atol
 
 
+def covered_intervals(p, q, terms):
+    """The parts of [p, q] inside some bump's disk, as [a, b] in segment parameters.
+
+    Each chord runs from the foot of the perpendicular from the center by
+    Pythagoras; the pieces between successive chord ends are kept where
+    their midpoint lies in a disk, and touching kept pieces are joined.
+    """
+    d = q - p
+    L2 = float(d @ d)
+    if L2 == 0.0:
+        return []  # a zero-length segment has no chord
+    ends = {0.0, 1.0}
+    for t in terms:
+        c = np.array(t.center)
+        foot = float((c - p) @ d) / L2
+        gap = t.radius ** 2 - float(np.sum((p + foot * d - c) ** 2))
+        assume(abs(gap) > 1e-9)  # no tangent chords
+        if gap > 0.0:
+            ends |= {foot - np.sqrt(gap / L2), foot + np.sqrt(gap / L2)}
+    ends = sorted(e for e in ends if 0.0 <= e <= 1.0)
+    assume(all(b - a > 1e-7 for a, b in zip(ends, ends[1:])))  # no last-bit ties
+    out = []
+    for a, b in zip(ends, ends[1:]):
+        mid = p + 0.5 * (a + b) * d
+        if any(np.linalg.norm(mid - np.array(t.center)) < t.radius for t in terms):
+            if out and out[-1][1] == a:
+                out[-1][1] = b
+            else:
+                out.append([a, b])
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(line=polylines, centers=st.lists(points_2d, min_size=1, max_size=4),
        radii=st.lists(st.floats(0.1, 1.5), min_size=4, max_size=4))
-def test_transport_integrates_exactly_the_near_segments(line, centers, radii):
+def test_transport_integrates_exactly_the_union_of_chords(line, centers, radii):
     X = np.array([[0.5j, 0.3], [-0.3, -0.5j]])
     conn = SmoothConnection(SU2, [BumpTerm(X, c, r, (0.6, 0.8))
                                   for c, r in zip(centers, radii)])
-    dist = [[point_polyline_distance(np.array(t.center), np.array([p, q])) - t.radius
-             for t in conn.terms] for p, q in zip(line[:-1], line[1:])]
-    assume(all(abs(gap) > 1e-9 for row in dist for gap in row))  # no last-bit ties
-    near = [(p, q) for p, q, row in zip(line[:-1], line[1:], dist) if min(row) < 0.0]
+    want = [(p + a * (q - p), p + b * (q - p)) for p, q in zip(line[:-1], line[1:])
+            for a, b in covered_intervals(p, q, conn.terms)]
     with mock.patch.object(connections, "_segment_transport",
                            wraps=connections._segment_transport) as spy:
-        # steps=1 and a loose tol: one refinement per segment, whose first call has s == 1
-        transport(conn, line, steps=1, tol=10.0)
-    integrated = [(c.args[1], c.args[2]) for c in spy.call_args_list if c.args[3] == 1]
-    assert len(integrated) == len(near)
-    for (p, q), (a, b) in zip(integrated, near):
-        assert np.array_equal(p, a) and np.array_equal(q, b)
+        # a loose tol: one refinement per interval, whose first call has DEFAULT_STEPS
+        transport(conn, line, tol=10.0)
+    integrated = [(c.args[1], c.args[2]) for c in spy.call_args_list
+                  if c.args[3] == connections.DEFAULT_STEPS]
+    assert len(integrated) == len(want)
+    for (p, q), (a, b) in zip(integrated, want):
+        assert frob(p, a) <= 1e-9 and frob(q, b) <= 1e-9
+
+
+@st.composite
+def bumps_across_polylines(draw):
+    """A polyline and one to three SU(2) bumps, each missing every segment or
+    crossing it deep enough that whole-segment Gauss nodes cannot skip it."""
+    coord = st.floats(-2.0, 2.0)
+    pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(pts) - 2))
+        center = pts[k] + draw(st.floats(0.0, 1.0)) * (pts[k + 1] - pts[k]) \
+            + rng.normal(scale=0.3, size=2)
+        X = mg.random_algebra(SU2, rng, scale=draw(st.floats(0.2, 3.0))).matrix
+        terms.append(BumpTerm(X, tuple(center), draw(st.floats(0.3, 1.0)),
+                              tuple(rng.normal(size=2))))
+    for p, q in zip(pts[:-1], pts[1:]):
+        length = np.linalg.norm(q - p)
+        for t in terms:
+            dist = point_polyline_distance(np.array(t.center), np.array([p, q]))
+            if dist < t.radius:
+                chord = 2.0 * np.sqrt(t.radius ** 2 - dist ** 2)
+                assume(dist < 0.5 * t.radius and chord > 0.25 * length)
+    return SmoothConnection(SU2, terms), pts
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=bumps_across_polylines())
+def test_transport_matches_whole_segment_oracle(case):
+    conn, pts = case
+    # the oracle at a tighter tol: at the default its stopping rule alone lets
+    # it stray a few times 1e-9 on some draws
+    assert frob(transport(conn, pts), transport_whole_segments(conn, pts, tol=1e-11)) <= 1e-9
+
+
+def grazing_connection(Xs, centers_x):
+    """SU(2) bumps of radius 0.036 whose disks cut 0.026-long chords from the x axis."""
+    radius, height = 0.036, 0.93 * 0.036
+    return SmoothConnection(SU2, [BumpTerm(X, (x, height), radius, (0.6, 0.8))
+                                  for X, x in zip(Xs, centers_x)])
+
+
+def test_transport_finds_grazing_bump():
+    # nodes spread over the whole segment miss the chord at 8 and at 16
+    # sub-steps, so the whole-segment integrator returns exactly I
+    conn = grazing_connection([1000.0 * np.array([[0.5j, 0.3], [-0.3, -0.5j]])], [0.49])
+    whole = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    assert frob(transport_whole_segments(conn, whole), np.eye(2)) == 0.0
+    term = conn.terms[0]
+    c = connections._scalar_line_integral(np.array(term.center), term.radius,
+                                          np.array(term.direction), whole)
+    assert frob(transport(conn, whole), expm(-c * term.X)) <= 1e-12
+    cut = np.array([[-1.0, 0.0], [0.4, 0.0], [0.6, 0.0], [1.0, 0.0]])
+    assert frob(transport(conn, whole), transport_whole_segments(conn, cut)) <= 1e-11
+
+
+def test_transport_finds_separated_grazing_bumps():
+    # the hull of the two chords spans 3.05 with a chord at each end, where
+    # its Gauss nodes miss both at 8 and at 16 sub-steps; the union
+    # integrates each chord on its own
+    whole = np.array([[-2.0, 0.0], [2.0, 0.0]])
+    cut = np.array([[-2.0, 0.0], [-1.6, 0.0], [-1.4, 0.0], [1.4, 0.0], [1.6, 0.0], [2.0, 0.0]])
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        Xs = [mg.random_algebra(SU2, rng, scale=600.0).matrix for _ in range(2)]
+        conn = grazing_connection(Xs, [-1.5, 1.5])
+        got = transport(conn, whole)
+        assert frob(got, np.eye(2)) > 1e-3  # both bumps move it
+        assert frob(got, transport_whole_segments(conn, cut)) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +415,7 @@ def test_split_holonomy_blocks():
     for desc in (PROD, mg.ProductGroup((T2, mg.Unitary(2)))):
         conn = random_smooth_connection(desc, graph, 4, seed=14)
         parts = split_holonomy(conn, pts, tol=1e-11)
-        want = split_holonomy_per_factor(conn, pts, connections.DEFAULT_STEPS, 1e-11)
+        want = split_holonomy_per_factor(conn, pts, 1e-11)
         assert [p.descriptor for p in parts] == list(desc.factors)
         for got, ref in zip(parts, want):
             assert got.descriptor == ref.descriptor and mg.distance(got, ref) < 1e-9

@@ -577,6 +577,20 @@ def test_closure_verdict_serializes():
     assert payload["mode"] == "torus-abelianized"
 
 
+def test_closure_rejects_negative_bound_in_every_mode():
+    # the torus search used to treat bound -1 as "searched nothing" and
+    # answer member, where the SU(n) search raised
+    graph = pentagon_chord_graph()
+    la, lb = pentagon_generators(graph)
+    rng = np.random.default_rng(4)
+    families = [LoopAssignment(graph, (la, lb, compose(lb, la)),
+                               tuple(mg.GroupElement(desc, m) for m in mg.haar_batch(desc, 3, rng)))
+                for desc in (T2, SU2, U2, PROD, U2_AS_QUOTIENT)]
+    for data in families + [random_generalized_connection(graph, SU2, seed=9)]:
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            closure_membership(data, bound=-1)
+
+
 def test_closure_rejects_unknown_input():
     with pytest.raises(TypeError, match="closure membership"):
         closure_membership({"loops": []})
