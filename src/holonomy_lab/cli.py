@@ -34,6 +34,7 @@ from . import matrixgroups as mg
 from .connections import (
     GeometryError,
     IndependenceError,
+    fill_edges,
     generalized_from_dict,
     holonomy_general,
     restrict,
@@ -232,6 +233,10 @@ def cmd_gauge_orbit(args):
     basis = tree_basis(graph)
     if not basis.loop_ids:
         raise CliError("graph has no independent loops; the orbit is a point")
+    f = None if args.function is None else _load(args.function, cyl_from_dict, graph)
+    if f is not None:
+        f.check_size(desc)  # a bad entry exits before any transport
+    fill_edges(conn, [*basis.loops.values(), *(() if f is None else f.paths)])
     values = [holonomy_general(conn, basis.loops[eid]) for eid in basis.loop_ids]
     rep = orbit_representative(desc, values)
     report = {
@@ -244,8 +249,7 @@ def cmd_gauge_orbit(args):
         "samples": args.samples,
         "ok": True,
     }
-    if args.function is not None:
-        f = _load(args.function, cyl_from_dict, graph)
+    if f is not None:
         drift = invariance_check(f, conn, desc, gauges=args.samples, seed=args.seed)
         report["function_drift"] = drift
         report["ok"] = drift <= args.check_tolerance

@@ -17,8 +17,9 @@ one-form vanishes off the chords the bumps' disks cut from each segment
 (:func:`_bump_chords`), so the integrator works on each segment's union of
 chords alone: one fourth-order Magnus step (two Gauss nodes) per
 sub-interval, from ``DEFAULT_STEPS`` sub-intervals doubling until the result
-is stable.  Interpolation's scalar bump integral uses the same chords and
-nodes.  Every gauge action on holonomies is :func:`gauge_transform`.
+is stable, the intervals of many polylines together in :func:`_transport_batch`,
+each under its own stop rule.  Interpolation's scalar bump integral uses the
+same chords and nodes.  Every gauge action on holonomies is :func:`gauge_transform`.
 
 Conventions match the combinatorial side: traversing an edge against its
 direction contributes the inverse transport, and the transport of a
@@ -26,7 +27,8 @@ reversed sub-segment is the exact matrix inverse of the forward one.
 
 A smooth connection reaches path words only through :func:`restrict`,
 the embedding of smooth connections into generalized ones: each edge
-carries its transport, computed the first time a word walks it, and
+carries its transport, which :func:`fill_edges` integrates in one batched
+pass for all the words a reader is about to evaluate, and
 :func:`holonomy_general` multiplies those values like any other edge
 assignment.  Every product of a letter word over a matrix table is the
 one gather-and-fold :func:`_word_product`; a word's holonomy then repairs
@@ -103,6 +105,7 @@ def holonomy_general(conn: GeneralizedConnection, word: PathWord) -> mg.GroupEle
             raise UnknownEdgeError(f"no edge with id {eid!r}")
     if not word.letters:
         return mg.identity(desc)
+    fill_edges(conn, [word])
     m = _word_product(values, word.letters)
     if mg._unitarity_defect(m) > mg.REPAIR_ATOL:
         m = mg.reunitarize(m)
@@ -170,12 +173,12 @@ def bump_value(points, center, radius):
     """Bump profile: 1 inside radius/2, 0 outside radius, smooth in between.
 
     A stack of centers, shape (k, dim) with radii of shape (k,), gives one
-    column per center: shape (npoints, k).
+    column per center: shape (..., npoints, k).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     center = np.asarray(center, dtype=float)
     if center.ndim == 2:
-        pts = pts[:, None, :]
+        pts = pts[..., None, :]
     r = np.linalg.norm(pts - center, axis=-1)
     return smoothstep(2.0 - 2.0 * r / radius)
 
@@ -211,17 +214,11 @@ class SmoothConnection:
         adesc = mg.algebra_descriptor(descriptor)
         for t in self.terms:
             mg.LieAlgebraElement(adesc, t.X)  # validation only
-        n = mg.dim(descriptor)
-        if self.terms:
-            self._X = np.array([t.X for t in self.terms])
-            self._centers = np.array([t.center for t in self.terms], dtype=float)
-            self._radii = np.array([t.radius for t in self.terms], dtype=float)
-            self._dirs = np.array([t.direction for t in self.terms], dtype=float)
-        else:
-            self._X = np.zeros((0, n, n), dtype=complex)
-            self._centers = np.zeros((0, 1))
-            self._radii = np.zeros(0)
-            self._dirs = np.zeros((0, 1))
+        n, dim = mg.dim(descriptor), len(self.terms[0].center) if self.terms else 1
+        self._X = np.array([t.X for t in self.terms], dtype=complex).reshape(-1, n, n)
+        self._centers = np.array([t.center for t in self.terms], dtype=float).reshape(-1, dim)
+        self._radii = np.array([t.radius for t in self.terms], dtype=float)
+        self._dirs = np.array([t.direction for t in self.terms], dtype=float).reshape(-1, dim)
 
     def coefficients(self, points) -> np.ndarray:
         """phi_k at each point: shape (npoints, nterms)."""
@@ -350,56 +347,62 @@ def _gauss_nodes(p: np.ndarray, q: np.ndarray, steps: int):
 
 def _segment_transport(conn: SmoothConnection, p: np.ndarray, q: np.ndarray,
                        steps: int) -> np.ndarray:
-    """One fourth-order Magnus step per sub-interval (two Gauss nodes)."""
+    """One fourth-order Magnus step per sub-interval (two Gauss nodes) of [p, q];
+    p, q may lead with an interval axis, with the same arithmetic per interval."""
     x1, x2, delta = _gauss_nodes(p, q, steps)
-    scale = conn._dirs @ delta
-    c1, c2 = conn.coefficients(x1) * scale, conn.coefficients(x2) * scale
-    if max(np.max(np.abs(c1)), np.max(np.abs(c2))) == 0.0:
-        return np.eye(mg.dim(conn.descriptor), dtype=complex)
-    M1 = np.tensordot(c1, conn._X, axes=(1, 0))
-    M2 = np.tensordot(c2, conn._X, axes=(1, 0))
+    scale = np.sum(delta[..., None, :] * conn._dirs, axis=-1)[..., None, :]
+    M1, M2 = (np.tensordot(conn.coefficients(x) * scale, conn._X, axes=(-1, 0)) for x in (x1, x2))
     omega = -0.5 * (M1 + M2) - (np.sqrt(3.0) / 12.0) * (M1 @ M2 - M2 @ M1)
-    return _chain(mg.exp_antihermitian(omega))
+    # fold the sub-step axis, laid out first so each level's pairs are contiguous
+    return _chain(np.ascontiguousarray(np.moveaxis(mg.exp_antihermitian(omega), -3, 0)))
 
 
-def transport(conn: SmoothConnection, polyline, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Transport matrix along a polyline, adaptive on each interval it integrates.
+def _transport_batch(conn: SmoothConnection, polylines: Sequence, tol: float):
+    """Transports along many polylines in one batched pass, shape (len(polylines), n, n),
+    and each integrated interval's doubling level and last difference, in walk order.
 
-    The one-form vanishes off the chords :func:`_bump_chords` cuts from each
-    segment, so the identity there is exact and only the union of a
-    segment's chords is integrated, one disjoint interval after another.
-    Each starts at ``DEFAULT_STEPS`` Magnus sub-steps, doubling until two
-    successive refinements differ by less than ``tol`` in Frobenius norm.
+    Only the union of each segment's bump chords (:func:`_bump_chords`) is
+    integrated; the one-form vanishes elsewhere.  All intervals start at
+    ``DEFAULT_STEPS`` sub-steps, so each doubling level is one
+    :func:`_segment_transport` call on those still active.  Each stops on its
+    own: at ``tol`` in Frobenius norm, on a stall below 1e-10, or at ``MAX_DOUBLINGS``.
     """
-    pts = np.atleast_2d(np.asarray(polyline, dtype=float))
-    acc = np.eye(mg.dim(conn.descriptor), dtype=complex)
-    if not conn.terms:
-        return acc
-    t0, t1 = _bump_chords(pts[:-1], pts[1:], conn._centers, conn._radii)
+    lines = [np.atleast_2d(np.asarray(line, dtype=float)) for line in polylines]
+    owner = np.repeat(np.arange(len(lines)), [len(pts) - 1 for pts in lines])
+    starts = np.concatenate([pts[:-1] for pts in lines])
+    ends = np.concatenate([pts[1:] for pts in lines])
+    t0, t1 = _bump_chords(starts, ends, conn._centers, conn._radii)
     rows, cols = np.nonzero(t1 > t0)
-    spans = []  # [segment, a, b]: the union of each segment's chords, in order
+    spans = []  # [segment, a, b]: the union of each segment's chords, in walk order
     for j, a, b in sorted(zip(rows, t0[rows, cols], t1[rows, cols])):
         if spans and spans[-1][0] == j and a <= spans[-1][2]:
             spans[-1][2] = max(spans[-1][2], b)
         else:
             spans.append([j, a, b])
-    for j, a, b in spans:
-        p, q = pts[j] + a * (pts[j + 1] - pts[j]), pts[j] + b * (pts[j + 1] - pts[j])
-        s, prev = DEFAULT_STEPS, None
-        u = _segment_transport(conn, p, q, s)
-        for _ in range(MAX_DOUBLINGS):
-            s *= 2
-            u2 = _segment_transport(conn, p, q, s)
-            diff = np.linalg.norm(u2 - u)
-            u = u2
-            # stop on target accuracy; a stall check guards against spinning
-            # on a tolerance below the roundoff floor, but only once the
-            # change is already tiny (convergence need not be monotone)
-            if diff <= tol or (prev is not None and diff > 0.5 * prev and diff < 1e-10):
-                break
-            prev = diff
-        acc = u @ acc
-    return acc
+    out = np.repeat(np.eye(mg.dim(conn.descriptor), dtype=complex)[None], len(lines), axis=0)
+    level, diff = np.zeros(len(spans), dtype=int), np.full(len(spans), np.inf)
+    if spans:
+        j, a, b = (np.array(c) for c in zip(*spans))
+        p, q = (starts[j] + t[:, None] * (ends[j] - starts[j]) for t in (a, b))
+        u = _segment_transport(conn, p, q, DEFAULT_STEPS)
+        active, lev = np.arange(len(j)), 0
+        while active.size and lev < MAX_DOUBLINGS:
+            lev += 1
+            u2 = _segment_transport(conn, p[active], q[active], DEFAULT_STEPS << lev)
+            d = np.linalg.norm(u2 - u[active], axis=(-2, -1))
+            # stop on target accuracy, or on a stall once the change is tiny: no
+            # spinning on a tol below the roundoff floor (convergence need not be monotone)
+            stop = (d <= tol) | ((d > 0.5 * diff[active]) & (d < 1e-10))
+            u[active], level[active], diff[active] = u2, lev, d
+            active = active[~stop]
+        for k, m in zip(owner[j], u):
+            out[k] = m @ out[k]
+    return out, level, diff
+
+
+def transport(conn: SmoothConnection, polyline, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Transport matrix along a polyline: the one-polyline case of :func:`_transport_batch`."""
+    return _transport_batch(conn, [polyline], tol)[0][0]
 
 
 def holonomy_smooth(conn: SmoothConnection, polyline, tol: float = DEFAULT_TOL) -> mg.GroupElement:
@@ -407,18 +410,22 @@ def holonomy_smooth(conn: SmoothConnection, polyline, tol: float = DEFAULT_TOL) 
 
 
 class _EdgeTransports(Mapping):
-    """Edge id -> transport matrix of a smooth connection, filled on first use."""
+    """Edge id -> transport matrix of a smooth connection, integrated on demand and kept."""
 
     def __init__(self, conn: SmoothConnection, graph: Graph, tol: float):
         self._conn, self._graph, self._tol = conn, graph, tol
         self._cache = {}
 
+    def fill(self, eids):
+        todo = [e for e in dict.fromkeys(eids) if e not in self._cache]
+        if todo:
+            lines = [edge_polyline(self._graph, e) for e in todo]
+            for e, m in zip(todo, _transport_batch(self._conn, lines, self._tol)[0]):
+                self._cache[e] = mg.GroupElement(self._conn.descriptor, m).matrix
+
     def __getitem__(self, eid):
-        m = self._cache.get(eid)
-        if m is None:
-            h = holonomy_smooth(self._conn, edge_polyline(self._graph, eid), self._tol)
-            m = self._cache[eid] = h.matrix
-        return m
+        self.fill([eid])
+        return self._cache[eid]
 
     def __contains__(self, eid):
         return eid in self._graph.edges
@@ -430,12 +437,18 @@ class _EdgeTransports(Mapping):
         return len(self._graph.edges)
 
 
+def fill_edges(conn: GeneralizedConnection, words: Iterable[PathWord]) -> None:
+    """Integrate, in one batched pass, every edge of the words a restricted connection lacks."""
+    if isinstance(getattr(conn, "values", None), _EdgeTransports):
+        conn.values.fill(eid for w in words for eid, _ in w.letters)
+
+
 def restrict(conn: SmoothConnection, graph: Graph, tol: float = DEFAULT_TOL) -> GeneralizedConnection:
     """The generalized connection a smooth one induces on a graph's edges.
 
-    Each edge holds the transport along its curve.  Transports are computed
-    when an edge is first read and kept, so an edge that no word walks is
-    never integrated; reading ``values`` as a whole fills every edge.
+    Each edge holds the transport along its curve, integrated when first
+    needed and kept: readers call :func:`fill_edges` on the words they are
+    about to evaluate, and an edge that no word walks is never integrated.
     """
     out = GeneralizedConnection.__new__(GeneralizedConnection)
     out.graph, out.descriptor = graph, conn.descriptor
@@ -491,12 +504,9 @@ class SmoothGauge:
             M = M + float(bump_value([point], t.center, t.radius)[0]) * t.Y
         return mg.exp_antihermitian(M)
 
-    def element_at(self, point) -> mg.GroupElement:
-        return mg.GroupElement(self.descriptor, self.at(point))
-
     def as_discrete(self, graph: Graph) -> DiscreteGauge:
         try:
-            vals = {v: self.element_at(graph.positions[v]) for v in graph.vertices}
+            vals = {v: self.at(graph.positions[v]) for v in graph.vertices}
         except KeyError as exc:
             raise GeometryError("every vertex needs a position to discretize a gauge") from exc
         return DiscreteGauge(graph, self.descriptor, vals)
@@ -574,11 +584,9 @@ def _scalar_line_integral(center, radius, direction, polyline) -> float:
         weights = bump_value(x1, center, radius) + bump_value(x2, center, radius)
         return 0.5 * float(weights.sum(axis=-1) @ (delta @ direction))
 
-    s = DEFAULT_STEPS
-    val = once(s)
-    for _ in range(12):
-        s *= 2
-        nxt = once(s)
+    val = once(DEFAULT_STEPS)
+    for lev in range(1, 13):
+        nxt = once(DEFAULT_STEPS << lev)
         if abs(nxt - val) <= 1e-12 * max(1.0, abs(nxt)):
             return nxt
         val = nxt

@@ -24,7 +24,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import matrixgroups as mg
-from .connections import GeneralizedConnection, _word_product, gauge_transform, holonomy_general
+from .connections import (GeneralizedConnection, _word_product, fill_edges, gauge_transform,
+                          holonomy_general)
 from .pathgroupoid import Graph, PathWord, word_from_tokens, word_to_tokens
 
 MEAN_CHUNK = 8192
@@ -36,11 +37,17 @@ MEAN_CHUNK = 8192
 class Expr:
     """Base class; subclasses evaluate on a stack of shape (N, k, n, n)."""
 
+    children = ()
+
     def eval(self, stack: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def max_path(self) -> int:
-        return 0
+        return max([getattr(self, "path", 0)] + [c.max_path() for c in self.children])
+
+    def max_index(self) -> int:  # largest matrix row or column an entry reads
+        return max([getattr(self, "row", 0), getattr(self, "col", 0),
+                    *(c.max_index() for c in self.children)])
 
 
 @dataclass(frozen=True)
@@ -70,9 +77,6 @@ class Entry(Expr):
                              f"the {n}x{n} holonomy")
         return stack[:, self.path - 1, self.row - 1, self.col - 1]
 
-    def max_path(self):
-        return self.path
-
 
 @dataclass(frozen=True)
 class TraceOf(Expr):
@@ -85,24 +89,20 @@ class TraceOf(Expr):
     def eval(self, stack):
         return np.einsum("nii->n", stack[:, self.path - 1])
 
-    def max_path(self):
-        return self.path
-
 
 @dataclass(frozen=True)
 class Conj(Expr):
     inner: Expr
+    children = property(lambda self: (self.inner,))
 
     def eval(self, stack):
         return np.conj(self.inner.eval(stack))
-
-    def max_path(self):
-        return self.inner.max_path()
 
 
 @dataclass(frozen=True)
 class Sum(Expr):
     terms: tuple
+    children = property(lambda self: self.terms)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -110,13 +110,11 @@ class Sum(Expr):
     def eval(self, stack):
         return sum((t.eval(stack) for t in self.terms), np.zeros(stack.shape[0], dtype=complex))
 
-    def max_path(self):
-        return max((t.max_path() for t in self.terms), default=0)
-
 
 @dataclass(frozen=True)
 class Prod(Expr):
     factors: tuple
+    children = property(lambda self: self.factors)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -126,9 +124,6 @@ class Prod(Expr):
         for f in self.factors:
             out *= f.eval(stack)
         return out
-
-    def max_path(self):
-        return max((f.max_path() for f in self.factors), default=0)
 
 
 def expr_to_dict(expr: Expr) -> dict:
@@ -182,6 +177,11 @@ class CylFunction:
     def endpoint_vertices(self) -> tuple:
         return tuple(dict.fromkeys(v for p in self.paths for v in (p.source, p.range)))
 
+    def check_size(self, descriptor) -> None:
+        n = mg.dim(descriptor)
+        if self.expr.max_index() > n:  # a dry run raises the first bad entry's message
+            self.expr.eval(np.zeros((1, len(self.paths), n, n), dtype=complex))
+
 
 def wilson_loop(word: PathWord, n: int) -> CylFunction:
     """Normalized trace of a single loop holonomy."""
@@ -224,10 +224,12 @@ def cyl_from_dict(graph: Graph, data: Mapping) -> CylFunction:
 
 def holonomy_stack(f: CylFunction, conn: GeneralizedConnection) -> np.ndarray:
     """Holonomy matrices of the function's paths, shape (k, n, n)."""
+    fill_edges(conn, f.paths)
     return np.array([holonomy_general(conn, p).matrix for p in f.paths])
 
 
 def evaluate(f: CylFunction, conn: GeneralizedConnection) -> complex:
+    f.check_size(conn.descriptor)
     return evaluate_stack(f, holonomy_stack(f, conn))
 
 
@@ -276,6 +278,7 @@ class HaarMean:
     def __init__(self, function: CylFunction, descriptor, layers: int = 1):
         if layers < 1:
             raise ValueError("layers must be at least 1")
+        function.check_size(descriptor)
         self.function = function
         self.descriptor = descriptor
         self.layers = layers
@@ -312,6 +315,7 @@ def invariance_check(f: CylFunction, conn: GeneralizedConnection, descriptor,
     """Largest deviation |F(A.g) - F(A)| over random gauge tuples."""
     if gauges < 1:
         raise ValueError("need at least one gauge sample")
+    f.check_size(descriptor)
     stack = holonomy_stack(f, conn)
     base = complex(f.expr.eval(stack[None, ...])[0])
     vals = _gauged_values(f, stack, descriptor, gauges, 1, np.random.default_rng(seed))

@@ -28,6 +28,7 @@ from .connections import (
     DEFAULT_TOL,
     DiscreteGauge,
     GeneralizedConnection,
+    fill_edges,
     gauge_act_general,
     holonomy_general,
     interpolate_connection,
@@ -88,6 +89,7 @@ class TreeDecomposition:
 
 
 def tree_decompose(basis: TreeBasis, conn: GeneralizedConnection) -> TreeDecomposition:
+    fill_edges(conn, [*basis.vertex_words.values(), *basis.loops.values()])
     frames = {v: holonomy_general(conn, w) for v, w in basis.vertex_words.items()}
     loop_values = {eid: holonomy_general(conn, w) for eid, w in basis.loops.items()}
     return TreeDecomposition(basis, frames, loop_values)
@@ -287,6 +289,7 @@ def approximation_experiment(graph: Graph, words: Sequence[PathWord], descriptor
     targets = [InterpolationTarget(w, mg.GroupElement(descriptor, m, check=False), tuple(win))
                for w, m, win in zip(words, targets_mats, windows)]
     conn = restrict(interpolate_connection(graph, targets), graph, tol)
+    fill_edges(conn, words)
     errors = [float(mg.distance(holonomy_general(conn, t.word), t.value)) for t in targets]
     return ApproximationReport(label, mg.descriptor_to_dict(descriptor), seed,
                                tuple(errors), bound, max(errors) <= bound)

@@ -8,15 +8,15 @@ import holonomy_lab.connections as connections
 
 @pytest.fixture
 def transport_calls(monkeypatch):
-    """Polylines of every ``connections.transport`` call made during a test."""
+    """Every polyline the batched transport kernel integrates during a test."""
     calls = []
-    original = connections.transport
+    original = connections._transport_batch
 
-    def counting(conn, polyline, *args, **kwargs):
-        calls.append(np.asarray(polyline))
-        return original(conn, polyline, *args, **kwargs)
+    def counting(conn, polylines, *args, **kwargs):
+        calls.extend(np.asarray(p) for p in polylines)
+        return original(conn, polylines, *args, **kwargs)
 
-    monkeypatch.setattr(connections, "transport", counting)
+    monkeypatch.setattr(connections, "_transport_batch", counting)
     return calls
 
 

@@ -17,7 +17,10 @@ per edge), ``split_holonomy_per_factor`` (one transport per factor of a
 product-group connection) and ``transport_whole_segments`` (the adaptive
 Magnus transport over every whole segment that a bump comes near, from a
 caller-chosen start count, which can step over a bump that only grazes a
-long segment).
+long segment) and ``transport_per_interval`` (the chord-union transport
+that refines one interval at a time, each with its own loop of
+``_segment_transport`` calls, where the library refines every interval of
+every polyline together).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from holonomy_lab.connections import (
     BumpTerm,
     GeneralizedConnection,
     SmoothConnection,
+    _bump_chords,
     _segment_distances,
     _segment_transport,
     bump_value,
@@ -272,6 +276,49 @@ def transport_whole_segments(conn, polyline, steps=DEFAULT_STEPS, tol=DEFAULT_TO
             prev = diff
         acc = u @ acc
     return acc
+
+
+def transport_per_interval(conn, polyline, tol=DEFAULT_TOL):
+    """Transport along a polyline over the union of each segment's bump
+    chords, refining one interval at a time.
+
+    Returns the matrix and, per interval in walk order, its doubling level
+    and last difference.
+    """
+    pts = np.atleast_2d(np.asarray(polyline, dtype=float))
+    acc = np.eye(mg.dim(conn.descriptor), dtype=complex)
+    levels, diffs = [], []
+    if not conn.terms:
+        return acc, levels, diffs
+    t0, t1 = _bump_chords(pts[:-1], pts[1:], conn._centers, conn._radii)
+    rows, cols = np.nonzero(t1 > t0)
+    spans = []  # [segment, a, b]: the union of each segment's chords, in order
+    for j, a, b in sorted(zip(rows, t0[rows, cols], t1[rows, cols])):
+        if spans and spans[-1][0] == j and a <= spans[-1][2]:
+            spans[-1][2] = max(spans[-1][2], b)
+        else:
+            spans.append([j, a, b])
+    for j, a, b in spans:
+        p, q = pts[j] + a * (pts[j + 1] - pts[j]), pts[j] + b * (pts[j + 1] - pts[j])
+        s, prev = DEFAULT_STEPS, None
+        u = _segment_transport(conn, p, q, s)
+        level, diff = 0, np.inf
+        for _ in range(MAX_DOUBLINGS):
+            s *= 2
+            u2 = _segment_transport(conn, p, q, s)
+            diff = np.linalg.norm(u2 - u)
+            u = u2
+            level += 1
+            # stop on target accuracy; a stall check guards against spinning
+            # on a tolerance below the roundoff floor, but only once the
+            # change is already tiny (convergence need not be monotone)
+            if diff <= tol or (prev is not None and diff > 0.5 * prev and diff < 1e-10):
+                break
+            prev = diff
+        levels.append(level)
+        diffs.append(diff)
+        acc = u @ acc
+    return acc, levels, diffs
 
 
 # ---------------------------------------------------------------------------

@@ -469,6 +469,21 @@ def test_entry_past_matrix_size_is_usage_error(workspace, tmp_path, capsys, comm
     assert "[1, 5, 1]" in err and "2x2" in err
 
 
+@pytest.mark.parametrize("command", ["haar-mean", "gauge-orbit"])
+def test_entry_past_matrix_size_exits_before_any_transport(workspace, tmp_path, capsys,
+                                                           transport_calls, command):
+    tmp, _, _ = workspace
+    doc = json.loads((tmp / "wilson.json").read_text())
+    doc["expr"] = {"entry": [1, 3, 3]}
+    (tmp_path / "entry.json").write_text(json.dumps(doc))
+    err = usage_error(capsys, [command, "--graph", tmp / "graph.json",
+                               "--connection", tmp / "smooth.json",
+                               "--function", tmp_path / "entry.json",
+                               "--seed", "0", "--samples", "64"])
+    assert "[1, 3, 3]" in err and "2x2" in err
+    assert transport_calls == []
+
+
 @pytest.mark.parametrize("command", ["approx", "haar-mean"])
 def test_out_of_memory_is_usage_error(workspace, tmp_path, capsys, monkeypatch, command):
     # what numpy raises for a descriptor with n = 10**6; nothing is allocated here

@@ -13,6 +13,8 @@ from scipy.linalg import expm
 import holonomy_lab.connections as connections
 import holonomy_lab.matrixgroups as mg
 from holonomy_lab.connections import (
+    DEFAULT_TOL,
+    MAX_DOUBLINGS,
     BumpTerm,
     DiscreteGauge,
     GaugeBump,
@@ -60,6 +62,7 @@ from holonomy_lab.pathgroupoid import (
     reduce_word,
     unit,
 )
+from holonomy_lab.spectra import approximation_experiment
 
 from graphs import pentagon_chord_graph, spider_graph, square_graph, theta_graph
 from oracles import (
@@ -69,6 +72,7 @@ from oracles import (
     scalar_line_integral_midpoint,
     split_holonomy_per_factor,
     transport_field,
+    transport_per_interval,
     transport_whole_segments,
 )
 
@@ -217,12 +221,15 @@ def test_transport_integrates_exactly_the_union_of_chords(line, centers, radii):
             for a, b in covered_intervals(p, q, conn.terms)]
     with mock.patch.object(connections, "_segment_transport",
                            wraps=connections._segment_transport) as spy:
-        # a loose tol: one refinement per interval, whose first call has DEFAULT_STEPS
-        transport(conn, line, tol=10.0)
-    integrated = [(c.args[1], c.args[2]) for c in spy.call_args_list
-                  if c.args[3] == connections.DEFAULT_STEPS]
-    assert len(integrated) == len(want)
-    for (p, q), (a, b) in zip(integrated, want):
+        transport(conn, line)
+    if not want:
+        assert spy.call_count == 0
+        return
+    # the first call stacks every interval at DEFAULT_STEPS, in walk order
+    first = spy.call_args_list[0].args
+    assert first[3] == connections.DEFAULT_STEPS
+    assert len(first[1]) == len(first[2]) == len(want)
+    for p, q, (a, b) in zip(first[1], first[2], want):
         assert frob(p, a) <= 1e-9 and frob(q, b) <= 1e-9
 
 
@@ -294,6 +301,72 @@ def test_transport_finds_separated_grazing_bumps():
         got = transport(conn, whole)
         assert frob(got, np.eye(2)) > 1e-3  # both bumps move it
         assert frob(got, transport_whole_segments(conn, cut)) <= 1e-11
+
+
+@st.composite
+def bump_polyline_families(draw):
+    """One to four polylines and one to four SU(2) or U(3) bumps anchored near
+    their points, so that most polylines cross some bump."""
+    coord = st.floats(-2.0, 2.0)
+    lines = [np.array(draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=5)))
+             for _ in range(draw(st.integers(1, 4)))]
+    desc = draw(st.sampled_from([SU2, mg.Unitary(3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    pool = np.concatenate(lines)
+    terms = [BumpTerm(mg.random_algebra(desc, rng, scale=draw(st.floats(0.2, 3.0))).matrix,
+                      tuple(pool[rng.integers(len(pool))] + rng.normal(scale=0.3, size=2)),
+                      draw(st.floats(0.1, 1.2)), tuple(rng.normal(size=2)))
+             for _ in range(draw(st.integers(1, 4)))]
+    return SmoothConnection(desc, terms), lines
+
+
+def per_interval_oracle(conn, lines, tol):
+    """transport_per_interval on each polyline: matrices and concatenated levels."""
+    outs = [transport_per_interval(conn, line, tol) for line in lines]
+    return [m for m, _, _ in outs], [lv for _, levels, _ in outs for lv in levels]
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=bump_polyline_families())
+def test_batched_transport_matches_per_interval_oracle(case):
+    conn, lines = case
+    got, levels, diffs = connections._transport_batch(conn, lines, DEFAULT_TOL)
+    want, want_levels = per_interval_oracle(conn, lines, DEFAULT_TOL)
+    assert len(got) == len(lines)
+    for g, w in zip(got, want):
+        assert frob(g, w) <= 1e-12
+    assert levels.tolist() == want_levels
+    assert np.all(levels >= 1) and len(diffs) == len(levels)
+
+
+def test_batched_transport_stalls_like_the_oracle_below_roundoff():
+    # no refinement reaches 1e-18: every interval must stop on the stall
+    # guard at the level the one-interval loop stops at, never run to the cap
+    rng = np.random.default_rng(23)
+    graph = pentagon_chord_graph()
+    lines = [edge_polyline(graph, eid) for eid in graph.edges]
+    for desc in (SU2, mg.Unitary(3)):
+        conn = random_smooth_connection(desc, graph, 5, seed=int(rng.integers(2 ** 16)))
+        got, levels, diffs = connections._transport_batch(conn, lines, 1e-18)
+        want, want_levels = per_interval_oracle(conn, lines, 1e-18)
+        assert len(levels) >= 5 and levels.tolist() == want_levels
+        assert np.all(levels < MAX_DOUBLINGS) and np.all(diffs < 1e-10)
+        for g, w in zip(got, want):
+            assert frob(g, w) <= 1e-12
+
+
+def test_approx_fills_all_edges_in_one_batched_pass():
+    # spider-8: 16 edges, each crossing bumps in several chord intervals
+    graph = spider_graph(8)
+    words = [compose(edge_word(graph, 9 + k), edge_word(graph, k + 1)) for k in range(8)]
+    with mock.patch.object(connections, "_transport_batch",
+                           wraps=connections._transport_batch) as batch, \
+            mock.patch.object(connections, "_segment_transport",
+                              wraps=connections._segment_transport) as kernel:
+        report = approximation_experiment(graph, words, SU2, seed=1)
+    assert report.verdict
+    assert batch.call_count == 1 and len(batch.call_args.args[1]) == 16
+    assert 1 < kernel.call_count <= 1 + MAX_DOUBLINGS
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,22 @@ def test_evaluate_on_generalized_connection():
     assert abs(direct - evaluate_stack(f, [h])) < 1e-15
 
 
+def test_entry_indices_are_checked_before_any_holonomy(transport_calls):
+    expr = Sum((Prod((Entry(2, 1, 3), Conj(TraceOf(3)))), Const(1.0)))
+    assert expr.max_path() == 3 and expr.max_index() == 3
+    assert TraceOf(2).max_index() == 0 and Const(0.0).max_path() == 0
+    graph = pentagon_chord_graph()
+    word = edge_word(graph, 1)
+    f = CylFunction((word, word, word), expr)
+    conn = restrict(random_smooth_connection(SU2, graph, 2, seed=2), graph)
+    for check in (lambda: HaarMean(f, SU2), lambda: evaluate(f, conn),
+                  lambda: invariance_check(f, conn, SU2)):
+        with pytest.raises(ValueError, match=r"entry \[2, 1, 3\] is outside the 2x2"):
+            check()
+    assert transport_calls == []
+    HaarMean(f, mg.Unitary(3))  # fits a 3x3 holonomy
+
+
 def test_evaluate_smooth_needs_graph():
     graph = pentagon_chord_graph()
     conn = random_smooth_connection(SU2, graph, 2, seed=2)
