@@ -19,7 +19,7 @@ from __future__ import annotations
 import collections
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class CompositionError(ValueError):
@@ -200,12 +200,7 @@ def reduce_word(graph: Graph, letters: Sequence, source=None) -> PathWord:
             raise CompositionError(
                 f"letters {k-1} and {k} do not compose: range {prev_r!r} != source {s!r}")
         prev_r = r
-    stack = []
-    for eid, o in letters:
-        if stack and stack[-1][0] == eid and stack[-1][1] == -o:
-            stack.pop()
-        else:
-            stack.append((eid, o))
+    stack = _free_reduce(letters)
     if not stack:
         return PathWord((), s0, s0)
     src, _ = letter_endpoints(graph, stack[0])
@@ -296,60 +291,86 @@ def tree_edge_ids(graph: Graph, tree: Mapping) -> set:
     return {eid for p in tree.values() for eid, _ in p.letters}
 
 
-def depends_on(graph: Graph, p: PathWord, family: Sequence[PathWord],
-               bound: int):
-    """Search for a factorization of ``p`` as a word in ``family`` members.
+def _free_reduce(letters) -> tuple:
+    """Cancel adjacent ``x . x^-1`` pairs in one left-to-right stack pass."""
+    stack = []
+    for eid, o in letters:
+        if stack and stack[-1][0] == eid and stack[-1][1] == -o:
+            stack.pop()
+        else:
+            stack.append((eid, o))
+    return tuple(stack)
 
-    Exhaustive breadth-first search over reduced factor sequences of length
-    at most ``bound``.  Returns the factor list ``[(index, orientation), ...]``
-    in product order (the last entry walks first), or None when no
-    factorization with at most ``bound`` factors exists.
+
+def loop_relations(graph: Graph, loops: Sequence[PathWord]):
+    """Every relation among a family of loops, by Stallings folding.
+
+    Loop i becomes a chain of its edge letters, the last edge labelled
+    ``(i, +1)``.  Edges leaving a node with one letter fold: distinct far
+    ends merge once the one that is no vertex node is gauged to make the
+    labels agree; parallel ones give the relation label1 . label2^-1.  The
+    folded graph immerses in ``graph`` (Stallings, Invent. Math. 71, 1983),
+    so these normally generate every relation, and ``rank`` = E - V +
+    (vertex nodes) = ``len(loops)`` - (relations) is the rank the loops
+    generate.  A relation is ``(index, +-1)`` pairs in walk order.
     """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    if p.is_unit():
-        return []
-    factors = []
-    for i, f in enumerate(family):
-        factors.append((i, 1, f))
-        factors.append((i, -1, inverse(f)))
-    start = PathWord((), p.source, p.source)
-    frontier = [(start, [])]
-    seen = {(start.letters, start.range)}
-    for _ in range(bound):
-        nxt = []
-        for word, hist in frontier:
-            for i, o, f in factors:
-                if hist and hist[-1] == (i, -o):
-                    continue  # immediately cancelling factor, never shortest
-                if f.source != word.range:
-                    continue
-                cand = compose(f, word)
-                new_hist = hist + [(i, o)]
-                if cand.letters == p.letters and cand.range == p.range:
-                    return list(reversed(new_hist))
-                key = (cand.letters, cand.range)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append((cand, new_hist))
-        frontier = nxt
-        if not frontier:
-            break
-    return None
+    ends = {v: n for n, v in enumerate(dict.fromkeys(v for w in loops for v in (w.source, w.range)))}
+    adj = [{} for _ in ends]    # node -> {letter: (far node, family word)}
+    fwd = {}                    # merged node -> (node it went into, its gauge)
+    relations, pending = [], []  # pending: edges (x, letter, y, label) to attach
+
+    def inv(word):
+        return tuple((i, -o) for i, o in reversed(word))
+
+    def find(n, gauge=()):
+        while n in fwd:
+            n, g = fwd[n]
+            gauge += g
+        return n, gauge
+
+    def identify(p, q, word):  # merge q into p, where a walk from p to q reads word
+        if p == q:
+            relations.append(word)
+            return
+        if q < len(ends):  # gauge no vertex node; two lie over distinct vertices, never merge
+            p, q, word = q, p, inv(word)
+        fwd[q] = (p, inv(word))
+        for letter, (z, label) in adj[q].items():
+            if z != q:
+                del adj[z][(letter[0], -letter[1])]
+            if z != q or letter[1] > 0:  # a loop at q is listed twice
+                pending.append((q, letter, z, label))
+        adj[q] = None
+
+    for i, w in enumerate(loops):
+        if not w.letters:
+            relations.append(((i, 1),))
+        chain = [ends[w.source], *range(len(adj), len(adj) + len(w) - 1), ends[w.range]]
+        adj.extend({} for _ in range(len(w) - 1))
+        pending.extend(zip(chain, w.letters, chain[1:], [()] * (len(w) - 1) + [((i, 1),)]))
+        while pending:
+            x, letter, y, label = pending.pop()
+            (x, gx), (y, gy) = find(x), find(y)
+            label = _free_reduce(inv(gx) + label + gy)
+            back = (letter[0], -letter[1])
+            for a, l, b, lab in ((x, letter, y, label), (y, back, x, inv(label))):
+                if l in adj[a]:  # fold onto the edge already there
+                    z, old = adj[a][l]
+                    identify(z, b, _free_reduce(inv(old) + lab))
+                    break
+            else:
+                adj[x][letter], adj[y][back] = (y, label), (x, inv(label))
+    live = [d for d in adj if d is not None]
+    return relations, sum(map(len, live)) // 2 - len(live) + len(ends)
 
 
-def dependencies(graph: Graph, family: Sequence[PathWord], bound: int) -> Iterator:
-    """Lazily, for each member: :func:`depends_on` against the other members,
-    with factor indices counted in the whole family."""
-    for j, p in enumerate(family):
-        others = [i for i in range(len(family)) if i != j]
-        dep = depends_on(graph, p, [family[i] for i in others], bound)
-        yield None if dep is None else [(others[i], o) for i, o in dep]
+def is_independent_family(graph: Graph, family: Sequence[PathWord]) -> bool:
+    """True when no nontrivial word in the family members composes to a unit."""
+    return not loop_relations(graph, family)[0]
 
 
-def is_independent_family(graph: Graph, family: Sequence[PathWord], bound: int) -> bool:
-    """True when no member factors through the others within the given bound."""
-    return all(dep is None for dep in dependencies(graph, family, bound))
+# perfbench's tracer times the relation finder under the bounded search's old name
+depends_on = loop_relations
 
 
 # ---------------------------------------------------------------------------

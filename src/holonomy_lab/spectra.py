@@ -8,11 +8,11 @@ so every question about gauge orbits reduces to simultaneous conjugation
 of the loop holonomies at the root.
 
 orbit_representative picks a canonical point on such a conjugation orbit.
-closure_membership decides (at desk scale, up to explicit search bounds)
-whether prescribed loop values can arise from connections at all: abelian
-targets kill every word with vanishing edge exponents, semisimple targets
-impose only functoriality, and central quotients inherit both through a
-finite search over center lifts.
+closure_membership decides whether prescribed loop values can arise from
+connections at all: abelian targets kill every word with vanishing edge
+exponents up to a search bound, semisimple targets must send every relation
+that a Stallings fold finds among the loops to I, and central quotients
+inherit both through a finite search over center lifts.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from .pathgroupoid import (
     PathWord,
     abelianize,
     compose,
-    dependencies,
     edge_word,
     inverse,
+    loop_relations,
     spanning_tree,
     tree_edge_ids,
     word_to_tokens,
@@ -472,37 +472,35 @@ def _abelian_check(loops, diagonals, bound, tol, mode):
     return ClosureVerdict(True, mode, trivial_kernel, (), detail, checked)
 
 
-def _functoriality_check(graph, loops, values, bound, tol, mode):
-    """Loop values must respect word factorizations found within the bound; a
-    member verdict is certified only when no relation exists (rank k)."""
+def _functoriality_check(loops, values, fold, tol, mode):
+    """Loop values must send every relation of the fold to I.  A member is certified
+    only at exponent rank = subgroup rank: having no relation proves nothing, since
+    word maps need not be onto (the lone commutator {[a, b]} obeys none)."""
+    relations, rank = fold
     mats = np.array([v.matrix for v in values])
-    dependent = False
-    for j, dep in enumerate(dependencies(graph, loops, bound)):
-        if dep is None:
-            continue
-        dependent = True
-        # dep is in product order: its last factor is walked first
-        required = _word_product(mats, dep[::-1]) if dep else np.eye(mats.shape[-1])
-        if np.linalg.norm(required - mats[j]) > tol:
-            return ClosureVerdict(False, mode, True, (j, tuple(dep)),
-                                  "loop value contradicts a word factorization", j + 1)
-    free = _exponent_matrix(loops)[1]
-    detail = ("exponent vectors have full rank, so the family is independent" if free else
-              "factorizations found within the bound are consistent" if dependent else
-              "no factorization found within the search bound")
-    return ClosureVerdict(True, mode, free, (), detail, len(loops))
+    for j, rel in enumerate(relations):
+        if np.linalg.norm(_word_product(mats, rel) - np.eye(len(mats[0]))) > tol:
+            return ClosureVerdict(False, mode, True, rel,
+                                  "loop values violate a relation among the loops", j + 1)
+    exp_rank = np.linalg.matrix_rank(_exponent_matrix(loops)[0])
+    detail = (f"every relation among the loops holds ({len(relations)} found)" if relations else
+              "the loops obey no relation, so they are independent")
+    if exp_rank != rank:
+        detail += f"; exponent rank {exp_rank} < subgroup rank {rank}"
+    return ClosureVerdict(True, mode, exp_rank == rank, (), detail, len(relations))
 
 
-def _loop_verdict(graph, loops, values, descriptor, bound, tol) -> ClosureVerdict:
+def _loop_verdict(loops, values, descriptor, fold, bound, tol) -> ClosureVerdict:
     mode = closure_mode(descriptor)
     if isinstance(descriptor, mg.Torus):
         diags = [np.diagonal(v.matrix) for v in values]
         return _abelian_check(loops, diags, bound, tol, mode)
     if isinstance(descriptor, mg.SpecialUnitary):
-        return _functoriality_check(graph, loops, values, bound, tol, mode)
+        return _functoriality_check(loops, values, fold, tol, mode)
     if isinstance(descriptor, mg.Unitary):
-        fun = _functoriality_check(graph, loops, values, bound, tol, mode)
-        if not fun.member:
+        fun = _functoriality_check(loops, values, fold, tol, mode)
+        # certified: the relations' exponent sums span {m : A^T m = 0}, so det relations follow
+        if fun.certified:
             return fun
         dets = [np.array([np.linalg.det(v.matrix)]) for v in values]
         det_check = _abelian_check(loops, dets, bound, tol, mode)
@@ -520,7 +518,7 @@ def _loop_verdict(graph, loops, values, descriptor, bound, tol) -> ClosureVerdic
         for idx, (sl, factor) in enumerate(mg.block_slices(descriptor)):
             sub_values = [mg.GroupElement(factor, v.matrix[sl, sl], check=False)
                           for v in values]
-            sub = _loop_verdict(graph, loops, sub_values, factor, bound, tol)
+            sub = _loop_verdict(loops, sub_values, factor, fold, bound, tol)
             total += sub.checked
             certified = certified and sub.certified
             details.append(f"factor {idx}: {sub.detail}")
@@ -535,7 +533,7 @@ def _loop_verdict(graph, loops, values, descriptor, bound, tol) -> ClosureVerdic
         first_failure = None
         for choice, stack in _center_lifts(descriptor, [v.matrix for v in values]):
             lifted = [mg.GroupElement(descriptor.base, m, check=False) for m in stack]
-            sub = _loop_verdict(graph, loops, lifted, descriptor.base, bound, tol)
+            sub = _loop_verdict(loops, lifted, descriptor.base, fold, bound, tol)
             total += sub.checked
             if sub.member:
                 return ClosureVerdict(True, mode, sub.certified, tuple(choice),
@@ -553,10 +551,11 @@ def closure_membership(data, bound: int = 6, tol: float = 1e-8) -> ClosureVerdic
     """Decide whether loop or edge data lies in the holonomy closure.
 
     Edge assignments always do: each mode's relations telescope on edges.
-    Loop families are checked against the mode's relations up to the
-    search ``bound``; ``certified`` records whether the verdict is a proof
-    (a violation found, or exponent vectors of full rank) or merely found
-    nothing within the bound.  A negative ``bound`` is a ValueError.
+    A loop family is folded once (:func:`loop_relations`); SU(n) values must
+    send every relation to I, or the relation is the certified witness.
+    ``bound`` limits only the torus search and the U(n) determinant search
+    behind an uncertified member; ``certified`` records whether the verdict
+    is a proof.  A negative ``bound`` is a ValueError.
     """
     if bound < 0:
         raise ValueError(f"closure search bound must be >= 0, got {bound}")
@@ -566,8 +565,8 @@ def closure_membership(data, bound: int = 6, tol: float = 1e-8) -> ClosureVerdic
                               "edge assignments satisfy every closure relation "
                               "automatically", 0)
     if isinstance(data, LoopAssignment):
-        return _loop_verdict(data.graph, data.loops, data.values,
-                             data.descriptor, bound, tol)
+        return _loop_verdict(data.loops, data.values, data.descriptor,
+                             loop_relations(data.graph, data.loops), bound, tol)
     raise TypeError(f"cannot test closure membership of {type(data).__name__}")
 
 

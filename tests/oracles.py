@@ -20,12 +20,16 @@ caller-chosen start count, which can step over a bump that only grazes a
 long segment) and ``transport_per_interval`` (the chord-union transport
 that refines one interval at a time, each with its own loop of
 ``_segment_transport`` calls, where the library refines every interval of
-every polyline together).
+every polyline together), and ``depends_on`` and ``dependencies`` (the
+breadth-first factor search, capped by a bound, that decided closure
+functoriality before the library found every relation among a loop family
+by one Stallings fold).
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -44,7 +48,7 @@ from holonomy_lab.connections import (
     bump_value,
     holonomy_smooth,
 )
-from holonomy_lab.pathgroupoid import letter_endpoints
+from holonomy_lab.pathgroupoid import Graph, PathWord, compose, inverse, letter_endpoints
 
 
 # ---------------------------------------------------------------------------
@@ -395,3 +399,57 @@ def log_schur(leaf, m, branch_shift):
                 theta[j] += 2.0 * np.pi
         theta = theta - theta.sum() / len(theta)
     return (z * (1j * theta)) @ z.conj().T
+
+
+# ---------------------------------------------------------------------------
+# bounded factor search
+
+def depends_on(graph: Graph, p: PathWord, family: Sequence[PathWord],
+               bound: int):
+    """Search for a factorization of ``p`` as a word in ``family`` members.
+
+    Exhaustive breadth-first search over reduced factor sequences of length
+    at most ``bound``.  Returns the factor list ``[(index, orientation), ...]``
+    in product order (the last entry walks first), or None when no
+    factorization with at most ``bound`` factors exists.
+    """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    if p.is_unit():
+        return []
+    factors = []
+    for i, f in enumerate(family):
+        factors.append((i, 1, f))
+        factors.append((i, -1, inverse(f)))
+    start = PathWord((), p.source, p.source)
+    frontier = [(start, [])]
+    seen = {(start.letters, start.range)}
+    for _ in range(bound):
+        nxt = []
+        for word, hist in frontier:
+            for i, o, f in factors:
+                if hist and hist[-1] == (i, -o):
+                    continue  # immediately cancelling factor, never shortest
+                if f.source != word.range:
+                    continue
+                cand = compose(f, word)
+                new_hist = hist + [(i, o)]
+                if cand.letters == p.letters and cand.range == p.range:
+                    return list(reversed(new_hist))
+                key = (cand.letters, cand.range)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append((cand, new_hist))
+        frontier = nxt
+        if not frontier:
+            break
+    return None
+
+
+def dependencies(graph: Graph, family: Sequence[PathWord], bound: int) -> Iterator:
+    """Lazily, for each member: :func:`depends_on` against the other members,
+    with factor indices counted in the whole family."""
+    for j, p in enumerate(family):
+        others = [i for i in range(len(family)) if i != j]
+        dep = depends_on(graph, p, [family[i] for i in others], bound)
+        yield None if dep is None else [(others[i], o) for i, o in dep]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import holonomy_lab.matrixgroups as mg
+from holonomy_lab.connections import _word_product, holonomy_general, random_generalized_connection
 from holonomy_lab.pathgroupoid import (
     CompositionError,
     ConnectivityError,
@@ -14,13 +16,12 @@ from holonomy_lab.pathgroupoid import (
     abelianize,
     compose,
     compose_all,
-    dependencies,
-    depends_on,
     edge_word,
     graph_from_dict,
     graph_to_dict,
     inverse,
     is_independent_family,
+    loop_relations,
     power,
     reduce_word,
     spanning_tree,
@@ -29,9 +30,12 @@ from holonomy_lab.pathgroupoid import (
     word_from_tokens,
     word_to_tokens,
 )
+from holonomy_lab.spectra import commutator_word
 from graphs import bouquet_graph, pentagon_chord_graph, square_graph
 from oracles import (
     all_order_normal_forms,
+    dependencies,
+    depends_on,
     enumerate_composable_words,
     leftmost_innermost_reduce,
 )
@@ -242,7 +246,7 @@ def test_self_loops_never_tree_edges():
     assert tree_edge_ids(g, tree) == set()
 
 
-# --- bounded dependence search -------------------------------------------------
+# --- bounded dependence search (oracle) and the exact relation finder ----------
 
 def test_depends_on_direct_product():
     f0 = edge_word(SQUARE, 1)                  # a -> b
@@ -281,8 +285,8 @@ def test_depends_on_factorization_recomposes():
 def test_independent_family_detection():
     f0 = edge_word(SQUARE, 1)
     f1 = edge_word(SQUARE, 2)
-    assert is_independent_family(SQUARE, [f0, f1], bound=4)
-    assert not is_independent_family(SQUARE, [f0, f1, compose(f1, f0)], bound=4)
+    assert is_independent_family(SQUARE, [f0, f1])
+    assert not is_independent_family(SQUARE, [f0, f1, compose(f1, f0)])
 
 
 def test_dependencies_count_indices_in_whole_family():
@@ -294,13 +298,80 @@ def test_dependencies_count_indices_in_whole_family():
     assert list(dependencies(SQUARE, [f0, f1], bound=4)) == [None, None]
 
 
-def test_dependencies_stop_at_the_first_consumed_member(monkeypatch):
-    calls = []
-    monkeypatch.setattr("holonomy_lab.pathgroupoid.depends_on",
-                        lambda *a: calls.append(a[1]) or depends_on(*a))
+def family_word(family, relation):
+    """The path a family word in walk order composes to."""
+    return compose_all([family[i] if o == 1 else inverse(family[i])
+                        for i, o in reversed(relation)])
+
+
+def bouquet(petals):
+    return Graph(["o"], [Edge(i, "o", "o") for i in range(1, petals + 1)], "o")
+
+
+def test_loop_relations_of_small_families():
+    g = bouquet_graph()
+    a, b = edge_word(g, 1), edge_word(g, 2)
+    assert loop_relations(g, [a, b]) == ([], 2)
+    assert loop_relations(g, [commutator_word(a, b)]) == ([], 1)
+    rels, rank = loop_relations(g, [power(a, 2), power(a, 3)])
+    assert rank == 1 and len(rels) == 1
+    # a^2 and a^3 generate <a>, so the one relation has zero total exponent
+    assert sum(o * (2, 3)[i] for i, o in rels[0]) == 0
+    assert loop_relations(g, [unit(g, g.basepoint), a]) == ([((0, 1),)], 1)
+
+
+def test_loop_relations_of_paths_compose_to_units():
     f0, f1 = edge_word(SQUARE, 1), edge_word(SQUARE, 2)
-    assert not is_independent_family(SQUARE, [f0, f1, compose(f1, f0)], bound=4)
-    assert calls == [f0]
+    family = [f0, f1, compose(f1, f0)]
+    rels, _ = loop_relations(SQUARE, family)
+    assert len(rels) == 1 and family_word(family, rels[0]).is_unit()
+
+
+@st.composite
+def loop_families(draw):
+    """A bouquet of 2-4 petals or the pentagon with a chord, and 1-7 loops at
+    its basepoint, each a product of generators or, sometimes, of earlier loops."""
+    petals = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        graph = bouquet(petals)
+        gens = [edge_word(graph, i) for i in range(1, petals + 1)]
+    else:
+        graph = PENT
+        gens = [word_from_tokens(PENT, [1, 2, 3, 4, 5]), word_from_tokens(PENT, [6, 3, 4, 5])]
+    loops = []
+    for _ in range(draw(st.integers(1, 7))):
+        pool = loops if loops and draw(st.integers(0, 2)) == 0 else gens
+        word = unit(graph, graph.basepoint)
+        for _ in range(draw(st.integers(1, 4))):
+            f = pool[draw(st.integers(0, len(pool) - 1))]
+            word = compose(f if draw(st.booleans()) else inverse(f), word)
+        loops.append(word)
+    return graph, loops, draw(st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(loop_families())
+def test_loop_relations_match_the_bounded_search(case):
+    graph, loops, seed = case
+    rels, rank = loop_relations(graph, loops)
+    for rel in rels:
+        assert rel and family_word(loops, rel).is_unit()
+    assert rank == len(loops) - len(rels)
+    exps = [abelianize(w) for w in loops]
+    A = np.array([[x.get(e, 0) for e in graph.edges] for x in exps], dtype=float)
+    assert np.linalg.matrix_rank(A) <= rank
+    # the oracle's bounded search only ever finds relations that exist
+    bound = 4 if len(loops) <= 4 else 2
+    if any(dep is not None for dep in dependencies(graph, loops, bound)):
+        assert rels
+    su2 = mg.SpecialUnitary(2)
+    conn = random_generalized_connection(graph, su2, seed)
+    hom = np.array([holonomy_general(conn, w).matrix for w in loops])
+    haar = mg.haar_batch(su2, len(loops), np.random.default_rng(seed))
+    for rel in rels:
+        assert np.linalg.norm(_word_product(hom, rel) - np.eye(2)) <= 1e-9
+        # SU(2) obeys no law, so a nontrivial word moves generic values
+        assert np.linalg.norm(_word_product(haar, rel) - np.eye(2)) > 1e-6
 
 
 # --- serialization -----------------------------------------------------------

@@ -17,7 +17,7 @@ from holonomy_lab.connections import (
     random_smooth_connection,
     restrict,
 )
-from holonomy_lab.pathgroupoid import abelianize, compose, edge_word, inverse, power
+from holonomy_lab.pathgroupoid import abelianize, compose, compose_all, edge_word, inverse, power
 from holonomy_lab.spectra import (
     ApproximationReport,
     LoopAssignment,
@@ -35,7 +35,7 @@ from holonomy_lab.spectra import (
 )
 
 from graphs import bouquet_graph, pentagon_chord_graph, spider_graph, square_graph
-from oracles import brute_force_conjugator, gauge_act_edgewise, su2_grid
+from oracles import brute_force_conjugator, depends_on, gauge_act_edgewise, su2_grid
 
 SU2 = mg.SpecialUnitary(2)
 SU3 = mg.SpecialUnitary(3)
@@ -440,6 +440,20 @@ def test_closure_torus_free_family_certified():
     assert verdict.checked == 0  # no zero-exponent vectors at all
 
 
+def assert_relation_witness(loops, verdict):
+    """The witness is a family word in walk order that composes to the unit."""
+    factors = [loops[i] if o == 1 else inverse(loops[i]) for i, o in verdict.witness]
+    assert factors and compose_all(factors[::-1]).is_unit()
+    assert json.loads(json.dumps(verdict.to_dict()))["witness"] == [list(x) for x in verdict.witness]
+
+
+def verdicts_at_bounds(data):
+    """The verdict at bounds 0, 6 and 8, which SU(n) mode must not tell apart."""
+    first, *rest = (closure_membership(data, bound=b) for b in (0, 6, 8))
+    assert all(v.to_dict() == first.to_dict() for v in rest)
+    return first
+
+
 def test_closure_su_functoriality():
     graph = pentagon_chord_graph()
     la, lb = pentagon_generators(graph)
@@ -448,12 +462,13 @@ def test_closure_su_functoriality():
     a, b = (mg.GroupElement(SU2, m) for m in mg.haar_batch(SU2, 2, rng))
     ok = closure_membership(
         LoopAssignment(graph, (la, lb, prod_word), (a, b, mg.mul(b, a))), bound=4)
-    assert ok.member and not ok.certified
+    # exponent rank 2 equals the rank of <la, lb>, so the member is proven
+    assert ok.member and ok.certified
     bad = closure_membership(
         LoopAssignment(graph, (la, lb, prod_word), (a, b, mg.mul(a, b))), bound=4)
     assert not bad.member and bad.certified
-    assert bad.witness[0] == 0
     assert bad.mode == "semisimple-full"
+    assert_relation_witness((la, lb, prod_word), bad)
 
 
 def test_closure_su_independent_certified():
@@ -467,39 +482,74 @@ def test_closure_su_independent_certified():
 
 
 def test_closure_su_unsearched_relation_is_not_certified():
-    # (ab)^4 factors through a and b only with eight factors: a bound-6
-    # search finds nothing, which must not read as a proof of independence
+    # (ab)^4 factors through a and b only with eight factors, which a bound-6
+    # factor search never reached; the fold finds the relation at every bound
     graph = bouquet_graph()
     a, b = edge_word(graph, 1), edge_word(graph, 2)
     values = tuple(mg.GroupElement(SU2, m) for m in mg.haar_batch(SU2, 3, np.random.default_rng(0)))
-    data = LoopAssignment(graph, (a, b, power(compose(a, b), 4)), values)
-    short = closure_membership(data, bound=6)
-    assert short.member and not short.certified
-    assert short.detail == "no factorization found within the search bound"
-    full = closure_membership(data, bound=8)
-    assert not full.member and full.certified
-    assert full.to_dict()["witness"] == [2, ((0, 1), (1, 1)) * 4]
+    loops = (a, b, power(compose(a, b), 4))
+    verdict = verdicts_at_bounds(LoopAssignment(graph, loops, values))
+    assert not verdict.member and verdict.certified
+    assert_relation_witness(loops, verdict)
+    # the old expectation, against the bounded search that now is an oracle
+    assert depends_on(graph, loops[2], loops[:2], bound=6) is None
+    assert depends_on(graph, loops[2], loops[:2], bound=8) == [(0, 1), (1, 1)] * 4
 
 
 def test_closure_unitary_determinant_check():
-    # at bound 3 the commutator has no visible factorization, so only the
-    # determinant relation can reject the assignment
+    # the lone commutator obeys no relation but has exponent rank 0 < 1, so
+    # functoriality certifies nothing and only the determinant search can
+    # reject: its determinant must be one
     graph = pentagon_chord_graph()
     la, lb = pentagon_generators(graph)
     comm = commutator_word(la, lb)
-    rng = np.random.default_rng(3)
-    a, b = (mg.GroupElement(U2, m) for m in mg.haar_batch(U2, 2, rng))
     bad_det = mg.GroupElement(U2, np.diag([np.exp(0.5j), 1.0 + 0j]))
-    verdict = closure_membership(LoopAssignment(graph, (la, lb, comm), (a, b, bad_det)),
-                                 bound=3)
+    verdict = closure_membership(LoopAssignment(graph, (comm,), (bad_det,)), bound=3)
     assert not verdict.member and verdict.certified
     assert verdict.mode == "unitary-determinant"
     assert "determinant" in verdict.detail
-    assert verdict.witness[0] == 0 and verdict.witness[1] == 0 and verdict.witness[2] != 0
+    assert verdict.witness[0] != 0
     good_det = mg.GroupElement(U2, np.diag([np.exp(0.5j), np.exp(-0.5j)]))
-    loose = closure_membership(LoopAssignment(graph, (la, lb, comm), (a, b, good_det)),
-                               bound=3)
+    loose = closure_membership(LoopAssignment(graph, (comm,), (good_det,)), bound=3)
     assert loose.member and not loose.certified
+
+
+def test_closure_su_family_with_long_relation_is_certified_at_every_bound():
+    graph = bouquet_graph()
+    a, b = edge_word(graph, 1), edge_word(graph, 2)
+    loops = (a, b, power(compose(a, b), 4))
+    x, y = (mg.GroupElement(SU2, m) for m in mg.haar_batch(SU2, 2, np.random.default_rng(6)))
+    bad = verdicts_at_bounds(LoopAssignment(graph, loops, (x, y, x)))
+    assert not bad.member and bad.certified
+    assert_relation_witness(loops, bad)
+    xy = mg.mul(x, y)
+    good = verdicts_at_bounds(LoopAssignment(graph, loops, (x, y, mg.mul(mg.mul(xy, xy), mg.mul(xy, xy)))))
+    assert good.member and good.certified
+
+
+def test_closure_su_powers_of_one_loop_must_agree():
+    # {a^2, a^3} has no member in the subgroup of the other, yet forces v1^3 = v2^2
+    graph = bouquet_graph()
+    a = edge_word(graph, 1)
+    loops = (power(a, 2), power(a, 3))
+    v1, v2 = (mg.GroupElement(SU2, m) for m in mg.haar_batch(SU2, 2, np.random.default_rng(7)))
+    assert float(mg.distance(mg.mul(v1, mg.mul(v1, v1)), mg.mul(v2, v2))) > 1e-3
+    bad = verdicts_at_bounds(LoopAssignment(graph, loops, (v1, v2)))
+    assert not bad.member and bad.certified
+    assert_relation_witness(loops, bad)
+    good = verdicts_at_bounds(LoopAssignment(graph, loops, (mg.mul(v1, v1), mg.mul(v1, mg.mul(v1, v1)))))
+    assert good.member and good.certified
+
+
+def test_closure_su_lone_commutator_is_an_uncertified_member():
+    # {[a, b]} obeys no relation, but no relation is no proof: its exponent
+    # rank 0 is below the rank 1 of the subgroup it generates
+    graph = bouquet_graph()
+    a, b = edge_word(graph, 1), edge_word(graph, 2)
+    value = mg.GroupElement(SU2, mg.haar_batch(SU2, 1, np.random.default_rng(8))[0])
+    verdict = verdicts_at_bounds(LoopAssignment(graph, (commutator_word(a, b),), (value,)))
+    assert verdict.member and not verdict.certified
+    assert verdict.checked == 0
 
 
 @pytest.mark.parametrize("desc", ALL_KINDS, ids=lambda d: type(d).__name__ + str(mg.dim(d)))
