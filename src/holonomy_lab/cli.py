@@ -227,6 +227,8 @@ def cmd_wilson(args):
 
 
 def cmd_gauge_orbit(args):
+    if args.samples < 1:  # the report names it even when no function reads it
+        raise ValueError("need at least one gauge sample")
     graph = _load(args.graph, graph_from_dict)
     conn = _load(args.connection, _connection_from_dict, graph, args)
     desc = conn.descriptor
@@ -257,18 +259,14 @@ def cmd_gauge_orbit(args):
 
 
 def cmd_haar_mean(args):
+    if args.samples < 2:  # before any holonomy is transported
+        raise ValueError("need at least two samples for an error bar")
     graph = _load(args.graph, graph_from_dict)
     conn = _load(args.connection, _connection_from_dict, graph, args)
     f = _load(args.function, cyl_from_dict, graph)
     hm = HaarMean(f, conn.descriptor, layers=args.layers)
-    ladder = sorted({max(2, args.samples >> k) for k in range(5, 0, -1)} | {args.samples})
-    rows = []
-    est = None
-    for n in ladder:
-        e = hm.estimate(conn, n, args.seed)
-        rows.append(f"{n} {e.value.real!r}\n")
-        if n == args.samples:
-            est = e
+    est = hm.estimate(conn, args.samples, args.seed)
+    rows = [f"{e.samples} {e.value.real!r}\n" for e in est.ladder]
     report = {
         "command": "haar-mean",
         "group": mg.descriptor_to_dict(conn.descriptor),

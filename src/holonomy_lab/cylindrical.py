@@ -11,6 +11,8 @@ H_i -> g(range_i)^-1 H_i g(source_i), so averaging F over the gauge group
 is an integral over one Haar factor per endpoint vertex.  One sampler,
 ``_gauged_values``, draws them; the Monte Carlo mean calls it in fixed-size
 chunks, which makes every estimate reproducible from (samples, seed) alone.
+Its convergence ladder reads every rung as a prefix of that one stream: the
+rung n is the mean of the first n of the N draws, not a fresh n-sample run.
 
 Entry and trace indices are 1-based throughout (path 1 is the first path,
 H_11 the top-left entry), matching the usual matrix notation.
@@ -18,7 +20,7 @@ H_11 the top-left entry), matching the usual matrix notation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -264,6 +266,7 @@ class MeanEstimate:
     stderr: float
     samples: int
     layers: int
+    ladder: tuple = field(default=(), compare=False)  # per rung n: the first n draws' estimate
 
 
 class HaarMean:
@@ -291,23 +294,28 @@ class HaarMean:
         if samples < 2:
             raise ValueError("need at least two samples for an error bar")
         rng = np.random.default_rng(seed)
+        rungs = sorted({max(2, samples >> k) for k in range(1, 6)} | {samples})  # N >> 5 .. N
         # deviations from the first value: a near-constant f must not cancel in E|f|^2 - |Ef|^2
         total = dev_total = 0.0 + 0.0j
         dev_sq = 0.0
         shift = None
         done = 0
+        ladder = []
         while done < samples:
             count = min(MEAN_CHUNK, samples - done)
             vals = _gauged_values(self.function, arr, self.descriptor, count, self.layers, rng)
-            total += vals.sum()
             shift = vals[0] if shift is None else shift
             dev = vals - shift
+            for n in (n for n in rungs if done < n <= done + count):  # a prefix of this chunk
+                v, d = vals[:n - done], dev[:n - done]
+                mean, dev_mean = (total + v.sum()) / n, (dev_total + d.sum()) / n
+                var = max((dev_sq + float(np.sum(np.abs(d) ** 2))) / n - abs(dev_mean) ** 2, 0.0)
+                ladder.append(MeanEstimate(complex(mean), float(np.sqrt(var / n)), n, self.layers))
+            total += vals.sum()
             dev_total += dev.sum()
             dev_sq += float(np.sum(np.abs(dev) ** 2))
             done += count
-        mean = total / samples
-        var = max(dev_sq / samples - abs(dev_total / samples) ** 2, 0.0)
-        return MeanEstimate(complex(mean), float(np.sqrt(var / samples)), samples, self.layers)
+        return replace(ladder[-1], ladder=tuple(ladder))
 
 
 def invariance_check(f: CylFunction, conn: GeneralizedConnection, descriptor,

@@ -282,8 +282,9 @@ def algebra_descriptor(desc):
 # canonical coset representatives
 
 def _lex_keys(batch: np.ndarray) -> np.ndarray:
-    # row-major entries, real part then imaginary part
-    return np.stack([batch.real, batch.imag], axis=-1).reshape(batch.shape[0], -1)
+    # row-major entries, real part then imaginary part; the width is explicit for an empty stack
+    keys = np.stack([batch.real, batch.imag], axis=-1)
+    return keys.reshape(len(batch), 2 * int(np.prod(batch.shape[1:])))
 
 
 def _lex_less(cand_keys: np.ndarray, best_keys: np.ndarray, atol: float = LEX_ATOL) -> np.ndarray:
@@ -295,17 +296,24 @@ def _lex_less(cand_keys: np.ndarray, best_keys: np.ndarray, atol: float = LEX_AT
 
 
 def canonicalize_batch(desc: CentralQuotient, batch: np.ndarray) -> np.ndarray:
-    """Canonical coset representative of each matrix in a (N, n, n) stack."""
-    ks = desc.center_matrices()
-    best = batch @ ks[0]
-    best_keys = _lex_keys(best)
-    for k in ks[1:]:
-        cand = batch @ k
-        cand_keys = _lex_keys(cand)
+    """Canonical coset representative of each matrix in a (N, n, n) stack.
+
+    Every center element k is diagonal, so the candidate ``batch @ k`` is
+    the column scaling ``batch * diag(k)``.  The tournament reads its keys
+    from that scaling, which is all a comparison within ``LEX_ATOL`` needs,
+    and forms each output once, as the product with its winning k: the
+    scaling can round differently and give a zero the other sign, so
+    outputs keep the product's bits.
+    """
+    ks = np.array(desc.center_matrices())
+    best_keys = _lex_keys(batch * np.diagonal(ks[0]))
+    sel = np.zeros(len(batch), dtype=int)
+    for i, k in enumerate(ks[1:], 1):
+        cand_keys = _lex_keys(batch * np.diagonal(k))
         take = _lex_less(cand_keys, best_keys)
-        best[take] = cand[take]
+        sel[take] = i
         best_keys[take] = cand_keys[take]
-    return best
+    return batch @ ks[sel]
 
 
 def _wrap(desc, m: np.ndarray) -> GroupElement:

@@ -10,6 +10,9 @@ are the implementations the library replaced, kept as they were:
 letter), ``point_polyline_distance`` (one Python step per segment),
 ``polar_scipy`` and ``log_schur`` (the polar factor and the Schur-form
 logarithm of scipy, which the library no longer imports),
+``canonicalize_batch_matmul`` (the coset tournament that formed every
+candidate ``batch @ k`` in full, where the library compares column scalings
+and forms only the winner),
 ``scalar_line_integral_midpoint`` (the refined midpoint rule over every
 segment that interpolation used for its bump coefficient),
 ``gauge_act_edgewise`` (the vertex gauge action as three group operations
@@ -399,6 +402,23 @@ def log_schur(leaf, m, branch_shift):
                 theta[j] += 2.0 * np.pi
         theta = theta - theta.sum() / len(theta)
     return (z * (1j * theta)) @ z.conj().T
+
+
+# ---------------------------------------------------------------------------
+# canonical coset representatives
+
+def canonicalize_batch_matmul(desc: mg.CentralQuotient, batch: np.ndarray) -> np.ndarray:
+    """Canonical coset representative of each matrix in a (N, n, n) stack."""
+    ks = desc.center_matrices()
+    best = batch @ ks[0]
+    best_keys = mg._lex_keys(best)
+    for k in ks[1:]:
+        cand = batch @ k
+        cand_keys = mg._lex_keys(cand)
+        take = mg._lex_less(cand_keys, best_keys)
+        best[take] = cand[take]
+        best_keys[take] = cand_keys[take]
+    return best
 
 
 # ---------------------------------------------------------------------------

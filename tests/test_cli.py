@@ -25,7 +25,7 @@ from holonomy_lab.connections import (
     smooth_from_dict,
     smooth_to_dict,
 )
-from holonomy_lab.cylindrical import cyl_to_dict, wilson_loop
+from holonomy_lab.cylindrical import cyl_to_dict, entry_abs_square, wilson_loop
 from holonomy_lab.pathgroupoid import (
     Edge,
     Graph,
@@ -158,6 +158,30 @@ def test_haar_mean_deterministic(workspace, tmp_path):
     # and the spread is pure roundoff
     report = json.loads(a.stdout)
     assert report["stderr"] <= 1e-8
+
+
+def test_haar_mean_draws_each_gauge_sample_once(workspace, tmp_path, monkeypatch):
+    tmp, graph, _ = workspace
+    drawn = []
+    original = mg.haar_batch
+
+    def counting(desc, count, rng):
+        drawn.append(count)
+        return original(desc, count, rng)
+
+    monkeypatch.setattr(mg, "haar_batch", counting)
+    f = entry_abs_square(edge_word(graph, 1), 1, 1)  # an open edge: two endpoint vertices
+    (tmp_path / "edge.json").write_text(json.dumps(cyl_to_dict(f)))
+    samples, layers = 3000, 2
+    argv = ["haar-mean", "--graph", tmp / "graph.json", "--connection", tmp / "conn.json",
+            "--function", tmp_path / "edge.json", "--seed", "1", "--samples", str(samples),
+            "--layers", str(layers), "--out", tmp_path / "out"]
+    assert main([str(a) for a in argv]) == 0
+    assert sum(drawn) == samples * len(f.endpoint_vertices()) * layers
+    rows = (tmp_path / "out" / "haar-mean.dat").read_text().splitlines()
+    assert [int(r.split()[0]) for r in rows] == [93, 187, 375, 750, 1500, 3000]
+    report = json.loads((tmp_path / "out" / "haar-mean.json").read_text())
+    assert float(rows[-1].split()[1]) == report["value"][0]
 
 
 def test_theta_roundtrip_strict(workspace):
@@ -414,13 +438,22 @@ def test_gauge_orbit_rejects_negative_samples(workspace, capsys):
     (["approx", "--group", "su2", "--seed", "0", "--bound", "nan"], "--bound"),
     (["gauge-orbit", "--connection", "conn.json", "--function", "wilson.json", "--seed", "0",
       "--samples", "0"], "need at least one gauge sample"),
+    (["gauge-orbit", "--connection", "conn.json", "--seed", "0", "--samples", "0"],
+     "need at least one gauge sample"),
+    (["gauge-orbit", "--connection", "conn.json", "--seed", "0", "--samples", "-5"],
+     "need at least one gauge sample"),
+    (["haar-mean", "--connection", "conn.json", "--function", "wilson.json", "--seed", "0",
+      "--samples", "1"], "need at least two samples"),
+    (["haar-mean", "--connection", "conn.json", "--function", "wilson.json", "--seed", "0",
+      "--samples", "-4"], "need at least two samples"),
     (["closure", "--family", "torus-loops.json", "--bound", "-1"], "--bound"),
     (["closure", "--family", "torus-loops.json", "--bound", "2.5"], "--bound"),
     (["approx", "--group", "su2", "--seed", "0", "--seeds", "0"], "--seeds"),
     (["approx", "--group", "su2", "--seed", "0", "--seeds", "-2"], "--seeds"),
 ], ids=["tolerance-nan", "tolerance-inf", "tolerance-negative", "check-tolerance-nan",
-        "bound-nan", "zero-samples", "closure-bound-negative", "closure-bound-fraction",
-        "zero-seeds", "negative-seeds"])
+        "bound-nan", "zero-samples", "orbit-zero-samples", "orbit-negative-samples",
+        "mean-one-sample", "mean-negative-samples", "closure-bound-negative",
+        "closure-bound-fraction", "zero-seeds", "negative-seeds"])
 def test_bad_numeric_flag_is_usage_error(workspace, tmp_path, capsys, argv, named):
     tmp, _, _ = workspace
     inputs = (["--family", str(family_file(tmp_path))] if argv[0] == "approx"
@@ -467,6 +500,18 @@ def test_entry_past_matrix_size_is_usage_error(workspace, tmp_path, capsys, comm
                                "--function", tmp_path / "entry.json",
                                "--seed", "0", "--samples", "64"])
     assert "[1, 5, 1]" in err and "2x2" in err
+
+
+@pytest.mark.parametrize("command, samples", [("haar-mean", "1"), ("gauge-orbit", "0")])
+def test_bad_sample_count_exits_before_any_transport(workspace, capsys, transport_calls,
+                                                     command, samples):
+    tmp, _, _ = workspace
+    err = usage_error(capsys, [command, "--graph", tmp / "graph.json",
+                               "--connection", tmp / "smooth.json",
+                               "--function", tmp / "wilson.json",
+                               "--seed", "0", "--samples", samples])
+    assert "need at least" in err
+    assert transport_calls == []
 
 
 @pytest.mark.parametrize("command", ["haar-mean", "gauge-orbit"])

@@ -15,6 +15,7 @@ from holonomy_lab.connections import (
     restrict,
 )
 from holonomy_lab.cylindrical import (
+    MEAN_CHUNK,
     Conj,
     Const,
     CylFunction,
@@ -23,6 +24,7 @@ from holonomy_lab.cylindrical import (
     Prod,
     Sum,
     TraceOf,
+    _gauged_values,
     cyl_from_dict,
     cyl_to_dict,
     entry_abs_square,
@@ -269,6 +271,45 @@ def test_mean_is_linear_per_sample():
     eb = HaarMean(fb, SU2).estimate(conn, samples=10_000, seed=23)
     es = HaarMean(both, SU2).estimate(conn, samples=10_000, seed=23)
     assert abs(es.value - (ea.value + eb.value)) < 1e-12
+
+
+def ladder_case(layers):
+    graph = square_graph()
+    conn = random_generalized_connection(graph, SU2, seed=25)
+    f = entry_abs_square(edge_word(graph, 1), 1, 1)  # two endpoint vertices, not gauge invariant
+    return HaarMean(f, SU2, layers=layers), conn
+
+
+@pytest.mark.parametrize("samples, rungs", [
+    (2, [2]), (3, [2, 3]), (1000, [31, 62, 125, 250, 500, 1000]),
+    (MEAN_CHUNK + 1000, [287, 574, 1149, 2298, 4596, MEAN_CHUNK + 1000])])
+def test_ladder_top_rung_is_the_estimate(samples, rungs):
+    hm, conn = ladder_case(1)
+    est = hm.estimate(conn, samples, seed=26)
+    assert [r.samples for r in est.ladder] == rungs
+    assert est.ladder[-1] == est  # value, stderr and counts; the ladder field is not compared
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_ladder_rungs_at_chunk_multiples_are_standalone_estimates(layers):
+    hm, conn = ladder_case(layers)
+    samples = 4 * MEAN_CHUNK
+    rungs = {r.samples: r for r in hm.estimate(conn, samples, seed=27).ladder}
+    for n in (MEAN_CHUNK, 2 * MEAN_CHUNK):
+        assert rungs[n] == hm.estimate(conn, n, seed=27)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_ladder_rungs_inside_a_chunk_are_prefix_means_of_one_stream(layers):
+    hm, conn = ladder_case(layers)
+    samples = 3000
+    est = hm.estimate(conn, samples, seed=28)
+    stack = holonomy_stack(hm.function, conn)
+    vals = _gauged_values(hm.function, stack, SU2, samples, layers, np.random.default_rng(28))
+    for rung in est.ladder:
+        assert rung.value == vals[:rung.samples].sum() / rung.samples
+    # a standalone run of a rung below one chunk draws a different stream
+    assert est.ladder[0].value != hm.estimate(conn, est.ladder[0].samples, seed=28).value
 
 
 def test_mean_rejects_tiny_sample_counts():

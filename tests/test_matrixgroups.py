@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from holonomy_lab.matrixgroups import (
     BranchCutError,
@@ -17,6 +19,7 @@ from holonomy_lab.matrixgroups import (
     Unitary,
     algebra_descriptor,
     block_slices,
+    canonicalize_batch,
     central_quotient,
     conjugate,
     descriptor_from_dict,
@@ -41,7 +44,7 @@ from holonomy_lab.matrixgroups import (
     trace_normalized,
     validate_matrix,
 )
-from oracles import log_schur, polar_scipy, su2_haar_mean
+from oracles import canonicalize_batch_matmul, log_schur, polar_scipy, su2_haar_mean
 
 SU2 = SpecialUnitary(2)
 SU3 = SpecialUnitary(3)
@@ -485,6 +488,32 @@ def test_quotient_mul_well_defined_on_cosets():
     a = mul(quotient_project(U2_AS_QUOTIENT, g), quotient_project(U2_AS_QUOTIENT, h))
     b = mul(quotient_project(U2_AS_QUOTIENT, g @ k), quotient_project(U2_AS_QUOTIENT, h @ k))
     assert distance(a, b) < 1e-12
+
+
+W3 = np.exp(2j * np.pi / 3)
+SU3_MOD_Z3 = central_quotient(ProductGroup((SU3,)), [W3 ** j * np.eye(3) for j in range(3)])
+# a torus block makes the center diagonal but not scalar: diag(i, -1, -1, -1) generates Z4
+T2_SU2_MOD_Z4 = central_quotient(ProductGroup((T2, SU2)),
+                                 [np.linalg.matrix_power(np.diag([1j, -1, -1, -1]), j)
+                                  for j in range(4)])
+STACK_FORMS = {
+    "haar": lambda b: b,
+    "rounded": lambda b: np.round(b, 1),  # exact ties between translates, zeros of both signs
+    "real": lambda b: np.round(b.real, 1),  # the product's dtype, not the input's, comes out
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([U2_AS_QUOTIENT, SU3_MOD_Z3, T2_SU2_MOD_Z4]), st.integers(0, 6),
+       st.integers(0, 2**32 - 1), st.sampled_from(sorted(STACK_FORMS)))
+@example(U2_AS_QUOTIENT, 0, 0, "haar")
+@example(T2_SU2_MOD_Z4, 1, 0, "real")
+def test_canonicalize_batch_is_bitwise_the_full_product_tournament(desc, count, seed, form):
+    batch = STACK_FORMS[form](haar_batch(desc.base, count, np.random.default_rng(seed)))
+    got = canonicalize_batch(desc, batch)
+    want = canonicalize_batch_matmul(desc, batch)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.result_type(batch, complex)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # zero signs count
 
 
 # --- conjugation by a normal subgroup's ambient group ---------------------------
