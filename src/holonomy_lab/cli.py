@@ -227,8 +227,6 @@ def cmd_wilson(args):
 
 
 def cmd_gauge_orbit(args):
-    if args.samples < 1:  # the report names it even when no function reads it
-        raise ValueError("need at least one gauge sample")
     graph = _load(args.graph, graph_from_dict)
     conn = _load(args.connection, _connection_from_dict, graph, args)
     desc = conn.descriptor
@@ -259,8 +257,6 @@ def cmd_gauge_orbit(args):
 
 
 def cmd_haar_mean(args):
-    if args.samples < 2:  # before any holonomy is transported
-        raise ValueError("need at least two samples for an error bar")
     graph = _load(args.graph, graph_from_dict)
     conn = _load(args.connection, _connection_from_dict, graph, args)
     f = _load(args.function, cyl_from_dict, graph)
@@ -377,8 +373,13 @@ def cmd_closure(args):
 # ---------------------------------------------------------------------------
 # argument wiring
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one ``error:`` line from ``main``, not a usage block
+        raise CliError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="holonomy-lab",
         description="holonomy, gauge and closure experiments on finite graphs")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -400,11 +401,11 @@ def _build_parser():
         if "seed" in needs:
             p.add_argument("--seed", type=int, required=needs["seed"])
         if "samples" in needs:
-            p.add_argument("--samples", type=int, default=needs["samples"])
+            p.add_argument("--samples", type=needs["samples"][0], default=needs["samples"][1])
         if "seeds" in needs:
             p.add_argument("--seeds", type=_count(1), default=1)
         if "layers" in needs:
-            p.add_argument("--layers", type=int, default=1)
+            p.add_argument("--layers", type=_count(1), default=1)
         if "bound" in needs:
             p.add_argument("--bound", type=needs["bound"][0], default=needs["bound"][1])
         p.add_argument("--tolerance", type=_tolerance, default=1e-9)
@@ -417,9 +418,9 @@ def _build_parser():
     add("holonomy", cmd_holonomy, graph=True, connection=True, path=True)
     add("wilson", cmd_wilson, graph=True, connection=True, path=True)
     add("gauge-orbit", cmd_gauge_orbit, graph=True, connection=True,
-        function=False, seed=True, samples=20, check_tol=1e-8)
+        function=False, seed=True, samples=(_count(1), 20), check_tol=1e-8)
     add("haar-mean", cmd_haar_mean, graph=True, connection=True,
-        function=True, seed=True, samples=4096, layers=1)
+        function=True, seed=True, samples=(_count(2), 4096), layers=1)
     add("theta", cmd_theta, graph=True, connection=True, check_tol=1e-9)
     add("approx", cmd_approx, graph=False, group=True, family=True,
         seed=True, seeds=True, bound=(_tolerance, 1e-6))
@@ -431,9 +432,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         report, extras = args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

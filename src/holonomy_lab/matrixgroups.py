@@ -19,10 +19,10 @@ only: descriptors reject a quotient as a product factor, an empty product and
 
 Elements are plain complex matrices wrapped with their descriptor.  All
 operations are pure; random sampling is deterministic in an explicit seed.
-Haar sampling of U(n) uses the QR decomposition of a complex Ginibre matrix
-with the usual phase correction of the R diagonal, SU(n) divides out the
-determinant phase, the torus draws independent uniform phases and products
-sample their leaves independently, in order.
+Haar sampling of U(n) orthonormalizes the columns of a complex Ginibre matrix
+by Gram-Schmidt (Mezzadri 2007), SU(n) divides out the determinant phase,
+the torus draws independent uniform phases and products sample their leaves
+independently, in order.
 
 Matrix exponential and logarithm exploit that every element here is normal:
 both diagonalize a hermitian matrix with ``eigh`` (``-iX`` for the
@@ -443,6 +443,19 @@ def log_map(g: GroupElement, branch_shift: float = 0.0) -> LieAlgebraElement:
 # ---------------------------------------------------------------------------
 # Haar sampling
 
+def _gram_schmidt(z: np.ndarray) -> np.ndarray:
+    """Q of ``z = QR`` with R's diagonal positive, for a (count, n, n) stack: modified
+    Gram-Schmidt projecting each column twice keeps Q unitary however ill-conditioned z is."""
+    q = z.transpose(2, 0, 1).copy()  # q[j] holds column j of every matrix
+    for j, v in enumerate(q):
+        for _ in range(2):
+            for w in q[:j]:
+                v -= w * np.einsum("ki,ki->k", w.conj(), v)[:, None]
+        re_im = v.view(float)
+        v /= np.sqrt(np.einsum("ki,ki->k", re_im, re_im))[:, None]
+    return q.transpose(1, 2, 0)
+
+
 def _haar_leaf(leaf, count: int, rng) -> np.ndarray:
     n = leaf.n
     if isinstance(leaf, Torus):
@@ -451,12 +464,8 @@ def _haar_leaf(leaf, count: int, rng) -> np.ndarray:
         idx = np.arange(n)
         out[:, idx, idx] = np.exp(1j * theta)
         return out
-    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
-    z /= np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.einsum("kii->ki", r)
-    ph = d / np.abs(d)
-    u = q * ph[:, None, :]
+    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    u = _gram_schmidt(z)  # Q is scale-free, so z needs no 1/sqrt(2)
     if isinstance(leaf, SpecialUnitary):
         det = np.linalg.det(u)
         u = u * np.exp(-1j * np.angle(det) / n)[:, None, None]
@@ -467,7 +476,8 @@ def haar_batch(desc, count: int, rng) -> np.ndarray:
     """Stack of ``count`` Haar samples as a (count, n, n) array.
 
     ``rng`` is a ``numpy.random.Generator``; draws are consumed sequentially
-    leaf by leaf, so results are deterministic in the generator state.
+    leaf by leaf, so results are deterministic in the generator state.  A U
+    or SU leaf is the Q of a Ginibre stack, by twice-projected Gram-Schmidt.
     """
     leaves = leaf_blocks(desc)
     if len(leaves) == 1:

@@ -10,6 +10,9 @@ are the implementations the library replaced, kept as they were:
 letter), ``point_polyline_distance`` (one Python step per segment),
 ``polar_scipy`` and ``log_schur`` (the polar factor and the Schur-form
 logarithm of scipy, which the library no longer imports),
+``haar_leaf_qr`` (Haar draws of one leaf from numpy's QR of a Ginibre
+stack with the phase fix of the R diagonal, where the library orthonormalizes
+the columns by Gram-Schmidt),
 ``canonicalize_batch_matmul`` (the coset tournament that formed every
 candidate ``batch @ k`` in full, where the library compares column scalings
 and forms only the winner),
@@ -402,6 +405,29 @@ def log_schur(leaf, m, branch_shift):
                 theta[j] += 2.0 * np.pi
         theta = theta - theta.sum() / len(theta)
     return (z * (1j * theta)) @ z.conj().T
+
+
+# ---------------------------------------------------------------------------
+# Haar sampling
+
+def haar_leaf_qr(leaf, count: int, rng) -> np.ndarray:
+    n = leaf.n
+    if isinstance(leaf, mg.Torus):
+        theta = rng.uniform(-np.pi, np.pi, size=(count, n))
+        out = np.zeros((count, n, n), dtype=complex)
+        idx = np.arange(n)
+        out[:, idx, idx] = np.exp(1j * theta)
+        return out
+    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
+    z /= np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.einsum("kii->ki", r)
+    ph = d / np.abs(d)
+    u = q * ph[:, None, :]
+    if isinstance(leaf, mg.SpecialUnitary):
+        det = np.linalg.det(u)
+        u = u * np.exp(-1j * np.angle(det) / n)[:, None, None]
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -437,15 +437,15 @@ def test_gauge_orbit_rejects_negative_samples(workspace, capsys):
       "--check-tolerance", "nan"], "--check-tolerance"),
     (["approx", "--group", "su2", "--seed", "0", "--bound", "nan"], "--bound"),
     (["gauge-orbit", "--connection", "conn.json", "--function", "wilson.json", "--seed", "0",
-      "--samples", "0"], "need at least one gauge sample"),
+      "--samples", "0"], "--samples"),
     (["gauge-orbit", "--connection", "conn.json", "--seed", "0", "--samples", "0"],
-     "need at least one gauge sample"),
+     "--samples"),
     (["gauge-orbit", "--connection", "conn.json", "--seed", "0", "--samples", "-5"],
-     "need at least one gauge sample"),
+     "--samples"),
     (["haar-mean", "--connection", "conn.json", "--function", "wilson.json", "--seed", "0",
-      "--samples", "1"], "need at least two samples"),
+      "--samples", "1"], "--samples"),
     (["haar-mean", "--connection", "conn.json", "--function", "wilson.json", "--seed", "0",
-      "--samples", "-4"], "need at least two samples"),
+      "--samples", "-4"], "--samples"),
     (["closure", "--family", "torus-loops.json", "--bound", "-1"], "--bound"),
     (["closure", "--family", "torus-loops.json", "--bound", "2.5"], "--bound"),
     (["approx", "--group", "su2", "--seed", "0", "--seeds", "0"], "--seeds"),
@@ -459,12 +459,9 @@ def test_bad_numeric_flag_is_usage_error(workspace, tmp_path, capsys, argv, name
     inputs = (["--family", str(family_file(tmp_path))] if argv[0] == "approx"
               else ["--graph", str(tmp / "graph.json")])
     argv = [str(tmp / a) if a.endswith(".json") else a for a in argv] + inputs
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects the value before any command runs
-        code = exc.code
-    assert code == 2
-    assert named in capsys.readouterr().err
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
 # every option each command takes: a flag a command never reads is not offered
@@ -510,7 +507,7 @@ def test_bad_sample_count_exits_before_any_transport(workspace, capsys, transpor
                                "--connection", tmp / "smooth.json",
                                "--function", tmp / "wilson.json",
                                "--seed", "0", "--samples", samples])
-    assert "need at least" in err
+    assert "argument --samples: expected an integer" in err
     assert transport_calls == []
 
 
@@ -527,6 +524,19 @@ def test_entry_past_matrix_size_exits_before_any_transport(workspace, tmp_path, 
                                "--seed", "0", "--samples", "64"])
     assert "[1, 3, 3]" in err and "2x2" in err
     assert transport_calls == []
+
+
+@pytest.mark.parametrize("command", ["haar-mean", "gauge-orbit"])
+def test_haar_draws_never_call_qr(workspace, capsys, monkeypatch, command):
+    def qr(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    tmp, _, _ = workspace
+    assert main([command, "--graph", str(tmp / "graph.json"),
+                 "--connection", str(tmp / "conn.json"), "--function", str(tmp / "wilson.json"),
+                 "--seed", "1", "--samples", "64"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
 
 
 @pytest.mark.parametrize("command", ["approx", "haar-mean"])

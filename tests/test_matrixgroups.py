@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import holonomy_lab.matrixgroups as mg
 from holonomy_lab.matrixgroups import (
     BranchCutError,
     CentralQuotient,
@@ -44,7 +45,13 @@ from holonomy_lab.matrixgroups import (
     trace_normalized,
     validate_matrix,
 )
-from oracles import canonicalize_batch_matmul, log_schur, polar_scipy, su2_haar_mean
+from oracles import (
+    canonicalize_batch_matmul,
+    haar_leaf_qr,
+    log_schur,
+    polar_scipy,
+    su2_haar_mean,
+)
 
 SU2 = SpecialUnitary(2)
 SU3 = SpecialUnitary(3)
@@ -462,6 +469,47 @@ def test_su2_first_row_moment_against_quadrature():
     quad = su2_haar_mean(lambda a: abs(a[0, 0]) ** 2)
     assert abs(quad - 0.5) < 1e-10
     assert abs(mc.mean() - quad) < 3 * mc.std() / np.sqrt(n)
+
+
+def test_u3_trace_and_entry_moments():
+    # E|tr U|^2 = 1 (var 1) and E|U_11|^2 = 1/3 (var 1/18) over Haar U(3)
+    rng = np.random.default_rng(654)
+    n = 100_000
+    g = haar_batch(U3, n, rng)
+    tr2 = np.abs(np.einsum("kii->k", g)) ** 2
+    e2 = np.abs(g[:, 0, 0]) ** 2
+    assert abs(tr2.mean() - 1.0) < 3.0 * tr2.std() / np.sqrt(n)
+    assert abs(e2.mean() - 1.0 / 3.0) < 3.0 * e2.std() / np.sqrt(n)
+
+
+U1_SU2_MOD_Z2 = central_quotient(ProductGroup((Unitary(1), SU2)), [np.eye(3), -np.eye(3)])
+
+
+@pytest.mark.parametrize("desc", [
+    Unitary(1), U2, U3, U4, SU2, SU3, SpecialUnitary(4), ProductGroup((T1, SU2, U2)),
+    U1_SU2_MOD_Z2,
+], ids=repr)
+def test_haar_batch_matches_qr_oracle_on_the_same_stream(desc, monkeypatch):
+    got_rng, want_rng = np.random.default_rng(29), np.random.default_rng(29)
+    got = haar_batch(desc, 2000, got_rng)
+    monkeypatch.setattr(mg, "_haar_leaf", haar_leaf_qr)
+    want = haar_batch(desc, 2000, want_rng)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("c", [1e6, 1e10, 1e14])
+def test_gram_schmidt_stays_unitary_on_nearly_singular_stacks(c):
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((500, 3, 3)) + 1j * rng.standard_normal((500, 3, 3))
+    z[:, :, 1] = z[:, :, 0] + z[:, :, 1] / c  # condition number ~ c
+    q = mg._gram_schmidt(z)
+    defect = np.linalg.norm(q.conj().transpose(0, 2, 1) @ q - np.eye(3), axis=(1, 2))
+    assert defect.max() <= 1e-14
+    # the Q of QR with a positive R diagonal, which both find only to about c * eps
+    qr_q, r = np.linalg.qr(z)
+    d = np.einsum("kii->ki", r)
+    assert np.max(np.abs(q - qr_q * (d / np.abs(d))[:, None, :])) <= c * 1e-13
 
 
 # --- quotient specifics --------------------------------------------------------
