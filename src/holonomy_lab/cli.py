@@ -41,7 +41,7 @@ from .connections import (
     smooth_from_dict,
 )
 from .cylindrical import HaarMean, cyl_from_dict, invariance_check
-from .pathgroupoid import abelianize, graph_from_dict, word_from_tokens, word_to_tokens
+from .pathgroupoid import abelianize, graph_from_dict, json_int, word_from_tokens, word_to_tokens
 from .spectra import (
     abelian_obstruction_witness,
     approximation_experiment,
@@ -121,7 +121,7 @@ def _family_from_dict(graph, family):
     words = [word_from_tokens(graph, t) for t in family["words"]]
     windows = family.get("windows")
     if windows is not None:
-        windows = [(int(lo), int(hi)) for lo, hi in windows]
+        windows = [(json_int(lo, "a window"), json_int(hi, "a window")) for lo, hi in windows]
     return graph, words, windows, family.get("label", "interpolation")
 
 
@@ -388,26 +388,12 @@ def _build_parser():
         p = sub.add_parser(name)
         p.set_defaults(func=func)
         p.add_argument("--graph", required=needs.get("graph", False))
-        if "connection" in needs:
-            p.add_argument("--connection", required=needs["connection"])
-        if "function" in needs:
-            p.add_argument("--function", required=needs["function"])
-        if "group" in needs:
-            p.add_argument("--group", required=needs["group"])
-        if "path" in needs:
-            p.add_argument("--path", required=needs["path"])
-        if "family" in needs:
-            p.add_argument("--family", required=needs["family"])
-        if "seed" in needs:
-            p.add_argument("--seed", type=int, required=needs["seed"])
-        if "samples" in needs:
-            p.add_argument("--samples", type=needs["samples"][0], default=needs["samples"][1])
-        if "seeds" in needs:
-            p.add_argument("--seeds", type=_count(1), default=1)
-        if "layers" in needs:
-            p.add_argument("--layers", type=_count(1), default=1)
-        if "bound" in needs:
-            p.add_argument("--bound", type=needs["bound"][0], default=needs["bound"][1])
+        for opt in ("connection", "function", "group", "path", "family", "seed"):  # needs: required
+            if opt in needs:
+                p.add_argument(f"--{opt}", type=int if opt == "seed" else str, required=needs[opt])
+        for opt in ("samples", "seeds", "layers", "bound"):  # needs: (type, default)
+            if opt in needs:
+                p.add_argument(f"--{opt}", type=needs[opt][0], default=needs[opt][1])
         p.add_argument("--tolerance", type=_tolerance, default=1e-9)
         if "check_tol" in needs:
             p.add_argument("--check-tolerance", type=_tolerance, default=needs["check_tol"])
@@ -420,10 +406,10 @@ def _build_parser():
     add("gauge-orbit", cmd_gauge_orbit, graph=True, connection=True,
         function=False, seed=True, samples=(_count(1), 20), check_tol=1e-8)
     add("haar-mean", cmd_haar_mean, graph=True, connection=True,
-        function=True, seed=True, samples=(_count(2), 4096), layers=1)
+        function=True, seed=True, samples=(_count(2), 4096), layers=(_count(1), 1))
     add("theta", cmd_theta, graph=True, connection=True, check_tol=1e-9)
     add("approx", cmd_approx, graph=False, group=True, family=True,
-        seed=True, seeds=True, bound=(_tolerance, 1e-6))
+        seed=True, seeds=(_count(1), 1), bound=(_tolerance, 1e-6))
     add("obstruction", cmd_obstruction, graph=True, connection=False,
         path=False, check_tol=1e-8)
     add("closure", cmd_closure, graph=True, connection=False, family=False,

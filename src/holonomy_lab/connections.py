@@ -13,13 +13,13 @@ outside the radius), ``u_k`` a constant covector and ``X_k`` anti-hermitian.
 Holonomy of a smooth connection along a curve solves U' = -A(c(t))[c'(t)] U,
 U(0) = 1, so that walking eta then lam multiplies as H(lam eta) = H(lam) H(eta)
 and a gauge transformation g acts by H ->  g(end)^-1 H g(start).  The
-one-form vanishes off the chords the bumps' disks cut from each segment
-(:func:`_bump_chords`), so the integrator works on each segment's union of
-chords alone: one fourth-order Magnus step (two Gauss nodes) per
-sub-interval, from ``DEFAULT_STEPS`` sub-intervals doubling until the result
-is stable, the intervals of many polylines together in :func:`_transport_batch`,
-each under its own stop rule.  Interpolation's scalar bump integral uses the
-same chords and nodes.  Every gauge action on holonomies is :func:`gauge_transform`.
+one-form vanishes off the chords the bumps' disks cut from each segment, so
+every bump integral covers each segment's union of chords alone
+(:func:`_chord_intervals`): transport with one fourth-order Magnus step (two
+Gauss nodes) per sub-interval, interpolation's scalar coefficients at the same
+nodes.  Both refine in the one doubling loop :func:`_refine`, the intervals of
+many polylines together, each from ``DEFAULT_STEPS`` sub-intervals under its
+own stop rule.  Every gauge action on holonomies is :func:`gauge_transform`.
 
 Conventions match the combinatorial side: traversing an edge against its
 direction contributes the inverse transport, and the transport of a
@@ -43,13 +43,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import matrixgroups as mg
-from .pathgroupoid import Graph, PathWord, UnknownEdgeError
+from .pathgroupoid import Graph, PathWord, UnknownEdgeError, json_int
 
 DEFAULT_STEPS = 8
 DEFAULT_TOL = 1e-9
 MAX_DOUBLINGS = 14
 CLEARANCE = 0.7         # interpolation bump radius as a share of the window's room
 MIN_COEFFICIENT = 1e-8  # smallest bump line integral an interpolation target may have
+COEFFICIENT_TOL = 1e-12  # refinement tolerance of the interpolation coefficients
 
 
 class IndependenceError(ValueError):
@@ -357,21 +358,17 @@ def _segment_transport(conn: SmoothConnection, p: np.ndarray, q: np.ndarray,
     return _chain(np.ascontiguousarray(np.moveaxis(mg.exp_antihermitian(omega), -3, 0)))
 
 
-def _transport_batch(conn: SmoothConnection, polylines: Sequence, tol: float):
-    """Transports along many polylines in one batched pass, shape (len(polylines), n, n),
-    and each integrated interval's doubling level and last difference, in walk order.
-
-    Only the union of each segment's bump chords (:func:`_bump_chords`) is
-    integrated; the one-form vanishes elsewhere.  All intervals start at
-    ``DEFAULT_STEPS`` sub-steps, so each doubling level is one
-    :func:`_segment_transport` call on those still active.  Each stops on its
-    own: at ``tol`` in Frobenius norm, on a stall below 1e-10, or at ``MAX_DOUBLINGS``.
-    """
+def _chord_intervals(polylines: Sequence, centers, radii, own: bool = False):
+    """Polyline and ends p, q of every interval a bump integral must cover, in walk
+    order: the union of the chords :func:`_bump_chords` cuts from one segment, where
+    the bumps live.  With ``own``, polyline k meets only disk k."""
     lines = [np.atleast_2d(np.asarray(line, dtype=float)) for line in polylines]
     owner = np.repeat(np.arange(len(lines)), [len(pts) - 1 for pts in lines])
     starts = np.concatenate([pts[:-1] for pts in lines])
     ends = np.concatenate([pts[1:] for pts in lines])
-    t0, t1 = _bump_chords(starts, ends, conn._centers, conn._radii)
+    if own:  # each segment against its own line's disk alone
+        centers, radii = centers[owner][:, None], radii[owner][:, None]
+    t0, t1 = _bump_chords(starts, ends, centers, radii)
     rows, cols = np.nonzero(t1 > t0)
     spans = []  # [segment, a, b]: the union of each segment's chords, in walk order
     for j, a, b in sorted(zip(rows, t0[rows, cols], t1[rows, cols])):
@@ -379,24 +376,42 @@ def _transport_batch(conn: SmoothConnection, polylines: Sequence, tol: float):
             spans[-1][2] = max(spans[-1][2], b)
         else:
             spans.append([j, a, b])
-    out = np.repeat(np.eye(mg.dim(conn.descriptor), dtype=complex)[None], len(lines), axis=0)
-    level, diff = np.zeros(len(spans), dtype=int), np.full(len(spans), np.inf)
-    if spans:
-        j, a, b = (np.array(c) for c in zip(*spans))
-        p, q = (starts[j] + t[:, None] * (ends[j] - starts[j]) for t in (a, b))
-        u = _segment_transport(conn, p, q, DEFAULT_STEPS)
-        active, lev = np.arange(len(j)), 0
-        while active.size and lev < MAX_DOUBLINGS:
-            lev += 1
-            u2 = _segment_transport(conn, p[active], q[active], DEFAULT_STEPS << lev)
-            d = np.linalg.norm(u2 - u[active], axis=(-2, -1))
-            # stop on target accuracy, or on a stall once the change is tiny: no
-            # spinning on a tol below the roundoff floor (convergence need not be monotone)
-            stop = (d <= tol) | ((d > 0.5 * diff[active]) & (d < 1e-10))
-            u[active], level[active], diff[active] = u2, lev, d
-            active = active[~stop]
-        for k, m in zip(owner[j], u):
-            out[k] = m @ out[k]
+    j, a, b = np.array(spans).reshape(-1, 3).T
+    j = j.astype(int)
+    return owner[j], *(starts[j] + t[:, None] * (ends[j] - starts[j]) for t in (a, b))
+
+
+def _refine(integrate, count: int, tol: float, floor: float = 1e-10, min_level: int = 1):
+    """Values of ``count`` intervals, and each one's doubling level and last difference.
+
+    ``integrate(idx, steps)`` evaluates intervals ``idx`` at ``steps`` sub-steps, from
+    ``DEFAULT_STEPS`` doubling, so a level is one call on those still active.  From
+    doubling ``min_level`` on, each stops on its own: at ``tol`` in Frobenius norm, on
+    a stall below the integrand's roundoff ``floor``, or at ``MAX_DOUBLINGS``."""
+    level, diff = np.zeros(count, dtype=int), np.full(count, np.inf)
+    active, lev = np.arange(count), 0
+    val = integrate(active, DEFAULT_STEPS) if count else np.zeros(0)
+    while active.size and lev < MAX_DOUBLINGS:
+        lev += 1
+        v2 = integrate(active, DEFAULT_STEPS << lev)
+        d = np.linalg.norm((v2 - val[active]).reshape(active.size, -1), axis=-1)
+        # stop on target accuracy, or on a stall once the change is tiny: no
+        # spinning on a tol below the roundoff floor (convergence need not be monotone)
+        stop = ((d <= tol) | ((d > 0.5 * diff[active]) & (d < floor))) & (lev >= min_level)
+        val[active], level[active], diff[active] = v2, lev, d
+        active = active[~stop]
+    return val, level, diff
+
+
+def _transport_batch(conn: SmoothConnection, polylines: Sequence, tol: float):
+    """Transports along many polylines in one batched pass, shape (len(polylines), n, n),
+    and the levels and differences of :func:`_refine` over :func:`_chord_intervals`."""
+    owner, p, q = _chord_intervals(polylines, conn._centers, conn._radii)
+    u, level, diff = _refine(lambda idx, steps: _segment_transport(conn, p[idx], q[idx], steps),
+                             len(p), tol)
+    out = np.repeat(np.eye(mg.dim(conn.descriptor), dtype=complex)[None], len(polylines), axis=0)
+    for k, m in zip(owner, u):
+        out[k] = m @ out[k]
     return out, level, diff
 
 
@@ -496,13 +511,14 @@ class SmoothGauge:
         adesc = mg.algebra_descriptor(descriptor)
         for t in self.terms:
             mg.LieAlgebraElement(adesc, t.Y)
+        n, dim = mg.dim(descriptor), len(self.terms[0].center) if self.terms else 1
+        self._Y = np.array([t.Y for t in self.terms], dtype=complex).reshape(-1, n, n)
+        self._centers = np.array([t.center for t in self.terms], dtype=float).reshape(-1, dim)
+        self._radii = np.array([t.radius for t in self.terms], dtype=float)
 
     def at(self, point) -> np.ndarray:
-        n = mg.dim(self.descriptor)
-        M = np.zeros((n, n), dtype=complex)
-        for t in self.terms:
-            M = M + float(bump_value([point], t.center, t.radius)[0]) * t.Y
-        return mg.exp_antihermitian(M)
+        w = bump_value([point], self._centers, self._radii)[0]
+        return mg.exp_antihermitian(np.tensordot(w, self._Y, axes=(0, 0)))
 
     def as_discrete(self, graph: Graph) -> DiscreteGauge:
         try:
@@ -568,29 +584,21 @@ class InterpolationTarget:
     window: tuple
 
 
-def _scalar_line_integral(center, radius, direction, polyline) -> float:
-    """Integral of phi(x) <u, dx> along a polyline, at the Gauss nodes of transport.
+def _bump_coefficients(centers, radii, directions, polylines: Sequence) -> np.ndarray:
+    """Integral of phi_k(x) <u_k, dx> along polyline k for every k, in one :func:`_refine`
+    pass to ``COEFFICIENT_TOL`` over the chords bump k cuts from its own line."""
+    centers, radii, directions = (np.asarray(a, dtype=float) for a in (centers, radii, directions))
+    owner, p, q = _chord_intervals(polylines, centers, radii, own=True)
+    c, r, u = centers[owner][:, None, :], radii[owner][:, None], directions[owner]
 
-    Only the chords :func:`_bump_chords` cuts from the segments, where phi
-    lives, are integrated, so no level can miss a grazing bump; chords start
-    at ``DEFAULT_STEPS`` sub-steps, doubling to a relative change <= 1e-12.
-    """
-    pts = np.atleast_2d(np.asarray(polyline, dtype=float))
-    p, d = pts[:-1], np.diff(pts, axis=0)
-    t0, t1 = _bump_chords(p, pts[1:], center[None], np.array([radius]))
+    def integrate(idx, steps):
+        x1, x2, delta = _gauss_nodes(p[idx], q[idx], steps)
+        weights = bump_value(x1, c[idx], r[idx]) + bump_value(x2, c[idx], r[idx])
+        return 0.5 * weights.sum(axis=-1) * np.sum(delta * u[idx], axis=-1)
 
-    def once(steps):
-        x1, x2, delta = _gauss_nodes(p + t0 * d, p + t1 * d, steps)
-        weights = bump_value(x1, center, radius) + bump_value(x2, center, radius)
-        return 0.5 * float(weights.sum(axis=-1) @ (delta @ direction))
-
-    val = once(DEFAULT_STEPS)
-    for lev in range(1, 13):
-        nxt = once(DEFAULT_STEPS << lev)
-        if abs(nxt - val) <= 1e-12 * max(1.0, abs(nxt)):
-            return nxt
-        val = nxt
-    return val
+    # chords whose bump edge is narrow against 8 sub-steps can agree at 8 and 16 by chance
+    values = _refine(integrate, len(p), COEFFICIENT_TOL, floor=1e-14, min_level=2)[0]
+    return np.bincount(owner, values, minlength=len(polylines))
 
 
 _BRANCH_SHIFTS = (0.0, 0.41, -0.41, 0.97, 2.19)
@@ -613,8 +621,8 @@ def interpolate_connection(graph: Graph, targets: Sequence[InterpolationTarget],
     generator, using that a single path meets only its own bump: the
     transport collapses to ``exp(-c X)`` with ``c`` the scalar bump line
     integral, so ``X = -log(value)/c`` is exact up to integration error.
-    ``c`` is integrated at the Gauss nodes :func:`transport` uses, along the
-    chords the bump cuts from the path's segments.
+    Every target's ``c`` comes from one :func:`_bump_coefficients` pass, at the
+    Gauss nodes of :func:`transport` over the chords its bump cuts from its path.
 
     The bump sits at the window's arc-length midpoint.  Its room is the
     distance from there to the nearest segment of every other family path,
@@ -661,12 +669,13 @@ def interpolate_connection(graph: Graph, targets: Sequence[InterpolationTarget],
     for k, t in enumerate(targets):
         dist[k, offsets[k] + t.window[0]:offsets[k] + t.window[1]] = np.inf
     radii = CLEARANCE * np.minimum(dist.min(axis=1), halves)
+    # a target without clearance fails before its coefficient is read; its radius need only be > 0
+    coefficients = _bump_coefficients(mids, np.maximum(radii, 1e-9), directions, polylines)
     terms = []
-    for k, (t, radius) in enumerate(zip(targets, radii)):
+    for k, (t, radius, c) in enumerate(zip(targets, radii, coefficients)):
         if radius <= 1e-9:
             raise IndependenceError(
                 f"target {k}: window has no clearance; paths overlap its segment")
-        c = _scalar_line_integral(mids[k], radius, directions[k], polylines[k])
         if abs(c) < MIN_COEFFICIENT:
             raise IndependenceError(
                 f"target {k}: path barely meets its own bump (coefficient {c:.2e})")
@@ -688,7 +697,7 @@ def generalized_to_dict(conn: GeneralizedConnection) -> dict:
 def generalized_from_dict(graph: Graph, data: Mapping) -> GeneralizedConnection:
     desc = mg.descriptor_from_dict(data["group"])
     if "haar_seed" in data:
-        return random_generalized_connection(graph, desc, int(data["haar_seed"]))
+        return random_generalized_connection(graph, desc, json_int(data["haar_seed"], "haar_seed"))
     by_name = {str(eid): eid for eid in graph.edges}
     values = {}
     for key, pairs in data["values"].items():
@@ -733,7 +742,7 @@ def gauge_to_dict(gauge: DiscreteGauge) -> dict:
 def gauge_from_dict(graph: Graph, data: Mapping) -> DiscreteGauge:
     desc = mg.descriptor_from_dict(data["group"])
     if "haar_seed" in data:
-        return random_discrete_gauge(graph, desc, int(data["haar_seed"]))
+        return random_discrete_gauge(graph, desc, json_int(data["haar_seed"], "haar_seed"))
     by_name = {str(v): v for v in graph.vertices}
     values = {by_name[key]: mg.matrix_from_pairs(pairs) for key, pairs in data["values"].items()}
     return DiscreteGauge(graph, desc, values)

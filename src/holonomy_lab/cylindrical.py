@@ -28,7 +28,7 @@ import numpy as np
 from . import matrixgroups as mg
 from .connections import (GeneralizedConnection, _word_product, fill_edges, gauge_transform,
                           holonomy_general)
-from .pathgroupoid import Graph, PathWord, word_from_tokens, word_to_tokens
+from .pathgroupoid import Graph, PathWord, json_int, word_from_tokens, word_to_tokens
 
 MEAN_CHUNK = 8192
 
@@ -151,9 +151,9 @@ def expr_from_dict(data: Mapping) -> Expr:
     if key == "const":
         return Const(complex(val[0], val[1]))
     if key == "entry":
-        return Entry(int(val[0]), int(val[1]), int(val[2]))
+        return Entry(*(json_int(i, "an entry index") for i in val))
     if key == "trace":
-        return TraceOf(int(val))
+        return TraceOf(json_int(val, "a trace index"))
     if key == "conj":
         return Conj(expr_from_dict(val))
     if key == "add":

@@ -580,11 +580,11 @@ def descriptor_from_dict(data) -> GroupDescriptor:
     except (KeyError, TypeError) as exc:
         raise ValueError("descriptor document needs a 'kind'") from exc
     if kind == "U":
-        return Unitary(int(data["n"]))
+        return Unitary(data["n"])
     if kind == "SU":
-        return SpecialUnitary(int(data["n"]))
+        return SpecialUnitary(data["n"])
     if kind == "torus":
-        return Torus(int(data["n"]))
+        return Torus(data["n"])
     if kind == "product":
         return ProductGroup(tuple(descriptor_from_dict(f) for f in data["factors"]))
     if kind == "quotient":

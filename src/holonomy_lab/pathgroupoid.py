@@ -429,11 +429,18 @@ def word_to_tokens(p: PathWord) -> list:
     return out
 
 
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; booleans and fractions are errors."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def word_from_tokens(graph: Graph, tokens: Iterable, source=None) -> PathWord:
     letters = []
     for t in tokens:
         if isinstance(t, int):
-            if t == 0:
+            if json_int(t, "a signed edge id") == 0:
                 raise ValueError("0 is not a valid signed edge id")
             letters.append((abs(t), 1 if t > 0 else -1))
         else:

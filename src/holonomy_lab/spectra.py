@@ -508,8 +508,7 @@ def _loop_verdict(loops, values, descriptor, fold, bound, tol) -> ClosureVerdict
             return ClosureVerdict(False, mode, True, det_check.witness,
                                   "zero-exponent word with nontrivial determinant",
                                   fun.checked + det_check.checked)
-        return ClosureVerdict(True, mode, fun.certified and det_check.certified, (),
-                              f"{fun.detail}; {det_check.detail}",
+        return ClosureVerdict(True, mode, False, (), f"{fun.detail}; {det_check.detail}",
                               fun.checked + det_check.checked)
     if isinstance(descriptor, mg.ProductGroup):
         total = 0
@@ -544,7 +543,6 @@ def _loop_verdict(loops, values, descriptor, fold, bound, tol) -> ClosureVerdict
         return ClosureVerdict(False, mode, certified, first_failure.witness,
                               f"no center lift works; identity lift: {first_failure.detail}",
                               total)
-    raise TypeError(f"no closure rule for {type(descriptor).__name__}")
 
 
 def closure_membership(data, bound: int = 6, tol: float = 1e-8) -> ClosureVerdict:

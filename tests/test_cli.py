@@ -400,6 +400,35 @@ def test_malformed_approx_family_is_usage_error(tmp_path, capsys, family, named)
     assert named in err
 
 
+SU2_DOC = {"kind": "SU", "n": 2}
+WILSON = ["gauge-orbit", "--connection", "conn.json", "--seed", "0", "--samples", "1",
+          "--function", "bad.json"]
+HOLONOMY = ["holonomy", "--path", "1,2", "--connection", "bad.json"]
+
+
+@pytest.mark.parametrize("argv, document", [
+    (WILSON, {"paths": [{"tokens": [True, 2, 3, 4, 5]}], "expr": {"trace": 1}}),
+    (WILSON, {"paths": [[1, 2, 3, 4, 5]], "expr": {"entry": [1, 1.9, 2.2]}}),
+    (WILSON, {"paths": [[1, 2, 3, 4, 5]], "expr": {"trace": 1.5}}),
+    (HOLONOMY, {"group": {"kind": "SU", "n": True}, "haar_seed": 3}),
+    (HOLONOMY, {"group": {"kind": "SU", "n": 2.5}, "haar_seed": 3}),
+    (HOLONOMY, {"group": SU2_DOC, "haar_seed": True}),
+    (["approx", "--group", "su2", "--seed", "0", "--family", "bad.json"],
+     {"windows": [[5.7, 8.2], [5.7, 8.2]]}),
+], ids=["path-true", "entry-fractions", "trace-fraction", "n-true", "n-fraction",
+        "haar-seed-true", "window-fractions"])
+def test_integer_fields_take_only_json_integers(workspace, tmp_path, capsys, argv, document):
+    tmp, _, _ = workspace
+    if argv[0] == "approx":
+        document = dict(json.loads(family_file(tmp_path).read_text()), **document)
+    (tmp_path / "bad.json").write_text(json.dumps(document))
+    argv = [str(tmp_path / a) if a == "bad.json" else str(tmp / a) if a.endswith(".json") else a
+            for a in argv]
+    err = usage_error(capsys, argv + ([] if argv[0] == "approx" else
+                                      ["--graph", tmp / "graph.json"]))
+    assert "bad.json" in err
+
+
 def test_approx_window_with_coinciding_ends_is_usage_error(tmp_path, capsys):
     square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
     graph = Graph("a", [Edge(1, "a", "a", square)], "a", {"a": (0.0, 0.0)})

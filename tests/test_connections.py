@@ -62,13 +62,14 @@ from holonomy_lab.pathgroupoid import (
     reduce_word,
     unit,
 )
-from holonomy_lab.spectra import approximation_experiment
+from holonomy_lab.spectra import approximation_experiment, default_windows
 
 from graphs import pentagon_chord_graph, spider_graph, square_graph, theta_graph
 from oracles import (
     gauge_act_edgewise,
     holonomy_letterwise,
     point_polyline_distance,
+    scalar_line_integral,
     scalar_line_integral_midpoint,
     split_holonomy_per_factor,
     transport_field,
@@ -88,6 +89,11 @@ KIND_IDS = ["su2", "su3", "u2", "t2", "t1xsu2", "t1xsu2-mod-z2", "u1xsu2-mod-z2"
 
 def frob(a, b):
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
+
+
+def bump_coefficient(center, radius, direction, polyline):
+    """The interpolation coefficient of one bump on one polyline."""
+    return connections._bump_coefficients([center], [radius], [direction], [polyline])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +287,7 @@ def test_transport_finds_grazing_bump():
     whole = np.array([[-1.0, 0.0], [1.0, 0.0]])
     assert frob(transport_whole_segments(conn, whole), np.eye(2)) == 0.0
     term = conn.terms[0]
-    c = connections._scalar_line_integral(np.array(term.center), term.radius,
-                                          np.array(term.direction), whole)
+    c = bump_coefficient(term.center, term.radius, term.direction, whole)
     assert frob(transport(conn, whole), expm(-c * term.X)) <= 1e-12
     cut = np.array([[-1.0, 0.0], [0.4, 0.0], [0.6, 0.0], [1.0, 0.0]])
     assert frob(transport(conn, whole), transport_whole_segments(conn, cut)) <= 1e-11
@@ -831,6 +836,25 @@ def test_interpolation_rejects_shared_window():
         interpolate_connection(graph, targets)
 
 
+def test_interpolation_names_the_first_failing_target():
+    r = 3
+    graph = spider_graph(r)
+    v = mg.haar_sample(SU2, seed=63)
+    clear, full = InterpolationTarget(leg_word(graph, r, 0), v, (5, 8)), leg_word(graph, r, 1)
+    # leg 1's own inner edge is crossed by leg 1's path: no clearance
+    crossed = InterpolationTarget(edge_word(graph, 2), v, (0, 4))
+    beside = InterpolationTarget(full, v, (5, 8))
+    with pytest.raises(IndependenceError, match="target 1: window has no clearance"):
+        interpolate_connection(graph, [clear, crossed, beside])
+    zero = lambda centers, *rest: np.zeros(len(centers))
+    with mock.patch.object(connections, "_bump_coefficients", zero):
+        with pytest.raises(IndependenceError, match="target 0: path barely meets"):
+            interpolate_connection(graph, [clear, crossed, beside])
+        # the clearance check comes first within a target
+        with pytest.raises(IndependenceError, match="target 0: window has no clearance"):
+            interpolate_connection(graph, [crossed, clear, beside])
+
+
 def test_interpolation_rejects_bad_window():
     r = 2
     graph = spider_graph(r)
@@ -868,7 +892,7 @@ def bumps_near_polylines(draw):
 @given(case=bumps_near_polylines())
 def test_scalar_line_integral_matches_midpoint_oracle(case):
     center, radius, direction, pts = case
-    got = connections._scalar_line_integral(center, radius, direction, pts)
+    got = bump_coefficient(center, radius, direction, pts)
     want = scalar_line_integral_midpoint(center, radius, direction, pts)
     if not np.any(_segment_distances(center[None], pts[:-1], pts[1:]) < radius):
         assert got == 0.0
@@ -879,8 +903,8 @@ def test_scalar_line_integral_matches_midpoint_oracle(case):
 def test_scalar_line_integral_of_far_bump_is_exactly_zero():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     center, direction = np.array([3.0, 0.5]), np.array([0.6, 0.8])
-    assert connections._scalar_line_integral(center, 1.9, direction, pts) == 0.0
-    assert connections._scalar_line_integral(center, 1.9, direction, pts[:1]) == 0.0
+    assert bump_coefficient(center, 1.9, direction, pts) == 0.0
+    assert bump_coefficient(center, 1.9, direction, pts[:1]) == 0.0
 
 
 def test_scalar_line_integral_finds_grazing_bump():
@@ -889,11 +913,87 @@ def test_scalar_line_integral_finds_grazing_bump():
     radius, height = 0.036, 0.93 * 0.036
     center, direction = np.array([0.49, height]), np.array([0.6, 0.8])
     pts = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    got = connections._scalar_line_integral(center, radius, direction, pts)
+    got = bump_coefficient(center, radius, direction, pts)
     half = np.sqrt(radius ** 2 - height ** 2)
     want, _ = quad(lambda x: bump_value([(x, 0.0)], center, radius)[0] * direction[0],
                    center[0] - half, center[0] + half, epsabs=0.0, epsrel=1e-13)
     assert want > 1e-6 and abs(got - want) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases=st.lists(bumps_near_polylines(), min_size=1, max_size=4))
+def test_batched_coefficients_match_the_per_target_oracle(cases):
+    centers, radii, directions, lines = zip(*cases)
+    got = connections._bump_coefficients(centers, radii, directions, lines)
+    assert got.shape == (len(cases),)
+    # relative on the scale both refinements stop at: each stops on a change of
+    # 1e-12, and the oracle's sum of chords can agree at 8 and 16 sub-steps by
+    # chance, up to 6.1e-11 away from its limit on 1 of 3,000 random targets
+    for c, (center, radius, direction, pts) in zip(got, cases):
+        want = scalar_line_integral(center, radius, direction, pts)
+        assert abs(c - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_coefficient_chords_refine_past_a_chance_agreement():
+    # the last chord ends near the center: its values at 8 and 16 sub-steps
+    # differ by 4e-13, then by 1.5e-10 at 64, so stopping on the first doubling
+    # left the coefficient 2.6e-10 off
+    center, radius = np.array([0.41405172424923425, -0.1327663718085657]), 0.45092961076768046
+    direction = np.array([0.8548254204872988, 0.5189156968995182])
+    pts = np.array([[0.4813779757220118, -0.4285511819956984],
+                    [-0.3328629105850187, 0.7309855497283286],
+                    [0.5745872730316923, -0.28136335190594575],
+                    [0.5745872730316923, -0.28136335190594575],
+                    [0.267327534191909, 0.0584433847952659]])
+    t0, t1 = connections._bump_chords(pts[:-1], pts[1:], center[None], np.array([radius]))
+    want = 0.0
+    for p, q, a, b in zip(pts[:-1], pts[1:], t0[:, 0], t1[:, 0]):
+        if b > a:
+            phi = lambda t: bump_value([p + t * (q - p)], center, radius)[0]
+            want += (q - p) @ direction * quad(phi, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    assert abs(bump_coefficient(center, radius, direction, pts) - want) <= 1e-12
+
+
+def spider_targets(r):
+    graph = spider_graph(r)
+    words = [leg_word(graph, r, k) for k in range(r)]
+    values = mg.haar_batch(SU2, r, np.random.default_rng(r))
+    return graph, [InterpolationTarget(w, mg.GroupElement(SU2, v), tuple(win))
+                   for w, v, win in zip(words, values, default_windows(graph, words))]
+
+
+def test_interpolation_refines_every_coefficient_in_one_loop():
+    # the per-target loop made 5 node evaluations per target, 40 on spider-8
+    graph, targets = spider_targets(8)
+    with mock.patch.object(connections, "_gauss_nodes",
+                           wraps=connections._gauss_nodes) as nodes:
+        interpolate_connection(graph, targets)
+    assert 1 <= nodes.call_count <= MAX_DOUBLINGS + 1
+
+
+def test_coefficients_below_roundoff_tolerance_still_return(monkeypatch):
+    # no refinement is sure to reach a change of 0: such a chord stops on the
+    # stall or at MAX_DOUBLINGS, and the coefficient is still the integral
+    monkeypatch.setattr(connections, "COEFFICIENT_TOL", 0.0)
+    seen = []
+    real = connections._refine
+
+    def refine(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(connections, "_refine", refine)
+    rng = np.random.default_rng(23)
+    lines = [rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 6)), 2)) for _ in range(40)]
+    centers = [line[rng.integers(len(line))] + rng.normal(scale=0.2, size=2) for line in lines]
+    radii = rng.uniform(0.2, 1.0, size=len(lines))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=len(lines))
+    directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    got = connections._bump_coefficients(centers, radii, directions, lines)
+    _, levels, diffs = seen[0]
+    assert np.all(levels <= MAX_DOUBLINGS) and np.any(diffs > 0.0)
+    for c, args in zip(got, zip(centers, radii, directions, lines)):
+        assert abs(c - scalar_line_integral(*args)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -932,6 +1032,15 @@ def test_generalized_from_seed():
     b = random_generalized_connection(graph, SU2, seed=9)
     for eid in graph.edges:
         assert frob(a.values[eid], b.values[eid]) == 0.0
+
+
+@pytest.mark.parametrize("seed", [True, 9.0, "9"])
+def test_seeded_documents_need_an_integer_seed(seed):
+    graph = square_graph()
+    data = {"group": mg.descriptor_to_dict(SU2), "haar_seed": seed, "values": {}}
+    for load in (generalized_from_dict, gauge_from_dict):
+        with pytest.raises(ValueError, match="haar_seed must be an integer"):
+            load(graph, data)
 
 
 def test_smooth_serialization_roundtrip():
