@@ -34,8 +34,8 @@ from . import matrixgroups as mg
 from .connections import (
     GeometryError,
     IndependenceError,
-    fill_edges,
     generalized_from_dict,
+    holonomies,
     holonomy_general,
     restrict,
     smooth_from_dict,
@@ -122,6 +122,8 @@ def _family_from_dict(graph, family):
     windows = family.get("windows")
     if windows is not None:
         windows = [(json_int(lo, "a window"), json_int(hi, "a window")) for lo, hi in windows]
+        if len(windows) != len(words):
+            raise ValueError(f"{len(words)} words but {len(windows)} windows")
     return graph, words, windows, family.get("label", "interpolation")
 
 
@@ -236,14 +238,14 @@ def cmd_gauge_orbit(args):
     f = None if args.function is None else _load(args.function, cyl_from_dict, graph)
     if f is not None:
         f.check_size(desc)  # a bad entry exits before any transport
-    fill_edges(conn, [*basis.loops.values(), *(() if f is None else f.paths)])
-    values = [holonomy_general(conn, basis.loops[eid]) for eid in basis.loop_ids]
+    loops = [basis.loops[eid] for eid in basis.loop_ids]  # f's paths join their transport
+    values = holonomies(conn, [*loops, *(() if f is None else f.paths)])[:len(loops)]
     rep = orbit_representative(desc, values)
     report = {
         "command": "gauge-orbit",
         "group": mg.descriptor_to_dict(desc),
         "loop_ids": [str(eid) for eid in basis.loop_ids],
-        "loop_values": [mg.matrix_to_pairs(v.matrix) for v in values],
+        "loop_values": [mg.matrix_to_pairs(v) for v in values],
         "representative": [mg.matrix_to_pairs(r.matrix) for r in rep],
         "seed": args.seed,
         "samples": args.samples,

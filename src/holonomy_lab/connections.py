@@ -27,12 +27,13 @@ reversed sub-segment is the exact matrix inverse of the forward one.
 
 A smooth connection reaches path words only through :func:`restrict`,
 the embedding of smooth connections into generalized ones: each edge
-carries its transport, which :func:`fill_edges` integrates in one batched
-pass for all the words a reader is about to evaluate, and
-:func:`holonomy_general` multiplies those values like any other edge
-assignment.  Every product of a letter word over a matrix table is the
-one gather-and-fold :func:`_word_product`; a word's holonomy then repairs
-unitarity drift once and canonicalizes a quotient result once.
+carries its transport.  :func:`holonomies` is the one evaluator of path
+words: it integrates every edge its words walk that a restricted
+connection still lacks in one batched pass, then multiplies edge values
+like any other edge assignment.  Every product of a letter word over a
+matrix table is the one gather-and-fold :func:`_word_product`; each
+word's holonomy then repairs unitarity drift once, and a quotient's
+stack is canonicalized once.
 """
 
 from __future__ import annotations
@@ -91,26 +92,36 @@ def _word_product(table, letters) -> np.ndarray:
     return _chain(np.stack([table[i] if o == 1 else table[i].conj().T for i, o in letters]))
 
 
-def holonomy_general(conn: GeneralizedConnection, word: PathWord) -> mg.GroupElement:
-    """Holonomy of a reduced word: the first-walked letter acts first.
+def holonomies(conn: GeneralizedConnection, words: Sequence[PathWord]) -> np.ndarray:
+    """Holonomies of reduced words, shape (len(words), n, n): the first-walked letter acts first.
 
-    :func:`_word_product` of the edge matrices, polar-repaired once if it
-    drifted from unitarity and canonicalized once in a quotient.
+    Every letter's edge is checked before any matrix work, and a restricted
+    connection integrates every walked edge it lacks in one batched pass.
+    Each word is the :func:`_word_product` of its edge matrices (a unit the
+    identity), polar-repaired if it drifted from unitarity; a quotient's
+    stack is canonicalized once.
     """
     if not isinstance(conn, GeneralizedConnection):
         raise TypeError(f"cannot take holonomies of {type(conn).__name__}; "
                         f"restrict smooth connections to the graph first")
     desc, values = conn.descriptor, conn.values
-    for eid, _ in word.letters:
+    walked = [eid for w in words for eid, _ in w.letters]
+    for eid in walked:
         if eid not in values:
             raise UnknownEdgeError(f"no edge with id {eid!r}")
-    if not word.letters:
-        return mg.identity(desc)
-    fill_edges(conn, [word])
-    m = _word_product(values, word.letters)
-    if mg._unitarity_defect(m) > mg.REPAIR_ATOL:
-        m = mg.reunitarize(m)
-    return mg._wrap(desc, m)
+    if isinstance(values, _EdgeTransports):
+        values.fill(walked)
+    n = mg.dim(desc)
+    out = np.empty((len(words), n, n), dtype=complex)
+    for k, w in enumerate(words):
+        m = _word_product(values, w.letters) if w.letters else np.eye(n, dtype=complex)
+        out[k] = mg.reunitarize(m) if mg._unitarity_defect(m) > mg.REPAIR_ATOL else m
+    return mg.canonicalize_batch(desc, out) if isinstance(desc, mg.CentralQuotient) else out
+
+
+def holonomy_general(conn: GeneralizedConnection, word: PathWord) -> mg.GroupElement:
+    """Holonomy of one reduced word: the one-word case of :func:`holonomies`."""
+    return mg.GroupElement(conn.descriptor, holonomies(conn, [word])[0], check=False)
 
 
 def random_generalized_connection(graph: Graph, descriptor, seed: int) -> GeneralizedConnection:
@@ -381,13 +392,14 @@ def _chord_intervals(polylines: Sequence, centers, radii, own: bool = False):
     return owner[j], *(starts[j] + t[:, None] * (ends[j] - starts[j]) for t in (a, b))
 
 
-def _refine(integrate, count: int, tol: float, floor: float = 1e-10, min_level: int = 1):
+def _refine(integrate, count: int, tol: float, floor: float = 1e-10):
     """Values of ``count`` intervals, and each one's doubling level and last difference.
 
     ``integrate(idx, steps)`` evaluates intervals ``idx`` at ``steps`` sub-steps, from
-    ``DEFAULT_STEPS`` doubling, so a level is one call on those still active.  From
-    doubling ``min_level`` on, each stops on its own: at ``tol`` in Frobenius norm, on
-    a stall below the integrand's roundoff ``floor``, or at ``MAX_DOUBLINGS``."""
+    ``DEFAULT_STEPS`` doubling, so a level is one call on those still active.  Each
+    stops on its own: at ``tol`` in Frobenius norm once the previous difference was
+    within ``256 * tol`` too (so after two doublings at least), on a stall below the
+    integrand's roundoff ``floor``, or at ``MAX_DOUBLINGS``."""
     level, diff = np.zeros(count, dtype=int), np.full(count, np.inf)
     active, lev = np.arange(count), 0
     val = integrate(active, DEFAULT_STEPS) if count else np.zeros(0)
@@ -395,9 +407,10 @@ def _refine(integrate, count: int, tol: float, floor: float = 1e-10, min_level: 
         lev += 1
         v2 = integrate(active, DEFAULT_STEPS << lev)
         d = np.linalg.norm((v2 - val[active]).reshape(active.size, -1), axis=-1)
-        # stop on target accuracy, or on a stall once the change is tiny: no
-        # spinning on a tol below the roundoff floor (convergence need not be monotone)
-        stop = ((d <= tol) | ((d > 0.5 * diff[active]) & (d < floor))) & (lev >= min_level)
+        # stop on target accuracy, unless the level before was far off (fourth order
+        # shrinks the change ~16x a level), so the agreement is a chance; or on a stall
+        # once the change is tiny: no spinning on a tol below the roundoff floor
+        stop = ((d <= tol) & (diff[active] <= 256 * tol)) | ((d > 0.5 * diff[active]) & (d < floor))
         val[active], level[active], diff[active] = v2, lev, d
         active = active[~stop]
     return val, level, diff
@@ -452,36 +465,17 @@ class _EdgeTransports(Mapping):
         return len(self._graph.edges)
 
 
-def fill_edges(conn: GeneralizedConnection, words: Iterable[PathWord]) -> None:
-    """Integrate, in one batched pass, every edge of the words a restricted connection lacks."""
-    if isinstance(getattr(conn, "values", None), _EdgeTransports):
-        conn.values.fill(eid for w in words for eid, _ in w.letters)
-
-
 def restrict(conn: SmoothConnection, graph: Graph, tol: float = DEFAULT_TOL) -> GeneralizedConnection:
     """The generalized connection a smooth one induces on a graph's edges.
 
     Each edge holds the transport along its curve, integrated when first
-    needed and kept: readers call :func:`fill_edges` on the words they are
-    about to evaluate, and an edge that no word walks is never integrated.
+    needed and kept: :func:`holonomies` integrates every edge its words walk
+    in one batched pass, and an edge that no word walks is never integrated.
     """
     out = GeneralizedConnection.__new__(GeneralizedConnection)
     out.graph, out.descriptor = graph, conn.descriptor
     out.values = _EdgeTransports(conn, graph, tol)
     return out
-
-
-def split_holonomy(conn: SmoothConnection, polyline, tol: float = DEFAULT_TOL):
-    """Factor-wise holonomies of a product-group connection.
-
-    The factors commute inside the block-diagonal embedding, so each
-    factor's holonomy is a diagonal block of the full transport.
-    """
-    desc = conn.descriptor
-    if not isinstance(desc, mg.ProductGroup):
-        raise TypeError("split_holonomy needs a ProductGroup connection")
-    m = transport(conn, polyline, tol)
-    return tuple(mg.GroupElement(f, m[sl, sl]) for sl, f in mg.block_slices(desc))
 
 
 # ---------------------------------------------------------------------------
@@ -542,30 +536,6 @@ def random_smooth_gauge(descriptor, graph: Graph, n_terms: int, seed: int,
     return SmoothGauge(descriptor, terms)
 
 
-class TransformedSmoothHolonomy:
-    """Holonomy evaluator of a gauge-transformed smooth connection.
-
-    Evaluates through the covariance identity ``H'(curve) = g(end)^-1
-    H(curve) g(start)`` rather than by differentiating the gauge.
-    """
-
-    def __init__(self, conn: SmoothConnection, gauge: SmoothGauge):
-        if gauge.descriptor != conn.descriptor:
-            raise mg.DescriptorMismatchError("gauge and connection descriptors differ")
-        self.connection = conn
-        self.gauge = gauge
-
-    def holonomy(self, polyline, tol: float = DEFAULT_TOL) -> mg.GroupElement:
-        pts = np.atleast_2d(np.asarray(polyline, dtype=float))
-        m = transport(self.connection, pts, tol)
-        out = gauge_transform(m, self.gauge.at(pts[0]), self.gauge.at(pts[-1]))
-        return mg.GroupElement(self.connection.descriptor, out)
-
-
-def gauge_act_smooth(conn: SmoothConnection, gauge: SmoothGauge) -> TransformedSmoothHolonomy:
-    return TransformedSmoothHolonomy(conn, gauge)
-
-
 # ---------------------------------------------------------------------------
 # interpolation on an independent family
 
@@ -596,8 +566,7 @@ def _bump_coefficients(centers, radii, directions, polylines: Sequence) -> np.nd
         weights = bump_value(x1, c[idx], r[idx]) + bump_value(x2, c[idx], r[idx])
         return 0.5 * weights.sum(axis=-1) * np.sum(delta * u[idx], axis=-1)
 
-    # chords whose bump edge is narrow against 8 sub-steps can agree at 8 and 16 by chance
-    values = _refine(integrate, len(p), COEFFICIENT_TOL, floor=1e-14, min_level=2)[0]
+    values = _refine(integrate, len(p), COEFFICIENT_TOL, floor=1e-14)[0]
     return np.bincount(owner, values, minlength=len(polylines))
 
 

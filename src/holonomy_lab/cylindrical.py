@@ -26,8 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import matrixgroups as mg
-from .connections import (GeneralizedConnection, _word_product, fill_edges, gauge_transform,
-                          holonomy_general)
+from .connections import GeneralizedConnection, _word_product, gauge_transform, holonomies
 from .pathgroupoid import Graph, PathWord, json_int, word_from_tokens, word_to_tokens
 
 MEAN_CHUNK = 8192
@@ -226,8 +225,7 @@ def cyl_from_dict(graph: Graph, data: Mapping) -> CylFunction:
 
 def holonomy_stack(f: CylFunction, conn: GeneralizedConnection) -> np.ndarray:
     """Holonomy matrices of the function's paths, shape (k, n, n)."""
-    fill_edges(conn, f.paths)
-    return np.array([holonomy_general(conn, p).matrix for p in f.paths])
+    return holonomies(conn, f.paths)
 
 
 def evaluate(f: CylFunction, conn: GeneralizedConnection) -> complex:
@@ -287,12 +285,9 @@ class HaarMean:
         self.layers = layers
 
     def estimate(self, conn: GeneralizedConnection, samples: int, seed: int) -> MeanEstimate:
-        return self.estimate_stack(holonomy_stack(self.function, conn), samples, seed)
-
-    def estimate_stack(self, stack, samples: int, seed: int) -> MeanEstimate:
-        arr = np.array([mg.as_matrix(m) for m in stack], dtype=complex)
         if samples < 2:
             raise ValueError("need at least two samples for an error bar")
+        arr = holonomy_stack(self.function, conn)
         rng = np.random.default_rng(seed)
         rungs = sorted({max(2, samples >> k) for k in range(1, 6)} | {samples})  # N >> 5 .. N
         # deviations from the first value: a near-constant f must not cancel in E|f|^2 - |Ef|^2
@@ -397,5 +392,4 @@ def loop_stack(conn: GeneralizedConnection, loops: Sequence[PathWord]) -> np.nda
     base = {w.source for w in loops} | {w.range for w in loops}
     if len(base) != 1:
         raise ValueError("loops must share a single basepoint")
-    f = CylFunction(tuple(loops), Const(0.0))
-    return holonomy_stack(f, conn)
+    return holonomies(conn, loops)

@@ -589,6 +589,7 @@ def descriptor_from_dict(data) -> GroupDescriptor:
         return ProductGroup(tuple(descriptor_from_dict(f) for f in data["factors"]))
     if kind == "quotient":
         base = descriptor_from_dict(data["base"])
-        mats = [matrix_from_pairs(k) for k in data.get("K", data.get("center", []))]
-        return central_quotient(base, mats)
+        if "K" not in data:
+            raise ValueError("quotient descriptor needs its center list 'K'")
+        return central_quotient(base, [matrix_from_pairs(k) for k in data["K"]])
     raise ValueError(f"unknown descriptor kind {kind!r}")

@@ -28,8 +28,8 @@ from .connections import (
     DEFAULT_TOL,
     DiscreteGauge,
     GeneralizedConnection,
-    fill_edges,
     gauge_act_general,
+    holonomies,
     holonomy_general,
     interpolate_connection,
     InterpolationTarget,
@@ -89,9 +89,10 @@ class TreeDecomposition:
 
 
 def tree_decompose(basis: TreeBasis, conn: GeneralizedConnection) -> TreeDecomposition:
-    fill_edges(conn, [*basis.vertex_words.values(), *basis.loops.values()])
-    frames = {v: holonomy_general(conn, w) for v, w in basis.vertex_words.items()}
-    loop_values = {eid: holonomy_general(conn, w) for eid, w in basis.loops.items()}
+    mats = holonomies(conn, [*basis.vertex_words.values(), *basis.loops.values()])
+    values = [mg.GroupElement(conn.descriptor, m, check=False) for m in mats]
+    frames = dict(zip(basis.vertex_words, values))
+    loop_values = dict(zip(basis.loops, values[len(frames):]))
     return TreeDecomposition(basis, frames, loop_values)
 
 
@@ -282,15 +283,16 @@ def approximation_experiment(graph: Graph, words: Sequence[PathWord], descriptor
                              bound: float = 1e-6, label: str = "interpolation",
                              tol: float = DEFAULT_TOL) -> ApproximationReport:
     """Draw Haar targets, interpolate, and measure the holonomy errors."""
-    rng = np.random.default_rng(seed)
-    targets_mats = mg.haar_batch(descriptor, len(words), rng)
     if windows is None:
         windows = default_windows(graph, words)
+    if len(windows) != len(words):
+        raise ValueError(f"{len(words)} words but {len(windows)} windows; give one window per word")
+    rng = np.random.default_rng(seed)
+    targets_mats = mg.haar_batch(descriptor, len(words), rng)
     targets = [InterpolationTarget(w, mg.GroupElement(descriptor, m, check=False), tuple(win))
                for w, m, win in zip(words, targets_mats, windows)]
     conn = restrict(interpolate_connection(graph, targets), graph, tol)
-    fill_edges(conn, words)
-    errors = [float(mg.distance(holonomy_general(conn, t.word), t.value)) for t in targets]
+    errors = [float(np.linalg.norm(h - m)) for h, m in zip(holonomies(conn, words), targets_mats)]
     return ApproximationReport(label, mg.descriptor_to_dict(descriptor), seed,
                                tuple(errors), bound, max(errors) <= bound)
 

@@ -30,10 +30,11 @@ caller-chosen start count, which can step over a bump that only grazes a
 long segment) and ``transport_per_interval`` (the chord-union transport
 that refines one interval at a time, each with its own loop of
 ``_segment_transport`` calls, where the library refines every interval of
-every polyline together), and ``depends_on`` and ``dependencies`` (the
-breadth-first factor search, capped by a bound, that decided closure
-functoriality before the library found every relation among a loop family
-by one Stallings fold).
+every polyline together; like the library, it stops an interval at the
+tolerance only when the previous difference was within 256 times it), and
+``depends_on`` and ``dependencies`` (the breadth-first factor search, capped
+by a bound, that decided closure functoriality before the library found
+every relation among a loop family by one Stallings fold).
 """
 
 from __future__ import annotations
@@ -349,10 +350,14 @@ def transport_per_interval(conn, polyline, tol=DEFAULT_TOL):
             diff = np.linalg.norm(u2 - u)
             u = u2
             level += 1
-            # stop on target accuracy; a stall check guards against spinning
-            # on a tolerance below the roundoff floor, but only once the
-            # change is already tiny (convergence need not be monotone)
-            if diff <= tol or (prev is not None and diff > 0.5 * prev and diff < 1e-10):
+            # stop on target accuracy once the previous change was near it too
+            # (two levels agreeing by chance is no convergence); a stall check
+            # guards against spinning on a tolerance below the roundoff floor,
+            # but only once the change is already tiny (convergence need not
+            # be monotone)
+            confirmed = prev is not None and prev <= 256 * tol
+            if (diff <= tol and confirmed) or (prev is not None and diff > 0.5 * prev
+                                               and diff < 1e-10):
                 break
             prev = diff
         levels.append(level)

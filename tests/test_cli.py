@@ -256,6 +256,43 @@ def test_closure_on_smooth_connection_transports_nothing(workspace, transport_ca
     assert transport_calls == []
 
 
+def _loop_12345(graph):
+    return [word_from_tokens(graph, [1, 2, 3, 4, 5])]
+
+
+def _gauge_orbit_words(graph):
+    basis = tree_basis(graph)
+    return [*basis.loops.values(), *_loop_12345(graph)]
+
+
+def _theta_words(graph):
+    basis = tree_basis(graph)
+    return [*basis.vertex_words.values(), *basis.loops.values()]
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["holonomy", "--path", "1,2,3,4,5"], _loop_12345),
+    (["wilson", "--path", "1,2,3,4,5"], _loop_12345),
+    (["gauge-orbit", "--seed", "1", "--samples", "4", "--function", "wilson.json"],
+     _gauge_orbit_words),
+    (["haar-mean", "--seed", "1", "--samples", "64", "--function", "wilson.json"], _loop_12345),
+    (["theta"], _theta_words),
+    (["obstruction"], lambda graph: [abelian_obstruction_witness(graph).word]),
+], ids=["holonomy", "wilson", "gauge-orbit", "haar-mean", "theta", "obstruction"])
+def test_smooth_command_transports_walked_edges_in_one_batch(workspace, transport_batches,
+                                                             capsys, argv, words):
+    tmp, graph, _ = workspace
+    argv = [str(tmp / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv + ["--graph", str(tmp / "graph.json"),
+                        "--connection", str(tmp / "smooth.json")]) == 0
+    capsys.readouterr()
+    walked = sorted({eid for w in words(graph) for eid, _ in w.letters})
+    assert len(transport_batches) == 1 and len(transport_batches[0]) == len(walked)
+    got = sorted(eid for pts in transport_batches[0] for eid in graph.edges
+                 if np.array_equal(pts, edge_polyline(graph, eid)))
+    assert got == walked
+
+
 def test_haar_mean_ladder_transports_each_edge_once(workspace, transport_calls, capsys):
     tmp, graph, _ = workspace
     assert main(["haar-mean", "--graph", str(tmp / "graph.json"),
@@ -346,6 +383,26 @@ def test_bad_group_is_usage_error(tmp_path, group):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
+
+
+def test_quotient_descriptor_reads_its_center_from_K_only(tmp_path):
+    doc = mg.descriptor_to_dict(mg.central_quotient(mg.ProductGroup((mg.Unitary(1), SU2)),
+                                                    [np.eye(3), -np.eye(3)]))
+    doc["center"] = doc.pop("K")
+    (tmp_path / "group.json").write_text(json.dumps(doc))
+    result = run_cli(["approx", "--group", str(tmp_path / "group.json"),
+                      "--family", str(family_file(tmp_path)), "--seed", "0"])
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
+    assert "group.json" in result.stderr and "'K'" in result.stderr
+
+
+def test_approx_family_needs_one_window_per_word(tmp_path, capsys):
+    # spider-3: three words but windows for two; the third must not be dropped
+    path = family_file(tmp_path, r=3)
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), windows=[[5, 8], [5, 8]])))
+    err = usage_error(capsys, ["approx", "--group", "su2", "--family", path, "--seed", "0"])
+    assert "family.json" in err and "3 words but 2 windows" in err
 
 
 @pytest.mark.parametrize("command", ["gauge-orbit", "closure"])

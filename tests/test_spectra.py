@@ -320,6 +320,13 @@ def test_approximation_experiment_report():
     assert payload["descriptor"] == mg.descriptor_to_dict(SU2)
 
 
+def test_approximation_experiment_needs_one_window_per_word():
+    graph = spider_graph(3)
+    legs = [compose(edge_word(graph, 3 + k + 1), edge_word(graph, k + 1)) for k in range(3)]
+    with pytest.raises(ValueError, match="3 words but 2 windows"):
+        approximation_experiment(graph, legs, SU2, seed=0, windows=[(5, 8), (5, 8)])
+
+
 def test_approximation_experiment_strict_bound_fails():
     graph = spider_graph(2)
     legs = [compose(edge_word(graph, 2 + k + 1), edge_word(graph, k + 1))
