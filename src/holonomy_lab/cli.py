@@ -21,6 +21,8 @@ every command then works with the resulting edge values.
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import math
 import os
@@ -239,7 +241,8 @@ def cmd_gauge_orbit(args):
     if f is not None:
         f.check_size(desc)  # a bad entry exits before any transport
     loops = [basis.loops[eid] for eid in basis.loop_ids]  # f's paths join their transport
-    values = holonomies(conn, [*loops, *(() if f is None else f.paths)])[:len(loops)]
+    stack = holonomies(conn, [*loops, *(() if f is None else f.paths)])
+    values = stack[:len(loops)]
     rep = orbit_representative(desc, values)
     report = {
         "command": "gauge-orbit",
@@ -252,7 +255,7 @@ def cmd_gauge_orbit(args):
         "ok": True,
     }
     if f is not None:
-        drift = invariance_check(f, conn, desc, gauges=args.samples, seed=args.seed)
+        drift = invariance_check(f, stack[len(loops):], desc, gauges=args.samples, seed=args.seed)
         report["function_drift"] = drift
         report["ok"] = drift <= args.check_tolerance
     return report, []
@@ -381,6 +384,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
+    """The command-line parser: a shallow copy of the one tree :func:`_parser_tree` builds
+    per process, so what a caller sets on it (perfbench's tracer wraps ``parse_args``)
+    stays with that caller.  Parsing reads the shared tree and never writes it."""
+    return copy.copy(_parser_tree())
+
+
+@functools.cache
+def _parser_tree():
     parser = _Parser(
         prog="holonomy-lab",
         description="holonomy, gauge and closure experiments on finite graphs")

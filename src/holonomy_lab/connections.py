@@ -30,14 +30,17 @@ the embedding of smooth connections into generalized ones: each edge
 carries its transport.  :func:`holonomies` is the one evaluator of path
 words: it integrates every edge its words walk that a restricted
 connection still lacks in one batched pass, then multiplies edge values
-like any other edge assignment.  Every product of a letter word over a
-matrix table is the one gather-and-fold :func:`_word_product`; each
-word's holonomy then repairs unitarity drift once, and a quotient's
-stack is canonicalized once.
+like any other edge assignment.  A product of letters is a gather and a
+fold: the matrices and their adjoints are stacked once into one
+:func:`_adjoint_table`, a word becomes one integer index array into it,
+and :func:`_chain` folds the gathered rows (:func:`_word_product` for
+letters that already index a stack).  Each word's holonomy then repairs
+unitarity drift once, and a quotient's stack is canonicalized once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -86,35 +89,48 @@ class GeneralizedConnection:
         return mg.GroupElement(self.descriptor, self.values[eid], check=False)
 
 
-def _word_product(table, letters) -> np.ndarray:
-    """Letters (i, 1) -> table[i], (i, -1) -> its adjoint, folded by :func:`_chain`;
-    the first letter acts first."""
-    return _chain(np.stack([table[i] if o == 1 else table[i].conj().T for i, o in letters]))
+def _adjoint_table(mats: np.ndarray) -> np.ndarray:
+    """``mats`` of shape (k, n, n) followed by their adjoints: shape (2k, n, n)."""
+    return np.concatenate([mats, np.conj(np.swapaxes(mats, -1, -2))])
+
+
+def _word_product(table: np.ndarray, letters) -> np.ndarray:
+    """Product of index letters over an :func:`_adjoint_table` of k matrices: (i, 1)
+    reads row i and (i, -1) row k + i, the adjoint.  One index array gathers the
+    letters' rows, folded by :func:`_chain`; the first letter acts first."""
+    k = len(table) // 2
+    return _chain(table[[i if o == 1 else k + i for i, o in letters]])
 
 
 def holonomies(conn: GeneralizedConnection, words: Sequence[PathWord]) -> np.ndarray:
     """Holonomies of reduced words, shape (len(words), n, n): the first-walked letter acts first.
 
-    Every letter's edge is checked before any matrix work, and a restricted
-    connection integrates every walked edge it lacks in one batched pass.
-    Each word is the :func:`_word_product` of its edge matrices (a unit the
-    identity), polar-repaired if it drifted from unitarity; a quotient's
-    stack is canonicalized once.
+    Every walked edge is checked before any matrix work, and a restricted
+    connection integrates those it lacks in one batched pass.  The walked
+    edges' values and their adjoints form one :func:`_adjoint_table`; each
+    word is the :func:`_chain` of its letters' rows, gathered by one index
+    array (a unit is the identity), polar-repaired if it drifted from
+    unitarity; a quotient's stack is canonicalized once.
     """
     if not isinstance(conn, GeneralizedConnection):
         raise TypeError(f"cannot take holonomies of {type(conn).__name__}; "
                         f"restrict smooth connections to the graph first")
     desc, values = conn.descriptor, conn.values
-    walked = [eid for w in words for eid, _ in w.letters]
-    for eid in walked:
+    walked = dict.fromkeys(itertools.chain.from_iterable(w.letters for w in words))
+    edges = list(dict.fromkeys(eid for eid, _ in walked))  # in the order first walked
+    for eid in edges:
         if eid not in values:
             raise UnknownEdgeError(f"no edge with id {eid!r}")
     if isinstance(values, _EdgeTransports):
-        values.fill(walked)
+        values.fill(edges)
     n = mg.dim(desc)
+    if edges:
+        table = _adjoint_table(np.stack([values[eid] for eid in edges]))
+        pos = {eid: k for k, eid in enumerate(edges)}
+        row = {(eid, o): pos[eid] if o == 1 else len(edges) + pos[eid] for eid, o in walked}
     out = np.empty((len(words), n, n), dtype=complex)
     for k, w in enumerate(words):
-        m = _word_product(values, w.letters) if w.letters else np.eye(n, dtype=complex)
+        m = _chain(table[[row[x] for x in w.letters]]) if w.letters else np.eye(n, dtype=complex)
         out[k] = mg.reunitarize(m) if mg._unitarity_defect(m) > mg.REPAIR_ATOL else m
     return mg.canonicalize_batch(desc, out) if isinstance(desc, mg.CentralQuotient) else out
 
@@ -452,7 +468,8 @@ class _EdgeTransports(Mapping):
                 self._cache[e] = mg.GroupElement(self._conn.descriptor, m).matrix
 
     def __getitem__(self, eid):
-        self.fill([eid])
+        if eid not in self._cache:
+            self.fill([eid])
         return self._cache[eid]
 
     def __contains__(self, eid):

@@ -26,7 +26,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import matrixgroups as mg
-from .connections import GeneralizedConnection, _word_product, gauge_transform, holonomies
+from .connections import (
+    GeneralizedConnection,
+    _adjoint_table,
+    _word_product,
+    gauge_transform,
+    holonomies,
+)
 from .pathgroupoid import Graph, PathWord, json_int, word_from_tokens, word_to_tokens
 
 MEAN_CHUNK = 8192
@@ -313,13 +319,13 @@ class HaarMean:
         return replace(ladder[-1], ladder=tuple(ladder))
 
 
-def invariance_check(f: CylFunction, conn: GeneralizedConnection, descriptor,
+def invariance_check(f: CylFunction, stack: np.ndarray, descriptor,
                      gauges: int = 20, seed: int = 0) -> float:
-    """Largest deviation |F(A.g) - F(A)| over random gauge tuples."""
+    """Largest deviation |F(A.g) - F(A)| over random gauge tuples, from the
+    holonomies ``stack`` of f's paths under A (:func:`holonomy_stack`)."""
     if gauges < 1:
         raise ValueError("need at least one gauge sample")
     f.check_size(descriptor)
-    stack = holonomy_stack(f, conn)
     base = complex(f.expr.eval(stack[None, ...])[0])
     vals = _gauged_values(f, stack, descriptor, gauges, 1, np.random.default_rng(seed))
     return float(np.max(np.abs(vals - base)))
@@ -378,8 +384,9 @@ def separation_test(stack_a, stack_b, max_len: int = 3,
         raise ValueError("holonomy tuples must have matching shapes")
     best_gap, best_word = 0.0, None
     words = _index_words(a.shape[0], max_len)
+    ta, tb = _adjoint_table(a), _adjoint_table(b)
     for w in words:
-        gap = abs(np.trace(_word_product(a, w)) - np.trace(_word_product(b, w)))
+        gap = abs(np.trace(_word_product(ta, w)) - np.trace(_word_product(tb, w)))
         if gap > best_gap:
             best_gap, best_word = gap, w
     return SeparationVerdict(best_gap > threshold, best_gap,

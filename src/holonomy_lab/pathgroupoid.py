@@ -99,6 +99,9 @@ class Graph:
             if e.dst != e.src:
                 incident[e.dst].append(e.id)
         self._incident = {v: tuple(sorted(ids, key=_id_key)) for v, ids in incident.items()}
+        # letter (edge id, +-1) -> (source, range): the endpoint table of reduce_word
+        self._letter_ends = {(e.id, o): (e.src, e.dst)[::o]
+                             for e in self.edges.values() for o in (1, -1)}
 
     def edge(self, eid) -> Edge:
         try:
@@ -178,34 +181,52 @@ def edge_word(graph: Graph, eid, orientation: int = 1) -> PathWord:
     return PathWord(((eid, orientation),), s, r)
 
 
+def _letter_spans(graph: Graph, letters: list):
+    """(source, range) of each letter up to the first one that has none, and the
+    error that letter raises (None when every letter has endpoints)."""
+    table = graph._letter_ends
+    try:
+        return [table[letter] for letter in letters], None
+    except (KeyError, TypeError):  # a bad letter, or a valid one given as a list
+        spans = []
+        for letter in letters:
+            try:
+                spans.append(letter_endpoints(graph, letter))
+            except (ValueError, KeyError, TypeError) as exc:
+                return spans, exc
+        return spans, None
+
+
 def reduce_word(graph: Graph, letters: Sequence, source=None) -> PathWord:
     """Reduce a raw letter sequence to its normal form.
 
     Checks that consecutive letters compose (range of letter k equals source
-    of letter k+1) and cancels every adjacent ``e . e^-1`` pair.  Free
-    cancellation is confluent, so a single left-to-right stack pass gives
-    the unique normal form.  ``source`` is required only for the empty word.
+    of letter k+1) in one pass: every letter's endpoints come from the graph's
+    letter table, and the sources of letters 1.. are compared with the ranges
+    of letters ..-2 as whole tuples.  Errors come in letter order, as a
+    letter-by-letter walk would meet them.  Free cancellation of every
+    adjacent ``e . e^-1`` pair is confluent, so a single left-to-right stack
+    pass gives the unique normal form.  ``source`` is required only for the
+    empty word.
     """
     letters = list(letters)
     if not letters:
         if source is None:
             raise ValueError("empty word needs an explicit source vertex")
         return unit(graph, source)
-    s0, prev_r = letter_endpoints(graph, letters[0])
-    if source is not None and source != s0:
-        raise CompositionError(f"word starts at {s0!r}, expected {source!r}")
-    for k in range(1, len(letters)):
-        s, r = letter_endpoints(graph, letters[k])
-        if s != prev_r:
-            raise CompositionError(
-                f"letters {k-1} and {k} do not compose: range {prev_r!r} != source {s!r}")
-        prev_r = r
-    stack = _free_reduce(letters)
-    if not stack:
-        return PathWord((), s0, s0)
-    src, _ = letter_endpoints(graph, stack[0])
-    _, rng = letter_endpoints(graph, stack[-1])
-    return PathWord(tuple(stack), src, rng)
+    spans, error = _letter_spans(graph, letters)
+    if spans:
+        sources, ranges = zip(*spans)
+        if source is not None and source != sources[0]:
+            raise CompositionError(f"word starts at {sources[0]!r}, expected {source!r}")
+        if sources[1:] != ranges[:-1]:
+            k = next(k for k in range(1, len(spans)) if sources[k] != ranges[k - 1])
+            raise CompositionError(f"letters {k-1} and {k} do not compose: "
+                                   f"range {ranges[k - 1]!r} != source {sources[k]!r}")
+    if error is not None:
+        raise error
+    # cancellation keeps the ends, so an empty normal form is a unit at sources[0]
+    return PathWord(_free_reduce(letters), sources[0], ranges[-1])
 
 
 def compose(p: PathWord, q: PathWord) -> PathWord:
@@ -436,20 +457,35 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def _token_letter(t) -> tuple:
+    """Letter of one signed token: a nonzero int, or ``e``, ``-e`` or ``e^-1``."""
+    if isinstance(t, int):
+        if json_int(t, "a signed edge id") == 0:
+            raise ValueError("0 is not a valid signed edge id")
+        return abs(t), 1 if t > 0 else -1
+    t = str(t).strip()
+    o = 1
+    if t.endswith("^-1"):
+        o, t = -1, t[:-3]
+    elif t.startswith("-"):
+        o, t = -1, t[1:]
+    return (int(t) if t.lstrip("-").isdigit() else t), o
+
+
 def word_from_tokens(graph: Graph, tokens: Iterable, source=None) -> PathWord:
-    letters = []
+    """:func:`reduce_word` of signed tokens (see :func:`word_to_tokens`).
+
+    A long word repeats few distinct tokens, so each distinct str or int token
+    parses once; those are the only types kept, since an equal bool or float
+    (``True == 1``) must not read the int's letter.
+    """
+    parsed, letters = {}, []
     for t in tokens:
-        if isinstance(t, int):
-            if json_int(t, "a signed edge id") == 0:
-                raise ValueError("0 is not a valid signed edge id")
-            letters.append((abs(t), 1 if t > 0 else -1))
+        if type(t) is str or type(t) is int:
+            letter = parsed.get(t)
+            if letter is None:
+                letter = parsed[t] = _token_letter(t)
         else:
-            t = str(t).strip()
-            o = 1
-            if t.endswith("^-1"):
-                o, t = -1, t[:-3]
-            elif t.startswith("-"):
-                o, t = -1, t[1:]
-            eid = int(t) if t.lstrip("-").isdigit() else t
-            letters.append((eid, o))
+            letter = _token_letter(t)
+        letters.append(letter)
     return reduce_word(graph, letters, source=source)

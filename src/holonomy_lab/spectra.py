@@ -34,6 +34,7 @@ from .connections import (
     interpolate_connection,
     InterpolationTarget,
     restrict,
+    _adjoint_table,
     _word_product,
 )
 from .pathgroupoid import (
@@ -479,9 +480,9 @@ def _functoriality_check(loops, values, fold, tol, mode):
     only at exponent rank = subgroup rank: having no relation proves nothing, since
     word maps need not be onto (the lone commutator {[a, b]} obeys none)."""
     relations, rank = fold
-    mats = np.array([v.matrix for v in values])
+    table = _adjoint_table(np.array([v.matrix for v in values]))
     for j, rel in enumerate(relations):
-        if np.linalg.norm(_word_product(mats, rel) - np.eye(len(mats[0]))) > tol:
+        if np.linalg.norm(_word_product(table, rel) - np.eye(len(table[0]))) > tol:
             return ClosureVerdict(False, mode, True, rel,
                                   "loop values violate a relation among the loops", j + 1)
     exp_rank = np.linalg.matrix_rank(_exponent_matrix(loops)[0])

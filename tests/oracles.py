@@ -5,7 +5,11 @@ code with the library: exhaustive cancellation for word reduction,
 deterministic quadrature over SU(2) for Haar means, grid search for
 conjugators, plain Simpson refinement for line integrals.  The exceptions
 are the implementations the library replaced, kept as they were:
-``holonomy_letterwise`` (one group multiplication per letter),
+``reduce_word_letterwise`` and ``word_from_tokens_letterwise`` (the
+composability check of one ``letter_endpoints`` call per letter, and the
+token parse of every token, where the library reads a letter table and
+compares the endpoint tuples in one pass and parses each distinct token
+once), ``holonomy_letterwise`` (one group multiplication per letter),
 ``_word_trace`` (a word's trace over a matrix stack, one product per
 letter), ``point_polyline_distance`` (one Python step per segment),
 ``polar_scipy`` and ``log_schur`` (the polar factor and the Schur-form
@@ -60,7 +64,17 @@ from holonomy_lab.connections import (
     bump_value,
     holonomy_smooth,
 )
-from holonomy_lab.pathgroupoid import Graph, PathWord, compose, inverse, letter_endpoints
+from holonomy_lab.pathgroupoid import (
+    CompositionError,
+    Graph,
+    PathWord,
+    _free_reduce,
+    compose,
+    inverse,
+    json_int,
+    letter_endpoints,
+    unit,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +113,50 @@ def leftmost_innermost_reduce(letters):
             return tuple(word)
         i = positions[0]
         del word[i:i + 2]
+
+
+def reduce_word_letterwise(graph: Graph, letters: Sequence, source=None) -> PathWord:
+    """``reduce_word`` checking composability with one ``letter_endpoints`` per letter."""
+    letters = list(letters)
+    if not letters:
+        if source is None:
+            raise ValueError("empty word needs an explicit source vertex")
+        return unit(graph, source)
+    s0, prev_r = letter_endpoints(graph, letters[0])
+    if source is not None and source != s0:
+        raise CompositionError(f"word starts at {s0!r}, expected {source!r}")
+    for k in range(1, len(letters)):
+        s, r = letter_endpoints(graph, letters[k])
+        if s != prev_r:
+            raise CompositionError(
+                f"letters {k-1} and {k} do not compose: range {prev_r!r} != source {s!r}")
+        prev_r = r
+    stack = _free_reduce(letters)
+    if not stack:
+        return PathWord((), s0, s0)
+    src, _ = letter_endpoints(graph, stack[0])
+    _, rng = letter_endpoints(graph, stack[-1])
+    return PathWord(tuple(stack), src, rng)
+
+
+def word_from_tokens_letterwise(graph: Graph, tokens, source=None) -> PathWord:
+    """``word_from_tokens`` parsing every token on its own, then :func:`reduce_word_letterwise`."""
+    letters = []
+    for t in tokens:
+        if isinstance(t, int):
+            if json_int(t, "a signed edge id") == 0:
+                raise ValueError("0 is not a valid signed edge id")
+            letters.append((abs(t), 1 if t > 0 else -1))
+        else:
+            t = str(t).strip()
+            o = 1
+            if t.endswith("^-1"):
+                o, t = -1, t[:-3]
+            elif t.startswith("-"):
+                o, t = -1, t[1:]
+            eid = int(t) if t.lstrip("-").isdigit() else t
+            letters.append((eid, o))
+    return reduce_word_letterwise(graph, letters, source=source)
 
 
 def enumerate_composable_words(graph, max_len):

@@ -828,3 +828,26 @@ def test_cli_imports_no_scipy():
                             env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_reused_parser_keeps_no_state_between_calls(workspace, capsys):
+    # main reuses one argparse tree per process; a usage error, --strict and a
+    # non-default option must each leave nothing behind for the next call
+    tmp, _, _ = workspace
+    assert _build_parser()._subparsers is _build_parser()._subparsers
+    obstruction = ["obstruction", "--graph", str(tmp / "graph.json"),
+                   "--connection", str(tmp / "conn.json")]
+    calls = [
+        ["closure", "--graph", str(tmp / "graph.json"), "--bound", "-1"],
+        obstruction + ["--strict"],
+        obstruction + ["--check-tolerance", "100"],
+        obstruction,
+    ]
+    fresh = [run_cli(argv) for argv in calls]
+    assert [r.returncode for r in fresh] == [2, 1, 0, 0]
+    assert json.loads(fresh[2].stdout)["ok"] and not json.loads(fresh[3].stdout)["ok"]
+    for _ in range(2):
+        for argv, want in zip(calls, fresh):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (want.returncode, want.stdout, want.stderr)

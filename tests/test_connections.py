@@ -24,6 +24,7 @@ from holonomy_lab.connections import (
     InterpolationTarget,
     SmoothConnection,
     SmoothGauge,
+    _EdgeTransports,
     _chain,
     _segment_distances,
     _segment_transport,
@@ -603,6 +604,29 @@ def test_holonomies_match_letterwise_oracle(graph, desc, seed, walks, vertex):
             assert np.array_equal(g, mg.canonicalize_batch(desc, g[None])[0])
             g, want = mg.canonicalize_batch(desc, np.stack([g, want]))
         assert frob(g, want) <= 1e-12
+
+
+@pytest.mark.parametrize("desc", [SU2, PROD, U1_SU2_MOD_Z2], ids=["SU2", "T1xSU2", "quotient"])
+def test_restricted_holonomies_read_each_edge_once(desc, transport_batches, monkeypatch):
+    graph = pentagon_chord_graph()
+    conn = restrict(random_smooth_connection(desc, graph, 4, seed=6), graph)
+    fills, fill = [], _EdgeTransports.fill
+
+    def counting_fill(self, eids):
+        fills.append(list(eids))
+        return fill(self, eids)
+
+    monkeypatch.setattr(_EdgeTransports, "fill", counting_fill)
+    rng = np.random.default_rng(6)
+    words = [reduced_walk(graph, rng.integers(0, 6, size=400).tolist()) for _ in range(3)]
+    words.append(unit(graph, "v1"))
+    got = holonomies(conn, words)
+    # one batched transport of every walked edge, and no fill per letter
+    assert len(transport_batches) == 1 and len(fills) == 1
+    assert sorted(fills[0]) == sorted(graph.edges)
+    filled = GeneralizedConnection(graph, desc, dict(conn.values))
+    assert got.tobytes() == holonomies(filled, words).tobytes()
+    assert len(fills) == 1  # reading the filled edges integrates nothing more
 
 
 def test_unknown_edge_raises_before_any_matrix_work(transport_calls):

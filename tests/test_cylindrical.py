@@ -7,6 +7,7 @@ import pytest
 
 import holonomy_lab.matrixgroups as mg
 from holonomy_lab.connections import (
+    _adjoint_table,
     _word_product,
     gauge_act_general,
     random_discrete_gauge,
@@ -137,7 +138,7 @@ def test_entry_indices_are_checked_before_any_holonomy(transport_calls):
     f = CylFunction((word, word, word), expr)
     conn = restrict(random_smooth_connection(SU2, graph, 2, seed=2), graph)
     for check in (lambda: HaarMean(f, SU2), lambda: evaluate(f, conn),
-                  lambda: invariance_check(f, conn, SU2)):
+                  lambda: invariance_check(f, np.repeat(np.eye(2)[None], 3, axis=0), SU2)):
         with pytest.raises(ValueError, match=r"entry \[2, 1, 3\] is outside the 2x2"):
             check()
     assert transport_calls == []
@@ -161,8 +162,9 @@ def test_wilson_is_gauge_invariant_entry_is_not():
     graph = square_graph()
     conn = random_generalized_connection(graph, SU2, seed=3)
     loop = square_loop(graph)
-    assert invariance_check(wilson_loop(loop, 2), conn, SU2, gauges=40, seed=4) < 1e-12
-    assert invariance_check(entry_function(loop, 1, 1), conn, SU2, gauges=40, seed=4) > 1e-3
+    stack = holonomy_stack(wilson_loop(loop, 2), conn)  # both functions read the one loop
+    assert invariance_check(wilson_loop(loop, 2), stack, SU2, gauges=40, seed=4) < 1e-12
+    assert invariance_check(entry_function(loop, 1, 1), stack, SU2, gauges=40, seed=4) > 1e-3
 
 
 def test_wilson_invariance_under_explicit_gauge_action():
@@ -385,7 +387,7 @@ def test_word_product_and_separation_gaps_match_letterwise_oracle(desc):
     for _ in range(50):
         word = [(int(i), int(o)) for i, o in zip(rng.integers(3, size=rng.integers(1, 9)),
                                                  rng.choice([-1, 1], size=8))]
-        assert abs(np.trace(_word_product(a, word)) - _word_trace(a, word)) <= 1e-12
+        assert abs(np.trace(_word_product(_adjoint_table(a), word)) - _word_trace(a, word)) <= 1e-12
     # every word of length <= 3 over the letters (i, +-1) without backtracking
     letters = [(i, o) for i in range(3) for o in (1, -1)]
     words = [w for n in (1, 2, 3) for w in itertools.product(letters, repeat=n)

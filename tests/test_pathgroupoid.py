@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import holonomy_lab.matrixgroups as mg
-from holonomy_lab.connections import _word_product, holonomy_general, random_generalized_connection
+from holonomy_lab.connections import (
+    _adjoint_table,
+    _word_product,
+    holonomy_general,
+    random_generalized_connection,
+)
 from holonomy_lab.pathgroupoid import (
     CompositionError,
     ConnectivityError,
@@ -38,6 +43,8 @@ from oracles import (
     depends_on,
     enumerate_composable_words,
     leftmost_innermost_reduce,
+    reduce_word_letterwise,
+    word_from_tokens_letterwise,
 )
 
 SQUARE = square_graph()
@@ -97,6 +104,76 @@ def test_reduce_rejects_noncomposable_with_index():
 def test_reduce_rejects_unknown_edge():
     with pytest.raises(UnknownEdgeError):
         reduce_word(SQUARE, [(99, 1)])
+
+
+# int and string edge ids, a self-loop, and parallel edges between a and b
+MIXED = Graph(["a", "b", "c"], [(1, "a", "b"), ("x", "b", "c"), (2, "c", "a"),
+                                ("y", "a", "a"), (3, "b", "a")], "a")
+JUNK = [0, "0", 99, "-99", "z", "z^-1", True, 1.0, "-", "^-1", "--1", "1^-1^-1", " "]
+
+
+def spellings(eid, o):
+    """Every token that names the letter (eid, o)."""
+    if isinstance(eid, int):
+        return [eid, str(eid), f" {eid} "] if o == 1 else [-eid, f"-{eid}", f"{eid}^-1"]
+    return [eid, f" {eid}"] if o == 1 else [f"-{eid}", f"{eid}^-1"]
+
+
+@st.composite
+def broken_walks(draw, graph=MIXED, max_len=12):
+    """Letters of a walk, each step with a 1 in 8 chance of a jump to any letter."""
+    v, letters = draw(st.sampled_from(graph.vertices)), []
+    for _ in range(draw(st.integers(0, max_len))):
+        options = [(eid, o) for eid, e in graph.edges.items() for o in (1, -1)
+                   if (e.src, e.dst)[::o][0] == v or draw(st.integers(0, 7)) == 0]
+        eid, o = draw(st.sampled_from(options))
+        letters.append((eid, o))
+        v = (graph.edges[eid].src, graph.edges[eid].dst)[::o][1]
+    return letters
+
+
+@st.composite
+def token_lists(draw):
+    """A broken walk spelled out, now and then with a junk token in between."""
+    tokens = []
+    for eid, o in draw(broken_walks()):
+        if draw(st.integers(0, 9)) == 0:
+            tokens.append(draw(st.sampled_from(JUNK)))
+        tokens.append(draw(st.sampled_from(spellings(eid, o))))
+    return tokens
+
+
+@st.composite
+def raw_letters(draw):
+    """A broken walk's letters, some as lists, now and then with a bad orientation."""
+    out = []
+    for eid, o in draw(broken_walks()):
+        if draw(st.integers(0, 9)) == 0:
+            o = draw(st.sampled_from([0, 2, True, -1.0]))
+        out.append([eid, o] if draw(st.booleans()) else (eid, o))
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), exc.args
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_lists(), st.sampled_from([None, "a", "b", "c", "d"]))
+@example([1, -1, True], None)  # True == 1 must not read the parsed 1
+def test_word_from_tokens_matches_letterwise_oracle(tokens, source):
+    got = outcome(word_from_tokens, MIXED, tokens, source)
+    assert got == outcome(word_from_tokens_letterwise, MIXED, tokens, source)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_letters(), st.sampled_from([None, "a", "b"]))
+def test_reduce_word_matches_letterwise_oracle(letters, source):
+    got = outcome(reduce_word, MIXED, letters, source)
+    assert got == outcome(reduce_word_letterwise, MIXED, letters, source)
 
 
 @settings(max_examples=200, deadline=None)
@@ -368,6 +445,7 @@ def test_loop_relations_match_the_bounded_search(case):
     conn = random_generalized_connection(graph, su2, seed)
     hom = np.array([holonomy_general(conn, w).matrix for w in loops])
     haar = mg.haar_batch(su2, len(loops), np.random.default_rng(seed))
+    hom, haar = _adjoint_table(hom), _adjoint_table(haar)
     for rel in rels:
         assert np.linalg.norm(_word_product(hom, rel) - np.eye(2)) <= 1e-9
         # SU(2) obeys no law, so a nontrivial word moves generic values
