@@ -153,7 +153,7 @@ def parse_group(text):
 
 
 def parse_path_tokens(text):
-    tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
+    tokens = text.replace(",", " ").split()
     if not tokens:
         raise CliError("empty --path")
     return tokens

@@ -20,6 +20,8 @@ Gauss nodes) per sub-interval, interpolation's scalar coefficients at the same
 nodes.  Both refine in the one doubling loop :func:`_refine`, the intervals of
 many polylines together, each from ``DEFAULT_STEPS`` sub-intervals under its
 own stop rule.  Every gauge action on holonomies is :func:`gauge_transform`.
+Stacked products (gauge actions, word folds, the Magnus commutator) go
+through ``matrixgroups.stack_mul``.
 
 Conventions match the combinatorial side: traversing an edge against its
 direction contributes the inverse transport, and the transport of a
@@ -171,7 +173,7 @@ def random_discrete_gauge(graph: Graph, descriptor, seed: int) -> DiscreteGauge:
 
 def gauge_transform(stack: np.ndarray, g_src: np.ndarray, g_dst: np.ndarray) -> np.ndarray:
     """Broadcast gauge action H -> g_dst^-1 H g_src on unitary matrix stacks."""
-    return np.conj(np.swapaxes(g_dst, -1, -2)) @ stack @ g_src
+    return mg.stack_mul(mg.stack_mul(np.conj(np.swapaxes(g_dst, -1, -2)), stack), g_src)
 
 
 def gauge_act_general(conn: GeneralizedConnection, gauge: DiscreteGauge) -> GeneralizedConnection:
@@ -331,7 +333,7 @@ def _chain(mats: np.ndarray) -> np.ndarray:
     while mats.shape[0] > 1:
         m = mats.shape[0]
         even = mats[0:m - m % 2]
-        paired = even[1::2] @ even[0::2]
+        paired = mg.stack_mul(even[1::2], even[0::2])
         mats = np.concatenate([paired, mats[m - m % 2:]], axis=0)
     return mats[0]
 
@@ -380,7 +382,8 @@ def _segment_transport(conn: SmoothConnection, p: np.ndarray, q: np.ndarray,
     x1, x2, delta = _gauss_nodes(p, q, steps)
     scale = np.sum(delta[..., None, :] * conn._dirs, axis=-1)[..., None, :]
     M1, M2 = (np.tensordot(conn.coefficients(x) * scale, conn._X, axes=(-1, 0)) for x in (x1, x2))
-    omega = -0.5 * (M1 + M2) - (np.sqrt(3.0) / 12.0) * (M1 @ M2 - M2 @ M1)
+    commutator = mg.stack_mul(M1, M2) - mg.stack_mul(M2, M1)
+    omega = -0.5 * (M1 + M2) - (np.sqrt(3.0) / 12.0) * commutator
     # fold the sub-step axis, laid out first so each level's pairs are contiguous
     return _chain(np.ascontiguousarray(np.moveaxis(mg.exp_antihermitian(omega), -3, 0)))
 

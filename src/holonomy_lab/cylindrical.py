@@ -258,7 +258,7 @@ def _gauged_values(f: CylFunction, stack: np.ndarray, descriptor, count: int,
     gauges = None
     for _ in range(layers):
         layer = mg.haar_batch(descriptor, count * len(verts), rng).reshape(count, len(verts), n, n)
-        gauges = layer if gauges is None else gauges @ layer
+        gauges = layer if gauges is None else mg.stack_mul(gauges, layer)
     src = [index[p.source] for p in f.paths]
     dst = [index[p.range] for p in f.paths]
     return f.expr.eval(gauge_transform(stack, gauges[:, src], gauges[:, dst]))

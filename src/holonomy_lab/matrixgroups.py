@@ -22,7 +22,8 @@ operations are pure; random sampling is deterministic in an explicit seed.
 Haar sampling of U(n) orthonormalizes the columns of a complex Ginibre matrix
 by Gram-Schmidt (Mezzadri 2007), SU(n) divides out the determinant phase,
 the torus draws independent uniform phases and products sample their leaves
-independently, in order.
+independently, in order.  :func:`stack_mul` is the one product kernel for
+stacks of matrices, and :func:`stack_det` their determinant.
 
 Matrix exponential and logarithm exploit that every element here is normal:
 both diagonalize a hermitian matrix with ``eigh`` (``-iX`` for the
@@ -182,6 +183,36 @@ def central_quotient(base: ProductGroup, center_matrices: Iterable[np.ndarray]) 
             if find(a @ b) is None:
                 raise MembershipError("center list is not closed under product")
     return CentralQuotient(base, tuple(_matrix_tuple(k) for k in mats))
+
+
+# ---------------------------------------------------------------------------
+# stacks of small matrices
+
+def stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with broadcasting, for stacks of small matrices.
+
+    ``@`` makes one BLAS call per matrix; for n <= 3 and 16 or more matrices
+    the sum over the inner index, ``a[..., :, k, None] * b[..., k, None, :]``,
+    is faster and agrees to roundoff.  Otherwise this is ``a @ b``."""
+    n = a.shape[-1]
+    if not 1 <= n <= 3 or np.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])) < 16:
+        return a @ b
+    out = a[..., :, 0, None] * b[..., 0, None, :]
+    for k in range(1, n):
+        out += a[..., :, k, None] * b[..., k, None, :]
+    return out
+
+
+def stack_det(a: np.ndarray) -> np.ndarray:
+    """Determinants of a (..., n, n) stack: in closed form for n <= 3."""
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0, 0]
+    if n == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    if n == 3:  # the triple product of the rows
+        return np.sum(a[..., 0, :] * np.cross(a[..., 1, :], a[..., 2, :]), axis=-1)
+    return np.linalg.det(a)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +476,9 @@ def log_map(g: GroupElement, branch_shift: float = 0.0) -> LieAlgebraElement:
 
 def _gram_schmidt(z: np.ndarray) -> np.ndarray:
     """Q of ``z = QR`` with R's diagonal positive, for a (count, n, n) stack: modified
-    Gram-Schmidt projecting each column twice keeps Q unitary however ill-conditioned z is."""
-    q = z.transpose(2, 0, 1).copy()  # q[j] holds column j of every matrix
+    Gram-Schmidt projecting each column twice keeps Q unitary however ill-conditioned z is.
+    A ``z`` laid out column first, as :func:`_haar_leaf` builds it, is overwritten."""
+    q = np.ascontiguousarray(z.transpose(2, 0, 1))  # q[j] holds column j of every matrix
     for j, v in enumerate(q):
         for _ in range(2):
             for w in q[:j]:
@@ -464,11 +496,12 @@ def _haar_leaf(leaf, count: int, rng) -> np.ndarray:
         idx = np.arange(n)
         out[:, idx, idx] = np.exp(1j * theta)
         return out
-    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    z = np.empty((n, count, n), dtype=complex).transpose(1, 2, 0)  # column first
+    z.real = rng.standard_normal((count, n, n))
+    z.imag = rng.standard_normal((count, n, n))
     u = _gram_schmidt(z)  # Q is scale-free, so z needs no 1/sqrt(2)
     if isinstance(leaf, SpecialUnitary):
-        det = np.linalg.det(u)
-        u = u * np.exp(-1j * np.angle(det) / n)[:, None, None]
+        u = u * np.exp(-1j * np.angle(stack_det(u)) / n)[:, None, None]
     return u
 
 

@@ -26,6 +26,10 @@ segment that interpolation used for its bump coefficient),
 transport over its chords, in its own doubling loop to a relative change of
 1e-12 in at most 12 doublings, one target at a time, where the library
 refines every chord of every target together in the doubling loop of transport),
+``gauge_transform_matmul`` and ``chain_matmul`` (the broadcast gauge action
+and the pairwise fold of a word's letters with numpy's ``@``, one BLAS call
+per matrix, where the library multiplies stacks of matrices up to 3x3 by
+``stack_mul``'s sum over the inner index),
 ``gauge_act_edgewise`` (the vertex gauge action as three group operations
 per edge), ``split_holonomy_per_factor`` (one transport per factor of a
 product-group connection) and ``transport_whole_segments`` (the adaptive
@@ -452,6 +456,20 @@ def _word_trace(stack: np.ndarray, word) -> complex:
 
 # ---------------------------------------------------------------------------
 # gauge actions and product groups
+
+def gauge_transform_matmul(stack: np.ndarray, g_src: np.ndarray, g_dst: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(g_dst, -1, -2)) @ stack @ g_src
+
+
+def chain_matmul(mats: np.ndarray) -> np.ndarray:
+    """Ordered product mats[-1] @ ... @ mats[0] by pairwise folding."""
+    while mats.shape[0] > 1:
+        m = mats.shape[0]
+        even = mats[0:m - m % 2]
+        paired = even[1::2] @ even[0::2]
+        mats = np.concatenate([paired, mats[m - m % 2:]], axis=0)
+    return mats[0]
+
 
 def gauge_act_edgewise(conn, gauge):
     """value(e) -> g(dst)^-1 value(e) g(src) as group operations, edge by edge."""

@@ -3,15 +3,18 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import holonomy_lab.matrixgroups as mg
-from holonomy_lab.cli import _build_parser, main, parse_group, parse_path_tokens
+from holonomy_lab.cli import CliError, _build_parser, main, parse_group, parse_path_tokens
 from holonomy_lab.connections import (
     edge_polyline,
     gauge_act_general,
@@ -805,6 +808,22 @@ def test_group_from_descriptor_file(tmp_path):
 def test_path_token_splitting():
     assert parse_path_tokens("1, 2,3") == ["1", "2", "3"]
     assert parse_path_tokens("1 -2  3^-1") == ["1", "-2", "3^-1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(["1", "-2", "3^-1", "e7", "x", "é"]),
+                          st.sampled_from([",", " ", "\t", "\n", "\x1c", "\x85", "\u3000", ", "]),
+                          st.characters()), max_size=30).map("".join))
+@example("")
+@example(" ,\u3000")
+@example("\x851,\x1c2\u3000 ")
+def test_path_token_splitting_matches_the_regex_split(text):
+    want = [t for t in re.split(r"[,\s]+", text.strip()) if t]
+    if want:
+        assert parse_path_tokens(text) == want
+    else:
+        with pytest.raises(CliError):
+            parse_path_tokens(text)
 
 
 def test_reports_are_byte_identical_across_runs(workspace, tmp_path):

@@ -67,7 +67,9 @@ from holonomy_lab.spectra import approximation_experiment, default_windows
 
 from graphs import pentagon_chord_graph, spider_graph, square_graph, theta_graph
 from oracles import (
+    chain_matmul,
     gauge_act_edgewise,
+    gauge_transform_matmul,
     holonomy_letterwise,
     point_polyline_distance,
     scalar_line_integral,
@@ -604,6 +606,33 @@ def test_holonomies_match_letterwise_oracle(graph, desc, seed, walks, vertex):
             assert np.array_equal(g, mg.canonicalize_batch(desc, g[None])[0])
             g, want = mg.canonicalize_batch(desc, np.stack([g, want]))
         assert frob(g, want) <= 1e-12
+
+
+ORACLE_KINDS = [SU2, mg.Unitary(3), T2, U1_SU2_MOD_Z2]
+ORACLE_IDS = ["SU2", "U3", "T2", "quotient"]
+
+
+@pytest.mark.parametrize("desc", ORACLE_KINDS, ids=ORACLE_IDS)
+def test_holonomies_match_the_matmul_fold(desc, monkeypatch):
+    # words of 1 to 600 letters: every fold level on both sides of stack_mul's crossover
+    graph = pentagon_chord_graph()
+    conn = random_generalized_connection(graph, desc, seed=21)
+    rng = np.random.default_rng(21)
+    words = [reduced_walk(graph, rng.integers(0, 6, size=m).tolist()) for m in (1, 15, 33, 600)]
+    got = holonomies(conn, words)
+    monkeypatch.setattr(connections, "_chain", chain_matmul)
+    assert np.max(np.abs(got - holonomies(conn, words))) <= 1e-12
+
+
+@pytest.mark.parametrize("desc", ORACLE_KINDS, ids=ORACLE_IDS)
+@pytest.mark.parametrize("count", [1, 40])
+def test_gauge_transform_matches_the_matmul_form(desc, count):
+    rng = np.random.default_rng(count)
+    stack = mg.haar_batch(desc, 3, rng)
+    g_src, g_dst = (mg.haar_batch(desc, 3 * count, rng).reshape(count, 3, *stack.shape[1:])
+                    for _ in range(2))
+    got = gauge_transform(stack, g_src, g_dst)
+    assert np.max(np.abs(got - gauge_transform_matmul(stack, g_src, g_dst))) <= 1e-12
 
 
 @pytest.mark.parametrize("desc", [SU2, PROD, U1_SU2_MOD_Z2], ids=["SU2", "T1xSU2", "quotient"])

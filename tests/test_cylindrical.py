@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import holonomy_lab.matrixgroups as mg
+import holonomy_lab.cylindrical as cyl
 from holonomy_lab.connections import (
     _adjoint_table,
     _word_product,
@@ -43,7 +44,13 @@ from holonomy_lab.cylindrical import (
 from holonomy_lab.pathgroupoid import PathWord, compose, edge_word, inverse
 
 from graphs import pentagon_chord_graph, square_graph, triangle_graph
-from oracles import _word_trace, brute_force_conjugator, su2_grid, su2_haar_mean
+from oracles import (
+    _word_trace,
+    brute_force_conjugator,
+    gauge_transform_matmul,
+    su2_grid,
+    su2_haar_mean,
+)
 
 SU2 = mg.SpecialUnitary(2)
 
@@ -312,6 +319,32 @@ def test_ladder_rungs_inside_a_chunk_are_prefix_means_of_one_stream(layers):
         assert rung.value == vals[:rung.samples].sum() / rung.samples
     # a standalone run of a rung below one chunk draws a different stream
     assert est.ladder[0].value != hm.estimate(conn, est.ladder[0].samples, seed=28).value
+
+
+U1_SU2_MOD_Z2 = mg.central_quotient(mg.ProductGroup((mg.Unitary(1), SU2)),
+                                    [np.eye(3), -np.eye(3)])
+
+
+@pytest.mark.parametrize("desc", [SU2, mg.Unitary(3), mg.Torus(2), U1_SU2_MOD_Z2],
+                         ids=["SU2", "U3", "T2", "quotient"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_gauged_values_and_mean_match_the_matmul_products(desc, layers, monkeypatch):
+    graph = square_graph()
+    conn = random_generalized_connection(graph, desc, seed=23)
+    loop, edge = square_loop(graph), edge_word(graph, 2)
+    f = CylFunction((loop, edge), Sum((Prod((Entry(1, 1, 1), Conj(Entry(2, 2, 1)))),
+                                       TraceOf(1))))
+    stack = holonomy_stack(f, conn)
+    got = _gauged_values(f, stack, desc, 300, layers, np.random.default_rng(24))
+    mean = HaarMean(f, desc, layers).estimate(conn, samples=3000, seed=25)
+    # the replaced forms: every gauge product by numpy's @
+    monkeypatch.setattr(cyl, "gauge_transform", gauge_transform_matmul)
+    monkeypatch.setattr(mg, "stack_mul", np.matmul)
+    want = _gauged_values(f, stack, desc, 300, layers, np.random.default_rng(24))
+    assert np.max(np.abs(got - want)) <= 1e-12
+    want_mean = HaarMean(f, desc, layers).estimate(conn, samples=3000, seed=25)
+    assert abs(mean.value - want_mean.value) <= 1e-12
+    assert abs(mean.stderr - want_mean.stderr) <= 1e-12
 
 
 def test_mean_rejects_tiny_sample_counts():

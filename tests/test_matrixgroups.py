@@ -130,6 +130,53 @@ def test_matrix_pairs_roundtrip():
     assert np.allclose(matrix_from_pairs(matrix_to_pairs(m)), m)
 
 
+# --- stacks of small matrices -------------------------------------------------
+
+def _random_stack(rng, shape, dtype):
+    out = rng.standard_normal(shape)
+    return out + 1j * rng.standard_normal(shape) if dtype is complex else out
+
+
+def _broadcast_norms(x):
+    return np.linalg.norm(x, axis=(-2, -1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 5), batch=st.sampled_from([0, 1, 15, 16, 17, 300]),
+       dtypes=st.sampled_from([(float, float), (complex, complex), (float, complex),
+                               (complex, float)]),
+       data=st.data())
+def test_stack_mul_matches_matmul(n, batch, dtypes, data):
+    # (k, n, n) x (N, k, n, n) and the other way round, on both sides of the 16-matrix crossover
+    k = data.draw(st.sampled_from([d for d in range(1, max(batch, 1) + 1) if batch % d == 0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    shapes = [(k, n, n), (batch // k, k, n, n)]
+    if data.draw(st.booleans()):
+        shapes.reverse()
+    a, b = (_random_stack(rng, sh, dt) for sh, dt in zip(shapes, dtypes))
+    got, want = mg.stack_mul(a, b), np.matmul(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.all(_broadcast_norms(got - want) <= 1e-13 * _broadcast_norms(a) * _broadcast_norms(b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stack_det_matches_numpy(n, dtype):
+    rng = np.random.default_rng(n)
+    for shape in [(n, n), (0, n, n), (7, n, n), (4, 5, n, n)]:
+        a = _random_stack(rng, shape, dtype)
+        got, want = mg.stack_det(a), np.linalg.det(a)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        # Hadamard: |det a| is at most the product of its row norms
+        assert np.all(np.abs(got - want) <= 1e-13 * np.prod(np.linalg.norm(a, axis=-1), axis=-1))
+
+
+@pytest.mark.parametrize("desc", [SU2, SU3], ids=repr)
+def test_su_draws_have_unit_determinant(desc):
+    draws = haar_batch(desc, 5000, np.random.default_rng(41))
+    assert np.max(np.abs(np.linalg.det(draws) - 1.0)) <= 1e-14
+
+
 # --- membership --------------------------------------------------------------
 
 def test_validate_rejects_nonunitary():
