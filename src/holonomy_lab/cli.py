@@ -167,7 +167,7 @@ def _path_word(graph, text):
 
 
 def _pair(z):
-    return [float(np.real(z)), float(np.imag(z))]
+    return [float(np.real(z)) + 0.0, float(np.imag(z)) + 0.0]  # + 0.0 writes -0.0 as 0.0
 
 
 # ---------------------------------------------------------------------------

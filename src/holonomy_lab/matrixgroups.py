@@ -104,7 +104,8 @@ class CentralQuotient:
     numbers (hashable); use :func:`central_quotient` to build instances with
     validation.  Elements of the quotient are stored as the lexicographically
     smallest matrix among the coset translates, comparing entries row-major,
-    real part before imaginary part, with tolerance ``LEX_ATOL``.
+    real part before imaginary part, with tolerance ``LEX_ATOL``: the winning
+    column scaling of a lift (:func:`canonicalize_batch`), zero signs unspecified.
     """
 
     base: ProductGroup
@@ -312,39 +313,37 @@ def algebra_descriptor(desc):
 # ---------------------------------------------------------------------------
 # canonical coset representatives
 
-def _lex_keys(batch: np.ndarray) -> np.ndarray:
-    # row-major entries, real part then imaginary part; the width is explicit for an empty stack
-    keys = np.stack([batch.real, batch.imag], axis=-1)
-    return keys.reshape(len(batch), 2 * int(np.prod(batch.shape[1:])))
-
-
-def _lex_less(cand_keys: np.ndarray, best_keys: np.ndarray, atol: float = LEX_ATOL) -> np.ndarray:
-    diff = cand_keys - best_keys
-    sig = np.abs(diff) > atol
-    any_sig = sig.any(axis=1)
-    first = np.argmax(sig, axis=1)
-    return any_sig & (diff[np.arange(diff.shape[0]), first] < 0.0)
+def _lex_less(a: np.ndarray, b: np.ndarray, atol: float = LEX_ATOL) -> np.ndarray:
+    """Which matrices of stack ``a`` precede those of ``b``.  Entries are read row-major,
+    real part before imaginary; the first pair more than ``atol`` apart decides, and only
+    the matrices still tied read the next entry, so a Haar stack is decided at its first."""
+    less = np.zeros(len(a), dtype=bool)
+    live = np.arange(len(a))
+    for idx in np.ndindex(a.shape[1:]):
+        for part in (np.real, np.imag):
+            d = part(a[(live, *idx)]) - part(b[(live, *idx)])
+            sig = np.abs(d) > atol
+            less[live[sig]] = d[sig] < 0.0
+            live = live[~sig]
+            if not live.size:
+                return less
+    return less
 
 
 def canonicalize_batch(desc: CentralQuotient, batch: np.ndarray) -> np.ndarray:
     """Canonical coset representative of each matrix in a (N, n, n) stack.
 
-    Every center element k is diagonal, so the candidate ``batch @ k`` is
-    the column scaling ``batch * diag(k)``.  The tournament reads its keys
-    from that scaling, which is all a comparison within ``LEX_ATOL`` needs,
-    and forms each output once, as the product with its winning k: the
-    scaling can round differently and give a zero the other sign, so
-    outputs keep the product's bits.
+    Every center element k is diagonal, so the translate ``batch @ k`` is
+    the column scaling ``batch * diag(k)``, equal in value.  A tournament
+    keeps, for each matrix, the scaling that :func:`_lex_less` ranks
+    first; the sign of a zero entry in the result is unspecified.
     """
-    ks = np.array(desc.center_matrices())
-    best_keys = _lex_keys(batch * np.diagonal(ks[0]))
-    sel = np.zeros(len(batch), dtype=int)
-    for i, k in enumerate(ks[1:], 1):
-        cand_keys = _lex_keys(batch * np.diagonal(k))
-        take = _lex_less(cand_keys, best_keys)
-        sel[take] = i
-        best_keys[take] = cand_keys[take]
-    return batch @ ks[sel]
+    ks = [np.diagonal(k) for k in desc.center_matrices()]
+    best = batch * ks[0]
+    for k in ks[1:]:
+        cand = batch * k
+        np.copyto(best, cand, where=_lex_less(cand, best)[:, None, None])
+    return best
 
 
 def _wrap(desc, m: np.ndarray) -> GroupElement:
@@ -579,9 +578,9 @@ def find_conjugator(mats_a: Sequence[np.ndarray], mats_b: Sequence[np.ndarray]):
 # serialization
 
 def matrix_to_pairs(m: np.ndarray) -> list:
-    """Row-major nested list of [re, im] pairs."""
+    """Row-major nested list of [re, im] pairs; a zero is written as 0.0, never -0.0."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    return [[[float(x.real) + 0.0, float(x.imag) + 0.0] for x in row] for row in m]
 
 
 def matrix_from_pairs(data) -> np.ndarray:

@@ -229,15 +229,14 @@ def orbit_representative(descriptor, values, tol: float = CLUSTER_ATOL):
         raise ValueError("need a nonempty stack of square matrices")
     leaves = mg.leaf_blocks(descriptor)
     quotient = isinstance(descriptor, mg.CentralQuotient)
-    out = best_key = None
+    out = None
     for _, lifted in _center_lifts(descriptor, mats) if quotient else [((), mats)]:
         cand = np.zeros_like(lifted)
         for sl, leaf in leaves:
             blk = np.ascontiguousarray(lifted[:, sl, sl])
             cand[:, sl, sl] = blk if isinstance(leaf, mg.Torus) else _unitary_representative(blk, tol)
-        key = mg._lex_keys(cand[None])
-        if out is None or mg._lex_less(key, best_key)[0]:
-            out, best_key = cand, key
+        if out is None or mg._lex_less(cand[None], out[None])[0]:
+            out = cand
     return [mg.GroupElement(descriptor, m, check=False) for m in out]
 
 

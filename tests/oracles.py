@@ -18,8 +18,10 @@ logarithm of scipy, which the library no longer imports),
 stack with the phase fix of the R diagonal, where the library orthonormalizes
 the columns by Gram-Schmidt),
 ``canonicalize_batch_matmul`` (the coset tournament that formed every
-candidate ``batch @ k`` in full, where the library compares column scalings
-and forms only the winner),
+candidate ``batch @ k`` in full and compared full key arrays of every entry,
+with its own copy of that lexicographic compare, where the library keeps the
+winning column scaling ``batch * diag(k)`` and reads an entry only while
+candidates tie),
 ``scalar_line_integral_midpoint`` (the refined midpoint rule over every
 segment that interpolation used for its bump coefficient),
 ``scalar_line_integral`` (one bump coefficient at the Gauss nodes of
@@ -544,15 +546,29 @@ def haar_leaf_qr(leaf, count: int, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # canonical coset representatives
 
+def _lex_keys(batch: np.ndarray) -> np.ndarray:
+    # row-major entries, real part then imaginary part; the width is explicit for an empty stack
+    keys = np.stack([batch.real, batch.imag], axis=-1)
+    return keys.reshape(len(batch), 2 * int(np.prod(batch.shape[1:])))
+
+
+def _lex_less(cand_keys: np.ndarray, best_keys: np.ndarray, atol: float = mg.LEX_ATOL) -> np.ndarray:
+    diff = cand_keys - best_keys
+    sig = np.abs(diff) > atol
+    any_sig = sig.any(axis=1)
+    first = np.argmax(sig, axis=1)
+    return any_sig & (diff[np.arange(diff.shape[0]), first] < 0.0)
+
+
 def canonicalize_batch_matmul(desc: mg.CentralQuotient, batch: np.ndarray) -> np.ndarray:
     """Canonical coset representative of each matrix in a (N, n, n) stack."""
     ks = desc.center_matrices()
     best = batch @ ks[0]
-    best_keys = mg._lex_keys(best)
+    best_keys = _lex_keys(best)
     for k in ks[1:]:
         cand = batch @ k
-        cand_keys = mg._lex_keys(cand)
-        take = mg._lex_less(cand_keys, best_keys)
+        cand_keys = _lex_keys(cand)
+        take = _lex_less(cand_keys, best_keys)
         best[take] = cand[take]
         best_keys[take] = cand_keys[take]
     return best

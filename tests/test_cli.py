@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -837,6 +838,55 @@ def test_reports_are_byte_identical_across_runs(workspace, tmp_path):
     assert a.stdout == b.stdout
     assert (tmp_path / "x" / "gauge-orbit.json").read_bytes() == \
         (tmp_path / "y" / "gauge-orbit.json").read_bytes()
+
+
+QUOTIENT = mg.central_quotient(mg.ProductGroup((mg.Unitary(1), SU2)), [np.eye(3), -np.eye(3)])
+
+
+@pytest.fixture(scope="module")
+def quotient_workspace(workspace, tmp_path_factory):
+    """Quotient inputs on the pentagon graph, beside the shared SU(2) ones."""
+    tmp, graph, _ = workspace
+    out = tmp_path_factory.mktemp("quotient")
+    conn = random_generalized_connection(graph, QUOTIENT, seed=8)
+    (out / "conn.json").write_text(json.dumps(generalized_to_dict(conn)))
+    loop = _loop_12345(graph)[0]
+    (out / "wilson.json").write_text(json.dumps(cyl_to_dict(wilson_loop(loop, 3))))
+    (out / "group.json").write_text(json.dumps(mg.descriptor_to_dict(QUOTIENT)))
+    return out
+
+
+def _negative_zeros(doc):
+    if isinstance(doc, float):
+        return int(doc == 0.0 and math.copysign(1.0, doc) < 0.0)
+    items = doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ()
+    return sum(_negative_zeros(x) for x in items)
+
+
+@pytest.mark.parametrize("fixture", ["quotient", "smooth"])
+@pytest.mark.parametrize("argv", [
+    ["holonomy", "--path", "1,2,3,4,5"], ["holonomy", "--path", "1,2,-6"],
+    ["wilson", "--path", "1,2,3,4,5"],
+    ["gauge-orbit", "--seed", "1", "--samples", "4", "--function", "wilson.json"],
+    ["haar-mean", "--seed", "1", "--samples", "64", "--function", "wilson.json"],
+    ["theta"], ["obstruction"], ["obstruction", "--path", "1,2,-6"], ["closure"], ["approx"],
+], ids=lambda argv: "-".join(argv[:1] + argv[2:3]))
+def test_no_report_prints_negative_zero(workspace, quotient_workspace, tmp_path, capsys,
+                                        fixture, argv):
+    # coset representatives and reconstructed frames hold exact zeros of either sign
+    tmp, _, _ = workspace
+    files = quotient_workspace if fixture == "quotient" else tmp
+    if argv[0] == "approx":
+        group = str(files / "group.json") if fixture == "quotient" else "su2"
+        argv = ["approx", "--group", group, "--family", str(family_file(tmp_path)), "--seed", "0"]
+    else:
+        conn = files / "conn.json" if fixture == "quotient" else tmp / "smooth.json"
+        argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+        argv += ["--graph", str(tmp / "graph.json"), "--connection", str(conn)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert _negative_zeros(json.loads(out)) == 0
+    assert re.search(r"(?<![\d.])-0\.0(?!\d)", out) is None
 
 
 def test_cli_imports_no_scipy():
