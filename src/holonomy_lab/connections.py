@@ -676,24 +676,34 @@ def interpolate_connection(graph: Graph, targets: Sequence[InterpolationTarget],
 # ---------------------------------------------------------------------------
 # serialization
 
-def generalized_to_dict(conn: GeneralizedConnection) -> dict:
+def _values_to_dict(data) -> dict:
+    """A connection's or a gauge's group and its values keyed by ``str`` of the id."""
     return {
-        "group": mg.descriptor_to_dict(conn.descriptor),
-        "values": {str(eid): mg.matrix_to_pairs(m) for eid, m in conn.values.items()},
+        "group": mg.descriptor_to_dict(data.descriptor),
+        "values": {str(i): mg.matrix_to_pairs(m) for i, m in data.values.items()},
     }
+
+
+def _values_from_dict(ids, values: Mapping, error, noun) -> dict:
+    """Matrices keyed by the id whose ``str`` is the key; another key raises ``error``."""
+    by_name = {str(i): i for i in ids}
+    out = {}
+    for key, pairs in values.items():
+        if key not in by_name:
+            raise error(f"no {noun} with id {key!r}")
+        out[by_name[key]] = mg.matrix_from_pairs(pairs)
+    return out
+
+
+generalized_to_dict = gauge_to_dict = _values_to_dict
 
 
 def generalized_from_dict(graph: Graph, data: Mapping) -> GeneralizedConnection:
     desc = mg.descriptor_from_dict(data["group"])
     if "haar_seed" in data:
         return random_generalized_connection(graph, desc, json_int(data["haar_seed"], "haar_seed"))
-    by_name = {str(eid): eid for eid in graph.edges}
-    values = {}
-    for key, pairs in data["values"].items():
-        if key not in by_name:
-            raise UnknownEdgeError(f"no edge with id {key!r}")
-        values[by_name[key]] = mg.matrix_from_pairs(pairs)
-    return GeneralizedConnection(graph, desc, values)
+    return GeneralizedConnection(graph, desc, _values_from_dict(
+        graph.edges, data["values"], UnknownEdgeError, "edge"))
 
 
 def smooth_to_dict(conn: SmoothConnection) -> dict:
@@ -721,20 +731,12 @@ def smooth_from_dict(data: Mapping) -> SmoothConnection:
     return SmoothConnection(desc, terms)
 
 
-def gauge_to_dict(gauge: DiscreteGauge) -> dict:
-    return {
-        "group": mg.descriptor_to_dict(gauge.descriptor),
-        "values": {str(v): mg.matrix_to_pairs(m) for v, m in gauge.values.items()},
-    }
-
-
 def gauge_from_dict(graph: Graph, data: Mapping) -> DiscreteGauge:
     desc = mg.descriptor_from_dict(data["group"])
     if "haar_seed" in data:
         return random_discrete_gauge(graph, desc, json_int(data["haar_seed"], "haar_seed"))
-    by_name = {str(v): v for v in graph.vertices}
-    values = {by_name[key]: mg.matrix_from_pairs(pairs) for key, pairs in data["values"].items()}
-    return DiscreteGauge(graph, desc, values)
+    return DiscreteGauge(graph, desc, _values_from_dict(
+        graph.vertices, data["values"], ValueError, "vertex"))
 
 
 # ---------------------------------------------------------------------------

@@ -138,16 +138,6 @@ def dim(desc) -> int:
     return leaf_blocks(desc)[-1][0].stop
 
 
-def block_slices(desc: ProductGroup):
-    """Slices of the block-diagonal embedding, one per factor."""
-    out, lo = [], 0
-    for f in desc.factors:
-        hi = lo + dim(f)
-        out.append((slice(lo, hi), f))
-        lo = hi
-    return out
-
-
 def _matrix_tuple(m: np.ndarray) -> tuple:
     return tuple(tuple(complex(x) for x in row) for row in np.asarray(m, dtype=complex))
 

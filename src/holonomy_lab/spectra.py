@@ -9,14 +9,16 @@ of the loop holonomies at the root.
 
 orbit_representative picks a canonical point on such a conjugation orbit.
 closure_membership decides whether prescribed loop values can arise from
-connections at all: abelian targets kill every word with vanishing edge
-exponents up to a search bound, semisimple targets must send every relation
-that a Stallings fold finds among the loops to I, and central quotients
-inherit both through a finite search over center lifts.
+connections at all.  It stacks the values once and judges the stack leaf
+block by leaf block: a torus leaf must kill every word with vanishing edge
+exponents up to a search bound, an SU(n) or U(n) leaf must send every
+relation that a Stallings fold finds among the loops to I, and a central
+quotient repeats this for each center lift in a finite search.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -128,8 +130,10 @@ def _center_lifts(descriptor, mats):
     """Each ``(choice, stack)`` with ``stack[i] = center[choice[i]] @ mats[i]``;
     ValueError up front when there are more than ``MAX_CENTER_LIFTS``."""
     center = descriptor.center_matrices()
-    if len(center) ** len(mats) > MAX_CENTER_LIFTS:
-        raise ValueError("too many center lifts to search exhaustively")
+    lifts = len(center) ** len(mats)
+    if lifts > MAX_CENTER_LIFTS:
+        raise ValueError(f"too many center lifts: {len(center)}^{len(mats)} = {lifts} "
+                         f"> {MAX_CENTER_LIFTS}")
     return ((choice, np.array([center[z] @ m for z, m in zip(choice, mats)]))
             for choice in itertools.product(range(len(center)), repeat=len(mats)))
 
@@ -442,24 +446,24 @@ def _exponent_vectors(k: int, bound: int):
 
 
 def _exponent_matrix(loops):
-    """Edge-exponent rows of the loops and whether their rank is k, when the loops
-    freely generate a free group (Nielsen-Schreier; Hopfian) and obey no relation."""
+    """Edge-exponent rows of the loops and their rank.  At rank k the loops freely
+    generate a free group (Nielsen-Schreier; Hopfian) and obey no relation."""
     exps = [abelianize(w) for w in loops]
     edge_ids = sorted({eid for a in exps for eid in a}, key=_id_key)
     A = np.array([[a.get(eid, 0) for eid in edge_ids] for a in exps], dtype=int)
-    return A, bool(edge_ids) and np.linalg.matrix_rank(A.astype(float)) == len(loops)
+    return A, np.linalg.matrix_rank(A)
 
 
-def _abelian_check(loops, diagonals, bound, tol, mode):
+def _abelian_check(A, diagonals, bound, tol, mode, trivial_kernel):
     """Zero-exponent words must multiply the abelian values to one.
 
-    ``diagonals`` holds one complex vector of unit phases per loop; the
-    value of an exponent vector m is the entrywise product of powers.
+    ``A`` holds the loops' edge-exponent rows and ``diagonals`` one complex
+    vector of unit phases per loop; the value of an exponent vector m is the
+    entrywise product of powers.  A trivial kernel of ``A^T`` certifies a member.
     """
-    A, trivial_kernel = _exponent_matrix(loops)
     diag = np.asarray(diagonals, dtype=complex)
     checked = 0
-    for m in _exponent_vectors(len(loops), bound):
+    for m in _exponent_vectors(len(A), bound):
         if np.any(A.T @ np.asarray(m) != 0):
             continue
         checked += 1
@@ -474,85 +478,84 @@ def _abelian_check(loops, diagonals, bound, tol, mode):
     return ClosureVerdict(True, mode, trivial_kernel, (), detail, checked)
 
 
-def _functoriality_check(loops, values, fold, tol, mode):
-    """Loop values must send every relation of the fold to I.  A member is certified
-    only at exponent rank = subgroup rank: having no relation proves nothing, since
-    word maps need not be onto (the lone commutator {[a, b]} obeys none)."""
-    relations, rank = fold
-    table = _adjoint_table(np.array([v.matrix for v in values]))
-    for j, rel in enumerate(relations):
-        if np.linalg.norm(_word_product(table, rel) - np.eye(len(table[0]))) > tol:
-            return ClosureVerdict(False, mode, True, rel,
-                                  "loop values violate a relation among the loops", j + 1)
-    exp_rank = np.linalg.matrix_rank(_exponent_matrix(loops)[0])
-    detail = (f"every relation among the loops holds ({len(relations)} found)" if relations else
-              "the loops obey no relation, so they are independent")
-    if exp_rank != rank:
-        detail += f"; exponent rank {exp_rank} < subgroup rank {rank}"
-    return ClosureVerdict(True, mode, exp_rank == rank, (), detail, len(relations))
-
-
-def _loop_verdict(loops, values, descriptor, fold, bound, tol) -> ClosureVerdict:
+def _loop_verdict(data: LoopAssignment, bound, tol) -> ClosureVerdict:
+    descriptor, loops = data.descriptor, data.loops
     mode = closure_mode(descriptor)
-    if isinstance(descriptor, mg.Torus):
-        diags = [np.diagonal(v.matrix) for v in values]
-        return _abelian_check(loops, diags, bound, tol, mode)
-    if isinstance(descriptor, mg.SpecialUnitary):
-        return _functoriality_check(loops, values, fold, tol, mode)
-    if isinstance(descriptor, mg.Unitary):
-        fun = _functoriality_check(loops, values, fold, tol, mode)
-        # certified: the relations' exponent sums span {m : A^T m = 0}, so det relations follow
-        if fun.certified:
-            return fun
-        dets = [np.array([np.linalg.det(v.matrix)]) for v in values]
-        det_check = _abelian_check(loops, dets, bound, tol, mode)
+    relations, rank = loop_relations(data.graph, loops)
+    exponents = functools.cache(lambda: _exponent_matrix(loops))  # a nonmember may never need it
+
+    def leaf_verdict(leaf, stack):
+        """A torus leaf by its diagonals; an SU(n) or U(n) leaf must send every relation to
+        I, and is certified only at exponent rank = subgroup rank (word maps need not be
+        onto: the lone commutator {[a, b]} obeys no relation).  There the relations'
+        exponent sums span {m : A^T m = 0}; below it, where that kernel is nonzero, a U(n)
+        leaf's determinants are searched."""
+        if isinstance(leaf, mg.Torus):
+            A, exp_rank = exponents()
+            return _abelian_check(A, np.diagonal(stack, axis1=1, axis2=2), bound, tol, mode,
+                                  exp_rank == len(A))
+        table = _adjoint_table(stack)
+        for j, rel in enumerate(relations):
+            if np.linalg.norm(_word_product(table, rel) - np.eye(len(stack[0]))) > tol:
+                return ClosureVerdict(False, mode, True, rel,
+                                      "loop values violate a relation among the loops", j + 1)
+        A, exp_rank = exponents()
+        detail = (f"every relation among the loops holds ({len(relations)} found)" if relations else
+                  "the loops obey no relation, so they are independent")
+        if exp_rank != rank:
+            detail += f"; exponent rank {exp_rank} < subgroup rank {rank}"
+        if exp_rank == rank or isinstance(leaf, mg.SpecialUnitary):
+            return ClosureVerdict(True, mode, exp_rank == rank, (), detail, len(relations))
+        det_check = _abelian_check(A, np.linalg.det(stack)[:, None], bound, tol, mode, False)
+        checked = len(relations) + det_check.checked
         if not det_check.member:
             return ClosureVerdict(False, mode, True, det_check.witness,
-                                  "zero-exponent word with nontrivial determinant",
-                                  fun.checked + det_check.checked)
-        return ClosureVerdict(True, mode, False, (), f"{fun.detail}; {det_check.detail}",
-                              fun.checked + det_check.checked)
-    if isinstance(descriptor, mg.ProductGroup):
-        total = 0
-        details = []
-        certified = True
-        for idx, (sl, factor) in enumerate(mg.block_slices(descriptor)):
-            sub_values = [mg.GroupElement(factor, v.matrix[sl, sl], check=False)
-                          for v in values]
-            sub = _loop_verdict(loops, sub_values, factor, fold, bound, tol)
+                                  "zero-exponent word with nontrivial determinant", checked)
+        return ClosureVerdict(True, mode, False, (), f"{detail}; {det_check.detail}", checked)
+
+    mats = np.array([v.matrix for v in data.values])
+    if not isinstance(descriptor, (mg.ProductGroup, mg.CentralQuotient)):
+        return leaf_verdict(descriptor, mats)
+    leaves = mg.leaf_blocks(descriptor)
+
+    def product_verdict(stack):
+        """The first failing leaf names itself by its index in ``leaf_blocks``."""
+        total, details, certified = 0, [], True
+        for idx, (sl, leaf) in enumerate(leaves):
+            sub = leaf_verdict(leaf, np.ascontiguousarray(stack[:, sl, sl]))
             total += sub.checked
-            certified = certified and sub.certified
             details.append(f"factor {idx}: {sub.detail}")
             if not sub.member:
-                return ClosureVerdict(False, mode, sub.certified,
-                                      (idx,) + sub.witness,
-                                      f"factor {idx}: {sub.detail}", total)
-        return ClosureVerdict(True, mode, certified, (), "; ".join(details), total)
-    if isinstance(descriptor, mg.CentralQuotient):
-        total = 0
-        certified = True
-        first_failure = None
-        for choice, stack in _center_lifts(descriptor, [v.matrix for v in values]):
-            lifted = [mg.GroupElement(descriptor.base, m, check=False) for m in stack]
-            sub = _loop_verdict(loops, lifted, descriptor.base, fold, bound, tol)
-            total += sub.checked
-            if sub.member:
-                return ClosureVerdict(True, mode, sub.certified, tuple(choice),
-                                      f"lift {choice} works: {sub.detail}", total)
+                return ClosureVerdict(False, mode, sub.certified, (idx,) + sub.witness,
+                                      details[-1], total)
             certified = certified and sub.certified
-            if first_failure is None:
-                first_failure = sub
-        return ClosureVerdict(False, mode, certified, first_failure.witness,
-                              f"no center lift works; identity lift: {first_failure.detail}",
-                              total)
+        return ClosureVerdict(True, mode, certified, (), "; ".join(details), total)
+
+    if isinstance(descriptor, mg.ProductGroup):
+        return product_verdict(mats)
+    total, certified, first_failure = 0, True, None
+    for choice, stack in _center_lifts(descriptor, mats):
+        sub = product_verdict(stack)
+        total += sub.checked
+        if sub.member:
+            return ClosureVerdict(True, mode, sub.certified, tuple(choice),
+                                  f"lift {choice} works: {sub.detail}", total)
+        certified = certified and sub.certified
+        if first_failure is None:
+            first_failure = sub
+    return ClosureVerdict(False, mode, certified, first_failure.witness,
+                          f"no center lift works; identity lift: {first_failure.detail}",
+                          total)
 
 
 def closure_membership(data, bound: int = 6, tol: float = 1e-8) -> ClosureVerdict:
     """Decide whether loop or edge data lies in the holonomy closure.
 
     Edge assignments always do: each mode's relations telescope on edges.
-    A loop family is folded once (:func:`loop_relations`); SU(n) values must
-    send every relation to I, or the relation is the certified witness.
+    A loop family is folded once (:func:`loop_relations`), its values are
+    stacked once, and the stack is judged by :func:`matrixgroups.leaf_blocks`,
+    once per center lift in a quotient; a product's witness and detail lead
+    with the failing leaf's index, so a nested product reads as the flat one.
     ``bound`` limits only the torus search and the U(n) determinant search
     behind an uncertified member; ``certified`` records whether the verdict
     is a proof.  A negative ``bound`` is a ValueError.
@@ -565,8 +568,7 @@ def closure_membership(data, bound: int = 6, tol: float = 1e-8) -> ClosureVerdic
                               "edge assignments satisfy every closure relation "
                               "automatically", 0)
     if isinstance(data, LoopAssignment):
-        return _loop_verdict(data.loops, data.values, data.descriptor,
-                             loop_relations(data.graph, data.loops), bound, tol)
+        return _loop_verdict(data, bound, tol)
     raise TypeError(f"cannot test closure membership of {type(data).__name__}")
 
 

@@ -483,9 +483,9 @@ def gauge_act_edgewise(conn, gauge):
 
 
 def split_holonomy_per_factor(conn, polyline, tol):
-    """Each factor's holonomy from its own connection, terms cut to its block."""
+    """Each leaf block's holonomy from its own connection, terms cut to its block."""
     out = []
-    for sl, f in mg.block_slices(conn.descriptor):
+    for sl, f in mg.leaf_blocks(conn.descriptor):
         terms = [BumpTerm(t.X[sl, sl], t.center, t.radius, t.direction) for t in conn.terms]
         part = SmoothConnection(f, terms)
         out.append(holonomy_smooth(part, polyline, tol))

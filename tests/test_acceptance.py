@@ -364,7 +364,7 @@ def test_08_closure_product_split_and_quotient_lifts():
         (0.0, QI),            # special-unitary factor violated
         (np.pi, QI),          # both violated
     ]
-    slices = mg.block_slices(PROD)
+    slices = mg.leaf_blocks(PROD)
     for theta, s in cases:
         values = (prod_elem(0.3, QI), prod_elem(0.9, QJ), prod_elem(theta, s))
         whole = closure_membership(LoopAssignment(graph, loops, values), bound=4)

@@ -753,6 +753,35 @@ def test_closure_loop_family_strict_exit(workspace, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize("break_su2", [False, True], ids=["member", "su2-violated"])
+def test_closure_nested_and_flat_products_print_the_same_report(workspace, tmp_path, capsys,
+                                                                 break_su2):
+    tmp, graph, _ = workspace
+    basis = tree_basis(graph)
+    la, lb = basis.loops[basis.loop_ids[0]], basis.loops[basis.loop_ids[1]]
+    loops = (la, lb, commutator_word(la, lb))
+    leaves = (mg.Torus(1), SU2, mg.Unitary(2))
+    flat = mg.ProductGroup(leaves)
+    nested = mg.ProductGroup((mg.ProductGroup(leaves[:2]), leaves[2]))
+    mats = [holonomy_general(random_generalized_connection(graph, flat, seed=21), w).matrix.copy()
+            for w in loops]
+    if break_su2:
+        mats[2][1:3, 1:3] = np.array([[1j, 0.0], [0.0, -1j]])
+    outs = []
+    for name, desc in (("flat", flat), ("nested", nested)):
+        family = LoopAssignment(graph, loops, tuple(mg.GroupElement(desc, m) for m in mats))
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(loop_assignment_to_dict(family)))
+        main(["closure", "--graph", str(tmp / "graph.json"), "--family", str(path),
+              "--bound", "3"])
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert report["member"] is not break_su2
+    if break_su2:
+        assert report["witness"][0] == 1 and report["detail"].startswith("factor 1: ")
+
+
 def test_closure_edge_data_member(workspace):
     tmp, _, _ = workspace
     result = run_cli(["closure", "--graph", str(tmp / "graph.json"),

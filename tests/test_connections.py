@@ -514,7 +514,7 @@ def test_split_holonomy_blocks():
         m = transport(conn, pts, tol=1e-11)
         want = split_holonomy_per_factor(conn, pts, 1e-11)
         assert [ref.descriptor for ref in want] == list(desc.factors)
-        for (sl, _), ref in zip(mg.block_slices(desc), want):
+        for (sl, _), ref in zip(mg.leaf_blocks(desc), want):
             assert frob(m[sl, sl], ref.matrix) < 1e-9
 
 
@@ -1143,6 +1143,18 @@ def test_gauge_serialization_roundtrip():
     back = gauge_from_dict(graph, gauge_to_dict(gauge))
     for v in graph.vertices:
         assert frob(back.values[v], gauge.values[v]) < 1e-15
+
+
+def test_gauge_from_dict_names_an_unknown_vertex():
+    graph = square_graph()
+    data = gauge_to_dict(random_discrete_gauge(graph, SU2, seed=75))
+    data["values"]["zz"] = data["values"].pop(str(next(iter(graph.vertices))))
+    with pytest.raises(ValueError, match="^no vertex with id 'zz'$"):
+        gauge_from_dict(graph, data)
+    conn = generalized_to_dict(random_generalized_connection(graph, SU2, seed=75))
+    conn["values"]["9"] = conn["values"].pop("1")
+    with pytest.raises(UnknownEdgeError, match="no edge with id '9'"):
+        generalized_from_dict(graph, conn)
 
 
 def test_edge_polyline_orientation_and_geometry_errors():

@@ -19,7 +19,6 @@ from holonomy_lab.matrixgroups import (
     Torus,
     Unitary,
     algebra_descriptor,
-    block_slices,
     canonicalize_batch,
     central_quotient,
     conjugate,
@@ -75,11 +74,6 @@ def haar(desc, seed):
 def test_dims():
     assert dim(U2) == 2 and dim(SU3) == 3 and dim(T2) == 2
     assert dim(PROD) == 3 and dim(U2_AS_QUOTIENT) == 3
-
-
-def test_block_slices():
-    slices = block_slices(PROD)
-    assert slices[0][0] == slice(0, 1) and slices[1][0] == slice(1, 3)
 
 
 def test_central_quotient_validation():

@@ -12,6 +12,7 @@ import holonomy_lab.matrixgroups as mg
 from holonomy_lab.connections import (
     DiscreteGauge,
     gauge_act_general,
+    holonomies,
     random_discrete_gauge,
     random_generalized_connection,
     random_smooth_connection,
@@ -236,7 +237,7 @@ def test_orbit_representative_product_blocks():
     rng = np.random.default_rng(41)
     stack = [mg.GroupElement(PROD, m) for m in mg.haar_batch(PROD, 2, rng)]
     rep = orbit_representative(PROD, stack)
-    slices = mg.block_slices(PROD)
+    slices = mg.leaf_blocks(PROD)
     for k, s in enumerate(stack):
         parts = []
         for sl, factor in slices:
@@ -263,7 +264,7 @@ def test_orbit_representative_caps_center_lifts():
     # 2^13 lifts exceed the cap that closure's lift search also has
     desc = mg.central_quotient(mg.ProductGroup((mg.Unitary(1), SU2)), [np.eye(3), -np.eye(3)])
     stack = mg.haar_batch(desc, 13, np.random.default_rng(44))
-    with pytest.raises(ValueError, match="too many center lifts"):
+    with pytest.raises(ValueError, match=r"too many center lifts: 2\^13 = 8192 > 4096"):
         orbit_representative(desc, stack)
     assert len(orbit_representative(desc, stack[:3])) == 3
 
@@ -583,6 +584,71 @@ def test_closure_product_names_failing_factor():
     assert verdict.mode == "product-split"
     assert verdict.witness[0] == 0  # torus factor rejects
     assert "factor 0" in verdict.detail
+
+
+def test_closure_product_unitary_leaf_reaches_determinant_search():
+    # the lone commutator leaves every leaf uncertified, so the U(2) leaf's
+    # determinant search is the only thing that can reject
+    graph = pentagon_chord_graph()
+    la, lb = pentagon_generators(graph)
+    comm = (commutator_word(la, lb),)
+    desc = mg.ProductGroup((mg.Torus(1), U2))
+
+    def value(det_phase):
+        return (mg.GroupElement(desc, np.diag([1.0, np.exp(0.5j), np.exp(1j * (det_phase - 0.5))])),)
+
+    bad = closure_membership(LoopAssignment(graph, comm, value(0.5)), bound=3)
+    assert not bad.member and bad.certified
+    assert bad.mode == "product-split" and bad.witness == (1, -3)
+    assert bad.detail == "factor 1: zero-exponent word with nontrivial determinant"
+    loose = closure_membership(LoopAssignment(graph, comm, value(0.0)), bound=3)
+    assert loose.member and not loose.certified
+    assert loose.detail.endswith("factor 1: the loops obey no relation, so they are independent; "
+                                 "exponent rank 0 < subgroup rank 1; "
+                                 "no violation among exponent vectors with L1 norm <= 3")
+
+
+def test_closure_quotient_unitary_leaves_reach_determinant_search():
+    # (U(1) x U(2)) / {+-I}: the canonical representative has -1 in the U(1)
+    # leaf, so the identity lift already fails there on its determinant
+    graph = pentagon_chord_graph()
+    la, lb = pentagon_generators(graph)
+    comm = (commutator_word(la, lb),)
+    quo = mg.central_quotient(mg.ProductGroup((mg.Unitary(1), U2)), [np.eye(3), -np.eye(3)])
+
+    def value(det_phase):
+        m = np.diag([1.0, np.exp(0.5j), np.exp(1j * (det_phase - 0.5))])
+        return (mg.quotient_project(quo, m),)
+
+    assert value(0.0)[0].matrix[0, 0].real < 0
+    bad = closure_membership(LoopAssignment(graph, comm, value(0.5)), bound=3)
+    assert bad.to_dict() == {
+        "member": False, "mode": "quotient-pushforward", "certified": True, "witness": [0, -3],
+        "detail": "no center lift works; identity lift: "
+                  "factor 0: zero-exponent word with nontrivial determinant",
+        "checked": 8}
+    loose = closure_membership(LoopAssignment(graph, comm, value(0.0)), bound=3)
+    assert loose.member and not loose.certified and loose.witness == (1,)
+    assert loose.detail.startswith("lift (1,) works: factor 0: ")
+
+
+@pytest.mark.parametrize("break_su2", [False, True], ids=["member", "su2-violated"])
+def test_closure_nested_product_reads_as_flat(break_su2):
+    graph = pentagon_chord_graph()
+    la, lb = pentagon_generators(graph)
+    loops = (la, lb, commutator_word(la, lb))
+    flat = mg.ProductGroup((mg.Torus(1), SU2, U2))
+    nested = mg.ProductGroup((mg.ProductGroup((mg.Torus(1), SU2)), U2))
+    mats = holonomies(random_generalized_connection(graph, flat, seed=12), loops)
+    if break_su2:
+        mats[2, 1:3, 1:3] = QI
+    verdicts = [closure_membership(LoopAssignment(graph, loops, tuple(
+        mg.GroupElement(desc, m) for m in mats)), bound=3) for desc in (flat, nested)]
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0].member is not break_su2
+    if break_su2:
+        assert verdicts[0].witness[0] == 1
+        assert verdicts[0].detail == "factor 1: loop values violate a relation among the loops"
 
 
 def test_closure_quotient_lift_search_succeeds():
