@@ -3,11 +3,16 @@
 The package is organized in five layers: ``pathgroupoid`` (graphs and
 reduced edge words), ``matrixgroups`` (compact matrix groups and Haar
 sampling), ``connections`` (edge assignments, smooth bump connections,
-parallel transport, gauge actions, interpolation), ``cylindrical``
+parallel transport, discrete gauge actions, interpolation), ``cylindrical``
 (functions of finitely many holonomies, Haar means, trace separation)
 and ``spectra`` (spanning-tree coordinates, orbit normal forms, closure
 verdicts).  The ``cli`` module exposes the same operations as a batch
 tool named ``holonomy-lab``.
+
+This namespace exports a name only if a command reaches it, the benchmark
+imports or traces it, the README documents it, or an open roadmap item
+builds on it (README, "Library layout").  Constructions only the tests use
+live in the test suite.
 """
 
 from .pathgroupoid import (
@@ -19,12 +24,10 @@ from .pathgroupoid import (
     UnknownEdgeError,
     abelianize,
     compose,
-    compose_all,
     edge_word,
     graph_from_dict,
     graph_to_dict,
     inverse,
-    is_independent_family,
     loop_relations,
     spanning_tree,
     tree_edge_ids,
@@ -42,7 +45,6 @@ from .matrixgroups import (
     Torus,
     Unitary,
     central_quotient,
-    conjugate,
     descriptor_from_dict,
     descriptor_to_dict,
     dim,
@@ -50,25 +52,21 @@ from .matrixgroups import (
     exp_map,
     find_conjugator,
     haar_batch,
-    haar_sample,
     identity,
     inv,
     log_map,
     mul,
     quotient_project,
     random_algebra,
-    trace_normalized,
 )
 from .connections import (
     BumpTerm,
     DiscreteGauge,
-    GaugeBump,
     GeneralizedConnection,
     GeometryError,
     IndependenceError,
     InterpolationTarget,
     SmoothConnection,
-    SmoothGauge,
     gauge_act_general,
     generalized_from_dict,
     generalized_to_dict,
@@ -76,11 +74,9 @@ from .connections import (
     holonomy_general,
     holonomy_smooth,
     interpolate_connection,
-    pushforward_hom,
     random_discrete_gauge,
     random_generalized_connection,
     random_smooth_connection,
-    random_smooth_gauge,
     restrict,
     smooth_from_dict,
     smooth_to_dict,
@@ -104,7 +100,6 @@ from .cylindrical import (
     evaluate,
     holonomy_stack,
     invariance_check,
-    loop_stack,
     separation_test,
     wilson_loop,
 )

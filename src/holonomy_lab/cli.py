@@ -7,9 +7,11 @@ commands additionally write a CSV summary and two-column ``.dat`` files
 that any plotting tool can consume.  Nothing here owns numerics.
 
 Exit codes, decided in ``main`` alone: 0 success; 1 a mathematical verdict
-failed under ``--strict``; 2 usage or input errors, where a malformed
-document (non-finite numbers included) is named by its file and any other
-out-of-range parameter, or a size too large to allocate, by the command;
+failed under ``--strict``; 2 usage or input errors, where an input file that
+cannot be read, an ``--out`` that cannot be written (before any output) and
+a malformed document (non-finite numbers included) are named by their path,
+and any other out-of-range parameter, or a size too large to allocate, by
+the command;
 3 numeric failures inside an operation.
 Reports never embed timestamps or environment data, so a fixed command
 line with a fixed seed reproduces byte-identical output.
@@ -92,6 +94,8 @@ def _load_json(path):
             return json.load(fh, parse_float=_finite, parse_constant=_finite)
     except FileNotFoundError:
         raise CliError(f"{path}: no such file") from None
+    except OSError as exc:  # a directory or an unreadable file
+        raise CliError(f"{path}: {exc.strerror.lower()}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except ValueError as exc:
@@ -178,14 +182,18 @@ def _dump(report):
 
 
 def _emit(report, out, name, extra_files=()):
+    """Write ``<name>.json`` and the sidecar files under ``out``, then print the report;
+    an ``out`` that cannot be written is a usage error before any output."""
     text = _dump(report)
-    sys.stdout.write(text)
     if out is not None:
         directory = Path(out)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{name}.json").write_text(text, encoding="utf-8")
-        for fname, content in extra_files:
-            (directory / fname).write_text(content, encoding="utf-8")
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            for fname, content in ((f"{name}.json", text), *extra_files):
+                (directory / fname).write_text(content, encoding="utf-8")
+        except OSError as exc:
+            raise CliError(f"--out {out}: {exc.strerror.lower()}") from None
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +442,7 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         report, extras = args.func(args)
+        _emit(report, args.out, args.command, extras)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -448,7 +457,6 @@ def main(argv=None):
     except MemoryError as exc:  # the input asked for an impossible size
         print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.out, args.command, extras)
     if args.strict and not report.get("ok", True):
         return 1
     return 0

@@ -12,9 +12,11 @@ outside the radius), ``u_k`` a constant covector and ``X_k`` anti-hermitian.
 
 Holonomy of a smooth connection along a curve solves U' = -A(c(t))[c'(t)] U,
 U(0) = 1, so that walking eta then lam multiplies as H(lam eta) = H(lam) H(eta)
-and a gauge transformation g acts by H ->  g(end)^-1 H g(start).  The
-one-form vanishes off the chords the bumps' disks cut from each segment, so
-every bump integral covers each segment's union of chords alone
+and a gauge transformation g acts by H ->  g(end)^-1 H g(start).  Since only
+g's values at path ends enter, gauge transformations here are discrete, one
+group element per vertex (:class:`DiscreteGauge`).  The one-form vanishes
+off the chords the bumps' disks cut from each segment, so every bump
+integral covers each segment's union of chords alone
 (:func:`_chord_intervals`): transport with one fourth-order Magnus step (two
 Gauss nodes) per sub-interval, interpolation's scalar coefficients at the same
 nodes.  Both refine in the one doubling loop :func:`_refine`, the intervals of
@@ -254,26 +256,12 @@ class SmoothConnection:
         """phi_k at each point: shape (npoints, nterms)."""
         return bump_value(points, self._centers, self._radii)
 
-    def apply(self, point, vector) -> np.ndarray:
-        """A(x)[v] as a matrix."""
-        n = mg.dim(self.descriptor)
-        if not self.terms:
-            return np.zeros((n, n), dtype=complex)
-        w = self.coefficients([point])[0] * (self._dirs @ np.asarray(vector, dtype=float))
-        return np.tensordot(w, self._X, axes=(0, 0))
-
-
-def _curve_points(graph: Graph) -> np.ndarray:
-    """Every curve point of every edge, in edge order: the bump anchor pool."""
-    return np.asarray([p for e in graph.edges.values() if e.curve for p in e.curve],
-                      dtype=float)
-
 
 def random_smooth_connection(descriptor, graph: Graph, n_terms: int, seed: int,
                              scale: float = 0.8, radius: float = 0.6) -> SmoothConnection:
-    """Random bump terms centered on curve points of the graph."""
+    """Random bump terms centered on curve points of the graph, in edge order."""
     rng = np.random.default_rng(seed)
-    pool = _curve_points(graph)
+    pool = np.asarray([p for e in graph.edges.values() if e.curve for p in e.curve], dtype=float)
     if not pool.size:
         raise GeometryError("graph has no curve data to anchor bump terms")
     terms = []
@@ -399,7 +387,8 @@ def _chord_intervals(polylines: Sequence, centers, radii, own: bool = False):
     if own:  # each segment against its own line's disk alone
         centers, radii = centers[owner][:, None], radii[owner][:, None]
     t0, t1 = _bump_chords(starts, ends, centers, radii)
-    rows, cols = np.nonzero(t1 > t0)
+    # a chord under 1e-12 wide is roundoff where a segment ends on a circle; the bump is 0 there
+    rows, cols = np.nonzero(t1 - t0 > 1e-12)
     spans = []  # [segment, a, b]: the union of each segment's chords, in walk order
     for j, a, b in sorted(zip(rows, t0[rows, cols], t1[rows, cols])):
         if spans and spans[-1][0] == j and a <= spans[-1][2]:
@@ -496,64 +485,6 @@ def restrict(conn: SmoothConnection, graph: Graph, tol: float = DEFAULT_TOL) -> 
     out.graph, out.descriptor = graph, conn.descriptor
     out.values = _EdgeTransports(conn, graph, tol)
     return out
-
-
-# ---------------------------------------------------------------------------
-# smooth gauge transformations
-
-@dataclass(frozen=True)
-class GaugeBump:
-    Y: np.ndarray
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        Y = np.array(self.Y, dtype=complex)
-        Y.setflags(write=False)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if not 0 < self.radius < np.inf:
-            raise ValueError("bump radius must be positive and finite")
-
-
-class SmoothGauge:
-    """Pointwise g(x) = exp(sum_j psi_j(x) Y_j) with smooth bumps psi_j."""
-
-    def __init__(self, descriptor, terms: Iterable[GaugeBump]):
-        self.descriptor = descriptor
-        self.terms = tuple(terms)
-        adesc = mg.algebra_descriptor(descriptor)
-        for t in self.terms:
-            mg.LieAlgebraElement(adesc, t.Y)
-        n, dim = mg.dim(descriptor), len(self.terms[0].center) if self.terms else 1
-        self._Y = np.array([t.Y for t in self.terms], dtype=complex).reshape(-1, n, n)
-        self._centers = np.array([t.center for t in self.terms], dtype=float).reshape(-1, dim)
-        self._radii = np.array([t.radius for t in self.terms], dtype=float)
-
-    def at(self, point) -> np.ndarray:
-        w = bump_value([point], self._centers, self._radii)[0]
-        return mg.exp_antihermitian(np.tensordot(w, self._Y, axes=(0, 0)))
-
-    def as_discrete(self, graph: Graph) -> DiscreteGauge:
-        try:
-            vals = {v: self.at(graph.positions[v]) for v in graph.vertices}
-        except KeyError as exc:
-            raise GeometryError("every vertex needs a position to discretize a gauge") from exc
-        return DiscreteGauge(graph, self.descriptor, vals)
-
-
-def random_smooth_gauge(descriptor, graph: Graph, n_terms: int, seed: int,
-                        scale: float = 0.7, radius: float = 0.9) -> SmoothGauge:
-    rng = np.random.default_rng(seed)
-    pool = _curve_points(graph)
-    if not pool.size:
-        pool = np.asarray([graph.positions[v] for v in graph.vertices], dtype=float)
-    terms = []
-    for _ in range(n_terms):
-        c = pool[rng.integers(len(pool))] + rng.normal(scale=0.15, size=pool.shape[1])
-        Y = mg.random_algebra(descriptor, rng, scale=scale)
-        terms.append(GaugeBump(Y.matrix, tuple(c), radius))
-    return SmoothGauge(descriptor, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -676,34 +607,26 @@ def interpolate_connection(graph: Graph, targets: Sequence[InterpolationTarget],
 # ---------------------------------------------------------------------------
 # serialization
 
-def _values_to_dict(data) -> dict:
-    """A connection's or a gauge's group and its values keyed by ``str`` of the id."""
+def generalized_to_dict(conn: GeneralizedConnection) -> dict:
+    """The connection's group and its edge values keyed by ``str`` of the edge id."""
     return {
-        "group": mg.descriptor_to_dict(data.descriptor),
-        "values": {str(i): mg.matrix_to_pairs(m) for i, m in data.values.items()},
+        "group": mg.descriptor_to_dict(conn.descriptor),
+        "values": {str(i): mg.matrix_to_pairs(m) for i, m in conn.values.items()},
     }
 
 
-def _values_from_dict(ids, values: Mapping, error, noun) -> dict:
-    """Matrices keyed by the id whose ``str`` is the key; another key raises ``error``."""
-    by_name = {str(i): i for i in ids}
-    out = {}
-    for key, pairs in values.items():
-        if key not in by_name:
-            raise error(f"no {noun} with id {key!r}")
-        out[by_name[key]] = mg.matrix_from_pairs(pairs)
-    return out
-
-
-generalized_to_dict = gauge_to_dict = _values_to_dict
-
-
 def generalized_from_dict(graph: Graph, data: Mapping) -> GeneralizedConnection:
+    """Edge values keyed by ``str`` of the edge id, or a ``haar_seed`` to draw them."""
     desc = mg.descriptor_from_dict(data["group"])
     if "haar_seed" in data:
         return random_generalized_connection(graph, desc, json_int(data["haar_seed"], "haar_seed"))
-    return GeneralizedConnection(graph, desc, _values_from_dict(
-        graph.edges, data["values"], UnknownEdgeError, "edge"))
+    by_name = {str(i): i for i in graph.edges}
+    values = {}
+    for key, pairs in data["values"].items():
+        if key not in by_name:
+            raise UnknownEdgeError(f"no edge with id {key!r}")
+        values[by_name[key]] = mg.matrix_from_pairs(pairs)
+    return GeneralizedConnection(graph, desc, values)
 
 
 def smooth_to_dict(conn: SmoothConnection) -> dict:
@@ -729,22 +652,3 @@ def smooth_from_dict(data: Mapping) -> SmoothConnection:
         for t in data["terms"]
     ]
     return SmoothConnection(desc, terms)
-
-
-def gauge_from_dict(graph: Graph, data: Mapping) -> DiscreteGauge:
-    desc = mg.descriptor_from_dict(data["group"])
-    if "haar_seed" in data:
-        return random_discrete_gauge(graph, desc, json_int(data["haar_seed"], "haar_seed"))
-    return DiscreteGauge(graph, desc, _values_from_dict(
-        graph.vertices, data["values"], ValueError, "vertex"))
-
-
-# ---------------------------------------------------------------------------
-# quotient pushforward
-
-def pushforward_hom(quotient: mg.CentralQuotient, conn: GeneralizedConnection) -> GeneralizedConnection:
-    """Compose an edge assignment in the base group with the quotient map."""
-    if conn.descriptor != quotient.base:
-        raise mg.DescriptorMismatchError("connection does not live in the quotient's base group")
-    vals = {eid: mg.quotient_project(quotient, m) for eid, m in conn.values.items()}
-    return GeneralizedConnection(conn.graph, quotient, vals)

@@ -392,11 +392,3 @@ def separation_test(stack_a, stack_b, max_len: int = 3,
     return SeparationVerdict(best_gap > threshold, best_gap,
                              best_word if best_word is not None else (),
                              threshold, len(words))
-
-
-def loop_stack(conn: GeneralizedConnection, loops: Sequence[PathWord]) -> np.ndarray:
-    """Holonomy matrices of a loop family at a common basepoint."""
-    base = {w.source for w in loops} | {w.range for w in loops}
-    if len(base) != 1:
-        raise ValueError("loops must share a single basepoint")
-    return holonomies(conn, loops)

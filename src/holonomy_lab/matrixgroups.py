@@ -375,15 +375,6 @@ def inv(a: GroupElement) -> GroupElement:
     return _wrap(a.descriptor, a.matrix.conj().T)
 
 
-def conjugate(h: GroupElement, a: GroupElement) -> GroupElement:
-    """a^-1 h a."""
-    return mul(mul(inv(a), h), a)
-
-
-def trace_normalized(g: GroupElement) -> complex:
-    return complex(np.trace(g.matrix) / dim(g.descriptor))
-
-
 def distance(a: GroupElement, b: GroupElement) -> float:
     _check_same(a, b)
     return float(np.linalg.norm(a.matrix - b.matrix))
@@ -512,12 +503,6 @@ def haar_batch(desc, count: int, rng) -> np.ndarray:
     if isinstance(desc, CentralQuotient):
         return canonicalize_batch(desc, out)
     return out
-
-
-def haar_sample(desc, seed: int) -> GroupElement:
-    """One Haar-distributed element, deterministic in ``seed``."""
-    rng = np.random.default_rng(seed)
-    return GroupElement(desc, haar_batch(desc, 1, rng)[0], check=False)
 
 
 def random_algebra(desc, rng, scale: float = 1.0) -> LieAlgebraElement:

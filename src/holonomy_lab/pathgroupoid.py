@@ -250,30 +250,8 @@ def compose(p: PathWord, q: PathWord) -> PathWord:
     return PathWord(tuple(merged), q.source, p.range)
 
 
-def compose_all(words: Sequence[PathWord]) -> PathWord:
-    """Product of a left-to-right factor list (the rightmost factor walks first)."""
-    if not words:
-        raise ValueError("empty factor list")
-    out = words[-1]
-    for w in reversed(words[:-1]):
-        out = compose(w, out)
-    return out
-
-
 def inverse(p: PathWord) -> PathWord:
     return PathWord(tuple((eid, -o) for eid, o in reversed(p.letters)), p.range, p.source)
-
-
-def power(p: PathWord, k: int) -> PathWord:
-    if not p.is_loop():
-        raise CompositionError("powers need a loop")
-    if k == 0:
-        return PathWord((), p.source, p.source)
-    base = p if k > 0 else inverse(p)
-    out = base
-    for _ in range(abs(k) - 1):
-        out = compose(base, out)
-    return out
 
 
 def abelianize(p: PathWord) -> dict:
@@ -383,11 +361,6 @@ def loop_relations(graph: Graph, loops: Sequence[PathWord]):
                 adj[x][letter], adj[y][back] = (y, label), (x, inv(label))
     live = [d for d in adj if d is not None]
     return relations, sum(map(len, live)) // 2 - len(live) + len(ends)
-
-
-def is_independent_family(graph: Graph, family: Sequence[PathWord]) -> bool:
-    """True when no nontrivial word in the family members composes to a unit."""
-    return not loop_relations(graph, family)[0]
 
 
 # perfbench's tracer times the relation finder under the bounded search's old name

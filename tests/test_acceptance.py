@@ -29,7 +29,6 @@ from holonomy_lab.connections import (
     random_discrete_gauge,
     random_generalized_connection,
     random_smooth_connection,
-    random_smooth_gauge,
     restrict,
     transport,
 )
@@ -53,7 +52,6 @@ from holonomy_lab.spectra import (
     approximation_experiment,
     closure_membership,
     commutator_word,
-    loop_assignment_to_dict,
     tree_basis,
     tree_decompose,
     tree_reconstruct,
@@ -65,6 +63,7 @@ from graphs import (
     spider_graph,
     square_graph,
 )
+from instruments import one_form, random_smooth_gauge
 from oracles import (
     all_order_normal_forms,
     brute_force_conjugator,
@@ -181,7 +180,7 @@ def test_03_gauge_covariance_smooth_and_discrete():
         def field(x, v, conn=conn, gauge=gauge):
             g = gauge.at(x)
             gi = g.conj().T
-            a = conn.apply(x, v)
+            a = one_form(conn, x, v)
             nv = float(np.linalg.norm(v))
             if nv == 0.0:
                 return gi @ a @ g

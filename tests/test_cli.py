@@ -7,13 +7,16 @@ import os
 import re
 import subprocess
 import sys
+import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import holonomy_lab
 import holonomy_lab.matrixgroups as mg
 from holonomy_lab.cli import CliError, _build_parser, main, parse_group, parse_path_tokens
 from holonomy_lab.connections import (
@@ -576,6 +579,46 @@ def test_option_census():
     assert census == {name: COMMON_OPTIONS | extra for name, extra in COMMAND_OPTIONS.items()}
 
 
+# every name the package exports; README's "Library layout" states what earns a place
+PUBLIC_SURFACE = [
+    "ApproximationReport", "BranchCutError", "BumpTerm", "CentralQuotient",
+    "ClosureVerdict", "CompositionError", "Conj", "ConnectivityError", "Const",
+    "CylFunction", "DescriptorMismatchError", "DiscreteGauge", "Edge", "Entry",
+    "GeneralizedConnection", "GeometryError", "Graph", "GroupElement", "HaarMean",
+    "IndependenceError", "InterpolationTarget", "LieAlgebraElement", "LoopAssignment",
+    "MeanEstimate", "ObstructionWitness", "PathWord", "Prod", "ProductGroup",
+    "SeparationVerdict", "SmoothConnection", "SpecialUnitary", "Sum", "Torus", "TraceOf",
+    "TreeBasis", "TreeDecomposition", "Unitary", "UnknownEdgeError",
+    "abelian_obstruction_witness", "abelianize", "approximation_experiment",
+    "central_quotient", "closure_membership", "commutator_word", "compose", "cyl_from_dict",
+    "cyl_to_dict", "descriptor_from_dict", "descriptor_to_dict", "dim", "distance",
+    "edge_word", "entry_abs_square", "entry_function", "evaluate", "exp_map",
+    "find_conjugator", "gauge_act_general", "generalized_from_dict", "generalized_to_dict",
+    "graph_from_dict", "graph_to_dict", "haar_batch", "holonomies", "holonomy_general",
+    "holonomy_smooth", "holonomy_stack", "identity", "interpolate_connection", "inv",
+    "invariance_check", "inverse", "log_map", "loop_assignment_from_dict",
+    "loop_assignment_to_dict", "loop_relations", "mul", "orbit_representative",
+    "quotient_project", "random_algebra", "random_discrete_gauge",
+    "random_generalized_connection", "random_smooth_connection", "restrict",
+    "separation_test", "smooth_from_dict", "smooth_to_dict", "spanning_tree", "transport",
+    "tree_basis", "tree_decompose", "tree_edge_ids", "tree_reconstruct", "wilson_loop",
+    "word_from_tokens", "word_to_tokens",
+]
+
+
+def test_public_surface_census():
+    names = sorted(n for n, v in vars(holonomy_lab).items()
+                   if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    assert names == PUBLIC_SURFACE
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Quick start\n+```python\n(.*?)```", readme, re.S).group(1)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.mark.parametrize("command", ["haar-mean", "gauge-orbit"])
 def test_entry_past_matrix_size_is_usage_error(workspace, tmp_path, capsys, command):
     tmp, _, _ = workspace
@@ -798,11 +841,24 @@ def test_closure_needs_exactly_one_input(workspace):
     assert "exactly one" in result.stderr
 
 
-def test_missing_file_is_usage_error(tmp_path):
+def test_missing_file_is_usage_error(workspace, tmp_path, capsys):
     result = run_cli(["holonomy", "--graph", str(tmp_path / "nope.json"),
                       "--connection", str(tmp_path / "nope.json"), "--path", "1"])
     assert result.returncode == 2
     assert "no such file" in result.stderr
+    # a directory as an input document, and an --out that is a file or lies under one
+    tmp, _, _ = workspace
+    graph, conn, plain = tmp / "graph.json", tmp / "conn.json", tmp_path / "plain"
+    plain.write_text("")
+    for argv, named in [(["--graph", tmp_path, "--connection", conn], tmp_path),
+                        (["--graph", graph, "--connection", tmp_path], tmp_path),
+                        (["--graph", graph, "--connection", conn, "--out", plain], plain),
+                        (["--graph", graph, "--connection", conn, "--out", plain / "sub"],
+                         plain / "sub")]:
+        assert main(["holonomy", "--path", "1", *map(str, argv)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert str(named) in err
 
 
 def test_malformed_json_reports_location(tmp_path):

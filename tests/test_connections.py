@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
@@ -17,13 +17,11 @@ from holonomy_lab.connections import (
     MAX_DOUBLINGS,
     BumpTerm,
     DiscreteGauge,
-    GaugeBump,
     GeneralizedConnection,
     GeometryError,
     IndependenceError,
     InterpolationTarget,
     SmoothConnection,
-    SmoothGauge,
     _EdgeTransports,
     _chain,
     _segment_distances,
@@ -31,8 +29,6 @@ from holonomy_lab.connections import (
     bump_value,
     edge_polyline,
     gauge_act_general,
-    gauge_from_dict,
-    gauge_to_dict,
     gauge_transform,
     generalized_from_dict,
     generalized_to_dict,
@@ -41,11 +37,9 @@ from holonomy_lab.connections import (
     holonomy_smooth,
     interpolate_connection,
     path_polyline,
-    pushforward_hom,
     random_discrete_gauge,
     random_generalized_connection,
     random_smooth_connection,
-    random_smooth_gauge,
     restrict,
     smooth_from_dict,
     smooth_to_dict,
@@ -66,6 +60,7 @@ from holonomy_lab.pathgroupoid import (
 from holonomy_lab.spectra import approximation_experiment, default_windows
 
 from graphs import pentagon_chord_graph, spider_graph, square_graph, theta_graph
+from instruments import GaugeBump, SmoothGauge, haar_sample, one_form, random_smooth_gauge
 from oracles import (
     chain_matmul,
     gauge_act_edgewise,
@@ -222,6 +217,9 @@ def covered_intervals(p, q, terms):
 @settings(max_examples=150, deadline=None)
 @given(line=polylines, centers=st.lists(points_2d, min_size=1, max_size=4),
        radii=st.lists(st.floats(0.1, 1.5), min_size=4, max_size=4))
+# the segment ends on the circle: the disk cuts a roundoff sliver, where the bump is 0
+@example(line=np.array([(-1.0, -0.0963536), (0.0, 0.0)]), centers=[(0.0, 0.25)],
+         radii=[0.25, 0.25, 0.25, 0.25])
 def test_transport_integrates_exactly_the_union_of_chords(line, centers, radii):
     X = np.array([[0.5j, 0.3], [-0.3, -0.5j]])
     conn = SmoothConnection(SU2, [BumpTerm(X, c, r, (0.6, 0.8))
@@ -454,7 +452,7 @@ def test_transport_field_agrees_with_bump_transport():
     graph = pentagon_chord_graph()
     pts = path_polyline(graph, edge_word(graph, 1))
     fast = transport(conn, pts, tol=1e-11)
-    slow = transport_field(conn.apply, pts, n=2, steps=256)
+    slow = transport_field(functools.partial(one_form, conn), pts, n=2, steps=256)
     assert frob(fast, slow) < 1e-5
 
 
@@ -811,7 +809,7 @@ def test_transformed_one_form_matches_covariance():
     def field(x, v):
         g = gauge.at(x)
         gi = g.conj().T
-        a = conn.apply(x, v)
+        a = one_form(conn, x, v)
         nv = float(np.linalg.norm(v))
         if nv == 0.0:
             return gi @ a @ g
@@ -836,7 +834,7 @@ def leg_word(graph, r, k):
 def test_interpolation_hits_targets():
     r = 3
     graph = spider_graph(r)
-    values = [mg.haar_sample(SU2, seed=30 + k) for k in range(r)]
+    values = [haar_sample(SU2, seed=30 + k) for k in range(r)]
     targets = [InterpolationTarget(leg_word(graph, r, k), values[k], (5, 8))
                for k in range(r)]
     conn = interpolate_connection(graph, targets)
@@ -870,7 +868,7 @@ def test_interpolation_bumps_miss_foreign_paths(r):
             lo = int(rng.integers(0, 8))
             hi = int(rng.integers(lo + 1, 9))
             targets.append(InterpolationTarget(leg_word(graph, r, int(k)),
-                                               mg.haar_sample(SU2, seed=seed), (lo, hi)))
+                                               haar_sample(SU2, seed=seed), (lo, hi)))
         # the legs left over, and the basepoint's one-point unit path
         extra = ([leg_word(graph, r, int(k)) for k in legs[n_targets:]]
                  + [unit(graph, graph.basepoint)])
@@ -881,7 +879,7 @@ def test_interpolation_bumps_miss_foreign_paths(r):
 def test_interpolation_respects_extra_paths():
     r = 3
     graph = spider_graph(r)
-    values = [mg.haar_sample(SU2, seed=40 + k) for k in range(2)]
+    values = [haar_sample(SU2, seed=40 + k) for k in range(2)]
     targets = [InterpolationTarget(leg_word(graph, r, k), values[k], (5, 8))
                for k in range(2)]
     spectator = leg_word(graph, r, 2)
@@ -897,7 +895,7 @@ def test_interpolation_torus_and_quotient_values():
     r = 2
     graph = spider_graph(r)
     for desc, seeds in ((T2, (50, 51)), (U2_AS_QUOTIENT, (52, 53))):
-        values = [mg.haar_sample(desc, seed=s) for s in seeds]
+        values = [haar_sample(desc, seed=s) for s in seeds]
         targets = [InterpolationTarget(leg_word(graph, r, k), values[k], (5, 8))
                    for k in range(r)]
         conn = interpolate_connection(graph, targets)
@@ -912,8 +910,8 @@ def test_interpolation_rejects_shared_window():
     graph = spider_graph(r)
     w = leg_word(graph, r, 0)
     targets = [
-        InterpolationTarget(w, mg.haar_sample(SU2, seed=60), (5, 8)),
-        InterpolationTarget(w, mg.haar_sample(SU2, seed=61), (5, 8)),
+        InterpolationTarget(w, haar_sample(SU2, seed=60), (5, 8)),
+        InterpolationTarget(w, haar_sample(SU2, seed=61), (5, 8)),
     ]
     with pytest.raises(IndependenceError):
         interpolate_connection(graph, targets)
@@ -922,7 +920,7 @@ def test_interpolation_rejects_shared_window():
 def test_interpolation_names_the_first_failing_target():
     r = 3
     graph = spider_graph(r)
-    v = mg.haar_sample(SU2, seed=63)
+    v = haar_sample(SU2, seed=63)
     clear, full = InterpolationTarget(leg_word(graph, r, 0), v, (5, 8)), leg_word(graph, r, 1)
     # leg 1's own inner edge is crossed by leg 1's path: no clearance
     crossed = InterpolationTarget(edge_word(graph, 2), v, (0, 4))
@@ -942,7 +940,7 @@ def test_interpolation_rejects_bad_window():
     r = 2
     graph = spider_graph(r)
     w = leg_word(graph, r, 0)
-    v = mg.haar_sample(SU2, seed=62)
+    v = haar_sample(SU2, seed=62)
     with pytest.raises(ValueError):
         interpolate_connection(graph, [InterpolationTarget(w, v, (8, 5))])
     with pytest.raises(ValueError):
@@ -1083,20 +1081,14 @@ def test_coefficients_below_roundoff_tolerance_still_return(monkeypatch):
 # pushforward and serialization
 
 def test_pushforward_commutes_with_holonomy():
+    # base-group edge values in a quotient connection are projected to their cosets
     graph = square_graph()
     base = random_generalized_connection(graph, PROD, seed=70)
-    pushed = pushforward_hom(U2_AS_QUOTIENT, base)
+    pushed = GeneralizedConnection(graph, U2_AS_QUOTIENT, base.values)
     w = compose(edge_word(graph, 2), edge_word(graph, 1))
     lhs = holonomy_general(pushed, w)
     rhs = mg.quotient_project(U2_AS_QUOTIENT, holonomy_general(base, w).matrix)
     assert mg.distance(lhs, rhs) < 1e-12
-
-
-def test_pushforward_checks_base():
-    graph = square_graph()
-    conn = random_generalized_connection(graph, SU2, seed=71)
-    with pytest.raises(mg.DescriptorMismatchError):
-        pushforward_hom(U2_AS_QUOTIENT, conn)
 
 
 def test_generalized_serialization_roundtrip():
@@ -1106,6 +1098,9 @@ def test_generalized_serialization_roundtrip():
     back = generalized_from_dict(graph, data)
     for eid in graph.edges:
         assert frob(back.values[eid], conn.values[eid]) < 1e-15
+    data["values"]["9"] = data["values"].pop("1")
+    with pytest.raises(UnknownEdgeError, match="no edge with id '9'"):
+        generalized_from_dict(graph, data)
 
 
 def test_generalized_from_seed():
@@ -1121,9 +1116,8 @@ def test_generalized_from_seed():
 def test_seeded_documents_need_an_integer_seed(seed):
     graph = square_graph()
     data = {"group": mg.descriptor_to_dict(SU2), "haar_seed": seed, "values": {}}
-    for load in (generalized_from_dict, gauge_from_dict):
-        with pytest.raises(ValueError, match="haar_seed must be an integer"):
-            load(graph, data)
+    with pytest.raises(ValueError, match="haar_seed must be an integer"):
+        generalized_from_dict(graph, data)
 
 
 def test_smooth_serialization_roundtrip():
@@ -1135,26 +1129,6 @@ def test_smooth_serialization_roundtrip():
         assert t1.center == t2.center
         assert t1.radius == t2.radius
         assert t1.direction == t2.direction
-
-
-def test_gauge_serialization_roundtrip():
-    graph = square_graph()
-    gauge = random_discrete_gauge(graph, SU2, seed=74)
-    back = gauge_from_dict(graph, gauge_to_dict(gauge))
-    for v in graph.vertices:
-        assert frob(back.values[v], gauge.values[v]) < 1e-15
-
-
-def test_gauge_from_dict_names_an_unknown_vertex():
-    graph = square_graph()
-    data = gauge_to_dict(random_discrete_gauge(graph, SU2, seed=75))
-    data["values"]["zz"] = data["values"].pop(str(next(iter(graph.vertices))))
-    with pytest.raises(ValueError, match="^no vertex with id 'zz'$"):
-        gauge_from_dict(graph, data)
-    conn = generalized_to_dict(random_generalized_connection(graph, SU2, seed=75))
-    conn["values"]["9"] = conn["values"].pop("1")
-    with pytest.raises(UnknownEdgeError, match="no edge with id '9'"):
-        generalized_from_dict(graph, conn)
 
 
 def test_edge_polyline_orientation_and_geometry_errors():

@@ -11,6 +11,7 @@ from holonomy_lab.connections import (
     _adjoint_table,
     _word_product,
     gauge_act_general,
+    holonomies,
     random_discrete_gauge,
     random_generalized_connection,
     random_smooth_connection,
@@ -37,13 +38,13 @@ from holonomy_lab.cylindrical import (
     expr_to_dict,
     holonomy_stack,
     invariance_check,
-    loop_stack,
     separation_test,
     wilson_loop,
 )
 from holonomy_lab.pathgroupoid import PathWord, compose, edge_word, inverse
 
 from graphs import pentagon_chord_graph, square_graph, triangle_graph
+from instruments import haar_sample
 from oracles import (
     _word_trace,
     brute_force_conjugator,
@@ -375,8 +376,8 @@ def test_separation_accepts_conjugated_stack():
                 compose(edge_word(graph, 4),
                         compose(edge_word(graph, 3), edge_word(graph, 6)))),
     ]
-    stack = loop_stack(conn, loops)
-    g = mg.haar_sample(SU2, seed=26).matrix
+    stack = holonomies(conn, loops)
+    g = haar_sample(SU2, seed=26).matrix
     conjugated = np.array([g.conj().T @ m @ g for m in stack])
     verdict = separation_test(stack, conjugated, max_len=4)
     assert not verdict.separated
@@ -390,8 +391,8 @@ def test_separation_detects_planted_difference():
         compose(inverse(edge_word(graph, 6)),
                 compose(edge_word(graph, 2), edge_word(graph, 1))),
     ]
-    stack = loop_stack(conn, loops)
-    other = np.array([mg.haar_sample(SU2, seed=28).matrix])
+    stack = holonomies(conn, loops)
+    other = np.array([haar_sample(SU2, seed=28).matrix])
     verdict = separation_test(stack, other, max_len=2)
     assert verdict.separated
     assert verdict.gap > 1e-3
@@ -434,10 +435,3 @@ def test_word_product_and_separation_gaps_match_letterwise_oracle(desc):
 def test_separation_validates_shapes():
     with pytest.raises(ValueError):
         separation_test([QI], [QI, QJ])
-
-
-def test_loop_stack_needs_common_basepoint():
-    graph = square_graph()
-    conn = random_generalized_connection(graph, SU2, seed=29)
-    with pytest.raises(ValueError):
-        loop_stack(conn, [edge_word(graph, 1)])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import holonomy_lab.matrixgroups as mg
 from holonomy_lab.matrixgroups import (
     BranchCutError,
-    CentralQuotient,
     DescriptorMismatchError,
     GroupElement,
     LieAlgebraElement,
@@ -21,7 +20,6 @@ from holonomy_lab.matrixgroups import (
     algebra_descriptor,
     canonicalize_batch,
     central_quotient,
-    conjugate,
     descriptor_from_dict,
     descriptor_to_dict,
     dim,
@@ -30,7 +28,6 @@ from holonomy_lab.matrixgroups import (
     exp_map,
     find_conjugator,
     haar_batch,
-    haar_sample,
     identity,
     inv,
     leaf_blocks,
@@ -41,9 +38,9 @@ from holonomy_lab.matrixgroups import (
     quotient_project,
     random_algebra,
     reunitarize,
-    trace_normalized,
     validate_matrix,
 )
+from instruments import haar_sample
 from oracles import (
     canonicalize_batch_matmul,
     haar_leaf_qr,
@@ -249,18 +246,6 @@ def test_associativity(desc):
 def test_descriptor_mismatch():
     with pytest.raises(DescriptorMismatchError):
         mul(haar(SU2, 0), haar(U2, 0))
-
-
-def test_conjugate_definition():
-    h, a = haar(SU2, 4), haar(SU2, 5)
-    expect = a.matrix.conj().T @ h.matrix @ a.matrix
-    assert np.allclose(conjugate(h, a).matrix, expect, atol=1e-13)
-
-
-def test_trace_normalized():
-    assert trace_normalized(identity(SU3)) == pytest.approx(1.0)
-    g = haar(SU2, 6)
-    assert trace_normalized(g) == pytest.approx(np.trace(g.matrix) / 2)
 
 
 def test_unitarity_survives_long_products():

@@ -16,18 +16,14 @@ from holonomy_lab.pathgroupoid import (
     ConnectivityError,
     Edge,
     Graph,
-    PathWord,
     UnknownEdgeError,
     abelianize,
     compose,
-    compose_all,
     edge_word,
     graph_from_dict,
     graph_to_dict,
     inverse,
-    is_independent_family,
     loop_relations,
-    power,
     reduce_word,
     spanning_tree,
     tree_edge_ids,
@@ -37,6 +33,7 @@ from holonomy_lab.pathgroupoid import (
 )
 from holonomy_lab.spectra import commutator_word
 from graphs import bouquet_graph, pentagon_chord_graph, square_graph
+from instruments import compose_all, power
 from oracles import (
     all_order_normal_forms,
     dependencies,
@@ -362,8 +359,8 @@ def test_depends_on_factorization_recomposes():
 def test_independent_family_detection():
     f0 = edge_word(SQUARE, 1)
     f1 = edge_word(SQUARE, 2)
-    assert is_independent_family(SQUARE, [f0, f1])
-    assert not is_independent_family(SQUARE, [f0, f1, compose(f1, f0)])
+    assert not loop_relations(SQUARE, [f0, f1])[0]
+    assert loop_relations(SQUARE, [f0, f1, compose(f1, f0)])[0]
 
 
 def test_dependencies_count_indices_in_whole_family():

@@ -18,7 +18,7 @@ from holonomy_lab.connections import (
     random_smooth_connection,
     restrict,
 )
-from holonomy_lab.pathgroupoid import abelianize, compose, compose_all, edge_word, inverse, power
+from holonomy_lab.pathgroupoid import abelianize, compose, edge_word, inverse
 from holonomy_lab.spectra import (
     ApproximationReport,
     LoopAssignment,
@@ -36,6 +36,7 @@ from holonomy_lab.spectra import (
 )
 
 from graphs import bouquet_graph, pentagon_chord_graph, spider_graph, square_graph
+from instruments import compose_all, power
 from oracles import brute_force_conjugator, depends_on, gauge_act_edgewise, su2_grid
 
 SU2 = mg.SpecialUnitary(2)
