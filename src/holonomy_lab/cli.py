@@ -170,10 +170,6 @@ def _path_word(graph, text):
         raise CliError(f"--path: {exc}") from None
 
 
-def _pair(z):
-    return [float(np.real(z)) + 0.0, float(np.imag(z)) + 0.0]  # + 0.0 writes -0.0 as 0.0
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -212,8 +208,8 @@ def cmd_holonomy(args):
         "range": word.range,
         "group": mg.descriptor_to_dict(conn.descriptor),
         "matrix": mg.matrix_to_pairs(h.matrix),
-        "trace": _pair(tr),
-        "trace_normalized": _pair(tr / mg.dim(conn.descriptor)),
+        "trace": mg.complex_pair(tr),
+        "trace_normalized": mg.complex_pair(tr / mg.dim(conn.descriptor)),
         "ok": True,
     }
     return report, []
@@ -232,7 +228,7 @@ def cmd_wilson(args):
         "path": word_to_tokens(word),
         "basepoint": word.source,
         "group": mg.descriptor_to_dict(conn.descriptor),
-        "value": _pair(value),
+        "value": mg.complex_pair(value),
         "ok": True,
     }
     return report, []
@@ -279,7 +275,7 @@ def cmd_haar_mean(args):
     report = {
         "command": "haar-mean",
         "group": mg.descriptor_to_dict(conn.descriptor),
-        "value": _pair(est.value),
+        "value": mg.complex_pair(est.value),
         "stderr": est.stderr,
         "samples": est.samples,
         "layers": est.layers,

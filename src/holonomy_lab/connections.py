@@ -257,9 +257,9 @@ class SmoothConnection:
         return bump_value(points, self._centers, self._radii)
 
 
-def random_smooth_connection(descriptor, graph: Graph, n_terms: int, seed: int,
-                             scale: float = 0.8, radius: float = 0.6) -> SmoothConnection:
-    """Random bump terms centered on curve points of the graph, in edge order."""
+def random_smooth_connection(descriptor, graph: Graph, n_terms: int, seed: int) -> SmoothConnection:
+    """Random bump terms of radius 0.6 and generator scale 0.8, centered near curve points
+    of the graph, in edge order."""
     rng = np.random.default_rng(seed)
     pool = np.asarray([p for e in graph.edges.values() if e.curve for p in e.curve], dtype=float)
     if not pool.size:
@@ -269,8 +269,8 @@ def random_smooth_connection(descriptor, graph: Graph, n_terms: int, seed: int,
         c = pool[rng.integers(len(pool))] + rng.normal(scale=0.1, size=pool.shape[1])
         d = rng.normal(size=pool.shape[1])
         d /= np.linalg.norm(d)
-        X = mg.random_algebra(descriptor, rng, scale=scale)
-        terms.append(BumpTerm(X.matrix, tuple(c), radius, tuple(d)))
+        X = mg.random_algebra(descriptor, rng, scale=0.8)
+        terms.append(BumpTerm(X.matrix, tuple(c), 0.6, tuple(d)))
     return SmoothConnection(descriptor, terms)
 
 
@@ -289,12 +289,15 @@ def edge_polyline(graph: Graph, eid, orientation: int = 1) -> np.ndarray:
     return pts if orientation == 1 else pts[::-1]
 
 
-def letters_polyline(graph: Graph, letters: Sequence) -> np.ndarray:
-    """Concatenated curve of a raw letter sequence (no reduction applied)."""
-    if not letters:
-        raise ValueError("empty letter sequence has no curve; handle units separately")
+def path_polyline(graph: Graph, word: PathWord) -> np.ndarray:
+    """The word's edge curves laid end to end; a unit is its vertex's position."""
+    if word.is_unit():
+        try:
+            return np.asarray([graph.positions[word.source]], dtype=float)
+        except KeyError:
+            raise GeometryError(f"vertex {word.source!r} has no position")
     chunks = []
-    for k, (eid, o) in enumerate(letters):
+    for k, (eid, o) in enumerate(word.letters):
         pts = edge_polyline(graph, eid, o)
         if chunks:
             if np.linalg.norm(chunks[-1][-1] - pts[0]) > 1e-9:
@@ -302,15 +305,6 @@ def letters_polyline(graph: Graph, letters: Sequence) -> np.ndarray:
             pts = pts[1:]
         chunks.append(pts)
     return np.concatenate(chunks, axis=0)
-
-
-def path_polyline(graph: Graph, word: PathWord) -> np.ndarray:
-    if word.is_unit():
-        try:
-            return np.asarray([graph.positions[word.source]], dtype=float)
-        except KeyError:
-            raise GeometryError(f"vertex {word.source!r} has no position")
-    return letters_polyline(graph, word.letters)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .connections import (
 from .pathgroupoid import Graph, PathWord, json_int, word_from_tokens, word_to_tokens
 
 MEAN_CHUNK = 8192
+SEPARATION_THRESHOLD = 1e-8  # trace gap that separates two holonomy tuples
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +136,7 @@ class Prod(Expr):
 
 def expr_to_dict(expr: Expr) -> dict:
     if isinstance(expr, Const):
-        return {"const": [float(np.real(expr.value)), float(np.imag(expr.value))]}
+        return {"const": mg.complex_pair(expr.value)}
     if isinstance(expr, Entry):
         return {"entry": [expr.path, expr.row, expr.col]}
     if isinstance(expr, TraceOf):
@@ -369,14 +370,13 @@ def _index_words(k: int, max_len: int):
     return out
 
 
-def separation_test(stack_a, stack_b, max_len: int = 3,
-                    threshold: float = 1e-8) -> SeparationVerdict:
+def separation_test(stack_a, stack_b, max_len: int = 3) -> SeparationVerdict:
     """Compare all trace invariants of two same-length holonomy tuples.
 
     The inputs are loop holonomies at a common basepoint, as matrices or
     group elements.  Traces of products are invariant under simultaneous
-    conjugation, so a gap larger than the threshold certifies the tuples
-    lie on different gauge orbits.
+    conjugation, so a gap larger than ``SEPARATION_THRESHOLD`` certifies the
+    tuples lie on different gauge orbits.
     """
     a = np.array([mg.as_matrix(m) for m in stack_a], dtype=complex)
     b = np.array([mg.as_matrix(m) for m in stack_b], dtype=complex)
@@ -389,6 +389,6 @@ def separation_test(stack_a, stack_b, max_len: int = 3,
         gap = abs(np.trace(_word_product(ta, w)) - np.trace(_word_product(tb, w)))
         if gap > best_gap:
             best_gap, best_word = gap, w
-    return SeparationVerdict(best_gap > threshold, best_gap,
+    return SeparationVerdict(best_gap > SEPARATION_THRESHOLD, best_gap,
                              best_word if best_word is not None else (),
-                             threshold, len(words))
+                             SEPARATION_THRESHOLD, len(words))

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-UNITARY_ATOL = 1e-8      # membership gate on construction
+UNITARY_ATOL = 1e-8      # membership gate of group and algebra elements
 REPAIR_ATOL = 1e-10      # polar-project drift above this
 LEX_ATOL = 1e-9          # tolerance of the coset-representative ordering
 BRANCH_ATOL = 1e-8       # minimum angular distance from the log branch cut
@@ -220,9 +220,10 @@ def reunitarize(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _check_blocks(desc, m: np.ndarray, atol: float, what: str, su_bad, su_message: str) -> None:
-    """Shape, finiteness, diagonal torus blocks, no ``su_bad`` SU block, nothing off the blocks."""
-    n = dim(desc)
+def _check_blocks(desc, m: np.ndarray, what: str, su_bad, su_message: str) -> None:
+    """Shape, finiteness, diagonal torus blocks, no ``su_bad`` SU block, nothing off the
+    blocks, each within ``UNITARY_ATOL``."""
+    n, atol = dim(desc), UNITARY_ATOL
     if m.shape != (n, n):
         raise MembershipError(f"expected shape {(n, n)}, got {m.shape}")
     if not np.isfinite(m).all():
@@ -239,12 +240,12 @@ def _check_blocks(desc, m: np.ndarray, atol: float, what: str, su_bad, su_messag
         raise MembershipError(f"off block-diagonal entries in a product {what}")
 
 
-def validate_matrix(desc, m: np.ndarray, atol: float = UNITARY_ATOL) -> None:
-    """Raise MembershipError unless ``m`` lies in the group of ``desc``."""
+def validate_matrix(desc, m: np.ndarray) -> None:
+    """Raise MembershipError unless ``m`` lies in the group of ``desc`` within ``UNITARY_ATOL``."""
     m = np.asarray(m, dtype=complex)
-    _check_blocks(desc, m, atol, "element", lambda b: abs(np.linalg.det(b) - 1.0) > 10 * atol,
+    _check_blocks(desc, m, "element", lambda b: abs(stack_det(b) - 1.0) > 10 * UNITARY_ATOL,
                   "determinant differs from 1")
-    if _unitarity_defect(m) > atol:
+    if _unitarity_defect(m) > UNITARY_ATOL:
         raise MembershipError("matrix is not unitary within tolerance")
 
 
@@ -288,10 +289,11 @@ class LieAlgebraElement:
         object.__setattr__(self, "matrix", m)
 
 
-def _validate_algebra(desc, X: np.ndarray, atol: float = 1e-8) -> None:
-    _check_blocks(desc, X, atol, "algebra element",
-                  lambda b: abs(np.trace(b)) > atol * b.shape[0], "su(n) element must be traceless")
-    if np.max(np.abs(X + X.conj().T)) > atol:
+def _validate_algebra(desc, X: np.ndarray) -> None:
+    _check_blocks(desc, X, "algebra element",
+                  lambda b: abs(np.trace(b)) > UNITARY_ATOL * b.shape[0],
+                  "su(n) element must be traceless")
+    if np.max(np.abs(X + X.conj().T)) > UNITARY_ATOL:
         raise MembershipError("algebra element must be anti-hermitian")
 
 
@@ -303,16 +305,16 @@ def algebra_descriptor(desc):
 # ---------------------------------------------------------------------------
 # canonical coset representatives
 
-def _lex_less(a: np.ndarray, b: np.ndarray, atol: float = LEX_ATOL) -> np.ndarray:
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Which matrices of stack ``a`` precede those of ``b``.  Entries are read row-major,
-    real part before imaginary; the first pair more than ``atol`` apart decides, and only
+    real part before imaginary; the first pair more than ``LEX_ATOL`` apart decides, and only
     the matrices still tied read the next entry, so a Haar stack is decided at its first."""
     less = np.zeros(len(a), dtype=bool)
     live = np.arange(len(a))
     for idx in np.ndindex(a.shape[1:]):
         for part in (np.real, np.imag):
             d = part(a[(live, *idx)]) - part(b[(live, *idx)])
-            sig = np.abs(d) > atol
+            sig = np.abs(d) > LEX_ATOL
             less[live[sig]] = d[sig] < 0.0
             live = live[~sig]
             if not live.size:
@@ -390,12 +392,8 @@ def exp_antihermitian(X: np.ndarray) -> np.ndarray:
 
 
 def exp_map(X: LieAlgebraElement) -> GroupElement:
-    out = np.zeros_like(X.matrix)
-    for sl, leaf in leaf_blocks(X.descriptor):
-        blk = X.matrix[sl, sl]
-        out[sl, sl] = (np.diag(np.exp(np.diag(blk))) if isinstance(leaf, Torus)
-                       else exp_antihermitian(blk))
-    return _wrap(X.descriptor, out)
+    """The group element ``exp(X)``: block-diagonal ``X`` has a block-diagonal exponential."""
+    return _wrap(X.descriptor, exp_antihermitian(X.matrix))
 
 
 def _angles_from_unitary(eigvals: np.ndarray, branch_shift: float) -> np.ndarray:
@@ -552,10 +550,15 @@ def find_conjugator(mats_a: Sequence[np.ndarray], mats_b: Sequence[np.ndarray]):
 # ---------------------------------------------------------------------------
 # serialization
 
+def complex_pair(z) -> list:
+    """``[re, im]`` of a complex number; a zero is written as 0.0, never -0.0."""
+    z = complex(z)
+    return [z.real + 0.0, z.imag + 0.0]
+
+
 def matrix_to_pairs(m: np.ndarray) -> list:
-    """Row-major nested list of [re, im] pairs; a zero is written as 0.0, never -0.0."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(x.real) + 0.0, float(x.imag) + 0.0] for x in row] for row in m]
+    """Row-major nested list of :func:`complex_pair` entries."""
+    return [[complex_pair(x) for x in row] for row in np.asarray(m, dtype=complex)]
 
 
 def matrix_from_pairs(data) -> np.ndarray:

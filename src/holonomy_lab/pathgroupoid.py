@@ -235,19 +235,8 @@ def compose(p: PathWord, q: PathWord) -> PathWord:
         raise CompositionError(
             f"cannot compose: range {q.range!r} of the right word "
             f"!= source {p.source!r} of the left word")
-    merged = list(q.letters) + list(p.letters)
-    # only cancellations across the seam are possible, both inputs are reduced
-    i = len(q.letters)
-    while 0 < i < len(merged):
-        a, b = merged[i - 1], merged[i]
-        if a[0] == b[0] and a[1] == -b[1]:
-            del merged[i - 1:i + 1]
-            i -= 1
-        else:
-            break
-    if not merged:
-        return PathWord((), q.source, q.source)
-    return PathWord(tuple(merged), q.source, p.range)
+    # an empty normal form means p undoes q, so p.range == q.source
+    return PathWord(_free_reduce(q.letters + p.letters), q.source, p.range)
 
 
 def inverse(p: PathWord) -> PathWord:

@@ -30,11 +30,13 @@ from .connections import (
     DEFAULT_TOL,
     DiscreteGauge,
     GeneralizedConnection,
+    edge_polyline,
     gauge_act_general,
     holonomies,
     holonomy_general,
     interpolate_connection,
     InterpolationTarget,
+    path_polyline,
     restrict,
     _adjoint_table,
     _word_product,
@@ -138,24 +140,25 @@ def _center_lifts(descriptor, mats):
             for choice in itertools.product(range(len(center)), repeat=len(mats)))
 
 
-def _split_clusters(values: np.ndarray, tol: float):
-    """Group sorted real values into clusters separated by gaps > tol."""
+def _split_clusters(values: np.ndarray):
+    """Group sorted real values into clusters separated by gaps > ``CLUSTER_ATOL``."""
     order = np.argsort(values, kind="stable")
     groups = [[order[0]]]
     for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] <= tol:
+        if values[idx] - values[groups[-1][-1]] <= CLUSTER_ATOL:
             groups[-1].append(idx)
         else:
             groups.append([idx])
     return groups
 
 
-def _refine_frame(mats: np.ndarray, tol: float) -> np.ndarray:
+def _refine_frame(mats: np.ndarray) -> np.ndarray:
     """Unitary V making every generator block-diagonal with sorted spectra.
 
     Blocks are refined generator by generator, first by the hermitian part
-    of the compression, then by the skew part; indices inside a finished
-    block see every generator as a scalar.
+    of the compression, then by the skew part, at spectral gaps wider than
+    ``CLUSTER_ATOL``; indices inside a finished block see every generator as
+    a scalar.
     """
     n = mats.shape[-1]
     V = np.eye(n, dtype=complex)
@@ -170,20 +173,20 @@ def _refine_frame(mats: np.ndarray, tol: float) -> np.ndarray:
                 C = (V.conj().T @ g @ V)[np.ix_(B, B)]
                 H = 0.5 * (C + C.conj().T) if use_herm else -0.5j * (C - C.conj().T)
                 w, U = np.linalg.eigh(H)
-                if w[-1] - w[0] <= tol:
+                if w[-1] - w[0] <= CLUSTER_ATOL:
                     refined.append(B)
                     continue
                 Vb = V[:, B] @ U
                 V = V.copy()
                 V[:, B] = Vb
-                for cluster in _split_clusters(w, tol):
+                for cluster in _split_clusters(w):
                     refined.append([B[i] for i in cluster])
             blocks = refined
     return V
 
 
-def _fix_phases(mats: np.ndarray, tol: float) -> np.ndarray:
-    """Diagonal phases making the first significant entries real positive.
+def _fix_phases(mats: np.ndarray) -> np.ndarray:
+    """Diagonal phases making the first significant entries (above ``ENTRY_ATOL``) real positive.
 
     Spreads outward from index 0 through significant off-diagonal entries,
     scanning generators in order; indices never reached keep phase one.
@@ -198,7 +201,7 @@ def _fix_phases(mats: np.ndarray, tol: float) -> np.ndarray:
         for g in mats:
             for r in range(n):
                 for c in range(n):
-                    if r == c or abs(g[r, c]) <= tol:
+                    if r == c or abs(g[r, c]) <= ENTRY_ATOL:
                         continue
                     if known[r] and not known[c]:
                         phase[c] = phase[r] * np.conj(g[r, c]) / abs(g[r, c])
@@ -211,14 +214,14 @@ def _fix_phases(mats: np.ndarray, tol: float) -> np.ndarray:
     return phase
 
 
-def _unitary_representative(mats: np.ndarray, tol: float) -> np.ndarray:
-    V = _refine_frame(mats, tol)
+def _unitary_representative(mats: np.ndarray) -> np.ndarray:
+    V = _refine_frame(mats)
     conj = np.einsum("ij,kjl,lm->kim", V.conj().T, mats, V)
-    phase = _fix_phases(conj, ENTRY_ATOL)
+    phase = _fix_phases(conj)
     return np.conj(phase)[None, :, None] * conj * phase[None, None, :]
 
 
-def orbit_representative(descriptor, values, tol: float = CLUSTER_ATOL):
+def orbit_representative(descriptor, values):
     """Canonical point on the simultaneous-conjugation orbit of a tuple.
 
     Conjugation-invariant by construction for tuples whose refinement ends
@@ -238,7 +241,7 @@ def orbit_representative(descriptor, values, tol: float = CLUSTER_ATOL):
         cand = np.zeros_like(lifted)
         for sl, leaf in leaves:
             blk = np.ascontiguousarray(lifted[:, sl, sl])
-            cand[:, sl, sl] = blk if isinstance(leaf, mg.Torus) else _unitary_representative(blk, tol)
+            cand[:, sl, sl] = blk if isinstance(leaf, mg.Torus) else _unitary_representative(blk)
         if out is None or mg._lex_less(cand[None], out[None])[0]:
             out = cand
     return [mg.GroupElement(descriptor, m, check=False) for m in out]
@@ -275,10 +278,9 @@ def default_windows(graph: Graph, words: Sequence[PathWord]) -> list:
     for w in words:
         if w.is_unit():
             raise ValueError("unit words have no window")
-        curves = [graph.edges[eid].curve for eid, _ in w.letters]
-        counts = [2 if c is None else len(c) for c in curves]
-        total = sum(counts) - len(counts)  # last point index
-        out.append((total - max(counts[-1] - 2, 1), total))
+        last = len(path_polyline(graph, w)) - 1  # index of the word's last point
+        final_edge = len(edge_polyline(graph, *w.letters[-1]))
+        out.append((last - max(final_edge - 2, 1), last))
     return out
 
 
@@ -506,7 +508,7 @@ def _loop_verdict(data: LoopAssignment, bound, tol) -> ClosureVerdict:
             detail += f"; exponent rank {exp_rank} < subgroup rank {rank}"
         if exp_rank == rank or isinstance(leaf, mg.SpecialUnitary):
             return ClosureVerdict(True, mode, exp_rank == rank, (), detail, len(relations))
-        det_check = _abelian_check(A, np.linalg.det(stack)[:, None], bound, tol, mode, False)
+        det_check = _abelian_check(A, mg.stack_det(stack)[:, None], bound, tol, mode, False)
         checked = len(relations) + det_check.checked
         if not det_check.member:
             return ClosureVerdict(False, mode, True, det_check.witness,

@@ -14,6 +14,11 @@ once), ``holonomy_letterwise`` (one group multiplication per letter),
 letter), ``point_polyline_distance`` (one Python step per segment),
 ``polar_scipy`` and ``log_schur`` (the polar factor and the Schur-form
 logarithm of scipy, which the library no longer imports),
+``compose_seam`` (word composition cancelling only across the seam, where
+the library runs the one free reduction over both words),
+``exp_map_leafwise`` (the exponential one leaf block at a time, with the
+torus leaves' diagonal ``exp``, where the library exponentiates the whole
+block-diagonal matrix in one ``eigh``),
 ``haar_leaf_qr`` (Haar draws of one leaf from numpy's QR of a Ginibre
 stack with the phase fix of the R diagonal, where the library orthonormalizes
 the columns by Gram-Schmidt),
@@ -143,6 +148,26 @@ def reduce_word_letterwise(graph: Graph, letters: Sequence, source=None) -> Path
     src, _ = letter_endpoints(graph, stack[0])
     _, rng = letter_endpoints(graph, stack[-1])
     return PathWord(tuple(stack), src, rng)
+
+
+def compose_seam(p: PathWord, q: PathWord) -> PathWord:
+    """``compose`` cancelling only across the seam of two reduced words, one pair at a time."""
+    if q.range != p.source:
+        raise CompositionError(
+            f"cannot compose: range {q.range!r} of the right word "
+            f"!= source {p.source!r} of the left word")
+    merged = list(q.letters) + list(p.letters)
+    i = len(q.letters)
+    while 0 < i < len(merged):
+        a, b = merged[i - 1], merged[i]
+        if a[0] == b[0] and a[1] == -b[1]:
+            del merged[i - 1:i + 1]
+            i -= 1
+        else:
+            break
+    if not merged:
+        return PathWord((), q.source, q.source)
+    return PathWord(tuple(merged), q.source, p.range)
 
 
 def word_from_tokens_letterwise(graph: Graph, tokens, source=None) -> PathWord:
@@ -493,7 +518,18 @@ def split_holonomy_per_factor(conn, polyline, tol):
 
 
 # ---------------------------------------------------------------------------
-# polar factor and logarithm through scipy
+# exponential, polar factor and logarithm
+
+def exp_map_leafwise(X: mg.LieAlgebraElement) -> mg.GroupElement:
+    """``exp_map`` one leaf block at a time: ``exp`` of the diagonal on a torus leaf,
+    ``exp_antihermitian`` of the block on a U or SU leaf, exact zeros off the blocks."""
+    out = np.zeros_like(X.matrix)
+    for sl, leaf in mg.leaf_blocks(X.descriptor):
+        blk = X.matrix[sl, sl]
+        out[sl, sl] = (np.diag(np.exp(np.diag(blk))) if isinstance(leaf, mg.Torus)
+                       else mg.exp_antihermitian(blk))
+    return mg._wrap(X.descriptor, out)
+
 
 def polar_scipy(m):
     """Nearest unitary as ``scipy.linalg.polar`` computes it."""

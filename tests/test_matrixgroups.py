@@ -43,6 +43,7 @@ from holonomy_lab.matrixgroups import (
 from instruments import haar_sample
 from oracles import (
     canonicalize_batch_matmul,
+    exp_map_leafwise,
     haar_leaf_qr,
     log_schur,
     polar_scipy,
@@ -282,6 +283,23 @@ def test_exp_map_matches_expm_blockwise(desc):
     assert np.linalg.norm(got - scipy.linalg.expm(X.matrix)) < 1e-13
     # entries off the blocks and off the torus diagonal are zero in X, and exactly zero in exp(X)
     assert np.all(got[X.matrix == 0] == 0)
+
+
+EXP_KINDS = [PROD, T2, ProductGroup((T1, SU2, U2)), ProductGroup((SU2, SU2)),
+             ProductGroup((T2, SU3)), ProductGroup((Unitary(1), SU2, T2, U3)), Torus(3), U3,
+             U2_AS_QUOTIENT,
+             central_quotient(ProductGroup((SU2, SU2)), [np.eye(4), -np.eye(4)])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(EXP_KINDS), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-3, 0.3, 1.0, 4.0, 600.0]))
+def test_exp_map_matches_leafwise_oracle_bitwise(desc, seed, scale):
+    # the whole block-diagonal matrix in one eigh: each block, and the exact zeros around
+    # them, come out bit for bit as one block at a time; a quotient wraps the same matrix
+    X = random_algebra(desc, np.random.default_rng(seed), scale=scale)
+    X = LieAlgebraElement(desc, X.matrix)
+    assert np.array_equal(exp_map(X).matrix, exp_map_leafwise(X).matrix)
 
 
 @pytest.mark.parametrize("desc", [U2, SU2, SU3, T2, PROD, U2_AS_QUOTIENT])

@@ -36,6 +36,7 @@ from graphs import bouquet_graph, pentagon_chord_graph, square_graph
 from instruments import compose_all, power
 from oracles import (
     all_order_normal_forms,
+    compose_seam,
     dependencies,
     depends_on,
     enumerate_composable_words,
@@ -241,6 +242,19 @@ def test_compose_rejects_mismatched_endpoints():
     q = edge_word(SQUARE, 3)   # c -> d
     with pytest.raises(CompositionError):
         compose(p, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([SQUARE, PENT, bouquet_graph()]), st.data())
+def test_compose_matches_seam_cancel_oracle(graph, data):
+    # p starts by undoing a drawn share of q's tail, so seams cancel partly or wholly
+    q_letters, _, _ = data.draw(walks(graph, max_len=12))
+    q = walk_word((q_letters, None, None), graph)
+    undo = inverse(q).letters[:data.draw(st.integers(0, len(q)))]
+    more, _, _ = data.draw(walks(graph, max_len=8,
+                                 start=reduce_word(graph, undo, source=q.range).range))
+    p = reduce_word(graph, [*undo, *more], source=q.range)
+    assert compose(p, q) == compose_seam(p, q)
 
 
 def test_compose_seams_cancel():
