@@ -9,6 +9,8 @@ one-form on the chart, a finite sum of compactly supported bump terms
 
 where ``phi_k`` is a smooth bump (identically 1 inside half its radius, 0
 outside the radius), ``u_k`` a constant covector and ``X_k`` anti-hermitian.
+Centers and covectors have the chart dimension of the graph they are
+restricted to.
 
 Holonomy of a smooth connection along a curve solves U' = -A(c(t))[c'(t)] U,
 U(0) = 1, so that walking eta then lam multiplies as H(lam eta) = H(lam) H(eta)
@@ -230,15 +232,16 @@ class BumpTerm:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         d = np.asarray(self.direction, dtype=float)
-        if not 0 < self.radius < np.inf:
-            raise ValueError("bump radius must be positive and finite")
+        if not (0 < self.radius and self.radius * self.radius < np.inf):
+            raise ValueError(f"bump radius must be positive with a finite square, "
+                             f"got {self.radius!r}")
         if not 1e-12 <= np.linalg.norm(d) < np.inf:
             raise ValueError("bump direction must be nonzero and finite")
         object.__setattr__(self, "direction", tuple(float(c) for c in d))
 
 
 class SmoothConnection:
-    """Finite sum of bump terms with a common group descriptor."""
+    """Finite sum of bump terms with a common group descriptor and chart dimension."""
 
     def __init__(self, descriptor, terms: Iterable[BumpTerm]):
         self.descriptor = descriptor
@@ -246,7 +249,10 @@ class SmoothConnection:
         adesc = mg.algebra_descriptor(descriptor)
         for t in self.terms:
             mg.LieAlgebraElement(adesc, t.X)  # validation only
-        n, dim = mg.dim(descriptor), len(self.terms[0].center) if self.terms else 1
+        dims = {len(v) for t in self.terms for v in (t.center, t.direction)}
+        if len(dims) > 1:
+            raise ValueError(f"bump centers and directions mix chart dimensions {sorted(dims)}")
+        n, dim = mg.dim(descriptor), dims.pop() if dims else 1
         self._X = np.array([t.X for t in self.terms], dtype=complex).reshape(-1, n, n)
         self._centers = np.array([t.center for t in self.terms], dtype=float).reshape(-1, dim)
         self._radii = np.array([t.radius for t in self.terms], dtype=float)
@@ -474,7 +480,11 @@ def restrict(conn: SmoothConnection, graph: Graph, tol: float = DEFAULT_TOL) -> 
     Each edge holds the transport along its curve, integrated when first
     needed and kept: :func:`holonomies` integrates every edge its words walk
     in one batched pass, and an edge that no word walks is never integrated.
+    Bump terms and graph points must have the same number of coordinates.
     """
+    if conn.terms and graph.chart_dim not in (None, conn._centers.shape[1]):
+        raise ValueError(f"bump terms have {conn._centers.shape[1]} chart coordinates, "
+                         f"the graph's points {graph.chart_dim}")
     out = GeneralizedConnection.__new__(GeneralizedConnection)
     out.graph, out.descriptor = graph, conn.descriptor
     out.values = _EdgeTransports(conn, graph, tol)

@@ -23,12 +23,15 @@ Haar sampling of U(n) orthonormalizes the columns of a complex Ginibre matrix
 by Gram-Schmidt (Mezzadri 2007), SU(n) divides out the determinant phase,
 the torus draws independent uniform phases and products sample their leaves
 independently, in order.  :func:`stack_mul` is the one product kernel for
-stacks of matrices, and :func:`stack_det` their determinant.
+stacks of matrices, :func:`stack_det` the one determinant and
+:func:`complex_pair` the one writer of a complex number as ``[re, im]``.
 
 Matrix exponential and logarithm exploit that every element here is normal:
 both diagonalize a hermitian matrix with ``eigh`` (``-iX`` for the
 exponential, a Cayley transform of the element for the logarithm), so the
-results are unitary/anti-hermitian to machine precision.  The logarithm
+results are unitary/anti-hermitian to machine precision.
+:func:`exp_antihermitian` is the one exponential; a block-diagonal matrix
+exponentiates whole, with exact zeros off its blocks.  The logarithm
 refuses eigenvalues at the branch cut (angle pi); callers can rotate the cut
 with ``branch_shift``.  Drift is repaired with the SVD polar factor.
 """

@@ -58,7 +58,8 @@ class Graph:
     positions : optional mapping vertex id -> chart point (tuple of floats)
 
     Self-loops and parallel edges are allowed.  Vertex and edge ids must be
-    hashable; edge ids must be unique.
+    hashable; edge ids must be unique.  Every position and curve point has
+    the same number of coordinates, ``chart_dim``.
     """
 
     def __init__(self, vertices, edges, basepoint, positions=None):
@@ -83,6 +84,11 @@ class Graph:
             raise ValueError("basepoint is not a vertex")
         self.basepoint = basepoint
         self.positions = {v: tuple(float(c) for c in p) for v, p in (positions or {}).items()}
+        dims = {len(p) for p in self.positions.values()}
+        dims.update(len(pt) for e in self.edges.values() if e.curve is not None for pt in e.curve)
+        if len(dims) > 1:
+            raise ValueError(f"positions and curve points mix chart dimensions {sorted(dims)}")
+        self.chart_dim = dims.pop() if dims else None  # None: the graph has no geometry
         # a word's curve is its edges' curves laid end to end, so every
         # curve must end where the other curves at that vertex end
         ends = {}

@@ -13,7 +13,9 @@ connections at all.  It stacks the values once and judges the stack leaf
 block by leaf block: a torus leaf must kill every word with vanishing edge
 exponents up to a search bound, an SU(n) or U(n) leaf must send every
 relation that a Stallings fold finds among the loops to I, and a central
-quotient repeats this for each center lift in a finite search.
+quotient repeats this for each center lift in a finite search.  Both
+searches refuse up front a size past their cap, ``MAX_SEARCH_CUBE``
+exponent vectors and ``MAX_CENTER_LIFTS`` lifts.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .pathgroupoid import (
 CLUSTER_ATOL = 1e-6
 ENTRY_ATOL = 1e-7
 MAX_CENTER_LIFTS = 4096  # exhaustive center-lift searches stop above this
+MAX_SEARCH_CUBE = 13 ** 6  # bounded exponent searches refuse a larger cube (2 bound + 1)^k
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +465,13 @@ def _abelian_check(A, diagonals, bound, tol, mode, trivial_kernel):
     ``A`` holds the loops' edge-exponent rows and ``diagonals`` one complex
     vector of unit phases per loop; the value of an exponent vector m is the
     entrywise product of powers.  A trivial kernel of ``A^T`` certifies a member.
+    The search walks the cube (2 bound + 1)^k, k loops, so a cube larger than
+    ``MAX_SEARCH_CUBE`` is a ValueError before any vector is enumerated.
     """
+    cube = (2 * bound + 1) ** len(A)
+    if cube > MAX_SEARCH_CUBE:
+        raise ValueError(f"closure search too large: {2 * bound + 1}^{len(A)} = {cube} "
+                         f"exponent vectors > {MAX_SEARCH_CUBE}; lower the bound or the loops")
     diag = np.asarray(diagonals, dtype=complex)
     checked = 0
     for m in _exponent_vectors(len(A), bound):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front-end."""
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -434,6 +435,50 @@ def test_too_many_center_lifts_is_usage_error(tmp_path, command):
     assert "too many center lifts" in result.stderr and len(result.stderr.splitlines()) == 1
 
 
+def test_closure_search_past_the_cube_cap_is_usage_error(tmp_path, capsys):
+    # two vertices joined by 8 arcs: 7 independent loops, a 13^7 cube at the default bound
+    pos = {"a": (0.0, 0.0), "b": (1.0, 0.0)}
+    graph = Graph("ab", [Edge(k, "a", "b", arc_points(pos["a"], pos["b"], 0.1 * k - 0.45))
+                         for k in range(1, 9)], "a", pos)
+    conn = random_generalized_connection(graph, mg.Torus(1), seed=1)
+    basis = tree_basis(graph)
+    loops = tuple(basis.loops[eid] for eid in basis.loop_ids)
+    (tmp_path / "graph.json").write_text(json.dumps(graph_to_dict(graph)))
+    for name, family in (("seven", loops), ("two", loops[:2])):
+        values = tuple(holonomy_general(conn, w) for w in family)
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps(loop_assignment_to_dict(LoopAssignment(graph, family, values))))
+    closure = ["closure", "--graph", tmp_path / "graph.json", "--family"]
+    err = usage_error(capsys, closure + [tmp_path / "seven.json"])
+    assert err.startswith("error: closure: closure search too large: 13^7 = 62748517")
+    err = usage_error(capsys, closure + [tmp_path / "two.json", "--bound", "1000000"])
+    assert "2000001^2" in err
+    assert main([str(a) for a in closure + [tmp_path / "two.json"]]) == 0
+    assert json.loads(capsys.readouterr().out)["member"]
+
+
+@pytest.mark.parametrize("document, edit, message", [
+    ("smooth.json", lambda d: d["terms"][1].update(direction=[1.0]), "mix chart dimensions [1, 2]"),
+    ("smooth.json", lambda d: [t.update(center=t["center"] + [0.0],
+                                        direction=t["direction"] + [0.0]) for t in d["terms"]],
+     "bump terms have 3 chart coordinates, the graph's points 2"),
+    ("smooth.json", lambda d: d["terms"][0].update(radius=1e300), "finite square"),
+    ("graph.json", lambda d: d["vertices"][1]["pos"].append(0.0), "mix chart dimensions [2, 3]"),
+    ("graph.json", lambda d: d["edges"][0]["curve"][1].append(0.0), "mix chart dimensions [2, 3]"),
+], ids=["direction-length", "bump-3d-graph-2d", "radius-square-overflow", "position-3d",
+        "curve-point-3d"])
+def test_chart_dimension_mismatch_is_usage_error(workspace, tmp_path, capsys, document, edit,
+                                                 message):
+    tmp, _, _ = workspace
+    doc = json.loads((tmp / document).read_text())
+    edit(doc)
+    (tmp_path / document).write_text(json.dumps(doc))
+    graph, smooth = (tmp_path / f if f == document else tmp / f for f in ("graph.json", "smooth.json"))
+    err = usage_error(capsys, ["holonomy", "--graph", graph, "--connection", smooth,
+                               "--path", "1,2,3,4,5"])
+    assert str(tmp_path / document) in err and message in err
+
+
 def usage_error(capsys, argv):
     """Run ``main`` in-process; it must exit 2 with one ``error:`` line."""
     assert main([str(a) for a in argv]) == 2
@@ -577,6 +622,38 @@ def test_option_census():
     census = {name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
               for name, sub in commands.choices.items()}
     assert census == {name: COMMON_OPTIONS | extra for name, extra in COMMAND_OPTIONS.items()}
+
+
+# the defaulted parameters of every exported function, class __init__ and public method:
+# a parameter exists only if some caller sets it (README, "Library layout")
+DEFAULTED_PARAMETERS = {
+    "Edge.__init__": ("curve",), "Graph.__init__": ("positions",),
+    "GroupElement.__init__": ("check",), "HaarMean.__init__": ("layers",),
+    "MeanEstimate.__init__": ("ladder",),
+    "approximation_experiment": ("windows", "bound", "label", "tol"),
+    "closure_membership": ("bound", "tol"), "edge_word": ("orientation",),
+    "holonomy_smooth": ("tol",), "interpolate_connection": ("extra_paths",),
+    "invariance_check": ("gauges", "seed"), "log_map": ("branch_shift",),
+    "random_algebra": ("scale",), "restrict": ("tol",), "separation_test": ("max_len",),
+    "transport": ("tol",), "tree_reconstruct": ("frames",), "word_from_tokens": ("source",),
+}
+
+
+def test_parameter_census():
+    census = {}
+    for name, value in vars(holonomy_lab).items():
+        if name.startswith("_") or isinstance(value, types.ModuleType) or not callable(value):
+            continue
+        funcs = [(name, value)]
+        if isinstance(value, type):
+            funcs = [(f"{name}.{m}", f) for m, f in vars(value).items()
+                     if (m == "__init__" or not m.startswith("_")) and inspect.isfunction(f)]
+        for qualname, f in funcs:
+            defaulted = tuple(p.name for p in inspect.signature(f).parameters.values()
+                              if p.default is not p.empty)
+            if defaulted:
+                census[qualname] = defaulted
+    assert census == DEFAULTED_PARAMETERS
 
 
 # every name the package exports; README's "Library layout" states what earns a place
