@@ -473,7 +473,8 @@ def test_chart_dimension_mismatch_is_usage_error(workspace, tmp_path, capsys, do
     doc = json.loads((tmp / document).read_text())
     edit(doc)
     (tmp_path / document).write_text(json.dumps(doc))
-    graph, smooth = (tmp_path / f if f == document else tmp / f for f in ("graph.json", "smooth.json"))
+    graph, smooth = (tmp_path / f if f == document else tmp / f
+                     for f in ("graph.json", "smooth.json"))
     err = usage_error(capsys, ["holonomy", "--graph", graph, "--connection", smooth,
                                "--path", "1,2,3,4,5"])
     assert str(tmp_path / document) in err and message in err
@@ -624,7 +625,7 @@ def test_option_census():
     assert census == {name: COMMON_OPTIONS | extra for name, extra in COMMAND_OPTIONS.items()}
 
 
-# the defaulted parameters of every exported function, class __init__ and public method:
+# the 23 defaulted parameters of every exported function, class __init__ and public method:
 # a parameter exists only if some caller sets it (README, "Library layout")
 DEFAULTED_PARAMETERS = {
     "Edge.__init__": ("curve",), "Graph.__init__": ("positions",),
