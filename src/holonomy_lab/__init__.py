@@ -35,7 +35,6 @@ from .pathgroupoid import (
     word_to_tokens,
 )
 from .matrixgroups import (
-    BranchCutError,
     CentralQuotient,
     DescriptorMismatchError,
     GroupElement,

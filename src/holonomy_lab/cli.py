@@ -107,7 +107,7 @@ def _load(path, build, *args):
     document = _load_json(path)
     try:
         return build(*args, document)
-    except (ValueError, KeyError, TypeError, IndexError, AttributeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError, ArithmeticError) as exc:
         raise CliError(f"{path}: {exc}") from None
 
 
@@ -436,14 +436,15 @@ def _parser_tree():
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
-        report, extras = args.func(args)
-        _emit(report, args.out, args.command, extras)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            args = _build_parser().parse_args(argv)
+            report, extras = args.func(args)
+            _emit(report, args.out, args.command, extras)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # before ValueError: all but BranchCutError subclass it
-    except (IndependenceError, GeometryError, mg.BranchCutError,
+    # before ValueError: all but FloatingPointError subclass it
+    except (IndependenceError, GeometryError, FloatingPointError,
             np.linalg.LinAlgError) as exc:
         print(f"error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

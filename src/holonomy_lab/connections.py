@@ -231,13 +231,13 @@ class BumpTerm:
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        d = np.asarray(self.direction, dtype=float)
+        d = tuple(float(c) for c in self.direction)
         if not (0 < self.radius and self.radius * self.radius < np.inf):
             raise ValueError(f"bump radius must be positive with a finite square, "
                              f"got {self.radius!r}")
-        if not 1e-12 <= np.linalg.norm(d) < np.inf:
-            raise ValueError("bump direction must be nonzero and finite")
-        object.__setattr__(self, "direction", tuple(float(c) for c in d))
+        if not 1e-24 <= sum(c * c for c in d) < np.inf:
+            raise ValueError("bump direction must be nonzero with a finite squared norm")
+        object.__setattr__(self, "direction", d)
 
 
 class SmoothConnection:
@@ -296,21 +296,16 @@ def edge_polyline(graph: Graph, eid, orientation: int = 1) -> np.ndarray:
 
 
 def path_polyline(graph: Graph, word: PathWord) -> np.ndarray:
-    """The word's edge curves laid end to end; a unit is its vertex's position."""
+    """The word's edge curves laid end to end, each after the first without its
+    start point (``Graph`` holds curve ends to their vertex); a unit is its
+    vertex's position."""
     if word.is_unit():
         try:
             return np.asarray([graph.positions[word.source]], dtype=float)
         except KeyError:
             raise GeometryError(f"vertex {word.source!r} has no position")
-    chunks = []
-    for k, (eid, o) in enumerate(word.letters):
-        pts = edge_polyline(graph, eid, o)
-        if chunks:
-            if np.linalg.norm(chunks[-1][-1] - pts[0]) > 1e-9:
-                raise GeometryError(f"edge curves do not join at letter {k}")
-            pts = pts[1:]
-        chunks.append(pts)
-    return np.concatenate(chunks, axis=0)
+    chunks = [edge_polyline(graph, eid, o) for eid, o in word.letters]
+    return np.concatenate([chunks[0]] + [pts[1:] for pts in chunks[1:]], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -525,18 +520,6 @@ def _bump_coefficients(centers, radii, directions, polylines: Sequence) -> np.nd
     return np.bincount(owner, values, minlength=len(polylines))
 
 
-_BRANCH_SHIFTS = (0.0, 0.41, -0.41, 0.97, 2.19)
-
-
-def _robust_log(value: mg.GroupElement) -> np.ndarray:
-    for shift in _BRANCH_SHIFTS:
-        try:
-            return mg.log_map(value, branch_shift=shift).matrix
-        except mg.BranchCutError:
-            continue
-    raise mg.BranchCutError("logarithm failed for every branch shift; retarget the value")
-
-
 def interpolate_connection(graph: Graph, targets: Sequence[InterpolationTarget],
                            extra_paths: Sequence[PathWord] = ()) -> SmoothConnection:
     """Smooth connection whose holonomy hits each target on its path.
@@ -603,7 +586,7 @@ def interpolate_connection(graph: Graph, targets: Sequence[InterpolationTarget],
         if abs(c) < MIN_COEFFICIENT:
             raise IndependenceError(
                 f"target {k}: path barely meets its own bump (coefficient {c:.2e})")
-        X = -_robust_log(t.value) / c
+        X = -mg.log_map(t.value).matrix / c
         terms.append(BumpTerm(X, tuple(mids[k]), float(radius), tuple(directions[k])))
     return SmoothConnection(desc, terms)
 

@@ -31,9 +31,10 @@ both diagonalize a hermitian matrix with ``eigh`` (``-iX`` for the
 exponential, a Cayley transform of the element for the logarithm), so the
 results are unitary/anti-hermitian to machine precision.
 :func:`exp_antihermitian` is the one exponential; a block-diagonal matrix
-exponentiates whole, with exact zeros off its blocks.  The logarithm
-refuses eigenvalues at the branch cut (angle pi); callers can rotate the cut
-with ``branch_shift``.  Drift is repaired with the SVD polar factor.
+exponentiates whole, with exact zeros off its blocks.  :func:`log_map` is the
+one logarithm: principal (eigen-angles in [-pi, pi], moved by whole turns on
+SU leaves to make them traceless) and total, so it never fails.  Drift is
+repaired with the SVD polar factor.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import numpy as np
 UNITARY_ATOL = 1e-8      # membership gate of group and algebra elements
 REPAIR_ATOL = 1e-10      # polar-project drift above this
 LEX_ATOL = 1e-9          # tolerance of the coset-representative ordering
-BRANCH_ATOL = 1e-8       # minimum angular distance from the log branch cut
 
 
 class DescriptorMismatchError(ValueError):
@@ -55,10 +55,6 @@ class DescriptorMismatchError(ValueError):
 
 class MembershipError(ValueError):
     """Raised when a matrix fails the membership test of its descriptor."""
-
-
-class BranchCutError(ArithmeticError):
-    """Raised by the logarithm when an eigenvalue sits at the branch cut."""
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +395,9 @@ def exp_map(X: LieAlgebraElement) -> GroupElement:
     return _wrap(X.descriptor, exp_antihermitian(X.matrix))
 
 
-def _angles_from_unitary(eigvals: np.ndarray, branch_shift: float) -> np.ndarray:
-    rotated = np.angle(eigvals * np.exp(1j * branch_shift))
-    if np.min(np.abs(np.abs(rotated) - np.pi)) < BRANCH_ATOL:
-        raise BranchCutError(
-            "eigenvalue at the logarithm branch cut; retry with another branch_shift")
-    return rotated - branch_shift
-
-
-def _log_block(leaf, m: np.ndarray, branch_shift: float) -> np.ndarray:
+def _log_block(leaf, m: np.ndarray) -> np.ndarray:
     if isinstance(leaf, Torus):
-        return np.diag(1j * _angles_from_unitary(np.diag(m), branch_shift))
+        return np.diag(1j * np.angle(np.diag(m)))
     # Cayley transform about a pole in the widest gap of the spectrum: v has
     # no eigenvalue within pi/n of -1, so h = i(I+v)^-1(I-v) is a
     # well-conditioned hermitian matrix with the eigenvectors of m and
@@ -422,7 +410,7 @@ def _log_block(leaf, m: np.ndarray, branch_shift: float) -> np.ndarray:
     eye = np.eye(len(m))
     h = 1j * np.linalg.solve(eye + v, eye - v)
     w, z = np.linalg.eigh(0.5 * (h + h.conj().T))
-    theta = _angles_from_unitary(np.exp(1j * (2.0 * np.arctan(w) + pole - np.pi)), branch_shift)
+    theta = np.angle(np.exp(1j * (2.0 * np.arctan(w) + pole - np.pi)))
     if isinstance(leaf, SpecialUnitary):
         # move whole 2*pi turns between eigenvalues so the log is traceless
         k = int(np.round(theta.sum() / (2.0 * np.pi)))
@@ -436,18 +424,18 @@ def _log_block(leaf, m: np.ndarray, branch_shift: float) -> np.ndarray:
     return (z * (1j * theta)) @ z.conj().T
 
 
-def log_map(g: GroupElement, branch_shift: float = 0.0) -> LieAlgebraElement:
-    """Matrix logarithm into the Lie algebra.
+def log_map(g: GroupElement) -> LieAlgebraElement:
+    """Principal matrix logarithm into the Lie algebra, defined for every element.
 
-    Raises BranchCutError when an eigenvalue lies within ``BRANCH_ATOL`` of
-    the (rotated) branch cut.  ``branch_shift`` rotates the cut: the result
-    is ``log(g e^{i a}) - i a I`` which still exponentiates to ``g``.  For
-    SpecialUnitary descriptors the eigenvalue angles are rebalanced by whole
-    turns so the result is traceless.
+    The eigen-angles are ``np.angle`` of the eigenvalues, in [-pi, pi].  An
+    eigenvalue at -1 has two logarithms of least norm, angle pi and -pi; both
+    exponentiate to ``g`` and ``np.angle`` picks one from the input bits.  On
+    a SpecialUnitary leaf whole turns then move between the angles so the
+    result is traceless.
     """
     X = np.zeros_like(g.matrix)
     for sl, leaf in leaf_blocks(g.descriptor):
-        X[sl, sl] = _log_block(leaf, g.matrix[sl, sl], branch_shift)
+        X[sl, sl] = _log_block(leaf, g.matrix[sl, sl])
     X = 0.5 * (X - X.conj().T)  # strip hermitian round-off
     return LieAlgebraElement(g.descriptor, X)
 

@@ -464,10 +464,13 @@ def _abelian_check(A, diagonals, bound, tol, mode, trivial_kernel):
 
     ``A`` holds the loops' edge-exponent rows and ``diagonals`` one complex
     vector of unit phases per loop; the value of an exponent vector m is the
-    entrywise product of powers.  A trivial kernel of ``A^T`` certifies a member.
-    The search walks the cube (2 bound + 1)^k, k loops, so a cube larger than
-    ``MAX_SEARCH_CUBE`` is a ValueError before any vector is enumerated.
+    entrywise product of powers.  A trivial kernel of ``A^T`` certifies a member
+    at once.  Otherwise the search walks the cube (2 bound + 1)^k, k loops, so a
+    cube larger than ``MAX_SEARCH_CUBE`` is a ValueError before any vector is
+    enumerated.
     """
+    if trivial_kernel:
+        return ClosureVerdict(True, mode, True, (), "exponent relations have no nonzero solutions", 0)
     cube = (2 * bound + 1) ** len(A)
     if cube > MAX_SEARCH_CUBE:
         raise ValueError(f"closure search too large: {2 * bound + 1}^{len(A)} = {cube} "
@@ -483,10 +486,8 @@ def _abelian_check(A, diagonals, bound, tol, mode, trivial_kernel):
             return ClosureVerdict(False, mode, True, tuple(m),
                                   "zero-exponent word with nontrivial abelian value",
                                   checked)
-    detail = ("exponent relations have no nonzero solutions"
-              if trivial_kernel else
-              f"no violation among exponent vectors with L1 norm <= {bound}")
-    return ClosureVerdict(True, mode, trivial_kernel, (), detail, checked)
+    return ClosureVerdict(True, mode, False, (),
+                          f"no violation among exponent vectors with L1 norm <= {bound}", checked)
 
 
 def _loop_verdict(data: LoopAssignment, bound, tol) -> ClosureVerdict:

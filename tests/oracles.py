@@ -537,12 +537,19 @@ def polar_scipy(m):
     return u
 
 
-def log_schur(leaf, m, branch_shift):
-    """Logarithm of one leaf block through the complex Schur form."""
+def principal_angles(eigvals, frame):
+    """Angles of unit eigenvalues in (-pi, pi], measured from a reference rotated by
+    ``frame`` in [0, pi) and moved back: the principal branch does not depend on it."""
+    theta = np.angle(eigvals * np.exp(1j * frame)) - frame
+    return np.where(theta <= -np.pi, theta + 2.0 * np.pi, theta)
+
+
+def log_schur(leaf, m, frame):
+    """Principal logarithm of one leaf block through the complex Schur form."""
     if isinstance(leaf, mg.Torus):
-        return np.diag(1j * mg._angles_from_unitary(np.diag(m), branch_shift))
+        return np.diag(1j * principal_angles(np.diag(m), frame))
     t, z = scipy.linalg.schur(m, output="complex")
-    theta = mg._angles_from_unitary(np.diag(t), branch_shift)
+    theta = principal_angles(np.diag(t), frame)
     if isinstance(leaf, mg.SpecialUnitary):
         # move whole 2*pi turns between eigenvalues so the log is traceless
         k = int(np.round(theta.sum() / (2.0 * np.pi)))

@@ -48,7 +48,7 @@ from graphs import pentagon_chord_graph, spider_graph
 SU2 = mg.SpecialUnitary(2)
 DELETE = object()
 NON_FINITE = ("NaN", "Infinity", "1e400")
-MUTATIONS = [DELETE, None, "x", -1, 0, [], {}, *NON_FINITE]
+MUTATIONS = [DELETE, None, "x", -1, 0, [], {}, 1e200, -1e200, *NON_FINITE]
 
 
 def _documents():

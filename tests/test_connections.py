@@ -1140,3 +1140,12 @@ def test_edge_polyline_orientation_and_geometry_errors():
     bare = Graph("ab", [Edge(1, "a", "b", None)], "a")
     with pytest.raises(GeometryError):
         edge_polyline(bare, 1)
+
+
+def test_path_polyline_joins_every_word_the_graph_accepts():
+    # Graph holds each curve end within 1e-9 of b's first end, (1, 0); edges 2 and 3
+    # end 1.8e-9 apart, and the word 2 then 3 backwards still has a curve
+    ends = {1: (1.0, 0.0), 2: (1.0, 0.9e-9), 3: (1.0, -0.9e-9)}
+    graph = Graph("ab", [Edge(k, "a", "b", ((0.0, 0.0), end)) for k, end in ends.items()], "a")
+    word = compose(edge_word(graph, 3, -1), edge_word(graph, 2))
+    assert path_polyline(graph, word).tolist() == [[0.0, 0.0], [1.0, 0.9e-9], [0.0, 0.0]]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import holonomy_lab.matrixgroups as mg
 from holonomy_lab.matrixgroups import (
-    BranchCutError,
     DescriptorMismatchError,
     GroupElement,
     LieAlgebraElement,
@@ -324,22 +323,14 @@ def test_log_su_traceless_even_across_branch_rebalance():
     assert distance(exp_map(X), g) < 1e-12
 
 
-def test_log_branch_cut_raises_and_shift_recovers():
-    g = GroupElement(T1, np.array([[-1.0 + 0j]]))
-    with pytest.raises(BranchCutError):
-        log_map(g)
-    X = log_map(g, branch_shift=0.5)
-    assert distance(exp_map(X), g) < 1e-14
-
-
 LOG_KINDS = [SU2, SU3, U3, U4, PROD, U2_AS_QUOTIENT]
-SHIFTS = [0.0, 0.41, 2.19]
+FRAMES = [0.0, 0.41, 2.19]  # where the oracle measures eigen-angles from
 
 
-def schur_log(g, shift):
+def schur_log(g, frame):
     X = np.zeros_like(g.matrix)
     for sl, leaf in leaf_blocks(g.descriptor):
-        X[sl, sl] = log_schur(leaf, g.matrix[sl, sl], shift)
+        X[sl, sl] = log_schur(leaf, g.matrix[sl, sl], frame)
     return 0.5 * (X - X.conj().T)
 
 
@@ -357,17 +348,17 @@ def log_condition(X, desc):
     return kappa
 
 
-@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("frame", FRAMES)
 @pytest.mark.parametrize("desc", LOG_KINDS)
-def test_log_matches_schur_oracle_on_haar(desc, shift):
+def test_log_matches_schur_oracle_on_haar(desc, frame):
     for seed in range(40):
         g = haar(desc, seed)
-        assert np.max(np.abs(log_map(g, shift).matrix - schur_log(g, shift))) <= 1e-12
+        assert np.max(np.abs(log_map(g).matrix - schur_log(g, frame))) <= 1e-12
 
 
-def near_cut_element(desc, delta, shift, rng):
-    """An element whose leaves each have an eigenvalue ``delta`` inside the
-    (rotated) branch cut, the others spread evenly, in Haar-random eigenbases.
+def near_cut_element(desc, delta, rng):
+    """An element whose leaves each have an eigenvalue at angle ``pi - delta``,
+    the others spread evenly, in Haar-random eigenbases.
 
     A quotient keeps this representative even where it is not the canonical
     one, which could move the spectrum away from the cut: the logarithm
@@ -375,7 +366,7 @@ def near_cut_element(desc, delta, shift, rng):
     m = np.zeros((dim(desc), dim(desc)), dtype=complex)
     for sl, leaf in leaf_blocks(desc):
         n = leaf.n
-        theta = np.pi - delta - shift - 2.0 * np.pi * np.arange(n) / n
+        theta = np.pi - delta - 2.0 * np.pi * np.arange(n) / n
         if isinstance(leaf, SpecialUnitary):
             theta[-1] -= theta.sum()
         q = np.eye(n) if isinstance(leaf, Torus) else haar(Unitary(n), int(rng.integers(2**31))).matrix
@@ -385,18 +376,18 @@ def near_cut_element(desc, delta, shift, rng):
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7])
-@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("frame", FRAMES)
 @pytest.mark.parametrize("desc", LOG_KINDS)
-def test_log_matches_schur_oracle_near_the_cut(desc, shift, delta):
+def test_log_matches_schur_oracle_near_the_cut(desc, frame, delta):
     # Two eigenvalues of a leaf on either side of the cut have log angles
     # nearly 2 pi apart across a short chord, and that ratio is the log's
-    # condition number: ~pi/delta for an SU(2) leaf at shift 0, whose
-    # conjugate eigenvalue sits delta outside the cut.  Two backward-stable
-    # logs agree only to the condition number times roundoff.
-    rng = np.random.default_rng(int(1e9 * delta) + int(100 * shift))
+    # condition number: ~pi/delta for an SU(2) leaf, whose conjugate
+    # eigenvalue sits delta past the cut.  Two backward-stable logs agree
+    # only to the condition number times roundoff.
+    rng = np.random.default_rng(int(1e9 * delta) + int(100 * frame))
     for _ in range(8):
-        g = near_cut_element(desc, delta, shift, rng)
-        X, ref = log_map(g, shift).matrix, schur_log(g, shift)
+        g = near_cut_element(desc, delta, rng)
+        X, ref = log_map(g).matrix, schur_log(g, frame)
         assert np.max(np.abs(X - ref)) <= 1e-12 * log_condition(ref, desc)
         assert np.max(np.abs(exp_antihermitian(X) - g.matrix)) <= 1e-13
 
@@ -409,29 +400,37 @@ DEGENERATE = [
 ]
 
 
-@pytest.mark.parametrize("shift", SHIFTS)
+@pytest.mark.parametrize("frame", FRAMES)
 @pytest.mark.parametrize("desc,theta", DEGENERATE)
-def test_log_of_degenerate_spectra(desc, theta, shift):
+def test_log_of_degenerate_spectra(desc, theta, frame):
     # on tied angles the SU whole-turn rebalance may move a different
-    # eigenvalue than the Schur oracle does, so check what any log must meet
+    # eigenvalue than the Schur oracle does, so compare the angles, not the
+    # matrices, and check what any log must meet
     n = len(theta)
     q = haar(Unitary(n), 5).matrix
     g = GroupElement(desc, (q * np.exp(1j * theta)) @ q.conj().T)
-    X = log_map(g, shift)
+    X = log_map(g)
     assert np.linalg.norm(exp_map(X).matrix - g.matrix) <= 1e-13
     angles = np.linalg.eigvalsh(-1j * X.matrix)
+    assert np.allclose(angles, np.linalg.eigvalsh(-1j * schur_log(g, frame)), atol=1e-12)
     if isinstance(desc, SpecialUnitary):
         assert abs(np.trace(X.matrix)) < 1e-12
         assert angles[-1] - angles[0] <= 2.0 * np.pi + 1e-12
     else:
-        assert np.all(np.abs(angles + shift) < np.pi)
+        assert np.all(np.abs(angles) < np.pi)
 
 
-def test_log_at_the_cut_raises_branch_cut_error():
-    g = GroupElement(U2, -np.eye(2))
-    with pytest.raises(BranchCutError):
-        log_map(g)
-    assert distance(exp_map(log_map(g, branch_shift=0.5)), g) < 1e-14
+@pytest.mark.parametrize("desc,diagonal", [
+    (T1, [-1]), (U2, [-1, -1]), (SU2, [-1, -1]), (SU3, [-1, -1, 1]),
+], ids=["T1", "U2", "SU2", "SU3"])
+def test_log_at_the_cut_is_a_logarithm(desc, diagonal):
+    # eigenvalues at -1 have two least-norm logarithms, angle pi and -pi; either will do
+    g = GroupElement(desc, np.diag(np.array(diagonal, dtype=complex)))
+    X = log_map(g)
+    assert distance(exp_map(X), g) < 1e-14
+    if isinstance(desc, SpecialUnitary):
+        assert abs(np.trace(X.matrix)) < 1e-12
+    assert np.all(np.abs(np.linalg.eigvalsh(-1j * X.matrix)) <= np.pi + 1e-12)
 
 
 def test_algebra_membership_errors():
