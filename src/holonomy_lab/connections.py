@@ -40,8 +40,8 @@ like any other edge assignment.  A product of letters is a gather and a
 fold: the matrices and their adjoints are stacked once into one
 :func:`_adjoint_table`, a word becomes one integer index array into it,
 and :func:`_chain` folds the gathered rows (:func:`_word_product` for
-letters that already index a stack).  Each word's holonomy then repairs
-unitarity drift once, and a quotient's stack is canonicalized once.
+letters that already index a stack).  ``matrixgroups.repair`` takes the word
+stack whole, as ``admit`` takes each edge or gauge assignment (:func:`admit_values`).
 """
 
 from __future__ import annotations
@@ -74,20 +74,23 @@ class GeometryError(ValueError):
 # ---------------------------------------------------------------------------
 # generalized (combinatorial) connections
 
+def admit_values(descriptor, keys, values: Mapping, mismatch: str) -> dict:
+    """``values``, keyed by exactly ``keys``, admitted as one ``matrixgroups.admit`` stack."""
+    missing, extra = set(keys) - set(values), set(values) - set(keys)
+    if missing or extra:
+        raise ValueError(f"{mismatch} (missing {sorted(map(str, missing))}, "
+                         f"extra {sorted(map(str, extra))})")
+    return dict(zip(values, mg.admit(descriptor, values.values())))
+
+
 class GeneralizedConnection:
     """One group element per edge; holonomy extends multiplicatively."""
 
     def __init__(self, graph: Graph, descriptor, values: Mapping):
-        missing = set(graph.edges) - set(values)
-        extra = set(values) - set(graph.edges)
-        if missing or extra:
-            raise ValueError(f"edge values do not match the graph "
-                             f"(missing {sorted(map(str, missing))}, extra {sorted(map(str, extra))})")
-        store = {eid: mg.GroupElement(descriptor, mg.as_matrix(v)).matrix
-                 for eid, v in values.items()}
         self.graph = graph
         self.descriptor = descriptor
-        self.values = store
+        self.values = admit_values(descriptor, graph.edges, values,
+                                   "edge values do not match the graph")
 
     def value(self, eid) -> mg.GroupElement:
         if eid not in self.values:
@@ -115,8 +118,8 @@ def holonomies(conn: GeneralizedConnection, words: Sequence[PathWord]) -> np.nda
     connection integrates those it lacks in one batched pass.  The walked
     edges' values and their adjoints form one :func:`_adjoint_table`; each
     word is the :func:`_chain` of its letters' rows, gathered by one index
-    array (a unit is the identity), polar-repaired if it drifted from
-    unitarity; a quotient's stack is canonicalized once.
+    array (a unit is the identity), and the stack is repaired once by
+    ``matrixgroups.repair``.
     """
     if not isinstance(conn, GeneralizedConnection):
         raise TypeError(f"cannot take holonomies of {type(conn).__name__}; "
@@ -136,9 +139,8 @@ def holonomies(conn: GeneralizedConnection, words: Sequence[PathWord]) -> np.nda
         row = {(eid, o): pos[eid] if o == 1 else len(edges) + pos[eid] for eid, o in walked}
     out = np.empty((len(words), n, n), dtype=complex)
     for k, w in enumerate(words):
-        m = _chain(table[[row[x] for x in w.letters]]) if w.letters else np.eye(n, dtype=complex)
-        out[k] = mg.reunitarize(m) if mg._unitarity_defect(m) > mg.REPAIR_ATOL else m
-    return mg.canonicalize_batch(desc, out) if isinstance(desc, mg.CentralQuotient) else out
+        out[k] = _chain(table[[row[x] for x in w.letters]]) if w.letters else np.eye(n)
+    return mg.repair(desc, out)
 
 
 def holonomy_general(conn: GeneralizedConnection, word: PathWord) -> mg.GroupElement:
@@ -157,12 +159,10 @@ class DiscreteGauge:
     """One group element per vertex."""
 
     def __init__(self, graph: Graph, descriptor, values: Mapping):
-        if set(values) != set(graph.vertices):
-            raise ValueError("gauge values must cover exactly the vertex set")
         self.graph = graph
         self.descriptor = descriptor
-        self.values = {v: mg.GroupElement(descriptor, mg.as_matrix(m)).matrix
-                       for v, m in values.items()}
+        self.values = admit_values(descriptor, graph.vertices, values,
+                                   "gauge values do not match the vertex set")
 
     def value(self, vertex) -> mg.GroupElement:
         return mg.GroupElement(self.descriptor, self.values[vertex], check=False)
@@ -451,8 +451,8 @@ class _EdgeTransports(Mapping):
         todo = [e for e in dict.fromkeys(eids) if e not in self._cache]
         if todo:
             lines = [edge_polyline(self._graph, e) for e in todo]
-            for e, m in zip(todo, _transport_batch(self._conn, lines, self._tol)[0]):
-                self._cache[e] = mg.GroupElement(self._conn.descriptor, m).matrix
+            stack = _transport_batch(self._conn, lines, self._tol)[0]
+            self._cache.update(zip(todo, mg.admit(self._conn.descriptor, stack)))
 
     def __getitem__(self, eid):
         if eid not in self._cache:
@@ -607,12 +607,11 @@ def generalized_from_dict(graph: Graph, data: Mapping) -> GeneralizedConnection:
     desc = mg.descriptor_from_dict(data["group"])
     if "haar_seed" in data:
         return random_generalized_connection(graph, desc, json_int(data["haar_seed"], "haar_seed"))
-    by_name = {str(i): i for i in graph.edges}
     values = {}
     for key, pairs in data["values"].items():
-        if key not in by_name:
+        if key not in graph.names:
             raise UnknownEdgeError(f"no edge with id {key!r}")
-        values[by_name[key]] = mg.matrix_from_pairs(pairs)
+        values[graph.names[key]] = mg.matrix_from_pairs(pairs)
     return GeneralizedConnection(graph, desc, values)
 
 

@@ -17,7 +17,10 @@ leaves), optionally divided by a finite central subgroup at the top level
 only: descriptors reject a quotient as a product factor, an empty product and
 ``n < 1``.  :func:`leaf_blocks` is the one walk over this structure.
 
-Elements are plain complex matrices wrapped with their descriptor.  All
+Elements are read-only complex matrices with their descriptor.  :func:`admit`
+is the one gate for matrices from outside (one membership check per stack),
+:func:`repair` the one rule for products (the SVD polar factor past
+``REPAIR_ATOL`` of drift, canonical representatives in a quotient).  All
 operations are pure; random sampling is deterministic in an explicit seed.
 Haar sampling of U(n) orthonormalizes the columns of a complex Ginibre matrix
 by Gram-Schmidt (Mezzadri 2007), SU(n) divides out the determinant phase,
@@ -33,8 +36,7 @@ results are unitary/anti-hermitian to machine precision.
 :func:`exp_antihermitian` is the one exponential; a block-diagonal matrix
 exponentiates whole, with exact zeros off its blocks.  :func:`log_map` is the
 one logarithm: principal (eigen-angles in [-pi, pi], moved by whole turns on
-SU leaves to make them traceless) and total, so it never fails.  Drift is
-repaired with the SVD polar factor.
+SU leaves to make them traceless) and total, so it never fails.
 """
 
 from __future__ import annotations
@@ -114,9 +116,6 @@ class CentralQuotient:
         return [np.array(k, dtype=complex) for k in self.center]
 
 
-GroupDescriptor = object  # any of the five kinds above
-
-
 def leaf_blocks(desc) -> list:
     """``(slice, leaf)`` for every U/SU/torus block of ``desc``, in order:
     nested products are flattened and a quotient is looked through."""
@@ -137,10 +136,6 @@ def dim(desc) -> int:
     return leaf_blocks(desc)[-1][0].stop
 
 
-def _matrix_tuple(m: np.ndarray) -> tuple:
-    return tuple(tuple(complex(x) for x in row) for row in np.asarray(m, dtype=complex))
-
-
 def central_quotient(base: ProductGroup, center_matrices: Iterable[np.ndarray]) -> CentralQuotient:
     """Build a CentralQuotient, checking the center really is one.
 
@@ -150,29 +145,22 @@ def central_quotient(base: ProductGroup, center_matrices: Iterable[np.ndarray]) 
     """
     if not isinstance(base, ProductGroup):
         raise TypeError("quotient base must be a ProductGroup")
-    mats = [np.array(k, dtype=complex) for k in center_matrices]
+    mats = admit(base, center_matrices)
     n = dim(base)
-    for k in mats:
-        validate_matrix(base, k)
-        for sl, leaf in leaf_blocks(base):
-            blk = k[sl, sl]
-            if not isinstance(leaf, Torus) and \
-                    not np.allclose(blk, blk[0, 0] * np.eye(leaf.n), atol=1e-9):
-                raise MembershipError("center element is not scalar on a U/SU factor")
-    def find(m):
-        for j, k in enumerate(mats):
-            if np.allclose(m, k, atol=1e-9):
-                return j
-        return None
-    if find(np.eye(n)) is None:
+    for sl, leaf in leaf_blocks(base):
+        blk = mats[:, sl, sl]
+        if not isinstance(leaf, Torus) and \
+                not np.allclose(blk, blk[:, :1, :1] * np.eye(leaf.n), atol=1e-9):
+            raise MembershipError("center element is not scalar on a U/SU factor")
+    def listed(stack):  # every matrix of the stack is in the list, within 1e-9
+        return np.isclose(stack[:, None], mats, atol=1e-9).all(axis=(-2, -1)).any(axis=1).all()
+    if not listed(np.eye(n)[None]):
         raise MembershipError("center list must contain the identity")
-    for a in mats:
-        if find(a.conj().T) is None:
-            raise MembershipError("center list is not closed under inverse")
-        for b in mats:
-            if find(a @ b) is None:
-                raise MembershipError("center list is not closed under product")
-    return CentralQuotient(base, tuple(_matrix_tuple(k) for k in mats))
+    if not listed(np.conj(np.swapaxes(mats, -1, -2))):
+        raise MembershipError("center list is not closed under inverse")
+    if not listed((mats[:, None] @ mats).reshape(-1, n, n)):
+        raise MembershipError("center list is not closed under product")
+    return CentralQuotient(base, tuple(tuple(map(tuple, k.tolist())) for k in mats))
 
 
 # ---------------------------------------------------------------------------
@@ -208,59 +196,78 @@ def stack_det(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # membership and elements
 
-def _unitarity_defect(m: np.ndarray) -> float:
-    n = m.shape[0]
-    return float(np.linalg.norm(m.conj().T @ m - np.eye(n)))
+def _unitarity_defect(m: np.ndarray):
+    """Frobenius norm of ``mᴴm - I`` for one matrix, or of each matrix of a stack."""
+    return np.linalg.norm(np.conj(np.swapaxes(m, -1, -2)) @ m - np.eye(m.shape[-1]), axis=(-2, -1))
 
 
 def reunitarize(m: np.ndarray) -> np.ndarray:
-    """Nearest unitary: the polar factor ``U Vᴴ`` of the SVD ``m = U S Vᴴ``."""
+    """Nearest unitary of each matrix: the polar factor ``U Vᴴ`` of the SVD ``m = U S Vᴴ``."""
     u, _, vh = np.linalg.svd(m)
     return u @ vh
 
 
 def _check_blocks(desc, m: np.ndarray, what: str, su_bad, su_message: str) -> None:
     """Shape, finiteness, diagonal torus blocks, no ``su_bad`` SU block, nothing off the
-    blocks, each within ``UNITARY_ATOL``."""
+    blocks, each within ``UNITARY_ATOL``, for one matrix or every matrix of a stack."""
     n, atol = dim(desc), UNITARY_ATOL
-    if m.shape != (n, n):
+    if m.shape[-2:] != (n, n):
         raise MembershipError(f"expected shape {(n, n)}, got {m.shape}")
     if not np.isfinite(m).all():
         raise MembershipError(f"{what} has a non-finite entry")
     off = m.copy()
     for sl, leaf in leaf_blocks(desc):
-        blk = m[sl, sl]
-        if isinstance(leaf, SpecialUnitary) and su_bad(blk):
+        blk = m[..., sl, sl]
+        if isinstance(leaf, SpecialUnitary) and np.any(su_bad(blk)):
             raise MembershipError(su_message)
-        if isinstance(leaf, Torus) and np.max(np.abs(blk - np.diag(np.diag(blk)))) > atol:
+        if isinstance(leaf, Torus) and \
+                np.max(np.abs(blk - blk * np.eye(leaf.n)), initial=0.0) > atol:
             raise MembershipError(f"torus {what} must be diagonal")
-        off[sl, sl] = 0.0
-    if np.max(np.abs(off)) > atol:
+        off[..., sl, sl] = 0.0
+    if np.max(np.abs(off), initial=0.0) > atol:
         raise MembershipError(f"off block-diagonal entries in a product {what}")
 
 
 def validate_matrix(desc, m: np.ndarray) -> None:
-    """Raise MembershipError unless ``m`` lies in the group of ``desc`` within ``UNITARY_ATOL``."""
-    m = np.asarray(m, dtype=complex)
+    """MembershipError unless ``m`` (or each of a stack) is in ``desc`` to ``UNITARY_ATOL``."""
     _check_blocks(desc, m, "element", lambda b: abs(stack_det(b) - 1.0) > 10 * UNITARY_ATOL,
                   "determinant differs from 1")
-    if _unitarity_defect(m) > UNITARY_ATOL:
+    if np.any(_unitarity_defect(m) > UNITARY_ATOL):
         raise MembershipError("matrix is not unitary within tolerance")
 
 
+def admit(desc, mats) -> np.ndarray:
+    """The one gate for matrices (or elements) from outside: a wrong shape is named before
+    stacking, one :func:`validate_matrix` checks the stack, returned read-only as repaired."""
+    mats = [as_matrix(m) for m in mats]
+    n = dim(desc)
+    for m in mats:
+        if m.shape != (n, n):
+            raise MembershipError(f"expected shape {(n, n)}, got {m.shape}")
+    stack = np.array(mats, dtype=complex).reshape(-1, n, n)
+    validate_matrix(desc, stack)
+    out = repair(desc, stack)
+    out.setflags(write=False)
+    return out
+
+
+def repair(desc, stack: np.ndarray) -> np.ndarray:
+    """The one rule for products on a (N, n, n) stack, which it leaves unwritten: polar factors
+    of the matrices that drift past ``REPAIR_ATOL``, canonicalized in a quotient."""
+    drift = _unitarity_defect(stack) > REPAIR_ATOL
+    if drift.any():
+        stack = stack.copy()
+        stack[drift] = reunitarize(stack[drift])
+    return canonicalize_batch(desc, stack) if isinstance(desc, CentralQuotient) else stack
+
+
 class GroupElement:
-    """A matrix together with its group descriptor.  Treat as immutable."""
+    """A matrix with its group descriptor, admitted unless ``check`` is false.  Immutable."""
 
     __slots__ = ("descriptor", "matrix")
 
     def __init__(self, descriptor, matrix, check: bool = True):
-        m = np.array(matrix, dtype=complex)
-        if check:
-            validate_matrix(descriptor, m)
-            if _unitarity_defect(m) > REPAIR_ATOL:
-                m = reunitarize(m)
-            if isinstance(descriptor, CentralQuotient):
-                m = canonicalize_batch(descriptor, m[None])[0]
+        m = admit(descriptor, [matrix])[0] if check else np.array(matrix, dtype=complex)
         m.setflags(write=False)
         self.descriptor = descriptor
         self.matrix = m
@@ -283,17 +290,13 @@ class LieAlgebraElement:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        _validate_algebra(self.descriptor, m)
+        _check_blocks(self.descriptor, m, "algebra element",
+                      lambda b: abs(np.trace(b)) > UNITARY_ATOL * b.shape[0],
+                      "su(n) element must be traceless")
+        if np.max(np.abs(m + m.conj().T)) > UNITARY_ATOL:
+            raise MembershipError("algebra element must be anti-hermitian")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-
-def _validate_algebra(desc, X: np.ndarray) -> None:
-    _check_blocks(desc, X, "algebra element",
-                  lambda b: abs(np.trace(b)) > UNITARY_ATOL * b.shape[0],
-                  "su(n) element must be traceless")
-    if np.max(np.abs(X + X.conj().T)) > UNITARY_ATOL:
-        raise MembershipError("algebra element must be anti-hermitian")
 
 
 def algebra_descriptor(desc):
@@ -337,25 +340,21 @@ def canonicalize_batch(desc: CentralQuotient, batch: np.ndarray) -> np.ndarray:
     return best
 
 
-def _wrap(desc, m: np.ndarray) -> GroupElement:
-    """``m`` in ``desc`` unchecked; in a quotient, its canonical coset representative."""
-    if isinstance(desc, CentralQuotient):
-        m = canonicalize_batch(desc, m[None])[0]
-    return GroupElement(desc, m, check=False)
-
-
 def quotient_project(desc: CentralQuotient, g) -> GroupElement:
     """Project a base-group matrix or element to its canonical coset rep."""
-    m = as_matrix(g)
-    validate_matrix(desc.base, m)
-    return _wrap(desc, m)
+    return GroupElement(desc, g)
 
 
 # ---------------------------------------------------------------------------
 # group operations
 
+def _product(desc, m: np.ndarray) -> GroupElement:
+    """``m``, formed from elements of ``desc``, as the element :func:`repair` makes of it."""
+    return GroupElement(desc, repair(desc, m[None])[0], check=False)
+
+
 def identity(desc) -> GroupElement:
-    return _wrap(desc, np.eye(dim(desc), dtype=complex))
+    return _product(desc, np.eye(dim(desc), dtype=complex))
 
 
 def _check_same(a: GroupElement, b: GroupElement) -> None:
@@ -366,14 +365,11 @@ def _check_same(a: GroupElement, b: GroupElement) -> None:
 
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:
     _check_same(a, b)
-    m = a.matrix @ b.matrix
-    if _unitarity_defect(m) > REPAIR_ATOL:
-        m = reunitarize(m)
-    return _wrap(a.descriptor, m)
+    return _product(a.descriptor, a.matrix @ b.matrix)
 
 
 def inv(a: GroupElement) -> GroupElement:
-    return _wrap(a.descriptor, a.matrix.conj().T)
+    return _product(a.descriptor, a.matrix.conj().T)
 
 
 def distance(a: GroupElement, b: GroupElement) -> float:
@@ -392,7 +388,7 @@ def exp_antihermitian(X: np.ndarray) -> np.ndarray:
 
 def exp_map(X: LieAlgebraElement) -> GroupElement:
     """The group element ``exp(X)``: block-diagonal ``X`` has a block-diagonal exponential."""
-    return _wrap(X.descriptor, exp_antihermitian(X.matrix))
+    return _product(X.descriptor, exp_antihermitian(X.matrix))
 
 
 def _log_block(leaf, m: np.ndarray) -> np.ndarray:
@@ -575,7 +571,7 @@ def descriptor_to_dict(desc) -> dict:
     raise TypeError(f"not a group descriptor: {desc!r}")
 
 
-def descriptor_from_dict(data) -> GroupDescriptor:
+def descriptor_from_dict(data):
     try:
         kind = data["kind"]
     except (KeyError, TypeError) as exc:

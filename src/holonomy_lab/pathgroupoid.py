@@ -57,9 +57,9 @@ class Graph:
     basepoint : vertex id
     positions : optional mapping vertex id -> chart point (tuple of floats)
 
-    Self-loops and parallel edges are allowed.  Vertex and edge ids must be
-    hashable; edge ids must be unique.  Every position and curve point has
-    the same number of coordinates, ``chart_dim``.
+    Self-loops and parallel edges are allowed.  Ids must be hashable; tokens name an
+    edge by its id's ``str`` (``names``): one per edge, none read reversed (``-e``,
+    ``e^-1``).  Every chart point has ``chart_dim`` coordinates and a finite square.
     """
 
     def __init__(self, vertices, edges, basepoint, positions=None):
@@ -67,12 +67,16 @@ class Graph:
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
         vset = set(self.vertices)
-        self.edges = {}
+        self.edges, self.names = {}, {}  # names: str of each edge id -> the id
         for e in edges:
             if not isinstance(e, Edge):
                 e = Edge(*e)
-            if e.id in self.edges:
-                raise ValueError(f"duplicate edge id {e.id!r}")
+            name = str(e.id)
+            if name in self.names:
+                raise ValueError(f"edge id {e.id!r} repeats the name of edge {self.names[name]!r}")
+            if name.startswith("-") or name.endswith("^-1"):
+                raise ValueError(f"edge id {e.id!r} reads as a reversed letter")
+            self.names[name] = e.id
             if e.src not in vset or e.dst not in vset:
                 raise ValueError(f"edge {e.id!r} has endpoint outside the vertex set")
             if e.curve is not None:
@@ -84,10 +88,13 @@ class Graph:
             raise ValueError("basepoint is not a vertex")
         self.basepoint = basepoint
         self.positions = {v: tuple(float(c) for c in p) for v, p in (positions or {}).items()}
-        dims = {len(p) for p in self.positions.values()}
-        dims.update(len(pt) for e in self.edges.values() if e.curve is not None for pt in e.curve)
+        pts = [*self.positions.values(), *(p for e in self.edges.values() for p in e.curve or ())]
+        dims = {len(p) for p in pts}
         if len(dims) > 1:
             raise ValueError(f"positions and curve points mix chart dimensions {sorted(dims)}")
+        for p in pts:
+            if not math.hypot(*p) < 2.0 ** 512:  # below it, the squared norm is a finite float
+                raise ValueError(f"chart point {list(p)} has a squared norm past the float range")
         self.chart_dim = dims.pop() if dims else None  # None: the graph has no geometry
         # a word's curve is its edges' curves laid end to end, so every
         # curve must end where the other curves at that vertex end
@@ -425,19 +432,18 @@ def json_int(value, name: str) -> int:
     return value
 
 
-def _token_letter(t) -> tuple:
-    """Letter of one signed token: a nonzero int, or ``e``, ``-e`` or ``e^-1``."""
-    if isinstance(t, int):
-        if json_int(t, "a signed edge id") == 0:
-            raise ValueError("0 is not a valid signed edge id")
-        return abs(t), 1 if t > 0 else -1
+def _token_letter(names: Mapping, t) -> tuple:
+    """Letter of one signed token: a nonzero int, or ``e``, ``-e`` or ``e^-1`` where ``e``
+    names the edge whose ``str`` it is (``Graph.names``); an unknown ``e`` reads as it is."""
+    if isinstance(t, int) and json_int(t, "a signed edge id") == 0:
+        raise ValueError("0 is not a valid signed edge id")
     t = str(t).strip()
     o = 1
     if t.endswith("^-1"):
         o, t = -1, t[:-3]
     elif t.startswith("-"):
         o, t = -1, t[1:]
-    return (int(t) if t.lstrip("-").isdigit() else t), o
+    return names.get(t, int(t) if t.lstrip("-").isdigit() else t), o
 
 
 def word_from_tokens(graph: Graph, tokens: Iterable, source=None) -> PathWord:
@@ -452,8 +458,8 @@ def word_from_tokens(graph: Graph, tokens: Iterable, source=None) -> PathWord:
         if type(t) is str or type(t) is int:
             letter = parsed.get(t)
             if letter is None:
-                letter = parsed[t] = _token_letter(t)
+                letter = parsed[t] = _token_letter(graph.names, t)
         else:
-            letter = _token_letter(t)
+            letter = _token_letter(graph.names, t)
         letters.append(letter)
     return reduce_word(graph, letters, source=source)

@@ -32,6 +32,7 @@ from .connections import (
     DEFAULT_TOL,
     DiscreteGauge,
     GeneralizedConnection,
+    admit_values,
     edge_polyline,
     gauge_act_general,
     holonomies,
@@ -113,15 +114,11 @@ def tree_reconstruct(basis: TreeBasis, descriptor, loop_values: Mapping,
     section is gauged by the inverse frames, so each edge holds
     frame(dst) h(loop_e) frame(src)^-1.
     """
-    extra = set(loop_values) - set(basis.loop_ids)
-    missing = set(basis.loop_ids) - set(loop_values)
-    if extra or missing:
-        raise ValueError(f"loop values must cover exactly the non-tree edges "
-                         f"(missing {sorted(map(str, missing))}, extra {sorted(map(str, extra))})")
+    loops = admit_values(descriptor, basis.loop_ids, loop_values,
+                         "loop values do not match the non-tree edges")
     ident = np.eye(mg.dim(descriptor), dtype=complex)
     section = GeneralizedConnection(basis.graph, descriptor, {
-        eid: mg.as_matrix(loop_values[eid]) if eid in basis.loops else ident
-        for eid in basis.graph.edges})
+        eid: loops.get(eid, ident) for eid in basis.graph.edges})
     if frames is None:
         return section
     inverse = {v: mg.as_matrix(frames[v]).conj().T for v in basis.graph.vertices}
@@ -599,5 +596,6 @@ def loop_assignment_from_dict(graph: Graph, data: Mapping) -> LoopAssignment:
     desc = mg.descriptor_from_dict(data["group"])
     loops = [word_from_tokens(graph, t, source=data.get("basepoint"))
              for t in data["loops"]]
-    values = [mg.GroupElement(desc, mg.matrix_from_pairs(p)) for p in data["values"]]
-    return LoopAssignment(graph, tuple(loops), tuple(values))
+    mats = mg.admit(desc, [mg.matrix_from_pairs(p) for p in data["values"]])
+    values = tuple(mg.GroupElement(desc, m, check=False) for m in mats)
+    return LoopAssignment(graph, tuple(loops), values)

@@ -19,6 +19,10 @@ the library runs the one free reduction over both words),
 ``exp_map_leafwise`` (the exponential one leaf block at a time, with the
 torus leaves' diagonal ``exp``, where the library exponentiates the whole
 block-diagonal matrix in one ``eigh``),
+``admit_one`` and ``repair_one`` (the membership check, polar repair and
+coset canonicalization of one matrix at a time, where the library admits
+every matrix from outside as one stack and repairs every product stack by one
+rule),
 ``haar_leaf_qr`` (Haar draws of one leaf from numpy's QR of a Ginibre
 stack with the phase fix of the R diagonal, where the library orthonormalizes
 the columns by Gram-Schmidt),
@@ -171,13 +175,17 @@ def compose_seam(p: PathWord, q: PathWord) -> PathWord:
 
 
 def word_from_tokens_letterwise(graph: Graph, tokens, source=None) -> PathWord:
-    """``word_from_tokens`` parsing every token on its own, then :func:`reduce_word_letterwise`."""
+    """``word_from_tokens`` parsing every token on its own, then :func:`reduce_word_letterwise`;
+    a token names the edge whose ``str`` it is, found by a scan of the edge ids."""
+    def named(name, fallback):
+        return next((eid for eid in graph.edges if str(eid) == name), fallback)
+
     letters = []
     for t in tokens:
         if isinstance(t, int):
             if json_int(t, "a signed edge id") == 0:
                 raise ValueError("0 is not a valid signed edge id")
-            letters.append((abs(t), 1 if t > 0 else -1))
+            letters.append((named(str(abs(t)), abs(t)), 1 if t > 0 else -1))
         else:
             t = str(t).strip()
             o = 1
@@ -186,7 +194,7 @@ def word_from_tokens_letterwise(graph: Graph, tokens, source=None) -> PathWord:
             elif t.startswith("-"):
                 o, t = -1, t[1:]
             eid = int(t) if t.lstrip("-").isdigit() else t
-            letters.append((eid, o))
+            letters.append((named(t, eid), o))
     return reduce_word_letterwise(graph, letters, source=source)
 
 
@@ -528,7 +536,9 @@ def exp_map_leafwise(X: mg.LieAlgebraElement) -> mg.GroupElement:
         blk = X.matrix[sl, sl]
         out[sl, sl] = (np.diag(np.exp(np.diag(blk))) if isinstance(leaf, mg.Torus)
                        else mg.exp_antihermitian(blk))
-    return mg._wrap(X.descriptor, out)
+    if isinstance(X.descriptor, mg.CentralQuotient):
+        out = canonicalize_batch_matmul(X.descriptor, out[None])[0]
+    return mg.GroupElement(X.descriptor, out, check=False)
 
 
 def polar_scipy(m):
@@ -615,6 +625,100 @@ def canonicalize_batch_matmul(desc: mg.CentralQuotient, batch: np.ndarray) -> np
         best[take] = cand[take]
         best_keys[take] = cand_keys[take]
     return best
+
+
+# ---------------------------------------------------------------------------
+# the one-matrix membership gate and product repair
+
+def unitarity_defect_one(m: np.ndarray) -> float:
+    n = m.shape[0]
+    return float(np.linalg.norm(m.conj().T @ m - np.eye(n)))
+
+
+def reunitarize_one(m: np.ndarray) -> np.ndarray:
+    """Nearest unitary: the polar factor ``U Vᴴ`` of the SVD ``m = U S Vᴴ``."""
+    u, _, vh = np.linalg.svd(m)
+    return u @ vh
+
+
+def check_blocks_one(desc, m: np.ndarray, what: str, su_bad, su_message: str) -> None:
+    """Shape, finiteness, diagonal torus blocks, no ``su_bad`` SU block, nothing off the
+    blocks, each within ``UNITARY_ATOL``."""
+    n, atol = mg.dim(desc), mg.UNITARY_ATOL
+    if m.shape != (n, n):
+        raise mg.MembershipError(f"expected shape {(n, n)}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise mg.MembershipError(f"{what} has a non-finite entry")
+    off = m.copy()
+    for sl, leaf in mg.leaf_blocks(desc):
+        blk = m[sl, sl]
+        if isinstance(leaf, mg.SpecialUnitary) and su_bad(blk):
+            raise mg.MembershipError(su_message)
+        if isinstance(leaf, mg.Torus) and np.max(np.abs(blk - np.diag(np.diag(blk)))) > atol:
+            raise mg.MembershipError(f"torus {what} must be diagonal")
+        off[sl, sl] = 0.0
+    if np.max(np.abs(off)) > atol:
+        raise mg.MembershipError(f"off block-diagonal entries in a product {what}")
+
+
+def validate_one(desc, m: np.ndarray) -> None:
+    """Raise MembershipError unless ``m`` lies in the group of ``desc`` within ``UNITARY_ATOL``."""
+    m = np.asarray(m, dtype=complex)
+    check_blocks_one(desc, m, "element",
+                     lambda b: abs(mg.stack_det(b) - 1.0) > 10 * mg.UNITARY_ATOL,
+                     "determinant differs from 1")
+    if unitarity_defect_one(m) > mg.UNITARY_ATOL:
+        raise mg.MembershipError("matrix is not unitary within tolerance")
+
+
+def lex_less_tied(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Which matrices of stack ``a`` precede those of ``b``.  Entries are read row-major,
+    real part before imaginary; the first pair more than ``LEX_ATOL`` apart decides, and only
+    the matrices still tied read the next entry, so a Haar stack is decided at its first."""
+    less = np.zeros(len(a), dtype=bool)
+    live = np.arange(len(a))
+    for idx in np.ndindex(a.shape[1:]):
+        for part in (np.real, np.imag):
+            d = part(a[(live, *idx)]) - part(b[(live, *idx)])
+            sig = np.abs(d) > mg.LEX_ATOL
+            less[live[sig]] = d[sig] < 0.0
+            live = live[~sig]
+            if not live.size:
+                return less
+    return less
+
+
+def canonicalize_scaling(desc: mg.CentralQuotient, batch: np.ndarray) -> np.ndarray:
+    """Canonical coset representative of each matrix in a (N, n, n) stack."""
+    ks = [np.diagonal(k) for k in desc.center_matrices()]
+    best = batch * ks[0]
+    for k in ks[1:]:
+        cand = batch * k
+        np.copyto(best, cand, where=lex_less_tied(cand, best)[:, None, None])
+    return best
+
+
+def admit_one(desc, matrix) -> np.ndarray:
+    """The checked ``GroupElement`` constructor: validate, polar-repair past
+    ``REPAIR_ATOL``, canonicalize in a quotient; the stored read-only matrix."""
+    m = np.array(matrix, dtype=complex)
+    validate_one(desc, m)
+    if unitarity_defect_one(m) > mg.REPAIR_ATOL:
+        m = reunitarize_one(m)
+    if isinstance(desc, mg.CentralQuotient):
+        m = canonicalize_scaling(desc, m[None])[0]
+    m.setflags(write=False)
+    return m
+
+
+def repair_one(desc, m: np.ndarray) -> np.ndarray:
+    """The product repair of ``mul``: polar-repair past ``REPAIR_ATOL``, then the
+    canonical coset representative in a quotient."""
+    if unitarity_defect_one(m) > mg.REPAIR_ATOL:
+        m = reunitarize_one(m)
+    if isinstance(desc, mg.CentralQuotient):
+        m = canonicalize_scaling(desc, m[None])[0]
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from holonomy_lab.pathgroupoid import (
     compose,
     edge_word,
     graph_to_dict,
+    inverse,
     word_from_tokens,
     word_to_tokens,
 )
@@ -47,6 +48,7 @@ from holonomy_lab.spectra import (
     LoopAssignment,
     abelian_obstruction_witness,
     commutator_word,
+    loop_assignment_from_dict,
     loop_assignment_to_dict,
     tree_basis,
 )
@@ -500,16 +502,22 @@ def test_haar_mean_rejects_zero_layers(workspace, capsys):
                          "--seed", "1", "--samples", "64", "--layers", "0"])
 
 
+def _far_curve_point(doc):
+    doc["graph"]["edges"][0]["curve"][1][0] = 1e200  # its square overflows
+    return doc
+
+
 @pytest.mark.parametrize("family, named", [
     (lambda doc: dict(doc, windows=[[0, 99], [0, 99]]), "window (0, 99)"),
     (lambda doc: dict(doc, windows=3), "family.json"),
     (lambda doc: [doc], "family.json"),
-], ids=["window-past-polyline", "windows-number", "family-list"])
+    (_far_curve_point, "graph.json"),
+], ids=["window-past-polyline", "windows-number", "family-list", "curve-point-overflow"])
 def test_malformed_approx_family_is_usage_error(tmp_path, capsys, family, named):
     path = family_file(tmp_path)
     doc = json.loads(path.read_text())
-    (tmp_path / "graph.json").write_text(json.dumps(doc["graph"]))
     path.write_text(json.dumps(family(doc)))
+    (tmp_path / "graph.json").write_text(json.dumps(doc["graph"]))
     err = usage_error(capsys, ["approx", "--group", "su2", "--family", path, "--seed", "0",
                                "--graph", tmp_path / "graph.json"])
     assert named in err
@@ -972,6 +980,29 @@ def test_group_from_descriptor_file(tmp_path):
     path = tmp_path / "group.json"
     path.write_text(json.dumps(mg.descriptor_to_dict(desc)))
     assert parse_group(str(path)) == desc
+
+
+def test_edge_ids_are_named_by_their_str(tmp_path, capsys):
+    # ids that read as integers are still the edges whose str they are, in paths and documents
+    graph = Graph(["a", "b"], [("1", "a", "b"), ("2", "b", "a"), ("x", "a", "a")], "a")
+    word = word_from_tokens(graph, ["1", "2", "x^-1"])
+    assert word.letters == (("1", 1), ("2", 1), ("x", -1))
+    for w in (word, inverse(word)):
+        assert word_from_tokens(graph, word_to_tokens(w)) == w
+    conn = random_generalized_connection(graph, SU2, seed=0)
+    family = LoopAssignment(graph, (word,), (holonomy_general(conn, word),))
+    back = loop_assignment_from_dict(graph, loop_assignment_to_dict(family))
+    assert back.loops == (word,)
+    (tmp_path / "graph.json").write_text(json.dumps(graph_to_dict(graph)))
+    (tmp_path / "conn.json").write_text(json.dumps(generalized_to_dict(conn)))
+    assert main(["holonomy", "--graph", str(tmp_path / "graph.json"),
+                 "--connection", str(tmp_path / "conn.json"), "--path", "1,2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["path"] == ["1", "2"] and report["range"] == "a"
+    # one name per edge, and none that a token would read as a reversed letter
+    for eid in (1, -3, "-y", "y^-1"):
+        with pytest.raises(ValueError, match="repeats the name|reversed letter"):
+            Graph(["a", "b"], [("1", "a", "b"), (eid, "b", "a")], "a")
 
 
 def test_path_token_splitting():

@@ -104,9 +104,9 @@ def test_reduce_rejects_unknown_edge():
         reduce_word(SQUARE, [(99, 1)])
 
 
-# int and string edge ids, a self-loop, and parallel edges between a and b
+# int and string edge ids (one of them digits), a self-loop, and parallel edges between a and b
 MIXED = Graph(["a", "b", "c"], [(1, "a", "b"), ("x", "b", "c"), (2, "c", "a"),
-                                ("y", "a", "a"), (3, "b", "a")], "a")
+                                ("y", "a", "a"), (3, "b", "a"), ("4", "c", "b")], "a")
 JUNK = [0, "0", 99, "-99", "z", "z^-1", True, 1.0, "-", "^-1", "--1", "1^-1^-1", " "]
 
 
