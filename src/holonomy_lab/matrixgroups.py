@@ -158,7 +158,7 @@ def central_quotient(base: ProductGroup, center_matrices: Iterable[np.ndarray]) 
         raise MembershipError("center list must contain the identity")
     if not listed(np.conj(np.swapaxes(mats, -1, -2))):
         raise MembershipError("center list is not closed under inverse")
-    if not listed((mats[:, None] @ mats).reshape(-1, n, n)):
+    if not all(listed(a @ mats) for a in mats):  # one row of products at a time
         raise MembershipError("center list is not closed under product")
     return CentralQuotient(base, tuple(tuple(map(tuple, k.tolist())) for k in mats))
 
