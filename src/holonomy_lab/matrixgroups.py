@@ -29,12 +29,13 @@ independently, in order.  :func:`stack_mul` is the one product kernel for
 stacks of matrices, :func:`stack_det` the one determinant and
 :func:`complex_pair` the one writer of a complex number as ``[re, im]``.
 
-Matrix exponential and logarithm exploit that every element here is normal:
-both diagonalize a hermitian matrix with ``eigh`` (``-iX`` for the
-exponential, a Cayley transform of the element for the logarithm), so the
-results are unitary/anti-hermitian to machine precision.
-:func:`exp_antihermitian` is the one exponential; a block-diagonal matrix
-exponentiates whole, with exact zeros off its blocks.  :func:`log_map` is the
+Matrix exponential and logarithm exploit that every element here is normal,
+so the results are unitary/anti-hermitian to machine precision.
+:func:`exp_antihermitian` is the one exponential: of ``iH`` for the hermitian
+``H = -iX``, in closed form up to 3x3 (Rodrigues for 2x2, Cayley-Hamilton for
+3x3) and by ``eigh`` of ``H`` beyond; a block-diagonal matrix exponentiates
+whole, with exact zeros off its blocks.  The logarithm diagonalizes a Cayley
+transform of the element with ``eigh``.  :func:`log_map` is the
 one logarithm: principal (eigen-angles in [-pi, pi], moved by whole turns on
 SU leaves to make them traceless) and total, so it never fails.
 """
@@ -169,11 +170,12 @@ def central_quotient(base: ProductGroup, center_matrices: Iterable[np.ndarray]) 
 def stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` with broadcasting, for stacks of small matrices.
 
-    ``@`` makes one BLAS call per matrix; for n <= 3 and 16 or more matrices
-    the sum over the inner index, ``a[..., :, k, None] * b[..., k, None, :]``,
-    is faster and agrees to roundoff.  Otherwise this is ``a @ b``."""
+    ``@`` makes one BLAS call per matrix; for n <= 3 the sum over the inner
+    index, ``a[..., :, k, None] * b[..., k, None, :]``, is faster on stacks
+    and agrees to roundoff.  It is the same arithmetic at every stack size, so
+    a product comes out the same alone or in any stack.  Larger n use ``a @ b``."""
     n = a.shape[-1]
-    if not 1 <= n <= 3 or np.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])) < 16:
+    if not 1 <= n <= 3:
         return a @ b
     out = a[..., :, 0, None] * b[..., 0, None, :]
     for k in range(1, n):
@@ -380,10 +382,78 @@ def distance(a: GroupElement, b: GroupElement) -> float:
 # ---------------------------------------------------------------------------
 # exponential and logarithm (normal matrices throughout)
 
-def exp_antihermitian(X: np.ndarray) -> np.ndarray:
-    """exp of a (..., n, n) stack of anti-hermitian matrices via eigh; unitary to roundoff."""
+def _exp_eigh(X: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(-1j * X)
     return np.einsum("...ij,...j,...kj->...ik", v, np.exp(1j * w), v.conj())
+
+
+def _sinc(x: np.ndarray) -> np.ndarray:
+    """``sin(x) / x``, and 1 at 0."""
+    return np.where(x > 0.0, np.sin(x) / np.where(x > 0.0, x, 1.0), 1.0)
+
+
+def exp_antihermitian(X: np.ndarray) -> np.ndarray:
+    """exp of a (..., n, n) stack of anti-hermitian matrices; unitary to roundoff.
+
+    ``exp(X) = exp(iH)`` for the hermitian ``H = -iX`` of ``X``'s lower triangle (as
+    ``eigh`` reads it).  For n <= 3 it is a closed form in ``t = tr H / n`` and the
+    traceless ``Q = H - tI``, elementwise over the stack, so a matrix comes out the
+    same alone or in any stack: ``exp(iθ)`` for n = 1; Rodrigues,
+    ``e^{it}(cos a I + i sinc(a) Q)`` with ``a² = -det Q``, for n = 2; Cayley-Hamilton,
+    ``e^{it}(f0 I + f1 Q + f2 Q²)``, for n = 3, the ``fj`` from the trigonometric roots
+    of ``λ³ - c1 λ - c0`` (Morningstar and Peardon, Phys. Rev. D 69, 054501 (2004)).
+    Larger n, and 3x3 matrices with ``‖Q‖ > 14``, diagonalize ``H`` with ``eigh``."""
+    n = X.shape[-1]
+    if n == 1:
+        return np.exp(1j * X.imag)
+    if n > 3:
+        return _exp_eigh(X)
+    shape, X = X.shape, X.reshape(-1, n, n)
+    idx = np.arange(n)
+    Q = np.multiply(X.transpose(1, 2, 0), -1j, order="C")  # (n, n, N): arrays of entries
+    for i, j in ((1, 0), (2, 0), (2, 1))[:n * (n - 1) // 2]:  # the upper triangle from the lower
+        np.conjugate(Q[i, j], out=Q[j, i])
+    h = Q[idx, idx].real
+    t = sum(h) / n
+    q = h - t
+    q[-1] = -sum(q[:-1])  # traceless to roundoff of Q, not of t: the formulas assume it
+    Q[idx, idx] = q
+    Q2 = Q[:, 0, None] * Q[None, 0]
+    for k in range(1, n):
+        Q2 += Q[:, k, None] * Q[None, k]
+    c1 = 0.5 * sum(Q2[idx, idx].real)  # ‖Q‖² / 2
+    if n == 2:  # Q² = c1 I
+        a, ph = np.sqrt(c1), np.exp(1j * t)
+        out = (1j * ph * _sinc(a)) * Q
+        out[idx, idx] += ph * np.cos(a)
+        return out.transpose(2, 0, 1).reshape(shape)
+    # a near-double root of the cubic is off by eps c1 where eigh is off by eps ‖Q‖
+    big = c1 > 100.0
+    if big.any():
+        out = np.empty(X.shape, dtype=complex)
+        out[big], out[~big] = _exp_eigh(X[big]), exp_antihermitian(X[~big])
+        return out.reshape(shape)
+    # Q's eigenvalues are 2u and -u +- w; c0 = det Q = tr(Q³) / 3 by Cayley-Hamilton
+    c0 = sum(Q[0, k] * Q2[k, 0] for k in range(n)).real - c1 * Q[0, 0].real
+    small = c1 < 1e-12  # then exp(iQ) = I + iQ - Q²/2 within 1e-18; never divide by it
+    c1 = np.where(small, 1.0, c1)
+    s = np.sqrt(c1 / 3.0)
+    third = np.arccos(np.minimum(np.abs(c0) / (2.0 * s ** 3), 1.0)) / 3.0
+    # the roots for -c0 are those for c0 negated: u changes sign, which is
+    # fj(-c0) = (-1)^j conj(fj(c0)); at u >= 0, 9u² - w² >= 2 c1 cannot cancel
+    u, w = np.copysign(s * np.cos(third), c0), np.sqrt(c1) * np.sin(third)
+    u2, w2 = u * u, w * w
+    ph, eu = np.exp(1j * t), np.exp(1j * u)  # one phase for all three roots: unitary
+    e2, em = ph * eu * eu, ph * eu.conj()
+    a, b = em * np.cos(w), 1j * em * _sinc(w)
+    inv = 1.0 / (9.0 * u2 - w2)
+    f0 = ((u2 - w2) * e2 + 8.0 * u2 * a + 2.0 * u * (3.0 * u2 + w2) * b) * inv
+    f1 = (2.0 * u * (e2 - a) + (3.0 * u2 - w2) * b) * inv
+    f2 = (e2 - a - 3.0 * u * b) * inv
+    f0, f1, f2 = (np.where(small, c * ph, f) for c, f in ((1.0, f0), (1j, f1), (-0.5, f2)))
+    out = f1 * Q + f2 * Q2
+    out[idx, idx] += f0
+    return out.transpose(2, 0, 1).reshape(shape)
 
 
 def exp_map(X: LieAlgebraElement) -> GroupElement:

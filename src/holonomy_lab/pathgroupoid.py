@@ -59,7 +59,7 @@ class Graph:
 
     Self-loops and parallel edges are allowed.  Ids must be hashable; tokens name an
     edge by its id's ``str`` (``names``): one per edge, none read reversed (``-e``,
-    ``e^-1``).  Every chart point has ``chart_dim`` coordinates and a finite square.
+    ``e^-1``).  Every chart point has ``chart_dim`` coordinates and a norm below 2^128.
     """
 
     def __init__(self, vertices, edges, basepoint, positions=None):
@@ -93,8 +93,9 @@ class Graph:
         if len(dims) > 1:
             raise ValueError(f"positions and curve points mix chart dimensions {sorted(dims)}")
         for p in pts:
-            if not math.hypot(*p) < 2.0 ** 512:  # below it, the squared norm is a finite float
-                raise ValueError(f"chart point {list(p)} has a squared norm past the float range")
+            # bump geometry multiplies squared lengths: below 2^128 their products stay finite
+            if not math.hypot(*p) < 2.0 ** 128:
+                raise ValueError(f"chart point {list(p)} lies 2^128 or farther from the origin")
         self.chart_dim = dims.pop() if dims else None  # None: the graph has no geometry
         # a word's curve is its edges' curves laid end to end, so every
         # curve must end where the other curves at that vertex end
@@ -415,10 +416,11 @@ def graph_to_dict(graph: Graph) -> dict:
 
 
 def word_to_tokens(p: PathWord) -> list:
-    """Serialize a word as signed edge ids (ints stay ints, strings get a '-')."""
+    """Serialize a word as signed edge ids: a nonzero int id as ``±id``, any other id
+    (0 too, which has no sign) as its ``str``, with a '-' when reversed."""
     out = []
     for eid, o in p.letters:
-        if isinstance(eid, int):
+        if isinstance(eid, int) and eid != 0:
             out.append(eid * o)
         else:
             out.append(str(eid) if o == 1 else "-" + str(eid))

@@ -16,9 +16,11 @@ letter), ``point_polyline_distance`` (one Python step per segment),
 logarithm of scipy, which the library no longer imports),
 ``compose_seam`` (word composition cancelling only across the seam, where
 the library runs the one free reduction over both words),
+``exp_eigh`` (the exponential of one ``eigh`` per matrix, where the library
+takes the Rodrigues and Cayley-Hamilton closed forms up to 3x3) and
 ``exp_map_leafwise`` (the exponential one leaf block at a time, with the
-torus leaves' diagonal ``exp``, where the library exponentiates the whole
-block-diagonal matrix in one ``eigh``),
+torus leaves' diagonal ``exp`` and ``exp_eigh`` on the other leaves, where
+the library exponentiates the whole block-diagonal matrix in one call),
 ``admit_one`` and ``repair_one`` (the membership check, polar repair and
 coset canonicalization of one matrix at a time, where the library admits
 every matrix from outside as one stack and repairs every product stack by one
@@ -528,14 +530,20 @@ def split_holonomy_per_factor(conn, polyline, tol):
 # ---------------------------------------------------------------------------
 # exponential, polar factor and logarithm
 
+def exp_eigh(X: np.ndarray) -> np.ndarray:
+    """exp of a (..., n, n) stack of anti-hermitian matrices via eigh; unitary to roundoff."""
+    w, v = np.linalg.eigh(-1j * X)
+    return np.einsum("...ij,...j,...kj->...ik", v, np.exp(1j * w), v.conj())
+
+
 def exp_map_leafwise(X: mg.LieAlgebraElement) -> mg.GroupElement:
     """``exp_map`` one leaf block at a time: ``exp`` of the diagonal on a torus leaf,
-    ``exp_antihermitian`` of the block on a U or SU leaf, exact zeros off the blocks."""
+    :func:`exp_eigh` of the block on a U or SU leaf, exact zeros off the blocks."""
     out = np.zeros_like(X.matrix)
     for sl, leaf in mg.leaf_blocks(X.descriptor):
         blk = X.matrix[sl, sl]
         out[sl, sl] = (np.diag(np.exp(np.diag(blk))) if isinstance(leaf, mg.Torus)
-                       else mg.exp_antihermitian(blk))
+                       else exp_eigh(blk))
     if isinstance(X.descriptor, mg.CentralQuotient):
         out = canonicalize_batch_matmul(X.descriptor, out[None])[0]
     return mg.GroupElement(X.descriptor, out, check=False)

@@ -502,17 +502,20 @@ def test_haar_mean_rejects_zero_layers(workspace, capsys):
                          "--seed", "1", "--samples", "64", "--layers", "0"])
 
 
-def _far_curve_point(doc):
-    doc["graph"]["edges"][0]["curve"][1][0] = 1e200  # its square overflows
-    return doc
+def _far_curve_point(x):
+    def move(doc):  # at 1e200 its square overflows; from 1e60 the bump geometry's products do
+        doc["graph"]["edges"][0]["curve"][1][0] = x
+        return doc
+    return move
 
 
 @pytest.mark.parametrize("family, named", [
     (lambda doc: dict(doc, windows=[[0, 99], [0, 99]]), "window (0, 99)"),
     (lambda doc: dict(doc, windows=3), "family.json"),
     (lambda doc: [doc], "family.json"),
-    (_far_curve_point, "graph.json"),
-], ids=["window-past-polyline", "windows-number", "family-list", "curve-point-overflow"])
+    *((_far_curve_point(x), "graph.json") for x in (1e60, 1e100, 1e150, 1e200)),
+], ids=["window-past-polyline", "windows-number", "family-list", "curve-point-1e60",
+        "curve-point-1e100", "curve-point-1e150", "curve-point-overflow"])
 def test_malformed_approx_family_is_usage_error(tmp_path, capsys, family, named):
     path = family_file(tmp_path)
     doc = json.loads(path.read_text())

@@ -375,6 +375,21 @@ def test_batched_transport_stalls_like_the_oracle_below_roundoff():
             assert frob(g, w) <= 1e-12
 
 
+@pytest.mark.parametrize("steps", [8, 16, 64])
+@pytest.mark.parametrize("desc", [SU2, mg.Unitary(3)])
+def test_segment_transport_of_a_batch_is_each_interval_bitwise(desc, steps):
+    # every kernel of a Magnus step is the same arithmetic at every stack size, so a
+    # batch of intervals is bit for bit each interval alone, and so are its stall levels
+    graph = pentagon_chord_graph()
+    conn = random_smooth_connection(desc, graph, 5, seed=29)
+    lines = [edge_polyline(graph, eid) for eid in graph.edges]
+    p, q = np.concatenate([ln[:-1] for ln in lines]), np.concatenate([ln[1:] for ln in lines])
+    got = _segment_transport(conn, p, q, steps)
+    assert np.max(np.abs(got - np.eye(desc.n))) > 0.1  # the bumps act
+    for g, a, b in zip(got, p, q):
+        assert np.array_equal(g, _segment_transport(conn, a, b, steps))
+
+
 def test_approx_fills_all_edges_in_one_batched_pass():
     # spider-8: 16 edges, each crossing bumps in several chord intervals
     graph = spider_graph(8)

@@ -48,6 +48,7 @@ from instruments import haar_sample
 from oracles import (
     admit_one,
     canonicalize_batch_matmul,
+    exp_eigh,
     exp_map_leafwise,
     haar_leaf_qr,
     log_schur,
@@ -301,12 +302,45 @@ EXP_KINDS = [PROD, T2, ProductGroup((T1, SU2, U2)), ProductGroup((SU2, SU2)),
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(EXP_KINDS), st.integers(0, 2**32 - 1),
        st.sampled_from([1e-3, 0.3, 1.0, 4.0, 600.0]))
-def test_exp_map_matches_leafwise_oracle_bitwise(desc, seed, scale):
-    # the whole block-diagonal matrix in one eigh: each block, and the exact zeros around
-    # them, come out bit for bit as one block at a time; a quotient wraps the same matrix
+def test_exp_map_matches_leafwise_oracle(desc, seed, scale):
+    # the whole block-diagonal matrix in one call: exactly zero off the blocks and off
+    # the torus diagonals, each block as one eigh per block to roundoff; a quotient
+    # wraps the same matrix
     X = random_algebra(desc, np.random.default_rng(seed), scale=scale)
     X = LieAlgebraElement(desc, X.matrix)
-    assert np.array_equal(exp_map(X).matrix, exp_map_leafwise(X).matrix)
+    got, want = exp_map(X).matrix, exp_map_leafwise(X).matrix
+    inside = np.zeros(got.shape, dtype=bool)
+    for sl, leaf in leaf_blocks(desc):
+        inside[sl, sl] = np.eye(leaf.n, dtype=bool) if isinstance(leaf, Torus) else True
+    assert np.all(got[~inside] == 0)
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.linalg.norm(X.matrix))
+
+
+EXP_SPECTRA = [None, (1.0, 1.0, -2.0), (0.0, 0.0, 0.0)]  # generic, a double pair, scalar
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.sampled_from(EXP_SPECTRA),
+       st.sampled_from([1e-300, 1e-160, 1e-9, 1e-3, 0.3, 1.0, 5.0, 14.0, 100.0, 600.0]),
+       st.sampled_from([0.0, 1e-9, -0.7, 3.0, 600.0]))
+@example(3, 0, (1.0, 1.0, -2.0), 1.0, 0.0)  # diag(1, 1, -2)
+@example(3, 0, (0.0, 0.0, 0.0), 1.0, 0.0)   # zero
+@example(3, 0, (1.0, -1.0, 0.0), 1e-9, 0.0)  # +-1e-9
+def test_exp_antihermitian_matches_eigh_oracle(n, seed, spectrum, norm, trace):
+    # u(n): a traceless part Q of Frobenius norm ``norm`` (unless scalar) in a Haar frame,
+    # plus ``trace`` on the diagonal; no floating-point warning, even where Q² underflows
+    rng = np.random.default_rng(seed)
+    lam = rng.standard_normal(n) if spectrum is None else np.array(spectrum[:n])
+    lam = lam - lam.mean()
+    if np.linalg.norm(lam) > 1e-12:
+        lam *= norm / np.linalg.norm(lam)
+    v = haar_sample(Unitary(n), seed).matrix
+    X = 1j * (v * (lam + trace)) @ v.conj().T
+    X = 0.5 * (X - X.conj().T)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = exp_antihermitian(X)
+    assert np.max(np.abs(got - exp_eigh(X))) <= 1e-14 * max(1.0, np.linalg.norm(X))
+    assert np.max(np.abs(got.conj().T @ got - np.eye(n))) <= 1e-13
 
 
 @pytest.mark.parametrize("desc", [U2, SU2, SU3, T2, PROD, U2_AS_QUOTIENT])

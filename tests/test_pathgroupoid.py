@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -513,6 +515,15 @@ def test_word_tokens_roundtrip_int_ids():
     assert tokens == [1, 2]
     assert word_from_tokens(SQUARE, tokens) == p
     assert word_from_tokens(SQUARE, [1, -1], source="a").is_unit()
+
+
+def test_word_tokens_roundtrip_edge_id_zero():
+    # the int 0 has no sign and is not a token, so id 0 is written as its str
+    g = Graph(["a"], [(0, "a", "a"), (1, "a", "a")], "a")
+    w = reduce_word(g, [(0, 1), (1, 1), (0, -1)])
+    tokens = word_to_tokens(w)
+    assert tokens == ["0", 1, "-0"]
+    assert word_from_tokens(g, json.loads(json.dumps(tokens))) == w
 
 
 def test_word_tokens_string_ids():
