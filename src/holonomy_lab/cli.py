@@ -134,6 +134,7 @@ def _family_from_dict(graph, family):
 
 
 _SHORTHAND = re.compile(r"^(su|u|t|torus)([1-9]\d*)$")
+_SHORTHAND_LEAVES = {"t": mg.Torus, **{kind.lower(): leaf for kind, leaf in mg.LEAF_KINDS.items()}}
 
 
 def parse_group(text):
@@ -146,13 +147,7 @@ def parse_group(text):
         if not m:
             raise CliError(f"cannot parse group {text!r} (file not found, "
                            f"and not shorthand like su2, u3, t2, u1xsu2)")
-        kind, n = m.group(1), int(m.group(2))
-        if kind == "su":
-            factors.append(mg.SpecialUnitary(n))
-        elif kind == "u":
-            factors.append(mg.Unitary(n))
-        else:
-            factors.append(mg.Torus(n))
+        factors.append(_SHORTHAND_LEAVES[m.group(1)](int(m.group(2))))
     return factors[0] if len(factors) == 1 else mg.ProductGroup(tuple(factors))
 
 

@@ -21,9 +21,9 @@ off the chords the bumps' disks cut from each segment, so every bump
 integral covers each segment's union of chords alone
 (:func:`_chord_intervals`): transport with one fourth-order Magnus step (two
 Gauss nodes) per sub-interval, interpolation's scalar coefficients at the same
-nodes.  Both refine in the one doubling loop :func:`_refine`, the intervals of
-many polylines together, each from ``DEFAULT_STEPS`` sub-intervals under its
-own stop rule.  Every gauge action on holonomies is :func:`gauge_transform`.
+nodes (its logarithms are one ``matrixgroups.log_batch`` stack).  Both refine in
+the one doubling loop :func:`_refine`, the intervals of many polylines
+together, each from ``DEFAULT_STEPS`` sub-intervals under its own stop rule.  Every gauge action on holonomies is :func:`gauge_transform`.
 Stacked products (gauge actions, word folds, the Magnus commutator) go
 through ``matrixgroups.stack_mul``.
 
@@ -246,14 +246,16 @@ class SmoothConnection:
     def __init__(self, descriptor, terms: Iterable[BumpTerm]):
         self.descriptor = descriptor
         self.terms = tuple(terms)
-        adesc = mg.algebra_descriptor(descriptor)
-        for t in self.terms:
-            mg.LieAlgebraElement(adesc, t.X)  # validation only
+        n = mg.dim(descriptor)
+        for t in self.terms:  # before stacking, which would read a larger X as n x n blocks
+            if t.X.shape != (n, n):
+                raise mg.MembershipError(f"expected shape {(n, n)}, got {t.X.shape}")
+        self._X = np.array([t.X for t in self.terms], dtype=complex).reshape(-1, n, n)
+        mg.validate_algebra(mg.algebra_descriptor(descriptor), self._X)
         dims = {len(v) for t in self.terms for v in (t.center, t.direction)}
         if len(dims) > 1:
             raise ValueError(f"bump centers and directions mix chart dimensions {sorted(dims)}")
-        n, dim = mg.dim(descriptor), dims.pop() if dims else 1
-        self._X = np.array([t.X for t in self.terms], dtype=complex).reshape(-1, n, n)
+        dim = dims.pop() if dims else 1
         self._centers = np.array([t.center for t in self.terms], dtype=float).reshape(-1, dim)
         self._radii = np.array([t.radius for t in self.terms], dtype=float)
         self._dirs = np.array([t.direction for t in self.terms], dtype=float).reshape(-1, dim)
@@ -371,16 +373,14 @@ def _segment_transport(conn: SmoothConnection, p: np.ndarray, q: np.ndarray,
     return _chain(np.ascontiguousarray(np.moveaxis(mg.exp_antihermitian(omega), -3, 0)))
 
 
-def _chord_intervals(polylines: Sequence, centers, radii, own: bool = False):
+def _chord_intervals(polylines: Sequence, centers, radii):
     """Polyline and ends p, q of every interval a bump integral must cover, in walk
     order: the union of the chords :func:`_bump_chords` cuts from one segment, where
-    the bumps live.  With ``own``, polyline k meets only disk k."""
+    the bumps live."""
     lines = [np.atleast_2d(np.asarray(line, dtype=float)) for line in polylines]
     owner = np.repeat(np.arange(len(lines)), [len(pts) - 1 for pts in lines])
     starts = np.concatenate([pts[:-1] for pts in lines])
     ends = np.concatenate([pts[1:] for pts in lines])
-    if own:  # each segment against its own line's disk alone
-        centers, radii = centers[owner][:, None], radii[owner][:, None]
     t0, t1 = _bump_chords(starts, ends, centers, radii)
     # a chord under 1e-12 wide is roundoff where a segment ends on a circle; the bump is 0 there
     rows, cols = np.nonzero(t1 - t0 > 1e-12)
@@ -506,9 +506,10 @@ class InterpolationTarget:
 
 def _bump_coefficients(centers, radii, directions, polylines: Sequence) -> np.ndarray:
     """Integral of phi_k(x) <u_k, dx> along polyline k for every k, in one :func:`_refine`
-    pass to ``COEFFICIENT_TOL`` over the chords bump k cuts from its own line."""
+    pass to ``COEFFICIENT_TOL`` over the chords the bumps cut from the lines.  Polyline k
+    must meet no disk but k's, as interpolation's room guarantees, so its chords are k's."""
     centers, radii, directions = (np.asarray(a, dtype=float) for a in (centers, radii, directions))
-    owner, p, q = _chord_intervals(polylines, centers, radii, own=True)
+    owner, p, q = _chord_intervals(polylines, centers, radii)
     c, r, u = centers[owner][:, None, :], radii[owner][:, None], directions[owner]
 
     def integrate(idx, steps):
@@ -578,17 +579,16 @@ def interpolate_connection(graph: Graph, targets: Sequence[InterpolationTarget],
     radii = CLEARANCE * np.minimum(dist.min(axis=1), halves)
     # a target without clearance fails before its coefficient is read; its radius need only be > 0
     coefficients = _bump_coefficients(mids, np.maximum(radii, 1e-9), directions, polylines)
-    terms = []
-    for k, (t, radius, c) in enumerate(zip(targets, radii, coefficients)):
+    for k, (radius, c) in enumerate(zip(radii, coefficients)):
         if radius <= 1e-9:
             raise IndependenceError(
                 f"target {k}: window has no clearance; paths overlap its segment")
         if abs(c) < MIN_COEFFICIENT:
             raise IndependenceError(
                 f"target {k}: path barely meets its own bump (coefficient {c:.2e})")
-        X = -mg.log_map(t.value).matrix / c
-        terms.append(BumpTerm(X, tuple(mids[k]), float(radius), tuple(directions[k])))
-    return SmoothConnection(desc, terms)
+    X = -mg.log_batch(desc, np.array([t.value.matrix for t in targets])) / coefficients[:, None, None]
+    return SmoothConnection(desc, [BumpTerm(x, tuple(m), float(r), tuple(d))
+                                   for x, m, r, d in zip(X, mids, radii, directions)])
 
 
 # ---------------------------------------------------------------------------

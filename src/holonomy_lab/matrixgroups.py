@@ -15,10 +15,12 @@ Supported group kinds
 Every group is a block-diagonal product of U, SU and torus blocks (its
 leaves), optionally divided by a finite central subgroup at the top level
 only: descriptors reject a quotient as a product factor, an empty product and
-``n < 1``.  :func:`leaf_blocks` is the one walk over this structure.
+``n < 1``.  :func:`leaf_blocks` is the one walk over this structure; each leaf
+class carries its document kind, and ``LEAF_KINDS`` maps kinds to classes.
 
 Elements are read-only complex matrices with their descriptor.  :func:`admit`
 is the one gate for matrices from outside (one membership check per stack),
+:func:`validate_algebra` the one Lie-algebra check (of a matrix or a stack),
 :func:`repair` the one rule for products (the SVD polar factor past
 ``REPAIR_ATOL`` of drift, canonical representatives in a quotient).  All
 operations are pure; random sampling is deterministic in an explicit seed.
@@ -34,10 +36,10 @@ so the results are unitary/anti-hermitian to machine precision.
 :func:`exp_antihermitian` is the one exponential: of ``iH`` for the hermitian
 ``H = -iX``, in closed form up to 3x3 (Rodrigues for 2x2, Cayley-Hamilton for
 3x3) and by ``eigh`` of ``H`` beyond; a block-diagonal matrix exponentiates
-whole, with exact zeros off its blocks.  The logarithm diagonalizes a Cayley
-transform of the element with ``eigh``.  :func:`log_map` is the
-one logarithm: principal (eigen-angles in [-pi, pi], moved by whole turns on
-SU leaves to make them traceless) and total, so it never fails.
+whole, with exact zeros off its blocks.  :func:`log_batch`, the one logarithm,
+takes a stack, leaf by leaf, by ``eigh`` of a Cayley transform with one pole per
+matrix: principal (eigen-angles in [-pi, pi], moved by whole turns on SU leaves
+to make them traceless) and total, so it never fails (:func:`log_map`: one element).
 """
 
 from __future__ import annotations
@@ -75,16 +77,22 @@ class _Leaf:
 @dataclass(frozen=True)
 class Unitary(_Leaf):
     """U(n)."""
+    kind = "U"
 
 
 @dataclass(frozen=True)
 class SpecialUnitary(_Leaf):
     """SU(n)."""
+    kind = "SU"
 
 
 @dataclass(frozen=True)
 class Torus(_Leaf):
     """The diagonal maximal torus of U(n)."""
+    kind = "torus"
+
+
+LEAF_KINDS = {leaf.kind: leaf for leaf in (Unitary, SpecialUnitary, Torus)}  # document kinds
 
 
 @dataclass(frozen=True)
@@ -230,6 +238,16 @@ def _check_blocks(desc, m: np.ndarray, what: str, su_bad, su_message: str) -> No
         raise MembershipError(f"off block-diagonal entries in a product {what}")
 
 
+def validate_algebra(desc, m: np.ndarray) -> None:
+    """MembershipError unless ``m`` (or each of a stack) is in the Lie algebra of ``desc``:
+    anti-hermitian, traceless on SU blocks, each within ``UNITARY_ATOL``."""
+    _check_blocks(desc, m, "algebra element",
+                  lambda b: abs(np.trace(b, axis1=-2, axis2=-1)) > UNITARY_ATOL * b.shape[-1],
+                  "su(n) element must be traceless")
+    if np.max(np.abs(m + np.conj(m).swapaxes(-1, -2)), initial=0.0) > UNITARY_ATOL:
+        raise MembershipError("algebra element must be anti-hermitian")
+
+
 def validate_matrix(desc, m: np.ndarray) -> None:
     """MembershipError unless ``m`` (or each of a stack) is in ``desc`` to ``UNITARY_ATOL``."""
     _check_blocks(desc, m, "element", lambda b: abs(stack_det(b) - 1.0) > 10 * UNITARY_ATOL,
@@ -292,11 +310,7 @@ class LieAlgebraElement:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        _check_blocks(self.descriptor, m, "algebra element",
-                      lambda b: abs(np.trace(b)) > UNITARY_ATOL * b.shape[0],
-                      "su(n) element must be traceless")
-        if np.max(np.abs(m + m.conj().T)) > UNITARY_ATOL:
-            raise MembershipError("algebra element must be anti-hermitian")
+        validate_algebra(self.descriptor, m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -462,48 +476,54 @@ def exp_map(X: LieAlgebraElement) -> GroupElement:
 
 
 def _log_block(leaf, m: np.ndarray) -> np.ndarray:
+    """Principal logarithms of a (N, n, n) stack of one leaf's blocks."""
+    n = m.shape[-1]
     if isinstance(leaf, Torus):
-        return np.diag(1j * np.angle(np.diag(m)))
-    # Cayley transform about a pole in the widest gap of the spectrum: v has
+        out, idx = np.zeros_like(m), np.arange(n)
+        out[:, idx, idx] = 1j * np.angle(m[:, idx, idx])
+        return out
+    # Cayley transform about a pole in the widest gap of each spectrum: v has
     # no eigenvalue within pi/n of -1, so h = i(I+v)^-1(I-v) is a
     # well-conditioned hermitian matrix with the eigenvectors of m and
     # eigenvalues tan(phi/2) for v's eigenvalues e^{i phi}.
-    ang = np.sort(np.angle(np.linalg.eigvals(m)))
-    gaps = np.diff(ang, append=ang[0] + 2.0 * np.pi)
-    widest = int(np.argmax(gaps))
-    pole = ang[widest] + 0.5 * gaps[widest]
-    v = m * np.exp(1j * (np.pi - pole))
-    eye = np.eye(len(m))
+    ang = np.sort(np.angle(np.linalg.eigvals(m)), axis=-1)
+    gaps = np.diff(ang, append=ang[:, :1] + 2.0 * np.pi, axis=-1)
+    widest = np.argmax(gaps, axis=-1)[:, None]
+    pole = np.take_along_axis(ang, widest, -1) + 0.5 * np.take_along_axis(gaps, widest, -1)
+    v = m * np.exp(1j * (np.pi - pole))[:, :, None]
+    eye = np.eye(n)
     h = 1j * np.linalg.solve(eye + v, eye - v)
-    w, z = np.linalg.eigh(0.5 * (h + h.conj().T))
+    w, z = np.linalg.eigh(0.5 * (h + np.conj(h).swapaxes(-1, -2)))
     theta = np.angle(np.exp(1j * (2.0 * np.arctan(w) + pole - np.pi)))
     if isinstance(leaf, SpecialUnitary):
-        # move whole 2*pi turns between eigenvalues so the log is traceless
-        k = int(np.round(theta.sum() / (2.0 * np.pi)))
-        if k > 0:
-            for j in np.argsort(theta)[::-1][:k]:
-                theta[j] -= 2.0 * np.pi
-        elif k < 0:
-            for j in np.argsort(theta)[:-k]:
-                theta[j] += 2.0 * np.pi
-        theta = theta - theta.sum() / len(theta)
-    return (z * (1j * theta)) @ z.conj().T
+        # move whole 2*pi turns between eigenvalues so the log is traceless: k turns
+        # off the k largest angles, or -k on to the -k smallest, ties in argsort's order
+        k = np.round(theta.sum(axis=-1, keepdims=True) / (2.0 * np.pi))
+        rank = np.argsort(np.argsort(theta, axis=-1), axis=-1)
+        theta = theta - 2.0 * np.pi * ((rank >= n - k) * 1.0 - (rank < -k))
+        theta = theta - theta.sum(axis=-1, keepdims=True) / n
+    return (z * (1j * theta)[:, None, :]) @ np.conj(z).swapaxes(-1, -2)
 
 
-def log_map(g: GroupElement) -> LieAlgebraElement:
-    """Principal matrix logarithm into the Lie algebra, defined for every element.
+def log_batch(desc, stack: np.ndarray) -> np.ndarray:
+    """Principal matrix logarithms of a (N, n, n) stack of elements of ``desc``, a stack
+    in its Lie algebra, defined for every element: one :func:`_log_block` call per leaf.
 
     The eigen-angles are ``np.angle`` of the eigenvalues, in [-pi, pi].  An
     eigenvalue at -1 has two logarithms of least norm, angle pi and -pi; both
-    exponentiate to ``g`` and ``np.angle`` picks one from the input bits.  On
-    a SpecialUnitary leaf whole turns then move between the angles so the
+    exponentiate to the element and ``np.angle`` picks one from the input bits.
+    On a SpecialUnitary leaf whole turns then move between the angles so the
     result is traceless.
     """
-    X = np.zeros_like(g.matrix)
-    for sl, leaf in leaf_blocks(g.descriptor):
-        X[sl, sl] = _log_block(leaf, g.matrix[sl, sl])
-    X = 0.5 * (X - X.conj().T)  # strip hermitian round-off
-    return LieAlgebraElement(g.descriptor, X)
+    X = np.zeros_like(stack)
+    for sl, leaf in leaf_blocks(desc):
+        X[:, sl, sl] = _log_block(leaf, stack[:, sl, sl])
+    return 0.5 * (X - np.conj(X).swapaxes(-1, -2))  # strip hermitian round-off
+
+
+def log_map(g: GroupElement) -> LieAlgebraElement:
+    """The principal logarithm of one element: the one-element case of :func:`log_batch`."""
+    return LieAlgebraElement(g.descriptor, log_batch(g.descriptor, g.matrix[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +646,8 @@ def matrix_from_pairs(data) -> np.ndarray:
 
 
 def descriptor_to_dict(desc) -> dict:
-    if isinstance(desc, Unitary):
-        return {"kind": "U", "n": desc.n}
-    if isinstance(desc, SpecialUnitary):
-        return {"kind": "SU", "n": desc.n}
-    if isinstance(desc, Torus):
-        return {"kind": "torus", "n": desc.n}
+    if isinstance(desc, _Leaf):
+        return {"kind": desc.kind, "n": desc.n}
     if isinstance(desc, ProductGroup):
         return {"kind": "product", "factors": [descriptor_to_dict(f) for f in desc.factors]}
     if isinstance(desc, CentralQuotient):
@@ -646,12 +662,8 @@ def descriptor_from_dict(data):
         kind = data["kind"]
     except (KeyError, TypeError) as exc:
         raise ValueError("descriptor document needs a 'kind'") from exc
-    if kind == "U":
-        return Unitary(data["n"])
-    if kind == "SU":
-        return SpecialUnitary(data["n"])
-    if kind == "torus":
-        return Torus(data["n"])
+    if isinstance(kind, str) and kind in LEAF_KINDS:
+        return LEAF_KINDS[kind](data["n"])
     if kind == "product":
         return ProductGroup(tuple(descriptor_from_dict(f) for f in data["factors"]))
     if kind == "quotient":

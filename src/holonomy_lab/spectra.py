@@ -423,18 +423,9 @@ class ClosureVerdict:
         }
 
 
-def closure_mode(descriptor) -> str:
-    if isinstance(descriptor, mg.Torus):
-        return "torus-abelianized"
-    if isinstance(descriptor, mg.SpecialUnitary):
-        return "semisimple-full"
-    if isinstance(descriptor, mg.Unitary):
-        return "unitary-determinant"
-    if isinstance(descriptor, mg.ProductGroup):
-        return "product-split"
-    if isinstance(descriptor, mg.CentralQuotient):
-        return "quotient-pushforward"
-    raise TypeError(f"no closure rule for {type(descriptor).__name__}")
+CLOSURE_MODE = {mg.Torus: "torus-abelianized", mg.SpecialUnitary: "semisimple-full",
+                mg.Unitary: "unitary-determinant", mg.ProductGroup: "product-split",
+                mg.CentralQuotient: "quotient-pushforward"}  # keyed by descriptor type
 
 
 def _exponent_vectors(k: int, bound: int):
@@ -489,7 +480,7 @@ def _abelian_check(A, diagonals, bound, tol, mode, trivial_kernel):
 
 def _loop_verdict(data: LoopAssignment, bound, tol) -> ClosureVerdict:
     descriptor, loops = data.descriptor, data.loops
-    mode = closure_mode(descriptor)
+    mode = CLOSURE_MODE[type(descriptor)]
     relations, rank = loop_relations(data.graph, loops)
     exponents = functools.cache(lambda: _exponent_matrix(loops))  # a nonmember may never need it
 
@@ -572,7 +563,7 @@ def closure_membership(data, bound: int = 6, tol: float = 1e-8) -> ClosureVerdic
     if bound < 0:
         raise ValueError(f"closure search bound must be >= 0, got {bound}")
     if isinstance(data, GeneralizedConnection):
-        mode = closure_mode(data.descriptor)
+        mode = CLOSURE_MODE[type(data.descriptor)]
         return ClosureVerdict(True, mode, True, (),
                               "edge assignments satisfy every closure relation "
                               "automatically", 0)

@@ -4,9 +4,9 @@ Unlike ``oracles``, nothing here reimplements a library algorithm to check
 it against; these are conveniences for building inputs and probes.
 ``compose_all`` and ``power`` build long path words, ``haar_sample`` draws
 one group element from a seed, ``one_form`` evaluates a smooth connection
-A(x)[v] at a point, and ``SmoothGauge`` is a smooth gauge transformation
-g(x) = exp(sum_j psi_j(x) Y_j), evaluated pointwise or at the vertices for
-the covariance tests.
+A(x)[v] at a point or at each of a point stack, and ``SmoothGauge`` is a smooth
+gauge transformation g(x) = exp(sum_j psi_j(x) Y_j), evaluated the same way or
+at the vertices for the covariance tests.
 """
 
 from __future__ import annotations
@@ -55,13 +55,16 @@ def haar_sample(desc, seed: int) -> mg.GroupElement:
     return mg.GroupElement(desc, mg.haar_batch(desc, 1, rng)[0], check=False)
 
 
-def one_form(conn: SmoothConnection, point, vector) -> np.ndarray:
-    """A(x)[v] as a matrix."""
+def one_form(conn: SmoothConnection, points, vector) -> np.ndarray:
+    """A(x)[v] as a matrix, at a point x of shape (d,), or at each of an (m, d) stack
+    as an (m, n, n) stack."""
+    pts = np.asarray(points, dtype=float)
     n = mg.dim(conn.descriptor)
     if not conn.terms:
-        return np.zeros((n, n), dtype=complex)
-    w = conn.coefficients([point])[0] * (conn._dirs @ np.asarray(vector, dtype=float))
-    return np.tensordot(w, conn._X, axes=(0, 0))
+        return np.zeros(pts.shape[:-1] + (n, n), dtype=complex)
+    w = conn.coefficients(np.atleast_2d(pts)) * (conn._dirs @ np.asarray(vector, dtype=float))
+    out = np.tensordot(w, conn._X, axes=(-1, 0))
+    return out if pts.ndim == 2 else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +91,18 @@ class SmoothGauge:
     def __init__(self, descriptor, terms: Iterable[GaugeBump]):
         self.descriptor = descriptor
         self.terms = tuple(terms)
-        adesc = mg.algebra_descriptor(descriptor)
-        for t in self.terms:
-            mg.LieAlgebraElement(adesc, t.Y)
         n, dim = mg.dim(descriptor), len(self.terms[0].center) if self.terms else 1
         self._Y = np.array([t.Y for t in self.terms], dtype=complex).reshape(-1, n, n)
+        mg.validate_algebra(mg.algebra_descriptor(descriptor), self._Y)
         self._centers = np.array([t.center for t in self.terms], dtype=float).reshape(-1, dim)
         self._radii = np.array([t.radius for t in self.terms], dtype=float)
 
-    def at(self, point) -> np.ndarray:
-        w = bump_value([point], self._centers, self._radii)[0]
-        return mg.exp_antihermitian(np.tensordot(w, self._Y, axes=(0, 0)))
+    def at(self, points) -> np.ndarray:
+        """g(x) at a point of shape (d,), or at each of an (m, d) stack as an (m, n, n) stack."""
+        pts = np.asarray(points, dtype=float)
+        w = bump_value(np.atleast_2d(pts), self._centers, self._radii)
+        g = mg.exp_antihermitian(np.tensordot(w, self._Y, axes=(-1, 0)))
+        return g if pts.ndim == 2 else g[0]
 
     def as_discrete(self, graph: Graph) -> DiscreteGauge:
         try:

@@ -17,7 +17,10 @@ logarithm of scipy, which the library no longer imports),
 ``compose_seam`` (word composition cancelling only across the seam, where
 the library runs the one free reduction over both words),
 ``exp_eigh`` (the exponential of one ``eigh`` per matrix, where the library
-takes the Rodrigues and Cayley-Hamilton closed forms up to 3x3) and
+takes the Rodrigues and Cayley-Hamilton closed forms up to 3x3),
+``log_block_one`` (the Cayley-transform logarithm of one leaf block of one
+matrix, with the SU whole-turn moves as a loop per eigenvalue, where the
+library takes a whole stack per leaf with one indexed update) and
 ``exp_map_leafwise`` (the exponential one leaf block at a time, with the
 torus leaves' diagonal ``exp`` and ``exp_eigh`` on the other leaves, where
 the library exponentiates the whole block-diagonal matrix in one call),
@@ -311,9 +314,12 @@ def scalar_line_integral_midpoint(center, radius, direction, polyline):
             total += float(bump_value(mids, center, radius).sum() * (u @ delta))
         return total
 
-    s = 64
+    # midpoints at most radius / 64 apart from the first level: coarser levels can step
+    # over the narrow peak of a bump that only grazes a segment and agree on about 0
+    s = max(64, int(np.ceil(64.0 * np.linalg.norm(np.diff(pts, axis=0), axis=1).max(initial=0.0)
+                            / radius)))
     val = once(s)
-    for _ in range(12):
+    while 2 * s <= 64 << 12:  # no finer than 64 points per segment doubled 12 times
         s *= 2
         nxt = once(s)
         if abs(nxt - val) <= 1e-12 * max(1.0, abs(nxt)):
@@ -369,17 +375,18 @@ def transport_field(field, polyline, n, steps=64):
     """Transport for an arbitrary one-form ``field(x, v) -> matrix``.
 
     Plain fixed-step midpoint integrator: no bump structure is assumed, so
-    nothing is skipped, vectorized or refined adaptively.
+    nothing is skipped or refined adaptively.  ``field`` takes a segment's
+    (steps, d) midpoints at once and returns their (steps, n, n) matrices,
+    which are exponentiated by ``eigh`` as one stack and multiplied in order.
     """
     pts = np.atleast_2d(np.asarray(polyline, dtype=float))
     acc = np.eye(n, dtype=complex)
     for p, q in zip(pts[:-1], pts[1:]):
         delta = (q - p) / steps
-        for i in range(steps):
-            mid = p + (i + 0.5) * delta
-            M = -field(mid, delta)
-            w, v = np.linalg.eigh(-1j * M)
-            acc = ((v * np.exp(1j * w)) @ v.conj().T) @ acc
+        mids = p + (np.arange(steps)[:, None] + 0.5) * delta
+        w, v = np.linalg.eigh(1j * field(mids, delta))
+        for step in (v * np.exp(1j * w)[:, None, :]) @ np.conj(v).swapaxes(-1, -2):
+            acc = step @ acc
     return acc
 
 
@@ -568,6 +575,36 @@ def log_schur(leaf, m, frame):
         return np.diag(1j * principal_angles(np.diag(m), frame))
     t, z = scipy.linalg.schur(m, output="complex")
     theta = principal_angles(np.diag(t), frame)
+    if isinstance(leaf, mg.SpecialUnitary):
+        # move whole 2*pi turns between eigenvalues so the log is traceless
+        k = int(np.round(theta.sum() / (2.0 * np.pi)))
+        if k > 0:
+            for j in np.argsort(theta)[::-1][:k]:
+                theta[j] -= 2.0 * np.pi
+        elif k < 0:
+            for j in np.argsort(theta)[:-k]:
+                theta[j] += 2.0 * np.pi
+        theta = theta - theta.sum() / len(theta)
+    return (z * (1j * theta)) @ z.conj().T
+
+
+def log_block_one(leaf, m: np.ndarray) -> np.ndarray:
+    """Principal logarithm of one leaf block, one matrix at a time."""
+    if isinstance(leaf, mg.Torus):
+        return np.diag(1j * np.angle(np.diag(m)))
+    # Cayley transform about a pole in the widest gap of the spectrum: v has
+    # no eigenvalue within pi/n of -1, so h = i(I+v)^-1(I-v) is a
+    # well-conditioned hermitian matrix with the eigenvectors of m and
+    # eigenvalues tan(phi/2) for v's eigenvalues e^{i phi}.
+    ang = np.sort(np.angle(np.linalg.eigvals(m)))
+    gaps = np.diff(ang, append=ang[0] + 2.0 * np.pi)
+    widest = int(np.argmax(gaps))
+    pole = ang[widest] + 0.5 * gaps[widest]
+    v = m * np.exp(1j * (np.pi - pole))
+    eye = np.eye(len(m))
+    h = 1j * np.linalg.solve(eye + v, eye - v)
+    w, z = np.linalg.eigh(0.5 * (h + h.conj().T))
+    theta = np.angle(np.exp(1j * (2.0 * np.arctan(w) + pole - np.pi)))
     if isinstance(leaf, mg.SpecialUnitary):
         # move whole 2*pi turns between eigenvalues so the log is traceless
         k = int(np.round(theta.sum() / (2.0 * np.pi)))

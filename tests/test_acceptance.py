@@ -178,8 +178,8 @@ def test_03_gauge_covariance_smooth_and_discrete():
         gauge = random_smooth_gauge(SU2, graph, n_terms=3, seed=200 + seed)
 
         def field(x, v, conn=conn, gauge=gauge):
-            g = gauge.at(x)
-            gi = g.conj().T
+            g = gauge.at(x)  # x: a segment's midpoints, g: their stack
+            gi = np.conj(g).swapaxes(-1, -2)
             a = one_form(conn, x, v)
             nv = float(np.linalg.norm(v))
             if nv == 0.0:

@@ -822,6 +822,47 @@ def test_null_bump_generator_is_usage_error_before_transport(workspace, tmp_path
     assert "non-finite" in err and transport_calls == []
 
 
+@pytest.mark.parametrize("generators", [
+    [np.zeros((4, 4))],  # stacked alone it would read as four 2x2 blocks
+    [np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((2, 2))],
+], ids=["one-4x4", "3x3-among-2x2"])
+def test_generator_of_another_shape_is_usage_error(workspace, tmp_path, capsys, transport_calls,
+                                                   generators):
+    tmp, _, _ = workspace
+    doc = json.loads((tmp / "smooth.json").read_text())
+    doc["terms"] = [dict(doc["terms"][0], X=mg.matrix_to_pairs(x)) for x in generators]
+    (tmp_path / "smooth.json").write_text(json.dumps(doc))
+    err = usage_error(capsys, ["holonomy", "--graph", tmp / "graph.json",
+                               "--connection", tmp_path / "smooth.json", "--path", "1,2,3,4,5"])
+    assert "smooth.json" in err and "expected shape (2, 2)" in err and transport_calls == []
+
+
+def numeric_failure(capsys, argv):
+    """Run ``main`` in-process; it must exit 3 with one ``error:`` line."""
+    assert main([str(a) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    return err
+
+
+def test_approx_on_a_repeated_word_is_numeric_failure(tmp_path, capsys):
+    path = family_file(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["words"][1] = doc["words"][0]  # the two targets share one window: no private room
+    path.write_text(json.dumps(doc))
+    err = numeric_failure(capsys, ["approx", "--group", "su2", "--family", path, "--seed", "0"])
+    assert "error: approx: IndependenceError: target 0" in err
+
+
+def test_smooth_holonomy_without_chart_data_is_numeric_failure(workspace, tmp_path, capsys):
+    tmp, _, _ = workspace
+    graph = Graph("ab", [Edge(1, "a", "b", None), Edge(2, "b", "a", None)], "a")
+    (tmp_path / "graph.json").write_text(json.dumps(graph_to_dict(graph)))
+    err = numeric_failure(capsys, ["holonomy", "--graph", tmp_path / "graph.json",
+                                   "--connection", tmp / "smooth.json", "--path", "1,2"])
+    assert "error: holonomy: GeometryError: edge 1 has no curve" in err
+
+
 def test_obstruction_commutator_mode(workspace):
     tmp, _, _ = workspace
     result = run_cli(["obstruction", "--graph", str(tmp / "graph.json"),

@@ -822,8 +822,8 @@ def test_transformed_one_form_matches_covariance():
     fd = 1e-5
 
     def field(x, v):
-        g = gauge.at(x)
-        gi = g.conj().T
+        g = gauge.at(x)  # x: a segment's midpoints, g: their stack
+        gi = np.conj(g).swapaxes(-1, -2)
         a = one_form(conn, x, v)
         nv = float(np.linalg.norm(v))
         if nv == 0.0:
@@ -951,6 +951,17 @@ def test_interpolation_names_the_first_failing_target():
             interpolate_connection(graph, [crossed, clear, beside])
 
 
+def test_interpolation_needs_targets_of_one_group():
+    r = 2
+    graph = spider_graph(r)
+    with pytest.raises(ValueError, match="no targets"):
+        interpolate_connection(graph, [])
+    mixed = [InterpolationTarget(leg_word(graph, r, 0), haar_sample(SU2, seed=64), (5, 8)),
+             InterpolationTarget(leg_word(graph, r, 1), haar_sample(T2, seed=65), (5, 8))]
+    with pytest.raises(mg.DescriptorMismatchError, match="targets mix group descriptors"):
+        interpolate_connection(graph, mixed)
+
+
 def test_interpolation_rejects_bad_window():
     r = 2
     graph = spider_graph(r)
@@ -967,9 +978,8 @@ def bumps_near_polylines(draw):
     """A 2-D polyline with repeated points and a bump centered on or near it.
 
     The center is a vertex (so the bump straddles it) or a point along a
-    segment, moved by up to 0.3.  Radii stay at 0.2 or more: the midpoint
-    oracle starts at 64 points per segment and can miss a much smaller bump
-    that only grazes a segment.
+    segment, moved by up to 0.3.  Radii stay at 0.2 or more, so the midpoint
+    oracle, which starts with midpoints at most radius / 64 apart, stays fast.
     """
     coord = st.floats(-1.0, 1.0, allow_nan=False)
     pts = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=4))

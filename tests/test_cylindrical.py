@@ -175,6 +175,14 @@ def test_wilson_is_gauge_invariant_entry_is_not():
     assert invariance_check(entry_function(loop, 1, 1), stack, SU2, gauges=40, seed=4) > 1e-3
 
 
+def test_invariance_check_needs_a_gauge_sample():
+    graph = square_graph()
+    loop = square_loop(graph)
+    stack = holonomy_stack(wilson_loop(loop, 2), random_generalized_connection(graph, SU2, seed=3))
+    with pytest.raises(ValueError, match="at least one gauge sample"):
+        invariance_check(wilson_loop(loop, 2), stack, SU2, gauges=0)
+
+
 def test_wilson_invariance_under_explicit_gauge_action():
     graph = square_graph()
     conn = random_generalized_connection(graph, SU2, seed=5)

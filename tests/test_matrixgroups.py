@@ -40,6 +40,7 @@ from holonomy_lab.matrixgroups import (
     quotient_project,
     random_algebra,
     reunitarize,
+    validate_algebra,
     validate_matrix,
 )
 from holonomy_lab.connections import GeneralizedConnection
@@ -51,6 +52,7 @@ from oracles import (
     exp_eigh,
     exp_map_leafwise,
     haar_leaf_qr,
+    log_block_one,
     log_schur,
     polar_scipy,
     repair_one,
@@ -90,6 +92,11 @@ def test_central_quotient_validation():
     bad = np.diag([1.0, 1.0, -1.0])  # not scalar on the SU(2) block
     with pytest.raises(MembershipError):
         central_quotient(PROD, [np.eye(3), bad])
+    quarter = np.diag([1j, 1.0, 1.0])  # central: a phase on the torus block
+    with pytest.raises(MembershipError, match="inverse"):
+        central_quotient(PROD, [np.eye(3), quarter])
+    with pytest.raises(MembershipError, match="product"):  # quarter @ quarter is missing
+        central_quotient(PROD, [np.eye(3), quarter, quarter.conj()])
 
 
 def test_descriptors_are_validated_where_built():
@@ -123,6 +130,18 @@ def test_leaf_blocks_flatten_products_and_look_through_quotients():
 def test_descriptor_dict_roundtrip():
     for desc in ALL_KINDS:
         assert descriptor_from_dict(descriptor_to_dict(desc)) == desc
+
+
+def test_descriptor_documents_are_checked():
+    doc = descriptor_to_dict(U2_AS_QUOTIENT)
+    del doc["K"]
+    with pytest.raises(ValueError, match="'K'"):
+        descriptor_from_dict(doc)
+    for kind in ("u", ["U"], None, "Torus"):
+        with pytest.raises(ValueError, match="unknown descriptor kind"):
+            descriptor_from_dict({"kind": kind, "n": 2})
+    with pytest.raises(TypeError):
+        descriptor_to_dict("SU2")
 
 
 def test_matrix_pairs_roundtrip():
@@ -365,6 +384,60 @@ def test_log_su_traceless_even_across_branch_rebalance():
     assert distance(exp_map(X), g) < 1e-12
 
 
+LOG_LEAVES = [Unitary(1), U2, U3, SU2, SU3, SpecialUnitary(4), T2]
+# -1, a cube root of unity (scalar in SU(3)), and 2.5 twice with -5: principal angles
+# summing to 2 pi, so SU(3) moves one whole turn off one of a tied pair
+SPECIAL_ANGLES = [np.pi, -np.pi, 0.0, 2.0 * np.pi / 3, 2.5, -2.5]
+
+
+@st.composite
+def log_stacks(draw):
+    """A leaf and a stack of its blocks: Haar draws, I and -I where they belong, and
+    chosen spectra in Haar frames, with eigenvalues at -1, degenerate pairs and SU
+    angles whose principal values sum to whole turns."""
+    leaf = draw(st.sampled_from(LOG_LEAVES))
+    n = leaf.n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = [*haar_batch(leaf, draw(st.integers(0, 4)), rng), np.eye(n)]
+    if not isinstance(leaf, SpecialUnitary) or n % 2 == 0:
+        mats.append(-np.eye(n))
+    angle = st.one_of(st.sampled_from(SPECIAL_ANGLES), st.floats(-np.pi, np.pi))
+    for _ in range(draw(st.integers(0, 4))):
+        theta = np.array(draw(st.lists(angle, min_size=n, max_size=n)))
+        if n > 1 and draw(st.booleans()):
+            theta[1] = theta[0]  # a degenerate pair
+        if isinstance(leaf, SpecialUnitary):
+            theta[-1] = -theta[:-1].sum()
+        q = np.eye(n) if isinstance(leaf, Torus) else haar_batch(Unitary(n), 1, rng)[0]
+        mats.append((q * np.exp(1j * theta)) @ q.conj().T)
+    return leaf, np.array(mats, dtype=complex)
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_stacks())
+def test_stacked_log_matches_per_matrix_oracle_bitwise(case):
+    leaf, stack = case
+    want = np.array([log_block_one(leaf, m) for m in stack])
+    assert mg._log_block(leaf, stack).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("desc, angles", [
+    (SU3, [[2.5, 2.5, -5.0], [-2.5, -2.5, 5.0], [2.2, 2.4, -4.6], [-2.2, -2.4, 4.6]]),
+    (SpecialUnitary(4), [[2.5, 2.5, 2.5, -7.5], [-2.0, -2.5, -3.0, 7.5], [3.0, 3.0, -3.0, -3.0]]),
+], ids=["su3", "su4"])
+def test_stacked_log_moves_whole_turns_like_the_oracle(desc, angles):
+    # principal angles summing to +-2 pi: k = +-1 whole turns move, on a tied pair too
+    theta = np.array(angles)
+    k = np.round(np.angle(np.exp(1j * theta)).sum(axis=1) / (2.0 * np.pi))
+    assert {1.0, -1.0} <= set(k)
+    q = haar_batch(Unitary(desc.n), len(theta), np.random.default_rng(8))
+    stack = np.concatenate([np.exp(1j * theta)[:, None, :] * np.eye(desc.n),
+                            (q * np.exp(1j * theta)[:, None, :]) @ np.conj(q).swapaxes(1, 2)])
+    want = np.array([log_block_one(desc, m) for m in stack])
+    assert mg._log_block(desc, stack).tobytes() == want.tobytes()
+    assert np.abs(np.trace(want, axis1=1, axis2=2)).max() < 1e-12
+
+
 LOG_KINDS = [SU2, SU3, U3, U4, PROD, U2_AS_QUOTIENT]
 FRAMES = [0.0, 0.41, 2.19]  # where the oracle measures eigen-angles from
 
@@ -480,7 +553,24 @@ def test_algebra_membership_errors():
         LieAlgebraElement(SU2, np.diag([1j, 1j]))  # not traceless
     with pytest.raises(MembershipError):
         LieAlgebraElement(T2, np.array([[0, 1], [-1, 0]], dtype=complex))
+    with pytest.raises(MembershipError, match="anti-hermitian"):
+        LieAlgebraElement(U2, np.array([[0, 1], [1, 0]], dtype=complex))
     assert algebra_descriptor(U2_AS_QUOTIENT) == PROD
+
+
+def test_validate_algebra_checks_a_whole_stack():
+    rng = np.random.default_rng(4)
+    stack = np.array([random_algebra(PROD, rng).matrix for _ in range(5)])
+    validate_algebra(PROD, stack)
+    for edit, message in ((lambda m: m.__setitem__((1, 1), m[1, 1] + 1j), "traceless"),
+                          (lambda m: m.__setitem__((0, 2), 0.5), "off block-diagonal"),
+                          (lambda m: m.__setitem__((1, 2), m[1, 2] + 0.5), "anti-hermitian")):
+        bad = stack.copy()
+        edit(bad[3])  # one matrix in the middle of the stack
+        with pytest.raises(MembershipError, match=message):
+            validate_algebra(PROD, bad)
+    with pytest.raises(MembershipError, match=r"expected shape \(3, 3\)"):
+        validate_algebra(PROD, stack[:, :2, :2])
 
 
 # --- Haar sampling -----------------------------------------------------------

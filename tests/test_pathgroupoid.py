@@ -493,6 +493,13 @@ def test_graph_document_rejects_bad_edge():
         graph_from_dict(doc)
 
 
+def test_graph_rejects_repeated_vertices_and_a_foreign_basepoint():
+    with pytest.raises(ValueError, match="duplicate vertex ids"):
+        Graph(["a", "b", "a"], [Edge(1, "a", "b", None)], "a")
+    with pytest.raises(ValueError, match="basepoint is not a vertex"):
+        Graph("ab", [Edge(1, "a", "b", None)], "c")
+
+
 def test_graph_rejects_curves_that_do_not_meet():
     # against the vertex position, and against another curve at that vertex
     with pytest.raises(ValueError, match="edge 2 does not end at vertex 'a'"):

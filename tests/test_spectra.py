@@ -42,6 +42,7 @@ from oracles import brute_force_conjugator, depends_on, gauge_act_edgewise, su2_
 SU2 = mg.SpecialUnitary(2)
 SU3 = mg.SpecialUnitary(3)
 U2 = mg.Unitary(2)
+U3 = mg.Unitary(3)
 T2 = mg.Torus(2)
 PROD = mg.ProductGroup((mg.Torus(1), mg.SpecialUnitary(2)))
 U2_AS_QUOTIENT = mg.central_quotient(
@@ -216,6 +217,21 @@ def test_orbit_representative_degenerate_spectrum():
     rep2 = orbit_representative(SU3, moved)
     worst = max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(rep, rep2))
     assert worst <= 1e-8
+
+
+def test_orbit_representative_reaches_an_index_from_below_the_diagonal():
+    # the diagonal generator orders the frame as given; in the cyclic permutation the
+    # first link to index 1 is entry (1, 0), below the diagonal, so phases also spread
+    # from a known column to an unknown row
+    a1 = np.diag(np.exp(1j * np.array([2.5, 1.2, 0.3])))
+    a2 = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
+    stack = [mg.GroupElement(U3, m) for m in (a1, a2)]
+    rep = orbit_representative(U3, stack)
+    rng = np.random.default_rng(43)
+    for u in mg.haar_batch(U3, 4, rng):
+        moved = [mg.GroupElement(U3, u.conj().T @ s.matrix @ u) for s in stack]
+        rep2 = orbit_representative(U3, moved)
+        assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(rep, rep2)) <= 1e-12
 
 
 def test_orbit_representative_scalar_stack_fixed():
@@ -398,6 +414,8 @@ def test_loop_assignment_validation():
     x, y = torus_phase(0.7), torus_phase(-0.4)
     with pytest.raises(ValueError, match="one value per loop"):
         LoopAssignment(graph, (la, lb), (x,))
+    with pytest.raises(ValueError, match="empty loop family"):
+        LoopAssignment(graph, (), ())
     with pytest.raises(ValueError, match="not a loop"):
         LoopAssignment(graph, (edge_word(graph, 1),), (x,))
     loop_at_v1 = compose(edge_word(graph, 1),
