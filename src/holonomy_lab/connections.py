@@ -16,16 +16,25 @@ Holonomy of a smooth connection along a curve solves U' = -A(c(t))[c'(t)] U,
 U(0) = 1, so that walking eta then lam multiplies as H(lam eta) = H(lam) H(eta)
 and a gauge transformation g acts by H ->  g(end)^-1 H g(start).  Since only
 g's values at path ends enter, gauge transformations here are discrete, one
-group element per vertex (:class:`DiscreteGauge`).  The one-form vanishes
-off the chords the bumps' disks cut from each segment, so every bump
-integral covers each segment's union of chords alone
-(:func:`_chord_intervals`): transport with one fourth-order Magnus step (two
-Gauss nodes) per sub-interval, interpolation's scalar coefficients at the same
-nodes (its logarithms are one ``matrixgroups.log_batch`` stack).  Both refine in
-the one doubling loop :func:`_refine`, the intervals of many polylines
-together, each from ``DEFAULT_STEPS`` sub-intervals under its own stop rule.  Every gauge action on holonomies is :func:`gauge_transform`.
-Stacked products (gauge actions, word folds, the Magnus commutator) go
-through ``matrixgroups.stack_mul``.
+group element per vertex (:class:`DiscreteGauge`).
+
+The one-form vanishes off the chords the bumps' disks cut from each segment.
+Each segment is cut at every chord end into pieces, each held by a known set
+of disks (:func:`_pieces`).  Where those disks' generators commute pairwise,
+as on every piece one disk holds alone and on every piece of an abelian
+group, the transport is exactly exp(-sum_k c_k X_k), with c_k the scalar
+line integral of the bump (:func:`_line_integrals`).  A run of adjacent
+pieces whose generators do not commute takes one fourth-order Magnus step
+(two Gauss nodes) per sub-interval (:func:`_segment_transport`).
+Interpolation's coefficients are the same scalar integrals, and its
+logarithms are one ``matrixgroups.log_batch`` stack.  Every piece of many
+polylines refines in the one doubling loop :func:`_refine`, each from
+``DEFAULT_STEPS`` sub-intervals under its own stop rule, and evaluates only
+the bumps that hold it.
+
+Every gauge action on holonomies is :func:`gauge_transform`.  Stacked
+products (gauge actions, word folds, the Magnus commutator) go through
+``matrixgroups.stack_mul``.
 
 Conventions match the combinatorial side: traversing an edge against its
 direction contributes the inverse transport, and the transport of a
@@ -259,6 +268,16 @@ class SmoothConnection:
         self._centers = np.array([t.center for t in self.terms], dtype=float).reshape(-1, dim)
         self._radii = np.array([t.radius for t in self.terms], dtype=float)
         self._dirs = np.array([t.direction for t in self.terms], dtype=float).reshape(-1, dim)
+        # which generators commute: all of them on an abelian group, else those whose
+        # commutator is roundoff, ||[X_i, X_j]|| <= 1e-14 ||X_i|| ||X_j|| (a zero X commutes)
+        k = len(self.terms)
+        if all(isinstance(leaf, mg.Torus) or leaf.n == 1 for _, leaf in mg.leaf_blocks(descriptor)):
+            self._commutes = np.ones((k, k), dtype=bool)
+        else:
+            X, Y = self._X[:, None], self._X[None]
+            size = np.linalg.norm(self._X.reshape(k, n * n), axis=-1)
+            gap = np.linalg.norm((mg.stack_mul(X, Y) - mg.stack_mul(Y, X)).reshape(k, k, n * n), axis=-1)
+            self._commutes = (gap <= 1e-14 * np.outer(size, size)) | np.eye(k, dtype=bool)
 
     def coefficients(self, points) -> np.ndarray:
         """phi_k at each point: shape (npoints, nterms)."""
@@ -360,39 +379,77 @@ def _gauss_nodes(p: np.ndarray, q: np.ndarray, steps: int):
     return p0 + (base - _GAUSS_OFFSET) * d, p0 + (base + _GAUSS_OFFSET) * d, delta
 
 
-def _segment_transport(conn: SmoothConnection, p: np.ndarray, q: np.ndarray,
-                       steps: int) -> np.ndarray:
-    """One fourth-order Magnus step per sub-interval (two Gauss nodes) of [p, q];
-    p, q may lead with an interval axis, with the same arithmetic per interval."""
+def _node_weights(p, q, steps: int, centers, radii, directions):
+    """The one bump integrand, one row per (interval, bump) pair given as the interval's
+    ends and the bump's center, radius and direction: phi at both Gauss nodes of
+    ``steps`` sub-intervals of [p, q], shape (2, pairs, steps), and <u, delta> of a
+    sub-interval, shape (pairs,)."""
     x1, x2, delta = _gauss_nodes(p, q, steps)
-    scale = np.sum(delta[..., None, :] * conn._dirs, axis=-1)[..., None, :]
-    M1, M2 = (np.tensordot(conn.coefficients(x) * scale, conn._X, axes=(-1, 0)) for x in (x1, x2))
+    return (bump_value(np.stack((x1, x2)), centers[:, None, :], radii[:, None]),
+            np.sum(delta * directions, axis=-1))
+
+
+def _line_integrals(p, q, steps: int, centers, radii, directions) -> np.ndarray:
+    """The scalar line integral of phi <u, dx> over [p, q] of each pair of
+    :func:`_node_weights`, at its Gauss nodes: shape (pairs,)."""
+    w, scale = _node_weights(p, q, steps, centers, radii, directions)
+    return 0.5 * (w[0] + w[1]).sum(axis=-1) * scale
+
+
+def _row_starts(rows: np.ndarray) -> np.ndarray:
+    """Where each row's run begins in the sorted row indices of ``np.nonzero``: every row
+    must have one entry or more."""
+    return np.flatnonzero(np.diff(rows, prepend=-1))
+
+
+def _piece_exponents(conn: SmoothConnection, p: np.ndarray, q: np.ndarray,
+                     steps: int, cover: np.ndarray) -> np.ndarray:
+    """-sum_k c_k X_k over the bumps ``cover`` marks for each [p, q] (shape (m, k), one or
+    more a row), c_k the bump's line integral at both Gauss nodes of ``steps``
+    sub-intervals: the exact transport's exponent where those X_k commute, shape (m, n, n)."""
+    rows, k = np.nonzero(cover)
+    c = _line_integrals(p[rows], q[rows], steps, conn._centers[k], conn._radii[k], conn._dirs[k])
+    return -np.add.reduceat(c[:, None, None] * conn._X[k], _row_starts(rows))
+
+
+def _segment_transport(conn: SmoothConnection, p: np.ndarray, q: np.ndarray,
+                       steps: int, cover: np.ndarray) -> np.ndarray:
+    """One fourth-order Magnus step per sub-interval (two Gauss nodes) of each [p, q],
+    shape (m, n, n), with the one-form summed over the bumps ``cover`` marks for that
+    interval (shape (m, k), one or more a row).  A bump that is 0 on part of an interval
+    adds exact zeros there."""
+    rows, k = np.nonzero(cover)
+    w, scale = _node_weights(p[rows], q[rows], steps, conn._centers[k], conn._radii[k], conn._dirs[k])
+    terms = (w * scale[:, None])[..., None, None] * conn._X[k][:, None]
+    M1, M2 = np.add.reduceat(terms, _row_starts(rows), axis=1)
     commutator = mg.stack_mul(M1, M2) - mg.stack_mul(M2, M1)
     omega = -0.5 * (M1 + M2) - (np.sqrt(3.0) / 12.0) * commutator
     # fold the sub-step axis, laid out first so each level's pairs are contiguous
     return _chain(np.ascontiguousarray(np.moveaxis(mg.exp_antihermitian(omega), -3, 0)))
 
 
-def _chord_intervals(polylines: Sequence, centers, radii):
-    """Polyline and ends p, q of every interval a bump integral must cover, in walk
-    order: the union of the chords :func:`_bump_chords` cuts from one segment, where
-    the bumps live."""
+def _pieces(polylines: Sequence, centers, radii):
+    """Every piece of a segment that a bump integral must cover, in walk order: its
+    polyline and segment, its ends p and q, and its cover, the disks whose chords hold
+    it (shape (pieces, k)).
+
+    Each segment is cut at every chord end of :func:`_bump_chords`, sorted with the
+    missed disks' ends as inf; the pieces no disk covers are dropped.  A piece lies
+    between two successive chord ends, so a chord holds all of it or none of it."""
     lines = [np.atleast_2d(np.asarray(line, dtype=float)) for line in polylines]
     owner = np.repeat(np.arange(len(lines)), [len(pts) - 1 for pts in lines])
     starts = np.concatenate([pts[:-1] for pts in lines])
     ends = np.concatenate([pts[1:] for pts in lines])
     t0, t1 = _bump_chords(starts, ends, centers, radii)
     # a chord under 1e-12 wide is roundoff where a segment ends on a circle; the bump is 0 there
-    rows, cols = np.nonzero(t1 - t0 > 1e-12)
-    spans = []  # [segment, a, b]: the union of each segment's chords, in walk order
-    for j, a, b in sorted(zip(rows, t0[rows, cols], t1[rows, cols])):
-        if spans and spans[-1][0] == j and a <= spans[-1][2]:
-            spans[-1][2] = max(spans[-1][2], b)
-        else:
-            spans.append([j, a, b])
-    j, a, b = np.array(spans).reshape(-1, 3).T
-    j = j.astype(int)
-    return owner[j], *(starts[j] + t[:, None] * (ends[j] - starts[j]) for t in (a, b))
+    wide = t1 - t0 > 1e-12
+    t0, t1 = np.where(wide, t0, np.inf), np.where(wide, t1, np.inf)
+    cuts = np.sort(np.concatenate([t0, t1], axis=1), axis=1)
+    a, b = cuts[:, :-1], cuts[:, 1:]
+    cover = (t0[:, None] <= a[..., None]) & (b[..., None] <= t1[:, None])
+    seg, i = np.nonzero((a < b) & cover.any(axis=-1))
+    a, b, d = a[seg, i], b[seg, i], ends[seg] - starts[seg]
+    return owner[seg], seg, starts[seg] + a[:, None] * d, starts[seg] + b[:, None] * d, cover[seg, i]
 
 
 def _refine(integrate, count: int, tol: float, floor: float = 1e-10):
@@ -421,14 +478,43 @@ def _refine(integrate, count: int, tol: float, floor: float = 1e-10):
 
 def _transport_batch(conn: SmoothConnection, polylines: Sequence, tol: float):
     """Transports along many polylines in one batched pass, shape (len(polylines), n, n),
-    and the levels and differences of :func:`_refine` over :func:`_chord_intervals`."""
-    owner, p, q = _chord_intervals(polylines, conn._centers, conn._radii)
-    u, level, diff = _refine(lambda idx, steps: _segment_transport(conn, p[idx], q[idx], steps),
-                             len(p), tol)
-    out = np.repeat(np.eye(mg.dim(conn.descriptor), dtype=complex)[None], len(polylines), axis=0)
-    for k, m in zip(owner, u):
-        out[k] = m @ out[k]
-    return out, level, diff
+    and the levels and differences of :func:`_refine`, one per refined piece.
+
+    On a piece of :func:`_pieces` whose bumps commute pairwise the transport is exactly
+    exp(-sum_k c_k X_k), c_k the bump's scalar line integral: such a piece refines that
+    exponent, and one ``exp_antihermitian`` call takes them all at the end.  A run of
+    adjacent pieces of one segment whose bumps do not commute is one Magnus interval of
+    :func:`_segment_transport`, covered by the bumps of all its pieces.  Both kinds
+    refine together, each in Frobenius norm: ``|exp A - exp B| <= |A - B|`` for
+    anti-hermitian A and B, so ``tol`` bounds the transport either way."""
+    n = mg.dim(conn.descriptor)
+    owner, seg, p, q, cover = _pieces(polylines, conn._centers, conn._radii)
+    out = np.repeat(np.eye(n, dtype=complex)[None], len(polylines), axis=0)
+    if not len(p):
+        return out, np.zeros(0, dtype=int), np.zeros(0)
+    magnus = (cover & (cover @ ~conn._commutes)).any(axis=1)
+    run = np.zeros_like(magnus)  # a Magnus piece that starts where the one before it ends
+    run[1:] = magnus[1:] & magnus[:-1] & (seg[1:] == seg[:-1]) & np.all(p[1:] == q[:-1], axis=-1)
+    heads = np.flatnonzero(~run)
+    tails = np.append(heads[1:], len(run)) - 1
+    owner, p, q, magnus = owner[heads], p[heads], q[tails], magnus[heads]
+    cover = np.logical_or.reduceat(cover, heads)
+
+    def integrate(idx, steps):
+        val = np.empty((len(idx), n, n), dtype=complex)
+        for kernel, mask in ((_segment_transport, magnus[idx]), (_piece_exponents, ~magnus[idx])):
+            if mask.any():
+                i = idx[mask]
+                val[mask] = kernel(conn, p[i], q[i], steps, cover[i])
+        return val
+
+    u, level, diff = _refine(integrate, len(p), tol)
+    u[~magnus] = mg.exp_antihermitian(u[~magnus])
+    # fold each polyline's pieces in walk order, padded with identities to a common count
+    rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    chains = np.repeat(out[None], rank.max() + 1, axis=0)
+    chains[rank, owner] = u
+    return _chain(chains), level, diff
 
 
 def transport(conn: SmoothConnection, polyline, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -506,19 +592,20 @@ class InterpolationTarget:
 
 def _bump_coefficients(centers, radii, directions, polylines: Sequence) -> np.ndarray:
     """Integral of phi_k(x) <u_k, dx> along polyline k for every k, in one :func:`_refine`
-    pass to ``COEFFICIENT_TOL`` over the chords the bumps cut from the lines.  Polyline k
-    must meet no disk but k's, as interpolation's room guarantees, so its chords are k's."""
+    pass to ``COEFFICIENT_TOL``: :func:`_line_integrals`, the integral of transport's
+    commuting pieces, on the pieces of :func:`_pieces` that polyline k's own disk covers."""
     centers, radii, directions = (np.asarray(a, dtype=float) for a in (centers, radii, directions))
-    owner, p, q = _chord_intervals(polylines, centers, radii)
-    c, r, u = centers[owner][:, None, :], radii[owner][:, None], directions[owner]
+    owner, _, p, q, cover = _pieces(polylines, centers, radii)
+    piece, disk = np.nonzero(cover)
+    own = disk == owner[piece]
+    piece, disk = piece[own], disk[own]
 
     def integrate(idx, steps):
-        x1, x2, delta = _gauss_nodes(p[idx], q[idx], steps)
-        weights = bump_value(x1, c[idx], r[idx]) + bump_value(x2, c[idx], r[idx])
-        return 0.5 * weights.sum(axis=-1) * np.sum(delta * u[idx], axis=-1)
+        k = disk[idx]
+        return _line_integrals(p[piece[idx]], q[piece[idx]], steps, centers[k], radii[k], directions[k])
 
-    values = _refine(integrate, len(p), COEFFICIENT_TOL, floor=1e-14)[0]
-    return np.bincount(owner, values, minlength=len(polylines))
+    values = _refine(integrate, len(piece), COEFFICIENT_TOL, floor=1e-14)[0]
+    return np.bincount(owner[piece], values, minlength=len(polylines))
 
 
 def interpolate_connection(graph: Graph, targets: Sequence[InterpolationTarget],

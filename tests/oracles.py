@@ -51,11 +51,18 @@ per edge), ``split_holonomy_per_factor`` (one transport per factor of a
 product-group connection) and ``transport_whole_segments`` (the adaptive
 Magnus transport over every whole segment that a bump comes near, from a
 caller-chosen start count, which can step over a bump that only grazes a
-long segment) and ``transport_per_interval`` (the chord-union transport
-that refines one interval at a time, each with its own loop of
-``_segment_transport`` calls, where the library refines every interval of
-every polyline together; like the library, it stops an interval at the
-tolerance only when the previous difference was within 256 times it), and
+long segment, with the all-bump Magnus step ``segment_transport_all_bumps``),
+``transport_all_magnus`` (the library's transport before it took exact
+exponentials: every bump evaluated at every Gauss node of the union of each
+segment's chords, ``_chord_intervals``, and a Magnus step per sub-interval,
+where the library cuts pieces at every chord end and takes
+exp(-sum_k c_k X_k) wherever the bumps on a piece commute) and
+``transport_per_interval`` (the piece transport that splits each segment in a
+Python loop, ``segment_pieces``, and refines one piece or Magnus run at a time,
+each with its own loop of ``_piece_exponents`` or ``_segment_transport`` calls,
+where the library refines every piece of every polyline together; like the
+library, it stops a piece at the tolerance only when the previous difference
+was within 256 times it), and
 ``depends_on`` and ``dependencies`` (the breadth-first factor search, capped
 by a bound, that decided closure functoriality before the library found
 every relation among a loop family by one Stallings fold).
@@ -78,7 +85,10 @@ from holonomy_lab.connections import (
     GeneralizedConnection,
     SmoothConnection,
     _bump_chords,
+    _chain,
     _gauss_nodes,
+    _piece_exponents,
+    _refine,
     _segment_distances,
     _segment_transport,
     bump_value,
@@ -390,6 +400,53 @@ def transport_field(field, polyline, n, steps=64):
     return acc
 
 
+def segment_transport_all_bumps(conn: SmoothConnection, p: np.ndarray, q: np.ndarray,
+                                steps: int) -> np.ndarray:
+    """One fourth-order Magnus step per sub-interval (two Gauss nodes) of [p, q];
+    p, q may lead with an interval axis, with the same arithmetic per interval."""
+    x1, x2, delta = _gauss_nodes(p, q, steps)
+    scale = np.sum(delta[..., None, :] * conn._dirs, axis=-1)[..., None, :]
+    M1, M2 = (np.tensordot(conn.coefficients(x) * scale, conn._X, axes=(-1, 0)) for x in (x1, x2))
+    commutator = mg.stack_mul(M1, M2) - mg.stack_mul(M2, M1)
+    omega = -0.5 * (M1 + M2) - (np.sqrt(3.0) / 12.0) * commutator
+    # fold the sub-step axis, laid out first so each level's pairs are contiguous
+    return _chain(np.ascontiguousarray(np.moveaxis(mg.exp_antihermitian(omega), -3, 0)))
+
+
+def _chord_intervals(polylines: Sequence, centers, radii):
+    """Polyline and ends p, q of every interval a bump integral must cover, in walk
+    order: the union of the chords :func:`_bump_chords` cuts from one segment, where
+    the bumps live."""
+    lines = [np.atleast_2d(np.asarray(line, dtype=float)) for line in polylines]
+    owner = np.repeat(np.arange(len(lines)), [len(pts) - 1 for pts in lines])
+    starts = np.concatenate([pts[:-1] for pts in lines])
+    ends = np.concatenate([pts[1:] for pts in lines])
+    t0, t1 = _bump_chords(starts, ends, centers, radii)
+    # a chord under 1e-12 wide is roundoff where a segment ends on a circle; the bump is 0 there
+    rows, cols = np.nonzero(t1 - t0 > 1e-12)
+    spans = []  # [segment, a, b]: the union of each segment's chords, in walk order
+    for j, a, b in sorted(zip(rows, t0[rows, cols], t1[rows, cols])):
+        if spans and spans[-1][0] == j and a <= spans[-1][2]:
+            spans[-1][2] = max(spans[-1][2], b)
+        else:
+            spans.append([j, a, b])
+    j, a, b = np.array(spans).reshape(-1, 3).T
+    j = j.astype(int)
+    return owner[j], *(starts[j] + t[:, None] * (ends[j] - starts[j]) for t in (a, b))
+
+
+def transport_all_magnus(conn: SmoothConnection, polylines: Sequence, tol: float):
+    """Transports along many polylines in one batched pass, shape (len(polylines), n, n),
+    and the levels and differences of :func:`_refine` over :func:`_chord_intervals`."""
+    owner, p, q = _chord_intervals(polylines, conn._centers, conn._radii)
+    u, level, diff = _refine(lambda idx, steps: segment_transport_all_bumps(conn, p[idx], q[idx], steps),
+                             len(p), tol)
+    out = np.repeat(np.eye(mg.dim(conn.descriptor), dtype=complex)[None], len(polylines), axis=0)
+    for k, m in zip(owner, u):
+        out[k] = m @ out[k]
+    return out, level, diff
+
+
 def transport_whole_segments(conn, polyline, steps=DEFAULT_STEPS, tol=DEFAULT_TOL):
     """Transport matrix along a polyline, adaptive per segment.
 
@@ -408,11 +465,11 @@ def transport_whole_segments(conn, polyline, steps=DEFAULT_STEPS, tol=DEFAULT_TO
                   < conn._radii[:, None], axis=0)
     for p, q in zip(pts[:-1][near], pts[1:][near]):
         s = steps
-        u = _segment_transport(conn, p, q, s)
+        u = segment_transport_all_bumps(conn, p, q, s)
         prev = None
         for _ in range(MAX_DOUBLINGS):
             s *= 2
-            u2 = _segment_transport(conn, p, q, s)
+            u2 = segment_transport_all_bumps(conn, p, q, s)
             diff = np.linalg.norm(u2 - u)
             u = u2
             # stop on target accuracy; a stall check guards against spinning
@@ -425,50 +482,77 @@ def transport_whole_segments(conn, polyline, steps=DEFAULT_STEPS, tol=DEFAULT_TO
     return acc
 
 
-def transport_per_interval(conn, polyline, tol=DEFAULT_TOL):
-    """Transport along a polyline over the union of each segment's bump
-    chords, refining one interval at a time.
+def commuting(X: np.ndarray, i: int, j: int) -> bool:
+    """Whether generators i and j commute to roundoff: ||[X_i, X_j]|| <= 1e-14 ||X_i|| ||X_j||."""
+    gap = np.linalg.norm(X[i] @ X[j] - X[j] @ X[i])
+    return i == j or gap <= 1e-14 * np.linalg.norm(X[i]) * np.linalg.norm(X[j])
 
-    Returns the matrix and, per interval in walk order, its doubling level
-    and last difference.
+
+def segment_pieces(conn, p, q):
+    """The pieces of segment [p, q] in walk order, as [a, b, disks, magnus] in segment
+    parameters: cut at every chord end, kept where some disk holds the piece, and
+    joined into one Magnus run where adjacent pieces each hold non-commuting bumps."""
+    t0, t1 = _bump_chords(p[None], q[None], conn._centers, conn._radii)
+    chords = [(k, a, b) for k, (a, b) in enumerate(zip(t0[0], t1[0])) if b - a > 1e-12]
+    cuts = sorted(t for _, a, b in chords for t in (a, b))
+    runs = []
+    for a, b in zip(cuts, cuts[1:]):
+        disks = [k for k, c0, c1 in chords if c0 <= a and b <= c1]
+        if not (a < b and disks):
+            continue
+        magnus = not all(commuting(conn._X, i, j) for i in disks for j in disks)
+        if magnus and runs and runs[-1][3] and runs[-1][1] == a:
+            runs[-1][1], runs[-1][2] = b, sorted(set(runs[-1][2]) | set(disks))
+        else:
+            runs.append([a, b, disks, magnus])
+    return runs
+
+
+def transport_per_interval(conn, polyline, tol=DEFAULT_TOL):
+    """Transport along a polyline over the pieces of :func:`segment_pieces`, refining
+    one piece at a time: the exponent -sum_k c_k X_k of a commuting piece, or the
+    Magnus transport of a run.
+
+    Returns the matrix and, per piece in walk order, its doubling level and last
+    difference.
     """
     pts = np.atleast_2d(np.asarray(polyline, dtype=float))
-    acc = np.eye(mg.dim(conn.descriptor), dtype=complex)
+    n = mg.dim(conn.descriptor)
+    acc = np.eye(n, dtype=complex)
     levels, diffs = [], []
-    if not conn.terms:
-        return acc, levels, diffs
-    t0, t1 = _bump_chords(pts[:-1], pts[1:], conn._centers, conn._radii)
-    rows, cols = np.nonzero(t1 > t0)
-    spans = []  # [segment, a, b]: the union of each segment's chords, in order
-    for j, a, b in sorted(zip(rows, t0[rows, cols], t1[rows, cols])):
-        if spans and spans[-1][0] == j and a <= spans[-1][2]:
-            spans[-1][2] = max(spans[-1][2], b)
-        else:
-            spans.append([j, a, b])
-    for j, a, b in spans:
-        p, q = pts[j] + a * (pts[j + 1] - pts[j]), pts[j] + b * (pts[j + 1] - pts[j])
-        s, prev = DEFAULT_STEPS, None
-        u = _segment_transport(conn, p, q, s)
-        level, diff = 0, np.inf
-        for _ in range(MAX_DOUBLINGS):
-            s *= 2
-            u2 = _segment_transport(conn, p, q, s)
-            diff = np.linalg.norm(u2 - u)
-            u = u2
-            level += 1
-            # stop on target accuracy once the previous change was near it too
-            # (two levels agreeing by chance is no convergence); a stall check
-            # guards against spinning on a tolerance below the roundoff floor,
-            # but only once the change is already tiny (convergence need not
-            # be monotone)
-            confirmed = prev is not None and prev <= 256 * tol
-            if (diff <= tol and confirmed) or (prev is not None and diff > 0.5 * prev
-                                               and diff < 1e-10):
-                break
-            prev = diff
-        levels.append(level)
-        diffs.append(diff)
-        acc = u @ acc
+    for j in range(len(pts) - 1):
+        d = pts[j + 1] - pts[j]
+        for a, b, disks, magnus in segment_pieces(conn, pts[j], pts[j + 1]):
+            p, q = pts[j] + a * d, pts[j] + b * d
+
+            kernel = _segment_transport if magnus else _piece_exponents
+            cover = np.isin(np.arange(len(conn.terms)), disks)[None]
+
+            def integrate(steps):
+                return kernel(conn, p[None], q[None], steps, cover)[0]
+
+            s, prev = DEFAULT_STEPS, None
+            u = integrate(s)
+            level, diff = 0, np.inf
+            for _ in range(MAX_DOUBLINGS):
+                s *= 2
+                u2 = integrate(s)
+                diff = np.linalg.norm(u2 - u)
+                u = u2
+                level += 1
+                # stop on target accuracy once the previous change was near it too
+                # (two levels agreeing by chance is no convergence); a stall check
+                # guards against spinning on a tolerance below the roundoff floor,
+                # but only once the change is already tiny (convergence need not
+                # be monotone)
+                confirmed = prev is not None and prev <= 256 * tol
+                if (diff <= tol and confirmed) or (prev is not None and diff > 0.5 * prev
+                                                   and diff < 1e-10):
+                    break
+                prev = diff
+            levels.append(level)
+            diffs.append(diff)
+            acc = (u if magnus else mg.exp_antihermitian(u)) @ acc
     return acc, levels, diffs
 
 

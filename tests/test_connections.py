@@ -71,6 +71,7 @@ from oracles import (
     scalar_line_integral_midpoint,
     split_holonomy_per_factor,
     transport_field,
+    transport_all_magnus,
     transport_per_interval,
     transport_whole_segments,
 )
@@ -182,12 +183,13 @@ def test_segment_distances_match_oracle(line, points):
         assert abs(row.min() - point_polyline_distance(x, line)) <= atol
 
 
-def covered_intervals(p, q, terms):
-    """The parts of [p, q] inside some bump's disk, as [a, b] in segment parameters.
+def covered_pieces(p, q, terms):
+    """The pieces of [p, q] inside some bump's disk, as [a, b, disks] in segment
+    parameters, with the indices of the disks that hold each.
 
     Each chord runs from the foot of the perpendicular from the center by
     Pythagoras; the pieces between successive chord ends are kept where
-    their midpoint lies in a disk, and touching kept pieces are joined.
+    their midpoint lies in a disk.
     """
     d = q - p
     L2 = float(d @ d)
@@ -206,11 +208,9 @@ def covered_intervals(p, q, terms):
     out = []
     for a, b in zip(ends, ends[1:]):
         mid = p + 0.5 * (a + b) * d
-        if any(np.linalg.norm(mid - np.array(t.center)) < t.radius for t in terms):
-            if out and out[-1][1] == a:
-                out[-1][1] = b
-            else:
-                out.append([a, b])
+        disks = [k for k, t in enumerate(terms) if np.linalg.norm(mid - np.array(t.center)) < t.radius]
+        if disks:
+            out.append([a, b, disks])
     return out
 
 
@@ -221,23 +221,32 @@ def covered_intervals(p, q, terms):
 @example(line=np.array([(-1.0, -0.0963536), (0.0, 0.0)]), centers=[(0.0, 0.25)],
          radii=[0.25, 0.25, 0.25, 0.25])
 def test_transport_integrates_exactly_the_union_of_chords(line, centers, radii):
+    # one generator, so every piece commutes: each is integrated on its own, and the
+    # pieces tile the union of the chords, cut at every chord end
     X = np.array([[0.5j, 0.3], [-0.3, -0.5j]])
     conn = SmoothConnection(SU2, [BumpTerm(X, c, r, (0.6, 0.8))
                                   for c, r in zip(centers, radii)])
-    want = [(p + a * (q - p), p + b * (q - p)) for p, q in zip(line[:-1], line[1:])
-            for a, b in covered_intervals(p, q, conn.terms)]
-    with mock.patch.object(connections, "_segment_transport",
-                           wraps=connections._segment_transport) as spy:
+    want = [(p + a * (q - p), p + b * (q - p), disks) for p, q in zip(line[:-1], line[1:])
+            for a, b, disks in covered_pieces(p, q, conn.terms)]
+    with mock.patch.object(connections, "_node_weights",
+                           wraps=connections._node_weights) as spy, \
+            mock.patch.object(connections, "_segment_transport",
+                              wraps=connections._segment_transport) as kernel:
         transport(conn, line)
+    assert kernel.call_count == 0
     if not want:
         assert spy.call_count == 0
         return
-    # the first call stacks every interval at DEFAULT_STEPS, in walk order
-    first = spy.call_args_list[0].args
-    assert first[3] == connections.DEFAULT_STEPS
-    assert len(first[1]) == len(first[2]) == len(want)
-    for p, q, (a, b) in zip(first[1], first[2], want):
-        assert frob(p, a) <= 1e-9 and frob(q, b) <= 1e-9
+    # the first call stacks one row per (piece, covering disk) at DEFAULT_STEPS, in walk order
+    p, q, steps, centers_arg = spy.call_args_list[0].args[:4]
+    assert steps == connections.DEFAULT_STEPS
+    assert len(p) == len(q) == sum(len(disks) for _, _, disks in want)
+    row = 0
+    for a, b, disks in want:
+        for k in disks:
+            assert frob(p[row], a) <= 1e-9 and frob(q[row], b) <= 1e-9
+            assert np.array_equal(centers_arg[row], conn._centers[k])
+            row += 1
 
 
 @st.composite
@@ -325,12 +334,13 @@ def test_transport_finds_separated_grazing_bumps():
 
 @st.composite
 def bump_polyline_families(draw):
-    """One to four polylines and one to four SU(2) or U(3) bumps anchored near
-    their points, so that most polylines cross some bump."""
+    """One to four polylines and one to four SU(2), U(3), T2 or T1 x SU(2) bumps
+    anchored near their points, so that most polylines cross some bump and many
+    bumps overlap."""
     coord = st.floats(-2.0, 2.0)
     lines = [np.array(draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=5)))
              for _ in range(draw(st.integers(1, 4)))]
-    desc = draw(st.sampled_from([SU2, mg.Unitary(3)]))
+    desc = draw(st.sampled_from([SU2, mg.Unitary(3), T2, PROD]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     pool = np.concatenate(lines)
     terms = [BumpTerm(mg.random_algebra(desc, rng, scale=draw(st.floats(0.2, 3.0))).matrix,
@@ -341,7 +351,8 @@ def bump_polyline_families(draw):
 
 
 def per_interval_oracle(conn, lines, tol):
-    """transport_per_interval on each polyline: matrices and concatenated levels."""
+    """transport_per_interval on each polyline: matrices and concatenated levels, one
+    per commuting piece or Magnus run."""
     outs = [transport_per_interval(conn, line, tol) for line in lines]
     return [m for m, _, _ in outs], [lv for _, levels, _ in outs for lv in levels]
 
@@ -359,13 +370,95 @@ def test_batched_transport_matches_per_interval_oracle(case):
     assert np.all(levels >= 1) and len(diffs) == len(levels)
 
 
+@settings(max_examples=120, deadline=None)
+@given(case=bump_polyline_families())
+def test_transport_matches_all_magnus_oracle(case):
+    # exact exponentials on commuting pieces against Magnus on every chord union, the
+    # oracle at a tighter tol: each side alone may stray up to ~7e-10 at the default
+    conn, lines = case
+    got = connections._transport_batch(conn, lines, DEFAULT_TOL)[0]
+    want = transport_all_magnus(conn, lines, 1e-11)[0]
+    for g, w in zip(got, want):
+        assert frob(g, w) <= 1e-9
+
+
+def test_commutation_table():
+    rng = np.random.default_rng(31)
+    X, Y = (mg.random_algebra(SU2, rng).matrix for _ in range(2))
+    conn = SmoothConnection(SU2, [BumpTerm(m, (0.0, 0.0), 1.0, (1.0, 0.0))
+                                  for m in (X, 2.5 * X, Y, np.zeros((2, 2)))])
+    want = np.array([[1, 1, 0, 1], [1, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 1]], dtype=bool)
+    assert np.array_equal(conn._commutes, want)
+    torus = random_smooth_connection(T2, pentagon_chord_graph(), 3, seed=5)
+    assert torus._commutes.shape == (3, 3) and torus._commutes.all()
+    assert SmoothConnection(PROD, [])._commutes.shape == (0, 0)
+
+
+def test_torus_transport_makes_no_magnus_call():
+    graph = pentagon_chord_graph()
+    lines = [edge_polyline(graph, eid) for eid in graph.edges]
+    conn = random_smooth_connection(T2, graph, 6, seed=37)
+    with mock.patch.object(connections, "_segment_transport",
+                           wraps=connections._segment_transport) as kernel:
+        got = connections._transport_batch(conn, lines, DEFAULT_TOL)[0]
+    assert kernel.call_count == 0
+    want = transport_all_magnus(conn, lines, DEFAULT_TOL)[0]
+    assert max(frob(g, w) for g, w in zip(got, want)) <= 1e-9
+    assert max(frob(g, np.eye(2)) for g in got) > 0.1  # the bumps act
+
+
+def test_overlapping_noncommuting_bumps_send_exactly_their_overlap_to_magnus():
+    # two SU(2) bumps whose disks overlap on the x axis, with [X, Y] != 0: the
+    # overlap is the one Magnus interval, each bump alone an exact exponential
+    terms = [BumpTerm(np.array([[1.5j, 0.0], [0.0, -1.5j]]), (-0.3, 0.1), 0.5, (0.6, 0.8)),
+             BumpTerm(np.array([[0.0, 1.2], [-1.2, 0.0]]), (0.25, -0.05), 0.45, (1.0, 0.2))]
+    conn = SmoothConnection(SU2, terms)
+    line = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    chords = [(t.center[0] - np.sqrt(t.radius ** 2 - t.center[1] ** 2),
+               t.center[0] + np.sqrt(t.radius ** 2 - t.center[1] ** 2)) for t in terms]
+    (lo0, hi0), (lo1, hi1) = chords
+    assert lo0 < lo1 < hi0 < hi1
+    with mock.patch.object(connections, "_segment_transport",
+                           wraps=connections._segment_transport) as kernel, \
+            mock.patch.object(connections, "_piece_exponents",
+                              wraps=connections._piece_exponents) as exponents:
+        got = transport(conn, line)
+    p, q, steps, cover = kernel.call_args_list[0].args[1:]
+    assert steps == connections.DEFAULT_STEPS and cover.tolist() == [[True, True]]
+    assert frob(p, [[lo1, 0.0]]) <= 1e-12 and frob(q, [[hi0, 0.0]]) <= 1e-12
+    assert all(len(call.args[1]) == 1 for call in kernel.call_args_list)
+    p, q, _, cover = exponents.call_args_list[0].args[1:]
+    assert frob(p, [[lo0, 0.0], [hi0, 0.0]]) <= 1e-12
+    assert frob(q, [[lo1, 0.0], [hi1, 0.0]]) <= 1e-12
+    assert cover.tolist() == [[True, False], [False, True]]
+    assert frob(got, transport_all_magnus(conn, [line], DEFAULT_TOL)[0][0]) <= 1e-9
+
+
+@pytest.mark.parametrize("desc", [SU2, PROD], ids=["su2", "t1xsu2"])
+def test_every_refined_piece_has_one_convergence_record(desc):
+    # below roundoff, every commuting piece and every Magnus run stops on the stall
+    # guard before MAX_DOUBLINGS, and each has its level and last difference
+    graph = pentagon_chord_graph()
+    lines = [edge_polyline(graph, eid) for eid in graph.edges]
+    conn = random_smooth_connection(desc, graph, 6, seed=41)
+    with mock.patch.object(connections, "_segment_transport",
+                           wraps=connections._segment_transport) as kernel, \
+            mock.patch.object(connections, "_piece_exponents",
+                              wraps=connections._piece_exponents) as exponents:
+        _, levels, diffs = connections._transport_batch(conn, lines, 1e-18)
+    runs, pieces = (len(spy.call_args_list[0].args[1]) for spy in (kernel, exponents))
+    assert runs > 0 and pieces > 0
+    assert len(levels) == len(diffs) == runs + pieces
+    assert np.all((1 <= levels) & (levels < MAX_DOUBLINGS)) and np.all(diffs < 1e-10)
+
+
 def test_batched_transport_stalls_like_the_oracle_below_roundoff():
-    # no refinement reaches 1e-18: every interval must stop on the stall
-    # guard at the level the one-interval loop stops at, never run to the cap
+    # no refinement reaches 1e-18: every piece and run must stop on the stall
+    # guard at the level the one-piece loop stops at, never run to the cap
     rng = np.random.default_rng(23)
     graph = pentagon_chord_graph()
     lines = [edge_polyline(graph, eid) for eid in graph.edges]
-    for desc in (SU2, mg.Unitary(3)):
+    for desc in (SU2, mg.Unitary(3), T2, PROD):
         conn = random_smooth_connection(desc, graph, 5, seed=int(rng.integers(2 ** 16)))
         got, levels, diffs = connections._transport_batch(conn, lines, 1e-18)
         want, want_levels = per_interval_oracle(conn, lines, 1e-18)
@@ -384,14 +477,16 @@ def test_segment_transport_of_a_batch_is_each_interval_bitwise(desc, steps):
     conn = random_smooth_connection(desc, graph, 5, seed=29)
     lines = [edge_polyline(graph, eid) for eid in graph.edges]
     p, q = np.concatenate([ln[:-1] for ln in lines]), np.concatenate([ln[1:] for ln in lines])
-    got = _segment_transport(conn, p, q, steps)
+    cover = np.ones((len(p), len(conn.terms)), dtype=bool)
+    got = _segment_transport(conn, p, q, steps, cover)
     assert np.max(np.abs(got - np.eye(desc.n))) > 0.1  # the bumps act
-    for g, a, b in zip(got, p, q):
-        assert np.array_equal(g, _segment_transport(conn, a, b, steps))
+    for g, a, b, c in zip(got, p, q, cover):
+        assert np.array_equal(g, _segment_transport(conn, a[None], b[None], steps, c[None])[0])
 
 
 def test_approx_fills_all_edges_in_one_batched_pass():
-    # spider-8: 16 edges, each crossing bumps in several chord intervals
+    # spider-8: 16 edges, each crossing bumps in several chord intervals, each of them
+    # inside one bump's disk alone: every piece is exp(-c X), and none goes to Magnus
     graph = spider_graph(8)
     words = [compose(edge_word(graph, 9 + k), edge_word(graph, k + 1)) for k in range(8)]
     with mock.patch.object(connections, "_transport_batch",
@@ -401,7 +496,7 @@ def test_approx_fills_all_edges_in_one_batched_pass():
         report = approximation_experiment(graph, words, SU2, seed=1)
     assert report.verdict
     assert batch.call_count == 1 and len(batch.call_args.args[1]) == 16
-    assert 1 < kernel.call_count <= 1 + MAX_DOUBLINGS
+    assert kernel.call_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +547,12 @@ def test_transport_fourth_order_convergence():
     ]
     conn = SmoothConnection(SU2, terms)
     p, q = np.array([-1.4, -0.1]), np.array([1.3, 0.2])
-    ref = _segment_transport(conn, p, q, 4096)
+    both = np.ones((1, 2), dtype=bool)
+    ref = _segment_transport(conn, p[None], q[None], 4096, both)[0]
     # the two-node Magnus step is fourth order: halving the step size should
     # divide the error by about sixteen (the flat profile later does better)
-    errs = [np.linalg.norm(_segment_transport(conn, p, q, s) - ref) for s in (8, 16, 32)]
+    errs = [np.linalg.norm(_segment_transport(conn, p[None], q[None], s, both)[0] - ref)
+            for s in (8, 16, 32)]
     assert errs[0] > 1e-4  # the test has signal
     for a, b in zip(errs, errs[1:]):
         assert 10.0 < a / b < 26.0
@@ -1068,6 +1165,30 @@ def spider_targets(r):
                    for w, v, win in zip(words, values, default_windows(graph, words))]
 
 
+# the coefficients of the spider legs' interpolation targets, as the chord-union
+# integrator computed them: the piece integrand must reproduce them bit for bit
+SPIDER_COEFFICIENTS = {
+    4: ["0x1.9333333333333p-2"] * 3 + ["0x1.9333333333330p-2"],
+    8: ["0x1.9333333333332p-2", "0x1.9333333333333p-2", "0x1.9333333333333p-2",
+        "0x1.9333333333332p-2", "0x1.9333333333332p-2", "0x1.9333333333333p-2",
+        "0x1.9333333333332p-2", "0x1.9333333333332p-2"],
+}
+
+
+@pytest.mark.parametrize("r", [4, 8])
+@pytest.mark.parametrize("desc", [SU2, mg.SpecialUnitary(3)], ids=["su2", "su3"])
+def test_spider_coefficients_are_unchanged_bitwise(monkeypatch, r, desc):
+    seen = []
+    real = connections._bump_coefficients
+    monkeypatch.setattr(connections, "_bump_coefficients",
+                        lambda *args: seen.append(real(*args)) or seen[-1])
+    graph = spider_graph(r)
+    words = [leg_word(graph, r, k) for k in range(r)]
+    values = mg.haar_batch(desc, r, np.random.default_rng(r))
+    targets = [InterpolationTarget(w, mg.GroupElement(desc, v), tuple(win))
+               for w, v, win in zip(words, values, default_windows(graph, words))]
+    interpolate_connection(graph, targets)
+    assert [float(c).hex() for c in seen[0]] == SPIDER_COEFFICIENTS[r]
 def test_interpolation_refines_every_coefficient_in_one_loop():
     # the per-target loop made 5 node evaluations per target, 40 on spider-8
     graph, targets = spider_targets(8)
