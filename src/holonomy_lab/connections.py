@@ -45,12 +45,12 @@ the embedding of smooth connections into generalized ones: each edge
 carries its transport.  :func:`holonomies` is the one evaluator of path
 words: it integrates every edge its words walk that a restricted
 connection still lacks in one batched pass, then multiplies edge values
-like any other edge assignment.  A product of letters is a gather and a
-fold: the matrices and their adjoints are stacked once into one
-:func:`_adjoint_table`, a word becomes one integer index array into it,
-and :func:`_chain` folds the gathered rows (:func:`_word_product` for
-letters that already index a stack).  ``matrixgroups.repair`` takes the word
-stack whole, as ``admit`` takes each edge or gauge assignment (:func:`admit_values`).
+like any other edge assignment.  Every ordered product of letters (path
+words, loop relations, trace words, a polyline's transport pieces) is one
+:func:`_word_products` call: the matrices and their adjoints are stacked
+once, and all words of one length are one gather and one :func:`_chain`
+fold.  ``matrixgroups.repair`` takes the word stack whole, as ``admit`` takes
+each edge or gauge assignment (:func:`admit_values`).
 """
 
 from __future__ import annotations
@@ -107,17 +107,25 @@ class GeneralizedConnection:
         return mg.GroupElement(self.descriptor, self.values[eid], check=False)
 
 
-def _adjoint_table(mats: np.ndarray) -> np.ndarray:
-    """``mats`` of shape (k, n, n) followed by their adjoints: shape (2k, n, n)."""
-    return np.concatenate([mats, np.conj(np.swapaxes(mats, -1, -2))])
+def _word_products(mats: np.ndarray, words, keys=None) -> np.ndarray:
+    """Products of signed words over ``mats`` of shape (k, ..., n, n): shape (len(words), ..., n, n).
 
-
-def _word_product(table: np.ndarray, letters) -> np.ndarray:
-    """Product of index letters over an :func:`_adjoint_table` of k matrices: (i, 1)
-    reads row i and (i, -1) row k + i, the adjoint.  One index array gathers the
-    letters' rows, folded by :func:`_chain`; the first letter acts first."""
-    k = len(table) // 2
-    return _chain(table[[i if o == 1 else k + i for i, o in letters]])
+    ``keys`` names the k matrices, by default their positions.  A letter (x, 1) reads the
+    matrix named x and (x, -1) its adjoint, the first letter acts first, and the empty word is
+    the identity.  All words of one length are gathered by one index array into the table of
+    the matrices and their adjoints and folded by one :func:`_chain` call, so each product
+    is the pairwise fold of its own letters, whatever the batch."""
+    k = len(mats)
+    pos = range(k) if keys is None else {x: j for j, x in enumerate(keys)}
+    table = np.concatenate([mats, np.conj(np.swapaxes(mats, -1, -2))])
+    rows = [[pos[x] if o == 1 else k + pos[x] for x, o in w] for w in words]
+    by_length = {}
+    for j, r in enumerate(rows):
+        by_length.setdefault(len(r), []).append(j)
+    out = np.empty((len(rows),) + mats.shape[1:], dtype=complex)
+    for length, js in by_length.items():
+        out[js] = _chain(table[np.array([rows[j] for j in js]).T]) if length else np.eye(mats.shape[-1])
+    return out
 
 
 def holonomies(conn: GeneralizedConnection, words: Sequence[PathWord]) -> np.ndarray:
@@ -125,9 +133,8 @@ def holonomies(conn: GeneralizedConnection, words: Sequence[PathWord]) -> np.nda
 
     Every walked edge is checked before any matrix work, and a restricted
     connection integrates those it lacks in one batched pass.  The walked
-    edges' values and their adjoints form one :func:`_adjoint_table`; each
-    word is the :func:`_chain` of its letters' rows, gathered by one index
-    array (a unit is the identity), and the stack is repaired once by
+    edges' values are stacked once and every word is one :func:`_word_products`
+    word over that stack (a unit is the identity); the stack is repaired once by
     ``matrixgroups.repair``.
     """
     if not isinstance(conn, GeneralizedConnection):
@@ -142,14 +149,8 @@ def holonomies(conn: GeneralizedConnection, words: Sequence[PathWord]) -> np.nda
     if isinstance(values, _EdgeTransports):
         values.fill(edges)
     n = mg.dim(desc)
-    if edges:
-        table = _adjoint_table(np.stack([values[eid] for eid in edges]))
-        pos = {eid: k for k, eid in enumerate(edges)}
-        row = {(eid, o): pos[eid] if o == 1 else len(edges) + pos[eid] for eid, o in walked}
-    out = np.empty((len(words), n, n), dtype=complex)
-    for k, w in enumerate(words):
-        out[k] = _chain(table[[row[x] for x in w.letters]]) if w.letters else np.eye(n)
-    return mg.repair(desc, out)
+    mats = np.array([values[eid] for eid in edges], dtype=complex).reshape(-1, n, n)
+    return mg.repair(desc, _word_products(mats, [w.letters for w in words], edges))
 
 
 def holonomy_general(conn: GeneralizedConnection, word: PathWord) -> mg.GroupElement:
@@ -197,7 +198,8 @@ def gauge_act_general(conn: GeneralizedConnection, gauge: DiscreteGauge) -> Gene
     if not edges:
         return GeneralizedConnection(conn.graph, conn.descriptor, {})
     g = np.stack([(gauge.values[e.src], gauge.values[e.dst]) for e in edges.values()])
-    out = gauge_transform(np.stack([conn.values[eid] for eid in edges]), g[:, 0], g[:, 1])
+    values = dict(conn.values.items())  # one whole read
+    out = gauge_transform(np.stack([values[eid] for eid in edges]), g[:, 0], g[:, 1])
     return GeneralizedConnection(conn.graph, conn.descriptor, dict(zip(edges, out)))
 
 
@@ -279,10 +281,6 @@ class SmoothConnection:
             gap = np.linalg.norm((mg.stack_mul(X, Y) - mg.stack_mul(Y, X)).reshape(k, k, n * n), axis=-1)
             self._commutes = (gap <= 1e-14 * np.outer(size, size)) | np.eye(k, dtype=bool)
 
-    def coefficients(self, points) -> np.ndarray:
-        """phi_k at each point: shape (npoints, nterms)."""
-        return bump_value(points, self._centers, self._radii)
-
 
 def random_smooth_connection(descriptor, graph: Graph, n_terms: int, seed: int) -> SmoothConnection:
     """Random bump terms of radius 0.6 and generator scale 0.8, centered near curve points
@@ -338,7 +336,7 @@ def _chain(mats: np.ndarray) -> np.ndarray:
         m = mats.shape[0]
         even = mats[0:m - m % 2]
         paired = mg.stack_mul(even[1::2], even[0::2])
-        mats = np.concatenate([paired, mats[m - m % 2:]], axis=0)
+        mats = np.concatenate([paired, mats[m - 1:]], axis=0) if m % 2 else paired
     return mats[0]
 
 
@@ -489,9 +487,9 @@ def _transport_batch(conn: SmoothConnection, polylines: Sequence, tol: float):
     anti-hermitian A and B, so ``tol`` bounds the transport either way."""
     n = mg.dim(conn.descriptor)
     owner, seg, p, q, cover = _pieces(polylines, conn._centers, conn._radii)
-    out = np.repeat(np.eye(n, dtype=complex)[None], len(polylines), axis=0)
     if not len(p):
-        return out, np.zeros(0, dtype=int), np.zeros(0)
+        identities = np.repeat(np.eye(n, dtype=complex)[None], len(polylines), axis=0)
+        return identities, np.zeros(0, dtype=int), np.zeros(0)
     magnus = (cover & (cover @ ~conn._commutes)).any(axis=1)
     run = np.zeros_like(magnus)  # a Magnus piece that starts where the one before it ends
     run[1:] = magnus[1:] & magnus[:-1] & (seg[1:] == seg[:-1]) & np.all(p[1:] == q[:-1], axis=-1)
@@ -510,11 +508,10 @@ def _transport_batch(conn: SmoothConnection, polylines: Sequence, tol: float):
 
     u, level, diff = _refine(integrate, len(p), tol)
     u[~magnus] = mg.exp_antihermitian(u[~magnus])
-    # fold each polyline's pieces in walk order, padded with identities to a common count
-    rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
-    chains = np.repeat(out[None], rank.max() + 1, axis=0)
-    chains[rank, owner] = u
-    return _chain(chains), level, diff
+    # each polyline is the word of its pieces in walk order
+    ends = np.searchsorted(owner, np.arange(len(polylines) + 1))
+    words = [[(j, 1) for j in range(a, b)] for a, b in zip(ends[:-1], ends[1:])]
+    return _word_products(u, words), level, diff
 
 
 def transport(conn: SmoothConnection, polyline, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -544,6 +541,10 @@ class _EdgeTransports(Mapping):
         if eid not in self._cache:
             self.fill([eid])
         return self._cache[eid]
+
+    def items(self):  # a whole read integrates every edge in one pass
+        self.fill(self._graph.edges)
+        return super().items()
 
     def __contains__(self, eid):
         return eid in self._graph.edges

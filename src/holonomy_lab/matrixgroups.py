@@ -458,7 +458,8 @@ def exp_antihermitian(X: np.ndarray) -> np.ndarray:
     u, w = np.copysign(s * np.cos(third), c0), np.sqrt(c1) * np.sin(third)
     u2, w2 = u * u, w * w
     ph, eu = np.exp(1j * t), np.exp(1j * u)  # one phase for all three roots: unitary
-    e2, em = ph * eu * eu, ph * eu.conj()
+    # not ph * eu.conj(): numpy swaps operands to reuse a big temporary; FMA is not commutative
+    e2, em = ph * eu * eu, np.multiply(ph, eu.conj())
     a, b = em * np.cos(w), 1j * em * _sinc(w)
     inv = 1.0 / (9.0 * u2 - w2)
     f0 = ((u2 - w2) * e2 + 8.0 * u2 * a + 2.0 * u * (3.0 * u2 + w2) * b) * inv

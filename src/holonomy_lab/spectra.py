@@ -41,8 +41,7 @@ from .connections import (
     InterpolationTarget,
     path_polyline,
     restrict,
-    _adjoint_table,
-    _word_product,
+    _word_products,
 )
 from .pathgroupoid import (
     Graph,
@@ -494,11 +493,11 @@ def _loop_verdict(data: LoopAssignment, bound, tol) -> ClosureVerdict:
             A, exp_rank = exponents()
             return _abelian_check(A, np.diagonal(stack, axis1=1, axis2=2), bound, tol, mode,
                                   exp_rank == len(A))
-        table = _adjoint_table(stack)
-        for j, rel in enumerate(relations):
-            if np.linalg.norm(_word_product(table, rel) - np.eye(len(stack[0]))) > tol:
-                return ClosureVerdict(False, mode, True, rel,
-                                      "loop values violate a relation among the loops", j + 1)
+        residuals = _word_products(stack, relations) - np.eye(stack.shape[-1])
+        broken = np.flatnonzero(np.linalg.norm(residuals, axis=(1, 2)) > tol)
+        if broken.size:  # the first broken relation, numbered from 1
+            return ClosureVerdict(False, mode, True, relations[broken[0]],
+                                  "loop values violate a relation among the loops", int(broken[0]) + 1)
         A, exp_rank = exponents()
         detail = (f"every relation among the loops holds ({len(relations)} found)" if relations else
                   "the loops obey no relation, so they are independent")

@@ -62,7 +62,8 @@ def one_form(conn: SmoothConnection, points, vector) -> np.ndarray:
     n = mg.dim(conn.descriptor)
     if not conn.terms:
         return np.zeros(pts.shape[:-1] + (n, n), dtype=complex)
-    w = conn.coefficients(np.atleast_2d(pts)) * (conn._dirs @ np.asarray(vector, dtype=float))
+    phi = bump_value(np.atleast_2d(pts), conn._centers, conn._radii)
+    w = phi * (conn._dirs @ np.asarray(vector, dtype=float))
     out = np.tensordot(w, conn._X, axes=(-1, 0))
     return out if pts.ndim == 2 else out[0]
 

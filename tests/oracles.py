@@ -11,7 +11,11 @@ token parse of every token, where the library reads a letter table and
 compares the endpoint tuples in one pass and parses each distinct token
 once), ``holonomy_letterwise`` (one group multiplication per letter),
 ``_word_trace`` (a word's trace over a matrix stack, one product per
-letter), ``point_polyline_distance`` (one Python step per segment),
+letter), ``word_product_per_word``, ``holonomies_per_word``,
+``first_broken_relation`` and ``separation_per_word`` (one gather and one
+pairwise fold per word, per relation and per trace word, with their own copy
+of the signed-letter row rule, where the library folds every word of one length
+in one ``_word_products`` call), ``point_polyline_distance`` (one Python step per segment),
 ``polar_scipy`` and ``log_schur`` (the polar factor and the Schur-form
 logarithm of scipy, which the library no longer imports),
 ``compose_seam`` (word composition cancelling only across the seam, where
@@ -94,6 +98,7 @@ from holonomy_lab.connections import (
     bump_value,
     holonomy_smooth,
 )
+from holonomy_lab.cylindrical import SEPARATION_THRESHOLD, SeparationVerdict, _index_words
 from holonomy_lab.pathgroupoid import (
     CompositionError,
     Graph,
@@ -406,7 +411,8 @@ def segment_transport_all_bumps(conn: SmoothConnection, p: np.ndarray, q: np.nda
     p, q may lead with an interval axis, with the same arithmetic per interval."""
     x1, x2, delta = _gauss_nodes(p, q, steps)
     scale = np.sum(delta[..., None, :] * conn._dirs, axis=-1)[..., None, :]
-    M1, M2 = (np.tensordot(conn.coefficients(x) * scale, conn._X, axes=(-1, 0)) for x in (x1, x2))
+    M1, M2 = (np.tensordot(bump_value(x, conn._centers, conn._radii) * scale, conn._X, axes=(-1, 0))
+              for x in (x1, x2))
     commutator = mg.stack_mul(M1, M2) - mg.stack_mul(M2, M1)
     omega = -0.5 * (M1 + M2) - (np.sqrt(3.0) / 12.0) * commutator
     # fold the sub-step axis, laid out first so each level's pairs are contiguous
@@ -571,6 +577,52 @@ def holonomy_letterwise(conn, word):
         v = conn.value(eid)
         acc = mg.mul(acc, v if o == 1 else mg.inv(v))
     return acc
+
+
+def word_product_per_word(mats: np.ndarray, word) -> np.ndarray:
+    """One signed word over ``mats`` of shape (k, ..., n, n): (i, 1) reads row i and
+    (i, -1) row k + i of the table of the matrices and their adjoints, gathered by the
+    word's own index list and folded by ``_chain``; the empty word is the identity."""
+    k = len(mats)
+    if not word:
+        return np.broadcast_to(np.eye(mats.shape[-1], dtype=complex), mats.shape[1:]).copy()
+    table = np.concatenate([mats, np.conj(np.swapaxes(mats, -1, -2))])
+    return _chain(table[[i if o == 1 else k + i for i, o in word]])
+
+
+def holonomies_per_word(conn, words) -> np.ndarray:
+    """Each path word's holonomy on its own: the walked edges' values in the order first
+    walked, one :func:`word_product_per_word` per word, repaired as one stack."""
+    edges = list(dict.fromkeys(eid for w in words for eid, _ in w.letters))
+    n = mg.dim(conn.descriptor)
+    mats = np.array([conn.values[eid] for eid in edges], dtype=complex).reshape(-1, n, n)
+    pos = {eid: k for k, eid in enumerate(edges)}
+    out = [word_product_per_word(mats, [(pos[e], o) for e, o in w.letters]) for w in words]
+    return mg.repair(conn.descriptor, np.array(out, dtype=complex).reshape(-1, n, n))
+
+
+def first_broken_relation(stack: np.ndarray, relations, tol: float):
+    """The first relation whose value on ``stack`` is farther than ``tol`` from I, and its
+    1-based number; (None, None) when all hold.  One product per relation."""
+    for j, rel in enumerate(relations):
+        if np.linalg.norm(word_product_per_word(stack, rel) - np.eye(stack.shape[-1])) > tol:
+            return rel, j + 1
+    return None, None
+
+
+def separation_per_word(stack_a, stack_b, max_len: int = 3):
+    """The trace separation test one word at a time: the first word of the largest
+    trace gap, by a strict ``>`` from a gap of 0."""
+    a, b = np.array(stack_a, dtype=complex), np.array(stack_b, dtype=complex)
+    best_gap, best_word = 0.0, None
+    words = _index_words(len(a), max_len)
+    for w in words:
+        gap = abs(np.trace(word_product_per_word(a, w)) - np.trace(word_product_per_word(b, w)))
+        if gap > best_gap:
+            best_gap, best_word = gap, w
+    return SeparationVerdict(best_gap > SEPARATION_THRESHOLD, best_gap,
+                             best_word if best_word is not None else (),
+                             SEPARATION_THRESHOLD, len(words))
 
 
 def _word_trace(stack: np.ndarray, word) -> complex:

@@ -24,6 +24,7 @@ from holonomy_lab.connections import (
     SmoothConnection,
     _EdgeTransports,
     _chain,
+    _word_products,
     _segment_distances,
     _segment_transport,
     bump_value,
@@ -57,7 +58,7 @@ from holonomy_lab.pathgroupoid import (
     reduce_word,
     unit,
 )
-from holonomy_lab.spectra import approximation_experiment, default_windows
+from holonomy_lab.spectra import approximation_experiment, default_windows, tree_basis
 
 from graphs import pentagon_chord_graph, spider_graph, square_graph, theta_graph
 from instruments import GaugeBump, SmoothGauge, haar_sample, one_form, random_smooth_gauge
@@ -65,6 +66,7 @@ from oracles import (
     chain_matmul,
     gauge_act_edgewise,
     gauge_transform_matmul,
+    holonomies_per_word,
     holonomy_letterwise,
     point_polyline_distance,
     scalar_line_integral,
@@ -74,6 +76,7 @@ from oracles import (
     transport_all_magnus,
     transport_per_interval,
     transport_whole_segments,
+    word_product_per_word,
 )
 
 SU2 = mg.SpecialUnitary(2)
@@ -710,12 +713,47 @@ def test_holonomies_match_letterwise_oracle(graph, desc, seed, walks, vertex):
     n = mg.dim(desc)
     got = holonomies(conn, words)
     assert got.shape == (len(words), n, n) and holonomies(conn, []).shape == (0, n, n)
+    assert got.tobytes() == holonomies_per_word(conn, words).tobytes()
     for g, w in zip(got, words):
         want = holonomy_letterwise(conn, w).matrix
         if isinstance(desc, mg.CentralQuotient):
             assert np.array_equal(g, mg.canonicalize_batch(desc, g[None])[0])
             g, want = mg.canonicalize_batch(desc, np.stack([g, want]))
         assert frob(g, want) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 4), k=st.integers(1, 4), batch=st.booleans(), seed=st.integers(0, 2**16),
+       words=st.lists(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, -1])), max_size=9),
+                      max_size=12))
+def test_word_products_match_the_per_word_oracle_bitwise(n, k, batch, seed, words):
+    # mixed lengths, empty words among them, with and without a batch axis after the letters'
+    words = [[(i % k, o) for i, o in w] for w in words]
+    mats = mg.haar_batch(mg.Unitary(n), 2 * k, np.random.default_rng(seed))
+    mats = mats.reshape(k, 2, n, n) if batch else mats[:k]
+    got = _word_products(mats, words)
+    assert got.shape == (len(words),) + mats.shape[1:]
+    for g, w in zip(got, words):
+        assert g.tobytes() == word_product_per_word(mats, w).tobytes()
+
+
+def test_holonomies_fold_each_word_length_once(monkeypatch):
+    # theta's tree words have lengths 0, 1, 2, 2: the unit takes no fold, the two loops one
+    graph = theta_graph()
+    basis = tree_basis(graph)
+    words = [*basis.vertex_words.values(), *basis.loops.values()]
+    conn = random_generalized_connection(graph, SU2, seed=3)
+    folds = []
+
+    def spy(mats):
+        folds.append(mats.shape)
+        return _chain(mats)
+
+    monkeypatch.setattr(connections, "_chain", spy)
+    got = holonomies(conn, words)
+    assert sorted(len(w) for w in words) == [0, 1, 2, 2]
+    assert sorted(shape[:2] for shape in folds) == [(1, 1), (2, 2)]
+    assert got.tobytes() == holonomies_per_word(conn, words).tobytes()
 
 
 ORACLE_KINDS = [SU2, mg.Unitary(3), T2, U1_SU2_MOD_Z2]
@@ -766,6 +804,20 @@ def test_restricted_holonomies_read_each_edge_once(desc, transport_batches, monk
     filled = GeneralizedConnection(graph, desc, dict(conn.values))
     assert got.tobytes() == holonomies(filled, words).tobytes()
     assert len(fills) == 1  # reading the filled edges integrates nothing more
+
+
+def test_whole_reads_of_a_restricted_connection_integrate_every_edge_in_one_batch(transport_batches):
+    graph = pentagon_chord_graph()
+    smooth = random_smooth_connection(SU2, graph, 4, seed=8)
+    gauge = random_discrete_gauge(graph, SU2, seed=9)
+    acted = gauge_act_general(restrict(smooth, graph), gauge)
+    doc = generalized_to_dict(restrict(smooth, graph))
+    assert [len(lines) for lines in transport_batches] == [len(graph.edges)] * 2
+    # a batch transports each edge bit for bit as the edge alone
+    alone = {eid: transport(smooth, edge_polyline(graph, eid)) for eid in graph.edges}
+    assert doc == generalized_to_dict(GeneralizedConnection(graph, SU2, alone))
+    want = gauge_act_edgewise(GeneralizedConnection(graph, SU2, alone), gauge)
+    assert max(frob(acted.values[e], want.values[e]) for e in graph.edges) <= 1e-12
 
 
 def test_unknown_edge_raises_before_any_matrix_work(transport_calls):

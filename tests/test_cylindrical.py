@@ -8,8 +8,7 @@ import pytest
 import holonomy_lab.matrixgroups as mg
 import holonomy_lab.cylindrical as cyl
 from holonomy_lab.connections import (
-    _adjoint_table,
-    _word_product,
+    _word_products,
     gauge_act_general,
     holonomies,
     random_discrete_gauge,
@@ -49,6 +48,7 @@ from oracles import (
     _word_trace,
     brute_force_conjugator,
     gauge_transform_matmul,
+    separation_per_word,
     su2_grid,
     su2_haar_mean,
 )
@@ -429,7 +429,7 @@ def test_word_product_and_separation_gaps_match_letterwise_oracle(desc):
     for _ in range(50):
         word = [(int(i), int(o)) for i, o in zip(rng.integers(3, size=rng.integers(1, 9)),
                                                  rng.choice([-1, 1], size=8))]
-        assert abs(np.trace(_word_product(_adjoint_table(a), word)) - _word_trace(a, word)) <= 1e-12
+        assert abs(np.trace(_word_products(a, [word])[0]) - _word_trace(a, word)) <= 1e-12
     # every word of length <= 3 over the letters (i, +-1) without backtracking
     letters = [(i, o) for i in range(3) for o in (1, -1)]
     words = [w for n in (1, 2, 3) for w in itertools.product(letters, repeat=n)
@@ -438,6 +438,21 @@ def test_word_product_and_separation_gaps_match_letterwise_oracle(desc):
     verdict = separation_test(a, b, max_len=3)
     assert verdict.words_checked == len(words)
     assert abs(verdict.gap - max(gaps)) <= 1e-12
+
+
+def test_separation_matches_the_per_word_oracle_bitwise():
+    # SU(3) at length 6, every word with inverses: the gap's bits, the witness and the count;
+    # quaternion frames tie exactly on many words, where the first maximal gap is the witness
+    rng = np.random.default_rng(41)
+    su3 = mg.SpecialUnitary(3)
+    a, b = mg.haar_batch(su3, 3, rng), mg.haar_batch(su3, 3, rng)
+    for x, y, max_len in ((a, b, 6), ([QI, QJ, QK], [QI, QK, QJ], 3), (a, a, 2)):
+        got, want = separation_test(x, y, max_len), separation_per_word(x, y, max_len)
+        assert np.float64(got.gap).tobytes() == np.float64(want.gap).tobytes()
+        assert (got.separated, got.witness, got.words_checked) == \
+            (want.separated, want.witness, want.words_checked)
+    assert got.witness == () and got.gap == 0.0  # a tuple against itself
+    assert separation_test(a, b, 6).words_checked == 23436
 
 
 def test_separation_validates_shapes():

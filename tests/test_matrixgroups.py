@@ -362,6 +362,18 @@ def test_exp_antihermitian_matches_eigh_oracle(n, seed, spectrum, norm, trace):
     assert np.max(np.abs(got.conj().T @ got - np.eye(n))) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exp_antihermitian_of_a_large_stack_is_each_slice_bitwise(n):
+    # 19 x 1024 matrices: past 256 KiB numpy reuses temporaries in place and may swap the
+    # operands of a product, which with FMA is not bitwise commutative for complex numbers
+    rng = np.random.default_rng(56)
+    X = rng.normal(size=(19, 1024, n, n)) + 1j * rng.normal(size=(19, 1024, n, n))
+    X = 0.5 * (X - np.conj(np.swapaxes(X, -1, -2)))
+    got = exp_antihermitian(X)
+    for g, x in zip(got, X):
+        assert np.array_equal(g, exp_antihermitian(x))
+
+
 @pytest.mark.parametrize("desc", [U2, SU2, SU3, T2, PROD, U2_AS_QUOTIENT])
 def test_exp_log_roundtrip_on_haar(desc, seed=3):
     g = haar(desc, seed)

@@ -18,7 +18,7 @@ from holonomy_lab.connections import (
     random_smooth_connection,
     restrict,
 )
-from holonomy_lab.pathgroupoid import abelianize, compose, edge_word, inverse
+from holonomy_lab.pathgroupoid import abelianize, compose, edge_word, inverse, loop_relations
 from holonomy_lab.spectra import (
     ApproximationReport,
     LoopAssignment,
@@ -37,7 +37,13 @@ from holonomy_lab.spectra import (
 
 from graphs import bouquet_graph, pentagon_chord_graph, spider_graph, square_graph
 from instruments import compose_all, power
-from oracles import brute_force_conjugator, depends_on, gauge_act_edgewise, su2_grid
+from oracles import (
+    brute_force_conjugator,
+    depends_on,
+    first_broken_relation,
+    gauge_act_edgewise,
+    su2_grid,
+)
 
 SU2 = mg.SpecialUnitary(2)
 SU3 = mg.SpecialUnitary(3)
@@ -521,6 +527,21 @@ def test_closure_su_unsearched_relation_is_not_certified():
     # the old expectation, against the bounded search that now is an oracle
     assert depends_on(graph, loops[2], loops[:2], bound=6) is None
     assert depends_on(graph, loops[2], loops[:2], bound=8) == [(0, 1), (1, 1)] * 4
+
+
+def test_closure_names_the_first_broken_relation_by_its_number():
+    # loops a, a, b, b, a obey three relations; the b's disagree, so only the second breaks
+    graph = bouquet_graph()
+    a, b = edge_word(graph, 1), edge_word(graph, 2)
+    loops = (a, a, b, b, a)
+    x, y, z = (mg.GroupElement(SU2, m) for m in mg.haar_batch(SU2, 3, np.random.default_rng(8)))
+    relations, _ = loop_relations(graph, loops)
+    assert len(relations) == 3
+    verdict = closure_membership(LoopAssignment(graph, loops, (x, x, y, z, x)))
+    assert not verdict.member and verdict.certified
+    stack = np.array([v.matrix for v in (x, x, y, z, x)])
+    assert (verdict.witness, verdict.checked) == first_broken_relation(stack, relations, 1e-8)
+    assert verdict.witness == relations[1] and type(verdict.checked) is int and verdict.checked == 2
 
 
 def test_closure_unitary_determinant_check():
