@@ -433,7 +433,9 @@ def _pieces(polylines: Sequence, centers, radii):
 
     Each segment is cut at every chord end of :func:`_bump_chords`, sorted with the
     missed disks' ends as inf; the pieces no disk covers are dropped.  A piece lies
-    between two successive chord ends, so a chord holds all of it or none of it."""
+    between two successive chord ends, so a chord holds all of it or none of it.
+    Chord ends within 1e-12 of the one before them are one end, the first: two circles
+    that meet on the segment leave no roundoff sliver between them."""
     lines = [np.atleast_2d(np.asarray(line, dtype=float)) for line in polylines]
     owner = np.repeat(np.arange(len(lines)), [len(pts) - 1 for pts in lines])
     starts = np.concatenate([pts[:-1] for pts in lines])
@@ -441,8 +443,16 @@ def _pieces(polylines: Sequence, centers, radii):
     t0, t1 = _bump_chords(starts, ends, centers, radii)
     # a chord under 1e-12 wide is roundoff where a segment ends on a circle; the bump is 0 there
     wide = t1 - t0 > 1e-12
-    t0, t1 = np.where(wide, t0, np.inf), np.where(wide, t1, np.inf)
-    cuts = np.sort(np.concatenate([t0, t1], axis=1), axis=1)
+    t = np.concatenate([np.where(wide, t0, np.inf), np.where(wide, t1, np.inf)], axis=1)
+    order = np.argsort(t, axis=1, kind="stable")
+    cuts = np.take_along_axis(t, order, axis=1)
+    # each end takes the value of the first end of its run of near-equal ends
+    fresh = np.ones(cuts.shape, dtype=bool)
+    fresh[:, 1:] = cuts[:, 1:] > cuts[:, :-1] + 1e-12
+    first = np.maximum.accumulate(np.where(fresh, np.arange(cuts.shape[1]), 0), axis=1)
+    cuts = np.take_along_axis(cuts, first, axis=1)
+    np.put_along_axis(t, order, cuts, axis=1)
+    t0, t1 = np.split(t, 2, axis=1)
     a, b = cuts[:, :-1], cuts[:, 1:]
     cover = (t0[:, None] <= a[..., None]) & (b[..., None] <= t1[:, None])
     seg, i = np.nonzero((a < b) & cover.any(axis=-1))

@@ -349,7 +349,9 @@ def scalar_line_integral(center, radius, direction, polyline) -> float:
 
     Only the chords :func:`_bump_chords` cuts from the segments, where phi
     lives, are integrated, so no level can miss a grazing bump; chords start
-    at ``DEFAULT_STEPS`` sub-steps, doubling to a relative change <= 1e-12.
+    at ``DEFAULT_STEPS`` sub-steps, doubling until two changes in a row are
+    <= 1e-12 relative: one small change can be a chance agreement of two
+    coarse levels, 1.3e-10 away from the limit.
     """
     pts = np.atleast_2d(np.asarray(polyline, dtype=float))
     p, d = pts[:-1], np.diff(pts, axis=0)
@@ -360,12 +362,13 @@ def scalar_line_integral(center, radius, direction, polyline) -> float:
         weights = bump_value(x1, center, radius) + bump_value(x2, center, radius)
         return 0.5 * float(weights.sum(axis=-1) @ (delta @ direction))
 
-    val = once(DEFAULT_STEPS)
+    val, settled = once(DEFAULT_STEPS), False
     for lev in range(1, 13):
         nxt = once(DEFAULT_STEPS << lev)
-        if abs(nxt - val) <= 1e-12 * max(1.0, abs(nxt)):
+        small = abs(nxt - val) <= 1e-12 * max(1.0, abs(nxt))
+        if small and settled:
             return nxt
-        val = nxt
+        val, settled = nxt, small
     return val
 
 # ---------------------------------------------------------------------------
