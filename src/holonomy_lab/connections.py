@@ -70,6 +70,7 @@ MAX_DOUBLINGS = 14
 CLEARANCE = 0.7         # interpolation bump radius as a share of the window's room
 MIN_COEFFICIENT = 1e-8  # smallest bump line integral an interpolation target may have
 COEFFICIENT_TOL = 1e-12  # refinement tolerance of the interpolation coefficients
+FOLD_LETTERS = 8192      # letters one word fold gathers: bounds its memory, never splits a word
 
 
 class IndependenceError(ValueError):
@@ -112,9 +113,10 @@ def _word_products(mats: np.ndarray, words, keys=None) -> np.ndarray:
 
     ``keys`` names the k matrices, by default their positions.  A letter (x, 1) reads the
     matrix named x and (x, -1) its adjoint, the first letter acts first, and the empty word is
-    the identity.  All words of one length are gathered by one index array into the table of
-    the matrices and their adjoints and folded by one :func:`_chain` call, so each product
-    is the pairwise fold of its own letters, whatever the batch."""
+    the identity.  The words of one length are gathered by one index array into the table of
+    the matrices and their adjoints and folded by one :func:`_chain` call, in chunks of at most
+    ``FOLD_LETTERS`` letters (or one word), so each product is the pairwise fold of its own
+    letters, whatever the batch."""
     k = len(mats)
     pos = range(k) if keys is None else {x: j for j, x in enumerate(keys)}
     table = np.concatenate([mats, np.conj(np.swapaxes(mats, -1, -2))])
@@ -123,8 +125,12 @@ def _word_products(mats: np.ndarray, words, keys=None) -> np.ndarray:
     for j, r in enumerate(rows):
         by_length.setdefault(len(r), []).append(j)
     out = np.empty((len(rows),) + mats.shape[1:], dtype=complex)
+    out[by_length.pop(0, [])] = np.eye(mats.shape[-1])
     for length, js in by_length.items():
-        out[js] = _chain(table[np.array([rows[j] for j in js]).T]) if length else np.eye(mats.shape[-1])
+        step = max(1, FOLD_LETTERS // length)
+        for lo in range(0, len(js), step):
+            part = js[lo:lo + step]
+            out[part] = _chain(table[np.array([rows[j] for j in part]).T])
     return out
 
 

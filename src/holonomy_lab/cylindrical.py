@@ -13,6 +13,8 @@ is an integral over one Haar factor per endpoint vertex.  One sampler,
 chunks, which makes every estimate reproducible from (samples, seed) alone.
 Its convergence ladder reads every rung as a prefix of that one stream: the
 rung n is the mean of the first n of the N draws, not a fresh n-sample run.
+The gauge stacks stay entry-major (``matrixgroups.entry_major``) from the
+draw to the expression, and the gauge action runs on cache-sized slices.
 
 Entry and trace indices are 1-based throughout (path 1 is the first path,
 H_11 the top-left entry), matching the usual matrix notation.
@@ -35,6 +37,7 @@ from .connections import (
 from .pathgroupoid import Graph, PathWord, json_int, word_from_tokens, word_to_tokens
 
 MEAN_CHUNK = 8192
+GAUGE_SLICE = 1024  # samples per gauge action, so that its temporaries stay in cache
 SEPARATION_THRESHOLD = 1e-8  # trace gap that separates two holonomy tuples
 
 
@@ -251,7 +254,9 @@ def evaluate_stack(f: CylFunction, stack) -> complex:
 def _gauged_values(f: CylFunction, stack: np.ndarray, descriptor, count: int,
                    layers: int, rng) -> np.ndarray:
     """f at ``count`` random gauge transforms of its holonomy stack, each
-    vertex's gauge the pointwise product of ``layers`` Haar draws."""
+    vertex's gauge the pointwise product of ``layers`` Haar draws.  The gauge
+    action runs on ``GAUGE_SLICE`` samples at a time, on entry-major stacks
+    (``matrixgroups.entry_major``) with the holonomies spread over the slice."""
     verts = f.endpoint_vertices()
     index = {v: i for i, v in enumerate(verts)}
     n = mg.dim(descriptor)
@@ -261,7 +266,13 @@ def _gauged_values(f: CylFunction, stack: np.ndarray, descriptor, count: int,
         gauges = layer if gauges is None else mg.stack_mul(gauges, layer)
     src = [index[p.source] for p in f.paths]
     dst = [index[p.range] for p in f.paths]
-    return f.expr.eval(gauge_transform(stack, gauges[:, src], gauges[:, dst]))
+    out = mg.entry_major((count, *stack.shape))
+    held = mg.entry_major((min(count, GAUGE_SLICE), *stack.shape))
+    held[...] = stack  # spread: products with a stride-0 operand come out laid by rows
+    for lo in range(0, count, GAUGE_SLICE):
+        g = gauges[lo:lo + GAUGE_SLICE]
+        out[lo:lo + GAUGE_SLICE] = gauge_transform(held[:len(g)], g[:, src], g[:, dst])
+    return f.expr.eval(out)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,9 @@ the torus draws independent uniform phases and products sample their leaves
 independently, in order.  :func:`stack_mul` is the one product kernel for
 stacks of matrices, :func:`stack_det` the one determinant and
 :func:`complex_pair` the one writer of a complex number as ``[re, im]``.
+Haar stacks are entry-major (:func:`entry_major`): each matrix entry of the
+stack is one contiguous vector, so stack products and Gram-Schmidt run over
+long vectors rather than n-long rows.
 
 Matrix exponential and logarithm exploit that every element here is normal,
 so the results are unitary/anti-hermitian to machine precision.
@@ -530,29 +533,40 @@ def log_map(g: GroupElement) -> LieAlgebraElement:
 # ---------------------------------------------------------------------------
 # Haar sampling
 
+def entry_major(shape, alloc=np.empty) -> np.ndarray:
+    """A complex stack of ``shape`` (count, ..., n, n) laid out entry-major: a view over an
+    ``alloc`` array with the first axis moved last, so each entry of the stack is one contiguous
+    vector over the count.  Ufuncs lay their outputs out like their inputs, so :func:`stack_mul`
+    on such stacks sums contiguous vectors of the count rather than n-long rows; every Haar
+    stack is laid out so, from the draw to the gauge average."""
+    return alloc((*shape[1:], shape[0]), dtype=complex).transpose(-1, *range(len(shape) - 1))
+
+
 def _gram_schmidt(z: np.ndarray) -> np.ndarray:
     """Q of ``z = QR`` with R's diagonal positive, for a (count, n, n) stack: modified
     Gram-Schmidt projecting each column twice keeps Q unitary however ill-conditioned z is.
-    A ``z`` laid out column first, as :func:`_haar_leaf` builds it, is overwritten."""
-    q = np.ascontiguousarray(z.transpose(2, 0, 1))  # q[j] holds column j of every matrix
-    for j, v in enumerate(q):
+    It works in entry-major memory, each column an (n, count) array of contiguous entries;
+    an entry-major ``z``, as :func:`_haar_leaf` builds it, is overwritten and returned."""
+    q = np.ascontiguousarray(z.transpose(1, 2, 0))  # q[i, j] holds entry (i, j) of every matrix
+    cols = q.transpose(1, 0, 2)  # cols[j] holds column j of every matrix
+    for j, v in enumerate(cols):
         for _ in range(2):
-            for w in q[:j]:
-                v -= w * np.einsum("ki,ki->k", w.conj(), v)[:, None]
-        re_im = v.view(float)
-        v /= np.sqrt(np.einsum("ki,ki->k", re_im, re_im))[:, None]
-    return q.transpose(1, 2, 0)
+            for w in cols[:j]:
+                v -= w * np.einsum("ik,ik->k", w.conj(), v)
+        re_im = v.T.copy().view(float)  # rows [re, im, re, ...], summed in the row-major order
+        v /= np.sqrt(np.einsum("ki,ki->k", re_im, re_im))
+    return q.transpose(2, 0, 1)
 
 
 def _haar_leaf(leaf, count: int, rng) -> np.ndarray:
     n = leaf.n
     if isinstance(leaf, Torus):
         theta = rng.uniform(-np.pi, np.pi, size=(count, n))
-        out = np.zeros((count, n, n), dtype=complex)
+        out = entry_major((count, n, n), np.zeros)
         idx = np.arange(n)
         out[:, idx, idx] = np.exp(1j * theta)
         return out
-    z = np.empty((n, count, n), dtype=complex).transpose(1, 2, 0)  # column first
+    z = entry_major((count, n, n))
     z.real = rng.standard_normal((count, n, n))
     z.imag = rng.standard_normal((count, n, n))
     u = _gram_schmidt(z)  # Q is scale-free, so z needs no 1/sqrt(2)
@@ -562,7 +576,7 @@ def _haar_leaf(leaf, count: int, rng) -> np.ndarray:
 
 
 def haar_batch(desc, count: int, rng) -> np.ndarray:
-    """Stack of ``count`` Haar samples as a (count, n, n) array.
+    """Stack of ``count`` Haar samples as a (count, n, n) entry-major array (:func:`entry_major`).
 
     ``rng`` is a ``numpy.random.Generator``; draws are consumed sequentially
     leaf by leaf, so results are deterministic in the generator state.  A U
@@ -572,8 +586,7 @@ def haar_batch(desc, count: int, rng) -> np.ndarray:
     if len(leaves) == 1:
         out = _haar_leaf(leaves[0][1], count, rng)
     else:
-        n = dim(desc)
-        out = np.zeros((count, n, n), dtype=complex)
+        out = entry_major((count, dim(desc), dim(desc)), np.zeros)
         for sl, leaf in leaves:
             out[:, sl, sl] = _haar_leaf(leaf, count, rng)
     if isinstance(desc, CentralQuotient):

@@ -35,6 +35,10 @@ rule),
 ``haar_leaf_qr`` (Haar draws of one leaf from numpy's QR of a Ginibre
 stack with the phase fix of the R diagonal, where the library orthonormalizes
 the columns by Gram-Schmidt),
+``gram_schmidt_rows``, ``haar_leaf_rows``, ``haar_batch_rows`` and
+``gauged_values_rows`` (the Haar draws and the gauge average on row-major
+stacks, every matrix's rows contiguous, where the library keeps every Haar
+stack entry-major and runs the gauge action on slices of samples),
 ``canonicalize_batch_matmul`` (the coset tournament that formed every
 candidate ``batch @ k`` in full and compared full key arrays of every entry,
 with its own copy of that lexicographic compare, where the library keeps the
@@ -96,6 +100,7 @@ from holonomy_lab.connections import (
     _segment_distances,
     _segment_transport,
     bump_value,
+    gauge_transform,
     holonomy_smooth,
 )
 from holonomy_lab.cylindrical import SEPARATION_THRESHOLD, SeparationVerdict, _index_words
@@ -778,6 +783,67 @@ def haar_leaf_qr(leaf, count: int, rng) -> np.ndarray:
         det = np.linalg.det(u)
         u = u * np.exp(-1j * np.angle(det) / n)[:, None, None]
     return u
+
+
+def gram_schmidt_rows(z: np.ndarray) -> np.ndarray:
+    """Q of ``z = QR`` with R's diagonal positive, for a (count, n, n) stack: modified
+    Gram-Schmidt projecting each column twice keeps Q unitary however ill-conditioned z is.
+    A ``z`` laid out column first, as :func:`haar_leaf_rows` builds it, is overwritten."""
+    q = np.ascontiguousarray(z.transpose(2, 0, 1))  # q[j] holds column j of every matrix
+    for j, v in enumerate(q):
+        for _ in range(2):
+            for w in q[:j]:
+                v -= w * np.einsum("ki,ki->k", w.conj(), v)[:, None]
+        re_im = v.view(float)
+        v /= np.sqrt(np.einsum("ki,ki->k", re_im, re_im))[:, None]
+    return q.transpose(1, 2, 0)
+
+
+def haar_leaf_rows(leaf, count: int, rng) -> np.ndarray:
+    n = leaf.n
+    if isinstance(leaf, mg.Torus):
+        theta = rng.uniform(-np.pi, np.pi, size=(count, n))
+        out = np.zeros((count, n, n), dtype=complex)
+        idx = np.arange(n)
+        out[:, idx, idx] = np.exp(1j * theta)
+        return out
+    z = np.empty((n, count, n), dtype=complex).transpose(1, 2, 0)  # column first
+    z.real = rng.standard_normal((count, n, n))
+    z.imag = rng.standard_normal((count, n, n))
+    u = gram_schmidt_rows(z)  # Q is scale-free, so z needs no 1/sqrt(2)
+    if isinstance(leaf, mg.SpecialUnitary):
+        u = u * np.exp(-1j * np.angle(mg.stack_det(u)) / n)[:, None, None]
+    return u
+
+
+def haar_batch_rows(desc, count: int, rng) -> np.ndarray:
+    """``count`` Haar samples as a row-major (count, n, n) array, leaf by leaf."""
+    leaves = mg.leaf_blocks(desc)
+    if len(leaves) == 1:
+        out = haar_leaf_rows(leaves[0][1], count, rng)
+    else:
+        n = mg.dim(desc)
+        out = np.zeros((count, n, n), dtype=complex)
+        for sl, leaf in leaves:
+            out[:, sl, sl] = haar_leaf_rows(leaf, count, rng)
+    if isinstance(desc, mg.CentralQuotient):
+        return mg.canonicalize_batch(desc, out)
+    return out
+
+
+def gauged_values_rows(f, stack: np.ndarray, descriptor, count: int, layers: int, rng) -> np.ndarray:
+    """f at ``count`` random gauge transforms of its holonomy stack, each
+    vertex's gauge the pointwise product of ``layers`` Haar draws."""
+    verts = f.endpoint_vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    n = mg.dim(descriptor)
+    gauges = None
+    for _ in range(layers):
+        layer = haar_batch_rows(descriptor, count * len(verts), rng).reshape(count, len(verts), n, n)
+        gauges = layer if gauges is None else mg.stack_mul(gauges, layer)
+    src = [index[p.source] for p in f.paths]
+    dst = [index[p.range] for p in f.paths]
+    return f.expr.eval(gauge_transform(stack, gauges[:, src], gauges[:, dst]))
 
 
 # ---------------------------------------------------------------------------

@@ -759,6 +759,30 @@ def test_holonomies_fold_each_word_length_once(monkeypatch):
     assert got.tobytes() == holonomies_per_word(conn, words).tobytes()
 
 
+def test_word_folds_gather_a_bounded_letter_count(monkeypatch):
+    # 3,000 words of 6 letters fold in chunks of at most FOLD_LETTERS letters; a word longer
+    # than that, as discrete-algebra's 1,500-letter ones, is never split
+    rng = np.random.default_rng(4)
+    mats = mg.haar_batch(SU2, 3, rng)
+    words = [[(int(x), 1) for x in rng.integers(0, 3, size=6)] for _ in range(3000)]
+    long_word = [(int(x), -1) for x in rng.integers(0, 3, size=connections.FOLD_LETTERS + 1500)]
+    folds = []
+
+    def spy(m):
+        folds.append(m.shape[:2])
+        return _chain(m)
+
+    monkeypatch.setattr(connections, "_chain", spy)
+    got = _word_products(mats, words)
+    assert len(folds) > 1 and all(length * count <= connections.FOLD_LETTERS for length, count in folds)
+    assert sum(count for _, count in folds) == len(words)
+    assert all(g.tobytes() == word_product_per_word(mats, w).tobytes() for g, w in zip(got, words))
+    folds.clear()
+    _word_products(mats, [long_word[:1500]])
+    _word_products(mats, [long_word])
+    assert folds == [(1500, 1), (len(long_word), 1)]
+
+
 ORACLE_KINDS = [SU2, mg.Unitary(3), T2, U1_SU2_MOD_Z2]
 ORACLE_IDS = ["SU2", "U3", "T2", "quotient"]
 

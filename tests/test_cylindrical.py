@@ -1,6 +1,7 @@
 """Tests for cylindrical functions, gauge means and trace separation."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from oracles import (
     _word_trace,
     brute_force_conjugator,
     gauge_transform_matmul,
+    gauged_values_rows,
     separation_per_word,
     su2_grid,
     su2_haar_mean,
@@ -356,6 +358,44 @@ def test_gauged_values_and_mean_match_the_matmul_products(desc, layers, monkeypa
     assert abs(mean.stderr - want_mean.stderr) <= 1e-12
 
 
+def gauge_cases(graph):
+    """Cylindrical functions of 0, 1 and 2 paths: unit, open and closed."""
+    loop, edge, unit = square_loop(graph), edge_word(graph, 2), PathWord((), "c", "c")
+    return {
+        "no-path": CylFunction((), Const(0.5 - 2.0j)),
+        "unit": CylFunction((unit,), Sum((TraceOf(1), Entry(1, 1, 2)))),
+        "open": entry_abs_square(edge, 2, 1),
+        "closed": CylFunction((loop,), Prod((Const(0.5), TraceOf(1)))),
+        "closed-and-open": CylFunction((loop, edge), Sum((Prod((Entry(1, 1, 1), Conj(Entry(2, 2, 1)))),
+                                                          TraceOf(1)))),
+    }
+
+
+@pytest.mark.parametrize("desc", [SU2, mg.Unitary(3), mg.Torus(2), U1_SU2_MOD_Z2],
+                         ids=["SU2", "U3", "T2", "quotient"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_gauged_values_and_mean_are_the_row_major_oracle_bitwise(desc, layers, monkeypatch):
+    # slices of cyl.GAUGE_SLICE samples: counts on both sides of a slice edge and of a mean chunk
+    graph = square_graph()
+    conn = random_generalized_connection(graph, desc, seed=31)
+    edge = cyl.GAUGE_SLICE
+    for name, f in gauge_cases(graph).items():
+        stack = holonomy_stack(f, conn)
+        for count in (1, edge - 1, edge, edge + 1, 2 * edge + 1):
+            got = _gauged_values(f, stack, desc, count, layers, np.random.default_rng(count))
+            want = gauged_values_rows(f, stack, desc, count, layers, np.random.default_rng(count))
+            assert got.tobytes() == want.tobytes(), (name, count)
+        got = HaarMean(f, desc, layers).estimate(conn, samples=MEAN_CHUNK + edge + 1, seed=32)
+        with monkeypatch.context() as m:
+            m.setattr(cyl, "_gauged_values", gauged_values_rows)
+            want = HaarMean(f, desc, layers).estimate(conn, samples=MEAN_CHUNK + edge + 1, seed=32)
+        assert ladder_bytes(got) == ladder_bytes(want), name
+
+
+def ladder_bytes(est):
+    return np.array([(r.value, r.stderr, r.samples) for r in est.ladder]).tobytes()
+
+
 def test_mean_rejects_tiny_sample_counts():
     graph = square_graph()
     f = entry_abs_square(square_loop(graph), 1, 1)
@@ -453,6 +493,22 @@ def test_separation_matches_the_per_word_oracle_bitwise():
             (want.separated, want.witness, want.words_checked)
     assert got.witness == () and got.gap == 0.0  # a tuple against itself
     assert separation_test(a, b, 6).words_checked == 23436
+
+
+def test_separation_memory_is_bounded_by_the_fold_chunks():
+    # SU(3) at length 6 gathers about 136,000 letters on two tuples; folded in chunks of
+    # connections.FOLD_LETTERS letters the call's peak stays well below one gather of them all
+    # (which peaked at 74 MiB)
+    rng = np.random.default_rng(41)
+    su3 = mg.SpecialUnitary(3)
+    a, b = mg.haar_batch(su3, 3, rng), mg.haar_batch(su3, 3, rng)
+    tracemalloc.start()
+    try:
+        separation_test(a, b, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_separation_validates_shapes():

@@ -51,6 +51,7 @@ from oracles import (
     canonicalize_batch_matmul,
     exp_eigh,
     exp_map_leafwise,
+    haar_batch_rows,
     haar_leaf_qr,
     log_block_one,
     log_schur,
@@ -176,6 +177,11 @@ def test_stack_mul_matches_matmul(n, batch, dtypes, data):
     got, want = mg.stack_mul(a, b), np.matmul(a, b)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.all(_broadcast_norms(got - want) <= 1e-13 * _broadcast_norms(a) * _broadcast_norms(b))
+    # the same operands as views over entry-major memory (the first axis last): the same bits
+    entry_major = [data.draw(st.booleans()) for _ in range(2)]
+    a, b = (np.moveaxis(np.moveaxis(x, 0, -1).copy(), -1, 0) if em else x
+            for x, em in zip((a, b), entry_major))
+    assert mg.stack_mul(a, b).tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -683,6 +689,26 @@ def test_haar_batch_matches_qr_oracle_on_the_same_stream(desc, monkeypatch):
     want = haar_batch(desc, 2000, want_rng)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+HAAR_KINDS = [*(Unitary(n) for n in range(1, 5)), *(SpecialUnitary(n) for n in range(1, 5)), T2,
+              ProductGroup((T1, SU2, U2)), U1_SU2_MOD_Z2]
+
+
+@pytest.mark.parametrize("desc", HAAR_KINDS, ids=repr)
+def test_haar_batch_is_the_row_major_oracle_bitwise(desc):
+    # the same bytes and the same generator state after the draw, on both sides of 1,024 and 8,192
+    for count in (1, 7, 1023, 1025, 8193):
+        got_rng, want_rng = np.random.default_rng(count), np.random.default_rng(count)
+        got, want = haar_batch(desc, count, got_rng), haar_batch_rows(desc, count, want_rng)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("desc", HAAR_KINDS, ids=repr)
+def test_haar_batch_is_entry_major(desc):
+    # each matrix entry of the stack is one contiguous vector (matrixgroups.entry_major)
+    assert haar_batch(desc, 300, np.random.default_rng(3)).transpose(1, 2, 0).flags.c_contiguous
 
 
 @pytest.mark.parametrize("c", [1e6, 1e10, 1e14])
