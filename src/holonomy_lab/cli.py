@@ -197,7 +197,6 @@ def cmd_holonomy(args):
     h = holonomy_general(conn, word)
     tr = complex(np.trace(h.matrix))
     report = {
-        "command": "holonomy",
         "path": word_to_tokens(word),
         "source": word.source,
         "range": word.range,
@@ -219,7 +218,6 @@ def cmd_wilson(args):
     h = holonomy_general(conn, word)
     value = complex(np.trace(h.matrix)) / mg.dim(conn.descriptor)
     report = {
-        "command": "wilson",
         "path": word_to_tokens(word),
         "basepoint": word.source,
         "group": mg.descriptor_to_dict(conn.descriptor),
@@ -244,7 +242,6 @@ def cmd_gauge_orbit(args):
     values = stack[:len(loops)]
     rep = orbit_representative(desc, values)
     report = {
-        "command": "gauge-orbit",
         "group": mg.descriptor_to_dict(desc),
         "loop_ids": [str(eid) for eid in basis.loop_ids],
         "loop_values": [mg.matrix_to_pairs(v) for v in values],
@@ -268,7 +265,6 @@ def cmd_haar_mean(args):
     est = hm.estimate(conn, args.samples, args.seed)
     rows = [f"{e.samples} {e.value.real!r}\n" for e in est.ladder]
     report = {
-        "command": "haar-mean",
         "group": mg.descriptor_to_dict(conn.descriptor),
         "value": mg.complex_pair(est.value),
         "stderr": est.stderr,
@@ -289,7 +285,6 @@ def cmd_theta(args):
     err = max((float(mg.distance(back.value(eid), conn.value(eid))) for eid in graph.edges),
               default=0.0)
     report = {
-        "command": "theta",
         "group": mg.descriptor_to_dict(conn.descriptor),
         "tree_edges": sorted(str(eid) for eid in basis.tree_edges),
         "loop_ids": [str(eid) for eid in basis.loop_ids],
@@ -318,7 +313,6 @@ def cmd_approx(args):
         csv_rows.append(f"{r.seed},{worst!r},{str(r.verdict).lower()}\n")
         dat_rows.append(f"{r.seed} {worst!r}\n")
     report = {
-        "command": "approx",
         "group": mg.descriptor_to_dict(desc),
         "label": label,
         "bound": args.bound,
@@ -336,7 +330,6 @@ def cmd_obstruction(args):
         exponents = abelianize(word)
         verdict = "Obstructed" if not exponents else "Unobstructed"
         report = {
-            "command": "obstruction",
             "mode": "word",
             "word": word_to_tokens(word),
             "abelianization": {str(eid): c for eid, c in exponents.items()},
@@ -346,7 +339,6 @@ def cmd_obstruction(args):
         return report, []
     wit = abelian_obstruction_witness(graph)
     report = {
-        "command": "obstruction",
         "mode": "commutator",
         "verdict": "Obstructed",
         "ok": wit.nonabelian_defect > 1.0,
@@ -369,7 +361,7 @@ def cmd_closure(args):
     else:
         data = _load(args.family, loop_assignment_from_dict, graph)
     verdict = closure_membership(data, bound=args.bound, tol=args.check_tolerance)
-    report = {"command": "closure", "ok": verdict.member}
+    report = {"ok": verdict.member}
     report.update(verdict.to_dict())
     return report, []
 
@@ -434,6 +426,7 @@ def main(argv=None):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             args = _build_parser().parse_args(argv)
             report, extras = args.func(args)
+            report["command"] = args.command
             _emit(report, args.out, args.command, extras)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

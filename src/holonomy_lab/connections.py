@@ -276,16 +276,13 @@ class SmoothConnection:
         self._centers = np.array([t.center for t in self.terms], dtype=float).reshape(-1, dim)
         self._radii = np.array([t.radius for t in self.terms], dtype=float)
         self._dirs = np.array([t.direction for t in self.terms], dtype=float).reshape(-1, dim)
-        # which generators commute: all of them on an abelian group, else those whose
-        # commutator is roundoff, ||[X_i, X_j]|| <= 1e-14 ||X_i|| ||X_j|| (a zero X commutes)
+        # which generators commute: those whose commutator is roundoff,
+        # ||[X_i, X_j]|| <= 1e-14 ||X_i|| ||X_j|| (a zero X commutes; diagonal ones exactly)
         k = len(self.terms)
-        if all(isinstance(leaf, mg.Torus) or leaf.n == 1 for _, leaf in mg.leaf_blocks(descriptor)):
-            self._commutes = np.ones((k, k), dtype=bool)
-        else:
-            X, Y = self._X[:, None], self._X[None]
-            size = np.linalg.norm(self._X.reshape(k, n * n), axis=-1)
-            gap = np.linalg.norm((mg.stack_mul(X, Y) - mg.stack_mul(Y, X)).reshape(k, k, n * n), axis=-1)
-            self._commutes = (gap <= 1e-14 * np.outer(size, size)) | np.eye(k, dtype=bool)
+        X, Y = self._X[:, None], self._X[None]
+        size = np.linalg.norm(self._X.reshape(k, n * n), axis=-1)
+        gap = np.linalg.norm((mg.stack_mul(X, Y) - mg.stack_mul(Y, X)).reshape(k, k, n * n), axis=-1)
+        self._commutes = (gap <= 1e-14 * np.outer(size, size)) | np.eye(k, dtype=bool)
 
 
 def random_smooth_connection(descriptor, graph: Graph, n_terms: int, seed: int) -> SmoothConnection:

@@ -55,10 +55,6 @@ class Expr:
     def max_path(self) -> int:
         return max([getattr(self, "path", 0)] + [c.max_path() for c in self.children])
 
-    def max_index(self) -> int:  # largest matrix row or column an entry reads
-        return max([getattr(self, "row", 0), getattr(self, "col", 0),
-                    *(c.max_index() for c in self.children)])
-
 
 @dataclass(frozen=True)
 class Const(Expr):
@@ -188,9 +184,8 @@ class CylFunction:
         return tuple(dict.fromkeys(v for p in self.paths for v in (p.source, p.range)))
 
     def check_size(self, descriptor) -> None:
-        n = mg.dim(descriptor)
-        if self.expr.max_index() > n:  # a dry run raises the first bad entry's message
-            self.expr.eval(np.zeros((1, len(self.paths), n, n), dtype=complex))
+        n = mg.dim(descriptor)  # a dry run raises the first bad entry's message
+        self.expr.eval(np.zeros((1, len(self.paths), n, n), dtype=complex))
 
 
 def wilson_loop(word: PathWord, n: int) -> CylFunction:
@@ -239,13 +234,7 @@ def holonomy_stack(f: CylFunction, conn: GeneralizedConnection) -> np.ndarray:
 
 def evaluate(f: CylFunction, conn: GeneralizedConnection) -> complex:
     f.check_size(conn.descriptor)
-    return evaluate_stack(f, holonomy_stack(f, conn))
-
-
-def evaluate_stack(f: CylFunction, stack) -> complex:
-    """Evaluate on explicit holonomy matrices (one per path)."""
-    arr = np.array([mg.as_matrix(m) for m in stack], dtype=complex)
-    return complex(f.expr.eval(arr[None, ...])[0])
+    return complex(f.expr.eval(holonomy_stack(f, conn)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -397,5 +386,5 @@ def separation_test(stack_a, stack_b, max_len: int = 3) -> SeparationVerdict:
     d = traces[:, 0] - traces[:, 1]
     gaps = np.hypot(d.real, d.imag)  # bit for bit abs() of one gap, which numpy's complex abs is not
     best = int(np.argmax(gaps))  # the first maximal gap
-    gap, witness = (gaps[best], words[best]) if gaps[best] > 0.0 else (0.0, ())
+    gap, witness = (float(gaps[best]), words[best]) if gaps[best] > 0.0 else (0.0, ())
     return SeparationVerdict(gap > SEPARATION_THRESHOLD, gap, witness, SEPARATION_THRESHOLD, len(words))

@@ -127,19 +127,7 @@ class Graph:
         return self._incident.get(v, ())
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        queue = collections.deque(seen)
-        while queue:
-            v = queue.popleft()
-            for eid in self.incident_edges(v):
-                e = self.edges[eid]
-                w = e.dst if e.src == v else e.src
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(self.vertices)
+        return not self.vertices or len(_tree_walk(self, self.vertices[0])) + 1 == len(self.vertices)
 
     def __repr__(self):
         return (f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges, "
@@ -265,6 +253,22 @@ def abelianize(p: PathWord) -> dict:
     return {eid: c for eid, c in counts.items() if c != 0}
 
 
+def _tree_walk(graph: Graph, root) -> list:
+    """Breadth-first tree edges from ``root``, ties broken by edge id: ``(v, eid, o, w)``
+    reaches the new vertex w from v along edge eid walked with orientation o."""
+    seen, queue, tree = {root}, collections.deque([root]), []
+    while queue:
+        v = queue.popleft()
+        for eid in graph.incident_edges(v):
+            e = graph.edges[eid]
+            w, o = (e.dst, 1) if e.src == v else (e.src, -1)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+                tree.append((v, eid, o, w))
+    return tree
+
+
 def spanning_tree(graph: Graph) -> dict:
     """Breadth-first spanning tree rooted at the basepoint.
 
@@ -274,15 +278,8 @@ def spanning_tree(graph: Graph) -> dict:
     """
     root = graph.basepoint
     paths = {root: unit(graph, root)}
-    queue = collections.deque([root])
-    while queue:
-        v = queue.popleft()
-        for eid in graph.incident_edges(v):
-            e = graph.edges[eid]
-            w, o = (e.dst, 1) if e.src == v else (e.src, -1)
-            if w not in paths:
-                paths[w] = compose(edge_word(graph, eid, o), paths[v])
-                queue.append(w)
+    for v, eid, o, w in _tree_walk(graph, root):
+        paths[w] = compose(edge_word(graph, eid, o), paths[v])
     if len(paths) != len(graph.vertices):
         missing = [v for v in graph.vertices if v not in paths]
         raise ConnectivityError(f"vertices unreachable from basepoint: {missing!r}")

@@ -20,7 +20,6 @@ exponent vectors and ``MAX_CENTER_LIFTS`` lifts.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -120,7 +119,9 @@ def tree_reconstruct(basis: TreeBasis, descriptor, loop_values: Mapping,
         eid: loops.get(eid, ident) for eid in basis.graph.edges})
     if frames is None:
         return section
-    inverse = {v: mg.as_matrix(frames[v]).conj().T for v in basis.graph.vertices}
+    frames = admit_values(descriptor, basis.graph.vertices, frames,
+                          "frames do not match the vertex set")
+    inverse = {v: frames[v].conj().T for v in basis.graph.vertices}
     return gauge_act_general(section, DiscreteGauge(basis.graph, descriptor, inverse))
 
 
@@ -142,13 +143,7 @@ def _center_lifts(descriptor, mats):
 def _split_clusters(values: np.ndarray):
     """Group sorted real values into clusters separated by gaps > ``CLUSTER_ATOL``."""
     order = np.argsort(values, kind="stable")
-    groups = [[order[0]]]
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] <= CLUSTER_ATOL:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return groups
+    return np.split(order, np.flatnonzero(np.diff(values[order]) > CLUSTER_ATOL) + 1)
 
 
 def _refine_frame(mats: np.ndarray) -> np.ndarray:
@@ -175,9 +170,7 @@ def _refine_frame(mats: np.ndarray) -> np.ndarray:
                 if w[-1] - w[0] <= CLUSTER_ATOL:
                     refined.append(B)
                     continue
-                Vb = V[:, B] @ U
-                V = V.copy()
-                V[:, B] = Vb
+                V[:, B] = V[:, B] @ U
                 for cluster in _split_clusters(w):
                     refined.append([B[i] for i in cluster])
             blocks = refined
@@ -356,8 +349,6 @@ def abelian_obstruction_witness(graph: Graph) -> ObstructionWitness:
     word = commutator_word(la, lb)
     if word.is_unit():
         raise ValueError("tree-basis loops reduced to a trivial commutator")
-    if abelianize(word):
-        raise AssertionError("commutators always have zero edge exponents")
     su2 = mg.SpecialUnitary(2)
     loop_values = {eid: mg.identity(su2) for eid in basis.loop_ids}
     loop_values[ea] = mg.GroupElement(su2, _QI)
@@ -481,7 +472,7 @@ def _loop_verdict(data: LoopAssignment, bound, tol) -> ClosureVerdict:
     descriptor, loops = data.descriptor, data.loops
     mode = CLOSURE_MODE[type(descriptor)]
     relations, rank = loop_relations(data.graph, loops)
-    exponents = functools.cache(lambda: _exponent_matrix(loops))  # a nonmember may never need it
+    A, exp_rank = _exponent_matrix(loops)
 
     def leaf_verdict(leaf, stack):
         """A torus leaf by its diagonals; an SU(n) or U(n) leaf must send every relation to
@@ -490,7 +481,6 @@ def _loop_verdict(data: LoopAssignment, bound, tol) -> ClosureVerdict:
         exponent sums span {m : A^T m = 0}; below it, where that kernel is nonzero, a U(n)
         leaf's determinants are searched."""
         if isinstance(leaf, mg.Torus):
-            A, exp_rank = exponents()
             return _abelian_check(A, np.diagonal(stack, axis1=1, axis2=2), bound, tol, mode,
                                   exp_rank == len(A))
         residuals = _word_products(stack, relations) - np.eye(stack.shape[-1])
@@ -498,7 +488,6 @@ def _loop_verdict(data: LoopAssignment, bound, tol) -> ClosureVerdict:
         if broken.size:  # the first broken relation, numbered from 1
             return ClosureVerdict(False, mode, True, relations[broken[0]],
                                   "loop values violate a relation among the loops", int(broken[0]) + 1)
-        A, exp_rank = exponents()
         detail = (f"every relation among the loops holds ({len(relations)} found)" if relations else
                   "the loops obey no relation, so they are independent")
         if exp_rank != rank:

@@ -70,7 +70,10 @@ Python loop, ``segment_pieces``, and refines one piece or Magnus run at a time,
 each with its own loop of ``_piece_exponents`` or ``_segment_transport`` calls,
 where the library refines every piece of every polyline together; like the
 library, it stops a piece at the tolerance only when the previous difference
-was within 256 times it), and
+was within 256 times it),
+``split_clusters_loop`` (the spectral clusters of orbit representatives grown
+one sorted value at a time, where the library splits the sort order at every
+gap in one ``np.split``), and
 ``depends_on`` and ``dependencies`` (the breadth-first factor search, capped
 by a bound, that decided closure functoriality before the library found
 every relation among a loop family by one Stallings fold).
@@ -969,6 +972,21 @@ def repair_one(desc, m: np.ndarray) -> np.ndarray:
     if isinstance(desc, mg.CentralQuotient):
         m = canonicalize_scaling(desc, m[None])[0]
     return m
+
+
+# ---------------------------------------------------------------------------
+# spectral clusters of orbit representatives
+
+def split_clusters_loop(values: np.ndarray, atol: float) -> list:
+    """Stable-sorted indices of ``values`` grouped at gaps wider than ``atol``."""
+    order = np.argsort(values, kind="stable")
+    groups = [[order[0]]]
+    for idx in order[1:]:
+        if values[idx] - values[groups[-1][-1]] <= atol:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+    return groups
 
 
 # ---------------------------------------------------------------------------

@@ -1132,6 +1132,25 @@ def test_no_report_prints_negative_zero(workspace, quotient_workspace, tmp_path,
     assert re.search(r"(?<![\d.])-0\.0(?!\d)", out) is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["holonomy", "--path", "1,2,3,4,5"], ["wilson", "--path", "1,2,3,4,5"],
+    ["gauge-orbit", "--seed", "1", "--samples", "4"],
+    ["haar-mean", "--seed", "1", "--samples", "64", "--function", "wilson.json"],
+    ["theta"], ["obstruction"], ["obstruction", "--path", "1,2,-6"], ["closure"], ["approx"],
+], ids=lambda argv: "-".join(argv[:1] + argv[2:3]))
+def test_every_report_names_its_command(workspace, tmp_path, capsys, argv):
+    tmp, _, _ = workspace
+    if argv[0] == "approx":
+        argv = ["approx", "--group", "su2", "--family", str(family_file(tmp_path)), "--seed", "0"]
+    else:
+        argv = [str(tmp / a) if a.endswith(".json") else a for a in argv]
+        argv += ["--graph", str(tmp / "graph.json"), "--connection", str(tmp / "conn.json")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == argv[0]
+    assert json.loads((tmp_path / "out" / f"{argv[0]}.json").read_text()) == report
+
+
 def test_cli_imports_no_scipy():
     # numpy is the only runtime dependency: scipy is for the tests alone
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -395,8 +395,10 @@ def test_commutation_table():
                                   for m in (X, 2.5 * X, Y, np.zeros((2, 2)))])
     want = np.array([[1, 1, 0, 1], [1, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 1]], dtype=bool)
     assert np.array_equal(conn._commutes, want)
-    torus = random_smooth_connection(T2, pentagon_chord_graph(), 3, seed=5)
-    assert torus._commutes.shape == (3, 3) and torus._commutes.all()
+    # abelian groups: the general rule finds every diagonal pair commuting
+    for desc in (T2, mg.ProductGroup((mg.Unitary(1), T2))):
+        abelian = random_smooth_connection(desc, pentagon_chord_graph(), 5, seed=5)
+        assert abelian._commutes.shape == (5, 5) and abelian._commutes.all()
     assert SmoothConnection(PROD, [])._commutes.shape == (0, 0)
 
 

@@ -1,6 +1,8 @@
 """Tests for cylindrical functions, gauge means and trace separation."""
 
+import dataclasses
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -33,7 +35,6 @@ from holonomy_lab.cylindrical import (
     entry_abs_square,
     entry_function,
     evaluate,
-    evaluate_stack,
     expr_from_dict,
     expr_to_dict,
     holonomy_stack,
@@ -136,13 +137,12 @@ def test_evaluate_on_generalized_connection():
     direct = evaluate(f, conn)
     h = holonomy_stack(f, conn)[0]
     assert abs(direct - np.trace(h) / 2.0) < 1e-13
-    assert abs(direct - evaluate_stack(f, [h])) < 1e-15
+    assert abs(direct - f.expr.eval(h[None, None])[0]) < 1e-15
 
 
 def test_entry_indices_are_checked_before_any_holonomy(transport_calls):
     expr = Sum((Prod((Entry(2, 1, 3), Conj(TraceOf(3)))), Const(1.0)))
-    assert expr.max_path() == 3 and expr.max_index() == 3
-    assert TraceOf(2).max_index() == 0 and Const(0.0).max_path() == 0
+    assert expr.max_path() == 3 and Const(0.0).max_path() == 0
     graph = pentagon_chord_graph()
     word = edge_word(graph, 1)
     f = CylFunction((word, word, word), expr)
@@ -509,6 +509,16 @@ def test_separation_memory_is_bounded_by_the_fold_chunks():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_separation_verdict_holds_python_scalars():
+    # a report can carry the verdict: a positive gap is a float and the flag a bool
+    rng = np.random.default_rng(42)
+    a, b = mg.haar_batch(SU2, 2, rng), mg.haar_batch(SU2, 2, rng)
+    v = separation_test(a, b)
+    assert v.gap > 0.0 and type(v.separated) is bool and type(v.gap) is float
+    data = dataclasses.asdict(v)
+    assert json.loads(json.dumps(data)) == {**data, "witness": [list(s) for s in v.witness]}
 
 
 def test_separation_validates_shapes():

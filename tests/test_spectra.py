@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 import holonomy_lab.matrixgroups as mg
+import holonomy_lab.spectra as spectra
 from holonomy_lab.connections import (
     DiscreteGauge,
     gauge_act_general,
@@ -42,6 +43,7 @@ from oracles import (
     depends_on,
     first_broken_relation,
     gauge_act_edgewise,
+    split_clusters_loop,
     su2_grid,
 )
 
@@ -136,6 +138,21 @@ def test_tree_reconstruct_validates_loop_keys():
         tree_reconstruct(basis, SU2, {3: mg.identity(SU2), 1: mg.identity(SU2)})
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda f: f.pop("v3"), r"missing \['v3'\], extra \[\]"),
+    (lambda f: f.update(w9=f["v0"]), r"missing \[\], extra \['w9'\]"),
+], ids=["missing", "extra"])
+def test_tree_reconstruct_validates_frame_keys(edit, named):
+    # frames are checked like loop values: a ValueError names the missing and extra vertices
+    graph = pentagon_chord_graph()
+    basis = tree_basis(graph)
+    dec = tree_decompose(basis, random_generalized_connection(graph, SU2, seed=9))
+    frames = dict(dec.frames)
+    edit(frames)
+    with pytest.raises(ValueError, match=r"frames do not match the vertex set \(" + named):
+        tree_reconstruct(basis, SU2, dec.loop_values, frames=frames)
+
+
 def test_tree_decomposition_equivariance():
     graph = pentagon_chord_graph()
     conn = random_generalized_connection(graph, SU2, seed=6)
@@ -167,6 +184,27 @@ def test_tree_roundtrip_property(seed):
 
 # ---------------------------------------------------------------------------
 # orbit representatives
+
+_ATOL = spectra.CLUSTER_ATOL
+_ATOL_UP = np.nextafter(_ATOL, 1.0)  # one ulp above the cluster gap
+# differences among these anchors are exact: ties, gaps of exactly CLUSTER_ATOL, one ulp above
+_ANCHORS = [0.0, _ATOL, _ATOL_UP, -_ATOL, -_ATOL_UP, 2 * _ATOL]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from(_ANCHORS) | st.floats(-4 * _ATOL, 4 * _ATOL),
+                       min_size=1, max_size=10))
+def test_split_clusters_matches_the_loop_oracle(values):
+    values = np.array(values)
+    got = [g.tolist() for g in spectra._split_clusters(values)]
+    assert got == [[int(i) for i in g] for g in split_clusters_loop(values, _ATOL)]
+
+
+def test_split_clusters_joins_at_the_gap_and_splits_one_ulp_above():
+    assert len(spectra._split_clusters(np.array([_ATOL, 0.0, 0.0]))) == 1
+    assert [g.tolist() for g in spectra._split_clusters(np.array([_ATOL_UP, 0.0, 0.0]))] == \
+        [[1, 2], [0]]
+
 
 @pytest.mark.parametrize("desc", [SU2, SU3, U2], ids=["su2", "su3", "u2"])
 def test_orbit_representative_conjugation_invariant(desc, rng=None):
