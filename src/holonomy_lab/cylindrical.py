@@ -7,14 +7,14 @@ holonomies, so everything evaluates on batches of sampled matrices with
 plain array arithmetic.
 
 Gauge transformations touch F only through the path endpoints,
-H_i -> g(range_i)^-1 H_i g(source_i), so averaging F over the gauge group
-is an integral over one Haar factor per endpoint vertex.  One sampler,
-``_gauged_values``, draws them; the Monte Carlo mean calls it in fixed-size
-chunks, which makes every estimate reproducible from (samples, seed) alone.
-Its convergence ladder reads every rung as a prefix of that one stream: the
-rung n is the mean of the first n of the N draws, not a fresh n-sample run.
-The gauge stacks stay entry-major (``matrixgroups.entry_major``) from the
-draw to the expression, and the gauge action runs on cache-sized slices.
+H_i -> g(range_i)^-1 H_i g(source_i), so averaging F over the gauge group is an
+integral over one Haar factor per endpoint vertex, and over one per leaf block of
+the group within it.  One sampler, ``_gauged_values``, draws them; the Monte Carlo
+mean calls it in fixed-size chunks, which makes every estimate reproducible from
+(samples, seed) alone.  Its convergence ladder reads every rung as a prefix of that
+one stream: the rung n is the mean of the first n of the N draws, not a fresh
+n-sample run.  Gauge layers and actions run leaf block by leaf block on entry-major
+stacks (``matrixgroups.entry_major``), the action on cache-sized slices.
 
 Entry and trace indices are 1-based throughout (path 1 is the first path,
 H_11 the top-left entry), matching the usual matrix notation.
@@ -243,24 +243,26 @@ def evaluate(f: CylFunction, conn: GeneralizedConnection) -> complex:
 def _gauged_values(f: CylFunction, stack: np.ndarray, descriptor, count: int,
                    layers: int, rng) -> np.ndarray:
     """f at ``count`` random gauge transforms of its holonomy stack, each
-    vertex's gauge the pointwise product of ``layers`` Haar draws.  The gauge
-    action runs on ``GAUGE_SLICE`` samples at a time, on entry-major stacks
+    vertex's gauge the pointwise product of ``layers`` Haar draws.  Layers and
+    the gauge action run leaf block by leaf block (``matrixgroups._haar_blocks``),
+    the action on ``GAUGE_SLICE`` samples at a time, on entry-major stacks
     (``matrixgroups.entry_major``) with the holonomies spread over the slice."""
     verts = f.endpoint_vertices()
     index = {v: i for i, v in enumerate(verts)}
-    n = mg.dim(descriptor)
-    gauges = None
-    for _ in range(layers):
-        layer = mg.haar_batch(descriptor, count * len(verts), rng).reshape(count, len(verts), n, n)
-        gauges = layer if gauges is None else mg.stack_mul(gauges, layer)
+    gauges = mg._haar_blocks(descriptor, count * len(verts), rng)
+    for _ in range(layers - 1):
+        gauges = list(map(mg.stack_mul, gauges, mg._haar_blocks(descriptor, count * len(verts), rng)))
     src = [index[p.source] for p in f.paths]
     dst = [index[p.range] for p in f.paths]
-    out = mg.entry_major((count, *stack.shape))
-    held = mg.entry_major((min(count, GAUGE_SLICE), *stack.shape))
-    held[...] = stack  # spread: products with a stride-0 operand come out laid by rows
-    for lo in range(0, count, GAUGE_SLICE):
-        g = gauges[lo:lo + GAUGE_SLICE]
-        out[lo:lo + GAUGE_SLICE] = gauge_transform(held[:len(g)], g[:, src], g[:, dst])
+    leaves = mg.leaf_blocks(descriptor)
+    out = mg.entry_major((count, *stack.shape), np.zeros if len(leaves) > 1 else np.empty)
+    for (sl, _), leaf_gauges in zip(leaves, gauges):
+        leaf_gauges = leaf_gauges.reshape(count, len(verts), *leaf_gauges.shape[1:])
+        held = mg.entry_major((min(count, GAUGE_SLICE), *stack[:, sl, sl].shape))
+        held[...] = stack[:, sl, sl]  # spread: products with a stride-0 operand come out laid by rows
+        for lo in range(0, count, GAUGE_SLICE):
+            g = leaf_gauges[lo:lo + GAUGE_SLICE]
+            out[lo:lo + GAUGE_SLICE, :, sl, sl] = gauge_transform(held[:len(g)], g[:, src], g[:, dst])
     return f.expr.eval(out)
 
 
@@ -379,6 +381,8 @@ def separation_test(stack_a, stack_b, max_len: int = 3) -> SeparationVerdict:
     """
     a = np.array([mg.as_matrix(m) for m in stack_a], dtype=complex)
     b = np.array([mg.as_matrix(m) for m in stack_b], dtype=complex)
+    if not len(a) or not len(b):
+        raise ValueError("need nonempty holonomy tuples")
     if a.shape != b.shape:
         raise ValueError("holonomy tuples must have matching shapes")
     words = _index_words(a.shape[0], max_len)

@@ -31,8 +31,9 @@ independently, in order.  :func:`stack_mul` is the one product kernel for
 stacks of matrices, :func:`stack_det` the one determinant and
 :func:`complex_pair` the one writer of a complex number as ``[re, im]``.
 Haar stacks are entry-major (:func:`entry_major`): each matrix entry of the
-stack is one contiguous vector, so stack products and Gram-Schmidt run over
-long vectors rather than n-long rows.
+stack is one contiguous vector, so stack products and Gram-Schmidt run over long
+vectors rather than n-long rows.  Gauge averages draw, canonicalize and act with
+them leaf block by leaf block (:func:`_haar_blocks`), never on padded n x n stacks.
 
 Matrix exponential and logarithm exploit that every element here is normal,
 so the results are unitary/anti-hermitian to machine precision.
@@ -326,37 +327,47 @@ def algebra_descriptor(desc):
 # ---------------------------------------------------------------------------
 # canonical coset representatives
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Which matrices of stack ``a`` precede those of ``b``.  Entries are read row-major,
-    real part before imaginary; the first pair more than ``LEX_ATOL`` apart decides, and only
-    the matrices still tied read the next entry, so a Haar stack is decided at its first."""
-    less = np.zeros(len(a), dtype=bool)
-    live = np.arange(len(a))
-    for idx in np.ndindex(a.shape[1:]):
-        for part in (np.real, np.imag):
-            d = part(a[(live, *idx)]) - part(b[(live, *idx)])
-            sig = np.abs(d) > LEX_ATOL
-            less[live[sig]] = d[sig] < 0.0
-            live = live[~sig]
-            if not live.size:
-                return less
+def _lex_less(a: list, b: list) -> np.ndarray:
+    """Which matrices of ``a`` precede those of ``b``, each a list of (N, ...) stacks of its diagonal
+    blocks.  Entries are read block by block, row-major, real part before imaginary: the row-major
+    order of the block-diagonal matrix, whose off-block zeros tie.  The first pair more than
+    ``LEX_ATOL`` apart decides; only the matrices still tied read on, so a Haar stack stops at one."""
+    less = np.zeros(len(a[0]), dtype=bool)
+    live = np.arange(len(a[0]))
+    for x, y in zip(a, b):
+        for idx in np.ndindex(x.shape[1:]):
+            for part in (np.real, np.imag):
+                d = part(x[(live, *idx)]) - part(y[(live, *idx)])
+                sig = np.abs(d) > LEX_ATOL
+                less[live[sig]] = d[sig] < 0.0
+                live = live[~sig]
+                if not live.size:
+                    return less
     return less
+
+
+def _coset_tournament(desc: CentralQuotient, blocks: list) -> list:
+    """Canonical coset representatives of the matrices with diagonal ``blocks``, (N, m, m) stacks in
+    order: a center element k scales their columns by ``diag(k)``; :func:`_lex_less` ranks these."""
+    cuts = np.cumsum([b.shape[-1] for b in blocks])[:-1]
+    ks = [np.split(np.diagonal(k), cuts) for k in desc.center_matrices()]
+    best = list(map(np.multiply, blocks, ks[0]))
+    for k in ks[1:]:
+        cand = list(map(np.multiply, blocks, k))
+        take = _lex_less(cand, best)[:, None, None]
+        for c, b in zip(cand, best):
+            np.copyto(b, c, where=take)
+    return best
 
 
 def canonicalize_batch(desc: CentralQuotient, batch: np.ndarray) -> np.ndarray:
     """Canonical coset representative of each matrix in a (N, n, n) stack.
 
-    Every center element k is diagonal, so the translate ``batch @ k`` is
-    the column scaling ``batch * diag(k)``, equal in value.  A tournament
-    keeps, for each matrix, the scaling that :func:`_lex_less` ranks
-    first; the sign of a zero entry in the result is unspecified.
+    Every center element k is diagonal, so the translate ``batch @ k`` is the column scaling
+    ``batch * diag(k)``, equal in value: the coset tournament on one block, the whole matrix
+    (Haar draws run it leaf block by leaf block, :func:`_haar_blocks`).  Zero signs are unspecified.
     """
-    ks = [np.diagonal(k) for k in desc.center_matrices()]
-    best = batch * ks[0]
-    for k in ks[1:]:
-        cand = batch * k
-        np.copyto(best, cand, where=_lex_less(cand, best)[:, None, None])
-    return best
+    return _coset_tournament(desc, [batch])[0]
 
 
 def quotient_project(desc: CentralQuotient, g) -> GroupElement:
@@ -575,23 +586,28 @@ def _haar_leaf(leaf, count: int, rng) -> np.ndarray:
     return u
 
 
+def _haar_blocks(desc, count: int, rng) -> list:
+    """``count`` Haar samples, one entry-major (count, m, m) stack per leaf, canonical in a quotient."""
+    blocks = [_haar_leaf(leaf, count, rng) for _, leaf in leaf_blocks(desc)]
+    return _coset_tournament(desc, blocks) if isinstance(desc, CentralQuotient) else blocks
+
+
 def haar_batch(desc, count: int, rng) -> np.ndarray:
     """Stack of ``count`` Haar samples as a (count, n, n) entry-major array (:func:`entry_major`).
 
-    ``rng`` is a ``numpy.random.Generator``; draws are consumed sequentially
-    leaf by leaf, so results are deterministic in the generator state.  A U
-    or SU leaf is the Q of a Ginibre stack, by twice-projected Gram-Schmidt.
+    ``rng`` is a ``numpy.random.Generator``; draws are consumed leaf by leaf (:func:`_haar_blocks`),
+    so results are deterministic in the generator state.  The blocks are placed on a zero stack,
+    one leaf is its own stack, and a quotient of several leaves canonicalizes the placed stack whole.
     """
     leaves = leaf_blocks(desc)
-    if len(leaves) == 1:
-        out = _haar_leaf(leaves[0][1], count, rng)
-    else:
-        out = entry_major((count, dim(desc), dim(desc)), np.zeros)
-        for sl, leaf in leaves:
-            out[:, sl, sl] = _haar_leaf(leaf, count, rng)
-    if isinstance(desc, CentralQuotient):
-        return canonicalize_batch(desc, out)
-    return out
+    padded = isinstance(desc, CentralQuotient) and len(leaves) > 1
+    blocks = _haar_blocks(desc.base if padded else desc, count, rng)
+    if len(blocks) == 1:
+        return blocks[0]
+    out = entry_major((count, dim(desc), dim(desc)), np.zeros)
+    for (sl, _), b in zip(leaves, blocks):
+        out[:, sl, sl] = b
+    return canonicalize_batch(desc, out) if padded else out
 
 
 def random_algebra(desc, rng, scale: float = 1.0) -> LieAlgebraElement:

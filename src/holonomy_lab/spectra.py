@@ -234,7 +234,7 @@ def orbit_representative(descriptor, values):
         for sl, leaf in leaves:
             blk = np.ascontiguousarray(lifted[:, sl, sl])
             cand[:, sl, sl] = blk if isinstance(leaf, mg.Torus) else _unitary_representative(blk)
-        if out is None or mg._lex_less(cand[None], out[None])[0]:
+        if out is None or mg._lex_less([cand[None]], [out[None]])[0]:
             out = cand
     return [mg.GroupElement(descriptor, m, check=False) for m in out]
 

@@ -173,13 +173,13 @@ def test_haar_mean_deterministic(workspace, tmp_path):
 def test_haar_mean_draws_each_gauge_sample_once(workspace, tmp_path, monkeypatch):
     tmp, graph, _ = workspace
     drawn = []
-    original = mg.haar_batch
+    original = mg._haar_blocks  # every Haar draw, gauge layers and haar_batch alike
 
     def counting(desc, count, rng):
         drawn.append(count)
         return original(desc, count, rng)
 
-    monkeypatch.setattr(mg, "haar_batch", counting)
+    monkeypatch.setattr(mg, "_haar_blocks", counting)
     f = entry_abs_square(edge_word(graph, 1), 1, 1)  # an open edge: two endpoint vertices
     (tmp_path / "edge.json").write_text(json.dumps(cyl_to_dict(f)))
     samples, layers = 3000, 2
@@ -773,7 +773,7 @@ def test_out_of_memory_is_usage_error(workspace, tmp_path, capsys, monkeypatch, 
         raise MemoryError("Unable to allocate 14.6 TiB for an array with shape "
                           "(2, 1000000, 1000000) and data type complex128")
 
-    monkeypatch.setattr(mg, "haar_batch", huge)
+    monkeypatch.setattr(mg, "_haar_blocks", huge)  # every Haar draw
     tmp, _, _ = workspace
     argv = {"approx": ["approx", "--group", "su2", "--family", family_file(tmp_path),
                        "--seed", "0"],

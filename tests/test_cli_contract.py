@@ -11,7 +11,7 @@ report that parses as strict JSON, with no ``NaN`` or ``Infinity``.
 The mutation alphabet holds no large integers.  A descriptor with
 ``n = 10**6`` makes numpy try to allocate terabytes and fails with
 ``MemoryError``, which ``main`` reports as one ``out of memory`` line with
-exit 2; ``test_cli.py`` checks that by making ``haar_batch`` raise it, since
+exit 2; ``test_cli.py`` checks that by making ``_haar_blocks`` raise it, since
 a real allocation of that size could exhaust the machine.
 """
 

@@ -334,6 +334,14 @@ def test_ladder_rungs_inside_a_chunk_are_prefix_means_of_one_stream(layers):
 
 U1_SU2_MOD_Z2 = mg.central_quotient(mg.ProductGroup((mg.Unitary(1), SU2)),
                                     [np.eye(3), -np.eye(3)])
+U1_SU2 = mg.ProductGroup((mg.Unitary(1), SU2))
+SU3_MOD_Z3 = mg.central_quotient(mg.ProductGroup((mg.SpecialUnitary(3),)),
+                                 [np.exp(2j * np.pi * j / 3) * np.eye(3) for j in range(3)])
+# a torus block makes the center diagonal but not scalar: diag(i, -1, -1, -1) generates Z4
+T2_SU2_MOD_Z4 = mg.central_quotient(mg.ProductGroup((mg.Torus(2), SU2)),
+                                    [np.linalg.matrix_power(np.diag([1j, -1, -1, -1]), j)
+                                     for j in range(4)])
+U2_T1_SU2 = mg.ProductGroup((mg.Unitary(2), mg.Torus(1), SU2))
 
 
 @pytest.mark.parametrize("desc", [SU2, mg.Unitary(3), mg.Torus(2), U1_SU2_MOD_Z2],
@@ -371,8 +379,8 @@ def gauge_cases(graph):
     }
 
 
-@pytest.mark.parametrize("desc", [SU2, mg.Unitary(3), mg.Torus(2), U1_SU2_MOD_Z2],
-                         ids=["SU2", "U3", "T2", "quotient"])
+@pytest.mark.parametrize("desc", [SU2, mg.Unitary(3), mg.Torus(2), U1_SU2_MOD_Z2, U1_SU2, SU3_MOD_Z3],
+                         ids=["SU2", "U3", "T2", "quotient", "U1xSU2", "SU3modZ3"])
 @pytest.mark.parametrize("layers", [1, 2])
 def test_gauged_values_and_mean_are_the_row_major_oracle_bitwise(desc, layers, monkeypatch):
     # slices of cyl.GAUGE_SLICE samples: counts on both sides of a slice edge and of a mean chunk
@@ -394,6 +402,41 @@ def test_gauged_values_and_mean_are_the_row_major_oracle_bitwise(desc, layers, m
 
 def ladder_bytes(est):
     return np.array([(r.value, r.stderr, r.samples) for r in est.ladder]).tobytes()
+
+
+@pytest.mark.parametrize("desc", [T2_SU2_MOD_Z4, U2_T1_SU2], ids=["T2xSU2modZ4", "U2xT1xSU2"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_gauged_values_of_wide_groups_agree_with_the_padded_oracle(desc, layers):
+    # past 3x3 the padded products were BLAS matmuls; the leaf blocks take stack_mul's sums
+    graph = square_graph()
+    conn = random_generalized_connection(graph, desc, seed=33)
+    for name, f in gauge_cases(graph).items():
+        stack = holonomy_stack(f, conn)
+        for count in (1, cyl.GAUGE_SLICE + 1):
+            got = _gauged_values(f, stack, desc, count, layers, np.random.default_rng(count))
+            want = gauged_values_rows(f, stack, desc, count, layers, np.random.default_rng(count))
+            assert np.max(np.abs(got - want)) <= 1e-14, (name, count)
+
+
+@pytest.mark.parametrize("desc", [U1_SU2_MOD_Z2, T2_SU2_MOD_Z4, U2_T1_SU2],
+                         ids=["quotient", "T2xSU2modZ4", "U2xT1xSU2"])
+def test_gauge_products_run_on_leaf_blocks(desc, monkeypatch):
+    # layers and the gauge action multiply leaf blocks, never the padded n x n stacks
+    widths, mul = set(), mg.stack_mul
+
+    def spy(a, b):
+        widths.add((a.shape[-1], b.shape[-1]))
+        return mul(a, b)
+
+    graph = square_graph()
+    f = gauge_cases(graph)["closed-and-open"]
+    conn = random_generalized_connection(graph, desc, seed=34)
+    stack = holonomy_stack(f, conn)  # the path products are not gauge products
+    monkeypatch.setattr(cyl, "holonomy_stack", lambda *_: stack)
+    monkeypatch.setattr(mg, "stack_mul", spy)
+    HaarMean(f, desc, layers=2).estimate(conn, samples=MEAN_CHUNK + 5, seed=35)
+    leaf_sizes = {leaf.n for _, leaf in mg.leaf_blocks(desc)}
+    assert widths and {w for pair in widths for w in pair} <= leaf_sizes
 
 
 def test_mean_rejects_tiny_sample_counts():
@@ -519,6 +562,13 @@ def test_separation_verdict_holds_python_scalars():
     assert v.gap > 0.0 and type(v.separated) is bool and type(v.gap) is float
     data = dataclasses.asdict(v)
     assert json.loads(json.dumps(data)) == {**data, "witness": [list(s) for s in v.witness]}
+
+
+def test_separation_rejects_empty_tuples():
+    with pytest.raises(ValueError, match="nonempty"):
+        separation_test([], [])
+    with pytest.raises(ValueError, match="nonempty"):
+        separation_test([], [QI])
 
 
 def test_separation_validates_shapes():

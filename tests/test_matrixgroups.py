@@ -796,6 +796,22 @@ def test_canonicalize_batch_is_constant_on_cosets(desc, count, seed, form):
     assert np.array_equal(canonicalize_batch(desc, rep), rep)
 
 
+@pytest.mark.parametrize("desc", [ProductGroup((Unitary(1), SU2)), T2_SU2_MOD_Z4, SU3_MOD_Z3], ids=repr)
+def test_haar_batch_is_the_leaf_blocks_placed(desc):
+    # the gauge average's draws, _haar_blocks, are haar_batch's blocks, from the same stream
+    for count in (1, 7, 1025):
+        got_rng, want_rng = np.random.default_rng(count), np.random.default_rng(count)
+        got, want = haar_batch(desc, count, got_rng), np.zeros((count, dim(desc), dim(desc)), complex)
+        for (sl, _), b in zip(leaf_blocks(desc), mg._haar_blocks(desc, count, want_rng)):
+            want[:, sl, sl] = b
+        # a quotient of several leaves canonicalizes the padded stack, whose off-block zeros
+        # take the winning translate's signs: those bits are compared with every zero as +0.0
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+        if desc is not T2_SU2_MOD_Z4:
+            assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 # --- conjugation by a normal subgroup's ambient group ---------------------------
 
 def test_unitary_conjugation_realized_inside_su():
