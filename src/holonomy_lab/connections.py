@@ -204,8 +204,7 @@ def gauge_act_general(conn: GeneralizedConnection, gauge: DiscreteGauge) -> Gene
     if not edges:
         return GeneralizedConnection(conn.graph, conn.descriptor, {})
     g = np.stack([(gauge.values[e.src], gauge.values[e.dst]) for e in edges.values()])
-    values = dict(conn.values.items())  # one whole read
-    out = gauge_transform(np.stack([values[eid] for eid in edges]), g[:, 0], g[:, 1])
+    out = gauge_transform(np.stack([conn.values[eid] for eid in edges]), g[:, 0], g[:, 1])
     return GeneralizedConnection(conn.graph, conn.descriptor, dict(zip(edges, out)))
 
 
@@ -550,14 +549,11 @@ class _EdgeTransports(Mapping):
             stack = _transport_batch(self._conn, lines, self._tol)[0]
             self._cache.update(zip(todo, mg.admit(self._conn.descriptor, stack)))
 
-    def __getitem__(self, eid):
+    def __getitem__(self, eid):  # a read that misses integrates every missing edge in one pass
         if eid not in self._cache:
-            self.fill([eid])
+            self._graph.edge(eid)  # an unknown id fails before any integration
+            self.fill(self._graph.edges)
         return self._cache[eid]
-
-    def items(self):  # a whole read integrates every edge in one pass
-        self.fill(self._graph.edges)
-        return super().items()
 
     def __contains__(self, eid):
         return eid in self._graph.edges
@@ -574,7 +570,8 @@ def restrict(conn: SmoothConnection, graph: Graph, tol: float = DEFAULT_TOL) -> 
 
     Each edge holds the transport along its curve, integrated when first
     needed and kept: :func:`holonomies` integrates every edge its words walk
-    in one batched pass, and an edge that no word walks is never integrated.
+    in one batched pass, and an edge that no word walks is never integrated;
+    any other read integrates every missing edge in one batched pass.
     Bump terms and graph points must have the same number of coordinates.
     """
     if conn.terms and graph.chart_dim not in (None, conn._centers.shape[1]):

@@ -32,8 +32,8 @@ stacks of matrices, :func:`stack_det` the one determinant and
 :func:`complex_pair` the one writer of a complex number as ``[re, im]``.
 Haar stacks are entry-major (:func:`entry_major`): each matrix entry of the
 stack is one contiguous vector, so stack products and Gram-Schmidt run over long
-vectors rather than n-long rows.  Gauge averages draw, canonicalize and act with
-them leaf block by leaf block (:func:`_haar_blocks`), never on padded n x n stacks.
+vectors rather than n-long rows.  Haar draws are canonicalized, and gauge averages act
+with them, leaf block by leaf block (:func:`_haar_blocks`), never on padded n x n stacks.
 
 Matrix exponential and logarithm exploit that every element here is normal,
 so the results are unitary/anti-hermitian to machine precision.
@@ -596,18 +596,16 @@ def haar_batch(desc, count: int, rng) -> np.ndarray:
     """Stack of ``count`` Haar samples as a (count, n, n) entry-major array (:func:`entry_major`).
 
     ``rng`` is a ``numpy.random.Generator``; draws are consumed leaf by leaf (:func:`_haar_blocks`),
-    so results are deterministic in the generator state.  The blocks are placed on a zero stack,
-    one leaf is its own stack, and a quotient of several leaves canonicalizes the placed stack whole.
+    so results are deterministic in the generator state.  The blocks, canonical in a quotient, are
+    placed on a zero stack; one leaf is its own stack.
     """
-    leaves = leaf_blocks(desc)
-    padded = isinstance(desc, CentralQuotient) and len(leaves) > 1
-    blocks = _haar_blocks(desc.base if padded else desc, count, rng)
+    blocks = _haar_blocks(desc, count, rng)
     if len(blocks) == 1:
         return blocks[0]
     out = entry_major((count, dim(desc), dim(desc)), np.zeros)
-    for (sl, _), b in zip(leaves, blocks):
+    for (sl, _), b in zip(leaf_blocks(desc), blocks):
         out[:, sl, sl] = b
-    return canonicalize_batch(desc, out) if padded else out
+    return out
 
 
 def random_algebra(desc, rng, scale: float = 1.0) -> LieAlgebraElement:

@@ -129,15 +129,19 @@ def tree_reconstruct(basis: TreeBasis, descriptor, loop_values: Mapping,
 # canonical representatives of conjugation orbits
 
 def _center_lifts(descriptor, mats):
-    """Each ``(choice, stack)`` with ``stack[i] = center[choice[i]] @ mats[i]``;
+    """Each ``(choice, stack)`` with ``stack[i] = center[choice[i]] @ mats[i]``, the identity
+    lift first: every index runs through the center list from the identity's index (found within
+    1e-9, as :func:`matrixgroups.central_quotient` finds it) round to the one before it.
     ValueError up front when there are more than ``MAX_CENTER_LIFTS``."""
     center = descriptor.center_matrices()
     lifts = len(center) ** len(mats)
     if lifts > MAX_CENTER_LIFTS:
         raise ValueError(f"too many center lifts: {len(center)}^{len(mats)} = {lifts} "
                          f"> {MAX_CENTER_LIFTS}")
+    one = int(np.argmax(np.isclose(center, np.eye(len(center[0])), atol=1e-9).all(axis=(1, 2))))
+    order = [*range(one, len(center)), *range(one)]
     return ((choice, np.array([center[z] @ m for z, m in zip(choice, mats)]))
-            for choice in itertools.product(range(len(center)), repeat=len(mats)))
+            for choice in itertools.product(order, repeat=len(mats)))
 
 
 def _split_clusters(values: np.ndarray):
@@ -347,8 +351,6 @@ def abelian_obstruction_witness(graph: Graph) -> ObstructionWitness:
     ea, eb = basis.loop_ids[0], basis.loop_ids[1]
     la, lb = basis.loops[ea], basis.loops[eb]
     word = commutator_word(la, lb)
-    if word.is_unit():
-        raise ValueError("tree-basis loops reduced to a trivial commutator")
     su2 = mg.SpecialUnitary(2)
     loop_values = {eid: mg.identity(su2) for eid in basis.loop_ids}
     loop_values[ea] = mg.GroupElement(su2, _QI)

@@ -470,10 +470,12 @@ def test_closure_search_past_the_cube_cap_is_usage_error(tmp_path, capsys):
                                         direction=t["direction"] + [0.0]) for t in d["terms"]],
      "bump terms have 3 chart coordinates, the graph's points 2"),
     ("smooth.json", lambda d: d["terms"][0].update(radius=1e300), "finite square"),
+    ("smooth.json", lambda d: d["terms"][0].update(direction=[0.0, 0.0]), "direction must be nonzero"),
+    ("smooth.json", lambda d: d["terms"][0].update(direction=[1e200, 0.0]), "finite squared norm"),
     ("graph.json", lambda d: d["vertices"][1]["pos"].append(0.0), "mix chart dimensions [2, 3]"),
     ("graph.json", lambda d: d["edges"][0]["curve"][1].append(0.0), "mix chart dimensions [2, 3]"),
-], ids=["direction-length", "bump-3d-graph-2d", "radius-square-overflow", "position-3d",
-        "curve-point-3d"])
+], ids=["direction-length", "bump-3d-graph-2d", "radius-square-overflow", "direction-zero",
+        "direction-square-overflow", "position-3d", "curve-point-3d"])
 def test_chart_dimension_mismatch_is_usage_error(workspace, tmp_path, capsys, document, edit,
                                                  message):
     tmp, _, _ = workspace

@@ -841,7 +841,12 @@ def test_whole_reads_of_a_restricted_connection_integrate_every_edge_in_one_batc
     gauge = random_discrete_gauge(graph, SU2, seed=9)
     acted = gauge_act_general(restrict(smooth, graph), gauge)
     doc = generalized_to_dict(restrict(smooth, graph))
-    assert [len(lines) for lines in transport_batches] == [len(graph.edges)] * 2
+    dict(restrict(smooth, graph).values)
+    list(restrict(smooth, graph).values.values())
+    fresh = restrict(smooth, graph)
+    [fresh.value(e) for e in graph.edges]
+    # each fresh restriction integrates all 6 edges on its first read, in one batch
+    assert [len(lines) for lines in transport_batches] == [len(graph.edges)] * 5
     # a batch transports each edge bit for bit as the edge alone
     alone = {eid: transport(smooth, edge_polyline(graph, eid)) for eid in graph.edges}
     assert doc == generalized_to_dict(GeneralizedConnection(graph, SU2, alone))
@@ -857,8 +862,11 @@ def test_unknown_edge_raises_before_any_matrix_work(transport_calls):
     graph = pentagon_chord_graph()
     with pytest.raises(UnknownEdgeError):
         holonomy_general(random_generalized_connection(graph, SU2, seed=3), word)
+    restricted = restrict(random_smooth_connection(SU2, graph, 4, seed=3), graph)
     with pytest.raises(UnknownEdgeError):
-        holonomy_general(restrict(random_smooth_connection(SU2, graph, 4, seed=3), graph), word)
+        holonomy_general(restricted, word)
+    with pytest.raises(UnknownEdgeError):
+        restricted.values[9]
     assert transport_calls == []
 
 
@@ -1366,10 +1374,13 @@ def test_edge_polyline_orientation_and_geometry_errors():
     fwd = edge_polyline(graph, 1, 1)
     bwd = edge_polyline(graph, 1, -1)
     assert np.array_equal(fwd, bwd[::-1])
-    from holonomy_lab.pathgroupoid import Edge, Graph
     bare = Graph("ab", [Edge(1, "a", "b", None)], "a")
     with pytest.raises(GeometryError):
         edge_polyline(bare, 1)
+    with pytest.raises(GeometryError, match="vertex 'a' has no position"):
+        path_polyline(bare, unit(bare, "a"))
+    with pytest.raises(GeometryError, match="no curve data"):
+        random_smooth_connection(SU2, bare, 2, seed=0)
 
 
 def test_path_polyline_joins_every_word_the_graph_accepts():

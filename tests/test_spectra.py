@@ -710,6 +710,27 @@ def test_closure_quotient_unitary_leaves_reach_determinant_search():
     assert loose.detail.startswith("lift (1,) works: factor 0: ")
 
 
+def test_closure_quotient_judges_the_identity_lift_first_however_the_center_is_listed():
+    # R breaks a relation in the SU(2) leaf, so every lift fails; the failure reported is the
+    # identity lift's, whichever index of K holds the identity
+    graph = pentagon_chord_graph()
+    a, b = pentagon_generators(graph)
+    loops = (a, b, compose(b, a), compose(a, b), compose(a, a))
+    base = mg.ProductGroup((mg.Unitary(1), SU2))
+    A, B = mg.haar_batch(base, 2, np.random.default_rng(3))
+    R = np.diag([1.0, np.exp(0.3j), np.exp(-0.3j)])
+    values = (A, B, -B @ A, A @ B, A @ A @ R)
+    reports = []
+    for center in ([np.eye(3), -np.eye(3)], [-np.eye(3), np.eye(3)]):
+        quo = mg.central_quotient(base, center)
+        data = LoopAssignment(graph, loops, tuple(mg.GroupElement(quo, m) for m in values))
+        reports.append(closure_membership(data, bound=4).to_dict())
+    assert reports[0] == reports[1]
+    assert reports[0]["witness"] == [0, (2, 1), (1, -1), (0, -1)]
+    assert reports[0]["detail"] == ("no center lift works; identity lift: "
+                                    "factor 0: loop values violate a relation among the loops")
+
+
 @pytest.mark.parametrize("break_su2", [False, True], ids=["member", "su2-violated"])
 def test_closure_nested_product_reads_as_flat(break_su2):
     graph = pentagon_chord_graph()
