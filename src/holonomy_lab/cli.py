@@ -282,7 +282,7 @@ def cmd_theta(args):
     basis = tree_basis(graph)
     dec = tree_decompose(basis, conn)
     back = tree_reconstruct(basis, conn.descriptor, dec.loop_values, frames=dec.frames)
-    err = max((float(mg.distance(back.value(eid), conn.value(eid))) for eid in graph.edges),
+    err = max((float(np.linalg.norm(back.values[e] - conn.values[e])) for e in graph.edges),
               default=0.0)
     report = {
         "group": mg.descriptor_to_dict(conn.descriptor),

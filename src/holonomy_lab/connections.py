@@ -200,11 +200,10 @@ def gauge_act_general(conn: GeneralizedConnection, gauge: DiscreteGauge) -> Gene
     """Edge-wise action value(e) -> g(dst)^-1 value(e) g(src), checked like any edge data."""
     if gauge.descriptor != conn.descriptor:
         raise mg.DescriptorMismatchError("gauge and connection descriptors differ")
-    edges = conn.graph.edges
-    if not edges:
-        return GeneralizedConnection(conn.graph, conn.descriptor, {})
-    g = np.stack([(gauge.values[e.src], gauge.values[e.dst]) for e in edges.values()])
-    out = gauge_transform(np.stack([conn.values[eid] for eid in edges]), g[:, 0], g[:, 1])
+    n, edges = mg.dim(conn.descriptor), conn.graph.edges
+    g = np.array([(gauge.values[e.src], gauge.values[e.dst]) for e in edges.values()])
+    h = np.array([conn.values[eid] for eid in edges])
+    out = gauge_transform(h.reshape(-1, n, n), *g.reshape(-1, 2, n, n).swapaxes(0, 1))
     return GeneralizedConnection(conn.graph, conn.descriptor, dict(zip(edges, out)))
 
 

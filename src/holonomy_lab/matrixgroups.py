@@ -56,6 +56,7 @@ import numpy as np
 UNITARY_ATOL = 1e-8      # membership gate of group and algebra elements
 REPAIR_ATOL = 1e-10      # polar-project drift above this
 LEX_ATOL = 1e-9          # tolerance of the coset-representative ordering
+CENTER_ATOL = 1e-9       # absolute tolerance of the center table's checks and lookups
 
 
 class DescriptorMismatchError(ValueError):
@@ -112,21 +113,18 @@ class ProductGroup:
 
 @dataclass(frozen=True)
 class CentralQuotient:
-    """Product group modulo a finite central subgroup.
+    """Product group modulo a finite central subgroup K; :func:`central_quotient` builds it checked.
 
-    ``center`` holds the subgroup elements as nested tuples of complex
-    numbers (hashable); use :func:`central_quotient` to build instances with
-    validation.  Elements of the quotient are stored as the lexicographically
-    smallest matrix among the coset translates, comparing entries row-major,
-    real part before imaginary part, with tolerance ``LEX_ATOL``: the winning
-    column scaling of a lift (:func:`canonicalize_batch`), zero signs unspecified.
+    ``center`` is K's table of diagonals, one hashable tuple of complex numbers per element
+    (:meth:`center_matrices` gives the matrices).  A quotient element is stored as its canonical
+    coset representative, the least translate in the order of :func:`canonicalize_batch`.
     """
 
     base: ProductGroup
     center: tuple
 
     def center_matrices(self):
-        return [np.array(k, dtype=complex) for k in self.center]
+        return [np.diag(k) for k in self.center]
 
 
 def leaf_blocks(desc) -> list:
@@ -149,31 +147,35 @@ def dim(desc) -> int:
     return leaf_blocks(desc)[-1][0].stop
 
 
+def _center_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index in the center ``table`` (K, n) of each of ``rows`` (m, n) to ``CENTER_ATOL``, or -1."""
+    near = (np.abs(rows[:, None] - table) <= CENTER_ATOL).all(axis=-1)
+    return np.where(near.any(axis=1), near.argmax(axis=1), -1)
+
+
 def central_quotient(base: ProductGroup, center_matrices: Iterable[np.ndarray]) -> CentralQuotient:
     """Build a CentralQuotient, checking the center really is one.
 
-    The list must contain the identity, be closed under product and inverse
-    (up to 1e-9) and every element must be central in the base: scalar on
-    U/SU blocks, diagonal on torus blocks.
+    The list is admitted in ``base``, then only its table of diagonals is judged, to the absolute
+    ``CENTER_ATOL``: each element diagonal and scalar on U/SU blocks, the table holding the identity
+    and closed under inverse (conjugate) and product (entrywise), all by :func:`_center_index`.
     """
     if not isinstance(base, ProductGroup):
         raise TypeError("quotient base must be a ProductGroup")
     mats = admit(base, center_matrices)
-    n = dim(base)
-    for sl, leaf in leaf_blocks(base):
-        blk = mats[:, sl, sl]
-        if not isinstance(leaf, Torus) and \
-                not np.allclose(blk, blk[:, :1, :1] * np.eye(leaf.n), atol=1e-9):
-            raise MembershipError("center element is not scalar on a U/SU factor")
-    def listed(stack):  # every matrix of the stack is in the list, within 1e-9
-        return np.isclose(stack[:, None], mats, atol=1e-9).all(axis=(-2, -1)).any(axis=1).all()
-    if not listed(np.eye(n)[None]):
+    table = np.diagonal(mats, axis1=1, axis2=2)
+    if np.max(np.abs(mats - table[:, :, None] * np.eye(dim(base))), initial=0.0) > CENTER_ATOL:
+        raise MembershipError("center element is not diagonal")
+    if any(np.max(np.abs(table[:, sl] - table[:, sl.start, None]), initial=0.0) > CENTER_ATOL
+           for sl, leaf in leaf_blocks(base) if not isinstance(leaf, Torus)):
+        raise MembershipError("center element is not scalar on a U/SU factor")
+    if _center_index(table, np.ones((1, dim(base))))[0] < 0:
         raise MembershipError("center list must contain the identity")
-    if not listed(np.conj(np.swapaxes(mats, -1, -2))):
+    if (_center_index(table, np.conj(table)) < 0).any():
         raise MembershipError("center list is not closed under inverse")
-    if not all(listed(a @ mats) for a in mats):  # one row of products at a time
+    if any((_center_index(table, a * table) < 0).any() for a in table):  # a row at a time
         raise MembershipError("center list is not closed under product")
-    return CentralQuotient(base, tuple(tuple(map(tuple, k.tolist())) for k in mats))
+    return CentralQuotient(base, tuple(map(tuple, table.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +349,10 @@ def _lex_less(a: list, b: list) -> np.ndarray:
 
 
 def _coset_tournament(desc: CentralQuotient, blocks: list) -> list:
-    """Canonical coset representatives of the matrices with diagonal ``blocks``, (N, m, m) stacks in
-    order: a center element k scales their columns by ``diag(k)``; :func:`_lex_less` ranks these."""
+    """Canonical coset representatives of the matrices with diagonal ``blocks`` ((N, m, m) stacks):
+    each center diagonal, split at the blocks, scales their columns; :func:`_lex_less` ranks these."""
     cuts = np.cumsum([b.shape[-1] for b in blocks])[:-1]
-    ks = [np.split(np.diagonal(k), cuts) for k in desc.center_matrices()]
+    ks = [np.split(np.array(k), cuts) for k in desc.center]
     best = list(map(np.multiply, blocks, ks[0]))
     for k in ks[1:]:
         cand = list(map(np.multiply, blocks, k))
@@ -361,12 +363,9 @@ def _coset_tournament(desc: CentralQuotient, blocks: list) -> list:
 
 
 def canonicalize_batch(desc: CentralQuotient, batch: np.ndarray) -> np.ndarray:
-    """Canonical coset representative of each matrix in a (N, n, n) stack.
-
-    Every center element k is diagonal, so the translate ``batch @ k`` is the column scaling
-    ``batch * diag(k)``, equal in value: the coset tournament on one block, the whole matrix
-    (Haar draws run it leaf block by leaf block, :func:`_haar_blocks`).  Zero signs are unspecified.
-    """
+    """Canonical coset representative of each matrix in a (N, n, n) stack: the least translate
+    row-major, real part before imaginary (:func:`_lex_less`), by the coset tournament on one block,
+    the whole matrix (Haar draws run it leaf by leaf, :func:`_haar_blocks`).  Zero signs unspecified."""
     return _coset_tournament(desc, [batch])[0]
 
 

@@ -29,11 +29,10 @@ import numpy as np
 from . import matrixgroups as mg
 from .connections import (
     DEFAULT_TOL,
-    DiscreteGauge,
     GeneralizedConnection,
     admit_values,
     edge_polyline,
-    gauge_act_general,
+    gauge_transform,
     holonomies,
     holonomy_general,
     interpolate_connection,
@@ -108,39 +107,40 @@ def tree_reconstruct(basis: TreeBasis, descriptor, loop_values: Mapping,
     """Rebuild the edge assignment from tree frames and loop holonomies.
 
     Without ``frames`` this is the canonical section: every tree edge holds
-    the identity and every loop edge its loop value.  With them, the
-    section is gauged by the inverse frames, so each edge holds
-    frame(dst) h(loop_e) frame(src)^-1.
+    the identity and every loop edge its loop value.  With them, one
+    ``gauge_transform`` of the stacked section by the inverse frames gives
+    each edge frame(dst) h(loop_e) frame(src)^-1.
     """
     loops = admit_values(descriptor, basis.loop_ids, loop_values,
                          "loop values do not match the non-tree edges")
-    ident = np.eye(mg.dim(descriptor), dtype=complex)
-    section = GeneralizedConnection(basis.graph, descriptor, {
-        eid: loops.get(eid, ident) for eid in basis.graph.edges})
-    if frames is None:
-        return section
-    frames = admit_values(descriptor, basis.graph.vertices, frames,
-                          "frames do not match the vertex set")
-    inverse = {v: frames[v].conj().T for v in basis.graph.vertices}
-    return gauge_act_general(section, DiscreteGauge(basis.graph, descriptor, inverse))
+    n, edges = mg.dim(descriptor), basis.graph.edges
+    ident = np.eye(n, dtype=complex)
+    section = [loops.get(eid, ident) for eid in edges]
+    if frames is not None:
+        frames = admit_values(descriptor, basis.graph.vertices, frames,
+                              "frames do not match the vertex set")
+        inverse = np.conj(np.array([(frames[e.src], frames[e.dst]) for e in edges.values()]))
+        inverse = inverse.reshape(-1, 2, n, n).swapaxes(-1, -2)
+        section = gauge_transform(np.reshape(section, (-1, n, n)), inverse[:, 0], inverse[:, 1])
+    return GeneralizedConnection(basis.graph, descriptor, dict(zip(edges, section)))
 
 
 # ---------------------------------------------------------------------------
 # canonical representatives of conjugation orbits
 
 def _center_lifts(descriptor, mats):
-    """Each ``(choice, stack)`` with ``stack[i] = center[choice[i]] @ mats[i]``, the identity
-    lift first: every index runs through the center list from the identity's index (found within
-    1e-9, as :func:`matrixgroups.central_quotient` finds it) round to the one before it.
+    """Each ``(choice, stack)`` with ``stack[i] = center[choice[i]] @ mats[i]``, a row scaling by
+    a row of the center table, the identity lift first: every index runs through the table from
+    the identity's index (:func:`matrixgroups._center_index`) round to the one before it.
     ValueError up front when there are more than ``MAX_CENTER_LIFTS``."""
-    center = descriptor.center_matrices()
-    lifts = len(center) ** len(mats)
+    table = np.array(descriptor.center)
+    lifts = len(table) ** len(mats)
     if lifts > MAX_CENTER_LIFTS:
-        raise ValueError(f"too many center lifts: {len(center)}^{len(mats)} = {lifts} "
+        raise ValueError(f"too many center lifts: {len(table)}^{len(mats)} = {lifts} "
                          f"> {MAX_CENTER_LIFTS}")
-    one = int(np.argmax(np.isclose(center, np.eye(len(center[0])), atol=1e-9).all(axis=(1, 2))))
-    order = [*range(one, len(center)), *range(one)]
-    return ((choice, np.array([center[z] @ m for z, m in zip(choice, mats)]))
+    one = int(mg._center_index(table, np.ones((1, table.shape[1])))[0])
+    order = [*range(one, len(table)), *range(one)]
+    return ((choice, table[list(choice)][:, :, None] * mats)
             for choice in itertools.product(order, repeat=len(mats)))
 
 

@@ -100,6 +100,16 @@ def test_central_quotient_validation():
         central_quotient(PROD, [np.eye(3), quarter, quarter.conj()])
     with pytest.raises(TypeError, match="must be a ProductGroup"):  # a leaf is no product
         central_quotient(SU2, [np.eye(2), -np.eye(2)])
+    # one absolute 1e-9, no relative tolerance: a phase of 3e-6 is no element of K, nor scalar
+    with pytest.raises(MembershipError, match="not closed"):
+        central_quotient(ProductGroup((Unitary(1), SU2)), [np.eye(3), np.diag([np.exp(3e-6j), 1, 1])])
+    with pytest.raises(MembershipError, match="not scalar on a U/SU factor"):
+        central_quotient(ProductGroup((Unitary(1), U2)), [np.eye(3), np.diag([1, np.exp(5e-6j), 1])])
+    # a group of order 3 off the diagonal by 5e-9, which admit lets through on a torus (1e-8)
+    w = np.exp(2j * np.pi / 3)
+    m = np.diag([w, w * w]) @ scipy.linalg.expm(5e-9 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(MembershipError, match="not diagonal"):
+        central_quotient(ProductGroup((T2,)), [np.eye(2), m, m @ m])
 
 
 def test_descriptors_are_validated_where_built():
@@ -911,6 +921,19 @@ def test_only_matrixgroups_names_the_repair_rule():
         if names & rule:
             named[path.name] = sorted(names & rule)
     assert named == {}
+
+
+def test_no_isclose_or_allclose_hides_a_relative_tolerance():
+    # numpy's default rtol=1e-5 would add 1e-5 of each compared entry to an absolute tolerance
+    hidden = []
+    for path in sorted(Path(mg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "func", None)
+            name = getattr(name, "attr", getattr(name, "id", None))
+            if name in ("isclose", "allclose") and len(node.args) < 3 and \
+                    "rtol" not in {k.arg for k in node.keywords}:
+                hidden.append(f"{path.name}:{node.lineno}")
+    assert hidden == []
 
 
 # --- simultaneous conjugacy ----------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for tree coordinates, orbit normal forms and closure verdicts."""
 
+import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from holonomy_lab.connections import (
     random_smooth_connection,
     restrict,
 )
-from holonomy_lab.pathgroupoid import abelianize, compose, edge_word, inverse, loop_relations
+from holonomy_lab.pathgroupoid import Graph, abelianize, compose, edge_word, inverse, loop_relations
 from holonomy_lab.spectra import (
     ApproximationReport,
     LoopAssignment,
@@ -81,7 +83,11 @@ def test_tree_basis_square_structure():
     assert loop.is_loop() and loop.source == "a"
 
 
-@pytest.mark.parametrize("graph_fn", [square_graph, pentagon_chord_graph])
+def edgeless_graph():
+    return Graph("a", [], "a")
+
+
+@pytest.mark.parametrize("graph_fn", [square_graph, pentagon_chord_graph, edgeless_graph])
 @pytest.mark.parametrize("desc", ALL_KINDS, ids=lambda d: type(d).__name__ + str(mg.dim(d)))
 def test_tree_roundtrip_exact(graph_fn, desc):
     graph = graph_fn()
@@ -89,8 +95,9 @@ def test_tree_roundtrip_exact(graph_fn, desc):
     basis = tree_basis(graph)
     dec = tree_decompose(basis, conn)
     back = tree_reconstruct(basis, desc, dec.loop_values, frames=dec.frames)
-    worst = max(float(mg.distance(back.value(eid), conn.value(eid)))
-                for eid in graph.edges)
+    assert back.values.keys() == conn.values.keys()
+    worst = max((float(mg.distance(back.value(eid), conn.value(eid)))
+                 for eid in graph.edges), default=0.0)
     assert worst <= 1e-12
 
 
@@ -122,7 +129,9 @@ def test_tree_reconstruct_matches_edgewise_gauge_oracle(desc):
     want = gauge_act_edgewise(section, inverse_frames)
     raw_frames = {v: f.matrix for v, f in dec.frames.items()}
     for frames in (dec.frames, raw_frames):
-        got = tree_reconstruct(basis, desc, dec.loop_values, frames=frames)
+        with mock.patch.object(mg, "admit", wraps=mg.admit) as admit:
+            got = tree_reconstruct(basis, desc, dec.loop_values, frames=frames)
+        assert admit.call_count == 3  # the loop values, the frames and the result, once each
         for eid in graph.edges:
             assert float(np.linalg.norm(got.values[eid] - want.values[eid])) <= 1e-12
         if isinstance(desc, mg.CentralQuotient):
@@ -319,6 +328,33 @@ def test_orbit_representative_quotient_invariance():
     rep2 = orbit_representative(U2_AS_QUOTIENT, moved)
     worst = max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(rep, rep2))
     assert worst <= 1e-8
+
+
+W3 = np.exp(2j * np.pi / 3)
+LIFT_QUOTIENTS = {  # each with the largest entrywise difference a lift may show from the matmul
+    "[I,-I]": (U1_SU2_MOD_Z2, 0.0),
+    "[-I,I]": (mg.central_quotient(U1_SU2_MOD_Z2.base, [-np.eye(3), np.eye(3)]), 0.0),
+    "SU(3)/Z3": (mg.central_quotient(mg.ProductGroup((SU3,)), [W3 ** j * np.eye(3) for j in range(3)]),
+                 1e-15),
+    "T2xSU(2)/Z4": (mg.central_quotient(mg.ProductGroup((T2, SU2)),
+                                        [np.linalg.matrix_power(np.diag([1j, -1, -1, -1]), j)
+                                         for j in range(4)]), 1e-15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_QUOTIENTS))
+def test_center_lifts_are_the_center_products_identity_first(name):
+    # a lift scales rows by a diagonal of K: exactly center[z] @ m for K = {I, -I}, listed either way
+    desc, atol = LIFT_QUOTIENTS[name]
+    mats = mg.haar_batch(desc, 3, np.random.default_rng(46))
+    ks = desc.center_matrices()
+    one = next(j for j, k in enumerate(ks) if np.array_equal(k, np.eye(len(k))))
+    lifts = list(spectra._center_lifts(desc, mats))
+    assert [choice for choice, _ in lifts] == \
+        list(itertools.product([*range(one, len(ks)), *range(one)], repeat=3))
+    for choice, stack in lifts:
+        want = np.array([ks[z] @ m for z, m in zip(choice, mats)])
+        assert np.array_equal(stack, want) if atol == 0.0 else np.max(np.abs(stack - want)) <= atol
 
 
 def test_orbit_representative_caps_center_lifts():
