@@ -6,12 +6,17 @@ inputs, run the named computation, and emit a deterministic JSON report
 commands additionally write a CSV summary and two-column ``.dat`` files
 that any plotting tool can consume.  Nothing here owns numerics.
 
+``main`` loads ``--graph`` whenever it is given, then the connection of
+each command that requires one, and hands both to the command, which only
+computes.  On the report it returns, ``main`` stamps ``command``, the
+``group`` of that connection, and ``ok`` (true unless the command set it).
+
 Exit codes, decided in ``main`` alone: 0 success; 1 a mathematical verdict
 failed under ``--strict``; 2 usage or input errors, where an input file that
 cannot be read, an ``--out`` that cannot be written (before any output) and
-a malformed document (non-finite numbers included) are named by their path,
-and any other out-of-range parameter, or a size too large to allocate, by
-the command;
+a malformed document (non-finite numbers and too deep nesting included) are
+named by their path, and any other out-of-range parameter, or a size too
+large to allocate, by the command;
 3 numeric failures inside an operation.
 Reports never embed timestamps or environment data, so a fixed command
 line with a fixed seed reproduces byte-identical output.
@@ -100,6 +105,8 @@ def _load_json(path):
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise CliError(f"{path}: nested too deeply") from None
 
 
 def _load(path, build, *args):
@@ -109,6 +116,8 @@ def _load(path, build, *args):
         return build(*args, document)
     except (ValueError, KeyError, TypeError, IndexError, AttributeError, ArithmeticError) as exc:
         raise CliError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise CliError(f"{path}: nested too deeply") from None
 
 
 def _connection_from_dict(graph, args, data):
@@ -190,9 +199,7 @@ def _emit(report, out, name, extra_files=()):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_holonomy(args):
-    graph = _load(args.graph, graph_from_dict)
-    conn = _load(args.connection, _connection_from_dict, graph, args)
+def cmd_holonomy(args, graph, conn):
     word = _path_word(graph, args.path)
     h = holonomy_general(conn, word)
     tr = complex(np.trace(h.matrix))
@@ -200,18 +207,14 @@ def cmd_holonomy(args):
         "path": word_to_tokens(word),
         "source": word.source,
         "range": word.range,
-        "group": mg.descriptor_to_dict(conn.descriptor),
         "matrix": mg.matrix_to_pairs(h.matrix),
         "trace": mg.complex_pair(tr),
         "trace_normalized": mg.complex_pair(tr / mg.dim(conn.descriptor)),
-        "ok": True,
     }
     return report, []
 
 
-def cmd_wilson(args):
-    graph = _load(args.graph, graph_from_dict)
-    conn = _load(args.connection, _connection_from_dict, graph, args)
+def cmd_wilson(args, graph, conn):
     word = _path_word(graph, args.path)
     if not word.is_loop():
         raise CliError(f"--path: wilson needs a loop, got {word.source!r} -> {word.range!r}")
@@ -220,16 +223,12 @@ def cmd_wilson(args):
     report = {
         "path": word_to_tokens(word),
         "basepoint": word.source,
-        "group": mg.descriptor_to_dict(conn.descriptor),
         "value": mg.complex_pair(value),
-        "ok": True,
     }
     return report, []
 
 
-def cmd_gauge_orbit(args):
-    graph = _load(args.graph, graph_from_dict)
-    conn = _load(args.connection, _connection_from_dict, graph, args)
+def cmd_gauge_orbit(args, graph, conn):
     desc = conn.descriptor
     basis = tree_basis(graph)
     if not basis.loop_ids:
@@ -242,13 +241,11 @@ def cmd_gauge_orbit(args):
     values = stack[:len(loops)]
     rep = orbit_representative(desc, values)
     report = {
-        "group": mg.descriptor_to_dict(desc),
         "loop_ids": [str(eid) for eid in basis.loop_ids],
         "loop_values": [mg.matrix_to_pairs(v) for v in values],
         "representative": [mg.matrix_to_pairs(r.matrix) for r in rep],
         "seed": args.seed,
         "samples": args.samples,
-        "ok": True,
     }
     if f is not None:
         drift = invariance_check(f, stack[len(loops):], desc, gauges=args.samples, seed=args.seed)
@@ -257,35 +254,28 @@ def cmd_gauge_orbit(args):
     return report, []
 
 
-def cmd_haar_mean(args):
-    graph = _load(args.graph, graph_from_dict)
-    conn = _load(args.connection, _connection_from_dict, graph, args)
+def cmd_haar_mean(args, graph, conn):
     f = _load(args.function, cyl_from_dict, graph)
     hm = HaarMean(f, conn.descriptor, layers=args.layers)
     est = hm.estimate(conn, args.samples, args.seed)
     rows = [f"{e.samples} {e.value.real!r}\n" for e in est.ladder]
     report = {
-        "group": mg.descriptor_to_dict(conn.descriptor),
         "value": mg.complex_pair(est.value),
         "stderr": est.stderr,
         "samples": est.samples,
         "layers": est.layers,
         "seed": args.seed,
-        "ok": True,
     }
     return report, [("haar-mean.dat", "".join(rows))]
 
 
-def cmd_theta(args):
-    graph = _load(args.graph, graph_from_dict)
-    conn = _load(args.connection, _connection_from_dict, graph, args)
+def cmd_theta(args, graph, conn):
     basis = tree_basis(graph)
     dec = tree_decompose(basis, conn)
     back = tree_reconstruct(basis, conn.descriptor, dec.loop_values, frames=dec.frames)
     err = max((float(np.linalg.norm(back.values[e] - conn.values[e])) for e in graph.edges),
               default=0.0)
     report = {
-        "group": mg.descriptor_to_dict(conn.descriptor),
         "tree_edges": sorted(str(eid) for eid in basis.tree_edges),
         "loop_ids": [str(eid) for eid in basis.loop_ids],
         "frames": {str(v): mg.matrix_to_pairs(dec.frames[v].matrix)
@@ -298,14 +288,12 @@ def cmd_theta(args):
     return report, []
 
 
-def cmd_approx(args):
-    graph = None if args.graph is None else _load(args.graph, graph_from_dict)
+def cmd_approx(args, graph, conn):
     graph, words, windows, label = _load(args.family, _family_from_dict, graph)
     desc = parse_group(args.group)
     reports = [approximation_experiment(graph, words, desc, seed, windows=windows,
                                         bound=args.bound, label=label, tol=args.tolerance)
                for seed in range(args.seed, args.seed + args.seeds)]
-    ok = all(r.verdict for r in reports)
     csv_rows = ["seed,max_error,verdict\n"]
     dat_rows = []
     for r in reports:
@@ -317,24 +305,21 @@ def cmd_approx(args):
         "label": label,
         "bound": args.bound,
         "reports": [r.to_dict() for r in reports],
-        "ok": ok,
+        "ok": all(r.verdict for r in reports),
     }
     extras = [("approx.csv", "".join(csv_rows)), ("approx-errors.dat", "".join(dat_rows))]
     return report, extras
 
 
-def cmd_obstruction(args):
-    graph = _load(args.graph, graph_from_dict)
+def cmd_obstruction(args, graph, conn):
     if args.path is not None:
         word = _path_word(graph, args.path)
         exponents = abelianize(word)
-        verdict = "Obstructed" if not exponents else "Unobstructed"
         report = {
             "mode": "word",
             "word": word_to_tokens(word),
             "abelianization": {str(eid): c for eid, c in exponents.items()},
-            "verdict": verdict,
-            "ok": True,
+            "verdict": "Obstructed" if not exponents else "Unobstructed",
         }
         return report, []
     wit = abelian_obstruction_witness(graph)
@@ -352,8 +337,7 @@ def cmd_obstruction(args):
     return report, []
 
 
-def cmd_closure(args):
-    graph = _load(args.graph, graph_from_dict)
+def cmd_closure(args, graph, conn):
     if (args.family is None) == (args.connection is None):
         raise CliError("closure needs exactly one of --family or --connection")
     if args.connection is not None:
@@ -390,7 +374,7 @@ def _parser_tree():
 
     def add(name, func, **needs):
         p = sub.add_parser(name)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, load_connection=needs.get("connection", False))
         p.add_argument("--graph", required=needs.get("graph", False))
         for opt in ("connection", "function", "group", "path", "family", "seed"):  # needs: required
             if opt in needs:
@@ -425,8 +409,14 @@ def main(argv=None):
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             args = _build_parser().parse_args(argv)
-            report, extras = args.func(args)
+            graph = None if args.graph is None else _load(args.graph, graph_from_dict)
+            conn = (_load(args.connection, _connection_from_dict, graph, args)
+                    if args.load_connection else None)
+            report, extras = args.func(args, graph, conn)
+            report.setdefault("ok", True)
             report["command"] = args.command
+            if conn is not None:
+                report["group"] = mg.descriptor_to_dict(conn.descriptor)
             _emit(report, args.out, args.command, extras)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -442,7 +432,7 @@ def main(argv=None):
     except MemoryError as exc:  # the input asked for an impossible size
         print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return 2
-    if args.strict and not report.get("ok", True):
+    if args.strict and not report["ok"]:
         return 1
     return 0
 

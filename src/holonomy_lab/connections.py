@@ -102,11 +102,6 @@ class GeneralizedConnection:
         self.values = admit_values(descriptor, graph.edges, values,
                                    "edge values do not match the graph")
 
-    def value(self, eid) -> mg.GroupElement:
-        if eid not in self.values:
-            raise UnknownEdgeError(f"no edge with id {eid!r}")
-        return mg.GroupElement(self.descriptor, self.values[eid], check=False)
-
 
 def _word_products(mats: np.ndarray, words, keys=None) -> np.ndarray:
     """Products of signed words over ``mats`` of shape (k, ..., n, n): shape (len(words), ..., n, n).
@@ -179,9 +174,6 @@ class DiscreteGauge:
         self.descriptor = descriptor
         self.values = admit_values(descriptor, graph.vertices, values,
                                    "gauge values do not match the vertex set")
-
-    def value(self, vertex) -> mg.GroupElement:
-        return mg.GroupElement(self.descriptor, self.values[vertex], check=False)
 
 
 def random_discrete_gauge(graph: Graph, descriptor, seed: int) -> DiscreteGauge:

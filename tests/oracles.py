@@ -585,7 +585,7 @@ def holonomy_letterwise(conn, word):
     """
     acc = mg.identity(conn.descriptor)
     for eid, o in reversed(word.letters):
-        v = conn.value(eid)
+        v = mg.GroupElement(conn.descriptor, conn.values[eid], check=False)
         acc = mg.mul(acc, v if o == 1 else mg.inv(v))
     return acc
 
@@ -663,11 +663,12 @@ def chain_matmul(mats: np.ndarray) -> np.ndarray:
 
 
 def gauge_act_edgewise(conn, gauge):
-    """value(e) -> g(dst)^-1 value(e) g(src) as group operations, edge by edge."""
+    """values[e] -> g(dst)^-1 values[e] g(src) as group operations, edge by edge."""
     out = {}
     for eid, e in conn.graph.edges.items():
-        v = conn.value(eid)
-        out[eid] = mg.mul(mg.mul(mg.inv(gauge.value(e.dst)), v), gauge.value(e.src))
+        v, g_src, g_dst = (mg.GroupElement(conn.descriptor, m, check=False)
+                           for m in (conn.values[eid], gauge.values[e.src], gauge.values[e.dst]))
+        out[eid] = mg.mul(mg.mul(mg.inv(g_dst), v), g_src)
     return GeneralizedConnection(conn.graph, conn.descriptor, out)
 
 

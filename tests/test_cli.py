@@ -978,6 +978,67 @@ def test_closure_needs_exactly_one_input(workspace):
     assert "exactly one" in result.stderr
 
 
+# Two inputs at fault at once: the error is the one the command meets first.
+@pytest.fixture
+def bad_files(tmp_path):
+    """One undecodable document per input, each under its own name."""
+    files = {kind: tmp_path / f"bad-{kind}.json" for kind in ("graph", "conn", "function", "family")}
+    for path in files.values():
+        path.write_text("{")
+    return files
+
+
+def test_a_bad_graph_is_named_before_a_bad_connection(bad_files, capsys):
+    err = usage_error(capsys, ["holonomy", "--graph", bad_files["graph"],
+                               "--connection", bad_files["conn"], "--path", "1"])
+    assert str(bad_files["graph"]) in err and str(bad_files["conn"]) not in err
+
+
+def test_a_bad_connection_is_named_before_a_bad_path(workspace, bad_files, capsys):
+    tmp, _, _ = workspace
+    err = usage_error(capsys, ["holonomy", "--graph", tmp / "graph.json",
+                               "--connection", bad_files["conn"], "--path", "99"])
+    assert str(bad_files["conn"]) in err and "--path" not in err
+
+
+def test_gauge_orbit_on_a_loopless_graph_fails_before_reading_its_function(bad_files, tmp_path,
+                                                                          capsys):
+    tree = Graph("ab", [Edge(1, "a", "b", None)], "a")
+    (tmp_path / "tree.json").write_text(json.dumps(graph_to_dict(tree)))
+    conn = random_generalized_connection(tree, SU2, seed=0)
+    (tmp_path / "tree-conn.json").write_text(json.dumps(generalized_to_dict(conn)))
+    err = usage_error(capsys, ["gauge-orbit", "--graph", tmp_path / "tree.json",
+                               "--connection", tmp_path / "tree-conn.json",
+                               "--function", bad_files["function"], "--seed", "0"])
+    assert "graph has no independent loops" in err
+
+
+def test_obstruction_word_mode_never_reads_its_connection(workspace, bad_files, capsys):
+    tmp, _, _ = workspace
+    argv = ["obstruction", "--graph", tmp / "graph.json", "--path", "1,2",
+            "--connection", bad_files["conn"]]
+    assert main([str(a) for a in argv]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "word"
+
+
+def test_closure_asks_for_exactly_one_input_before_reading_either(workspace, bad_files, capsys):
+    tmp, _, _ = workspace
+    err = usage_error(capsys, ["closure", "--graph", tmp / "graph.json",
+                               "--family", bad_files["family"], "--connection", bad_files["conn"]])
+    assert "exactly one" in err
+
+
+def test_deep_document_through_the_entry_point_is_one_error_line(workspace, tmp_path):
+    tmp, _, _ = workspace
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    result = run_cli(["holonomy", "--graph", str(deep), "--connection", str(tmp / "conn.json"),
+                      "--path", "1,2"])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr == f"error: {deep}: nested too deeply\n"
+
+
 def test_missing_file_is_usage_error(workspace, tmp_path, capsys):
     result = run_cli(["holonomy", "--graph", str(tmp_path / "nope.json"),
                       "--connection", str(tmp_path / "nope.json"), "--path", "1"])

@@ -7,6 +7,8 @@ command on the result in-process.  Whatever the mutation, ``main`` must
 return 0, 1, 2 or 3 and raise nothing.  A return of 2 or 3 comes with
 exactly one ``error:`` line on stderr; a return of 0 or 1 comes with a
 report that parses as strict JSON, with no ``NaN`` or ``Infinity``.
+A document nested past Python's recursion limit, whether decoding or
+building it fails, exits 2 with one line that names its file.
 
 The mutation alphabet holds no large integers.  A descriptor with
 ``n = 10**6`` makes numpy try to allocate terabytes and fails with
@@ -162,13 +164,41 @@ def _strict_constant(text):
     raise AssertionError(f"report holds {text}")
 
 
+# commands whose report echoes the group of the connection or descriptor they read
+GROUP_COMMANDS = {"holonomy", "wilson", "gauge-orbit", "haar-mean", "theta", "approx"}
+
+
 @pytest.mark.parametrize("kind, argv", CASES)
 def test_fixture_commands_succeed(files, kind, argv):
     # so that a mutation, not a broken fixture, is what each example tests
     names = {k: files / f"{k}.json" for k in DOCUMENTS}
     code, out, _ = run_main([a.format(**names) for a in argv])
     assert code == 0
-    json.loads(out, parse_constant=_strict_constant)
+    report = json.loads(out, parse_constant=_strict_constant)
+    assert report["command"] == argv[0]
+    assert isinstance(report["ok"], bool)
+    assert ("group" in report) == (argv[0] in GROUP_COMMANDS)
+
+
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000  # fails while decoding
+CONJ_DEPTH = 700  # decodes, then fails while building the expression
+CONJ_CHAIN = (f'{{"paths": {json.dumps(DOCUMENTS["function"]["paths"])}, "expr": '
+              + '{"conj": ' * CONJ_DEPTH + '{"trace": 1}' + "}" * CONJ_DEPTH + "}")
+DEEP_CASES = ([(kind, argv, DEEP_ARRAY) for kind, argv in CASES]
+              + [(kind, argv, CONJ_CHAIN) for kind, argv in CASES if kind == "function"])
+
+
+@pytest.mark.parametrize("kind, argv, text", DEEP_CASES,
+                         ids=[f"{kind}-{argv[0]}-{'decode' if text is DEEP_ARRAY else 'build'}"
+                              for kind, argv, text in DEEP_CASES])
+def test_deep_documents_exit_2_naming_the_file(files, kind, argv, text):
+    if text is CONJ_CHAIN:
+        json.loads(text)  # so that building, not decoding, is what fails
+    (files / "deep.json").write_text(text)
+    names = {k: files / ("deep.json" if k == kind else f"{k}.json") for k in DOCUMENTS}
+    code, out, err = run_main([a.format(**names) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {files / 'deep.json'}: nested too deeply\n"
 
 
 @settings(max_examples=300, deadline=None)

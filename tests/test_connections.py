@@ -663,7 +663,7 @@ def test_generalized_holonomy_multiplies_in_walk_order():
     graph = square_graph()
     conn = random_generalized_connection(graph, SU2, seed=16)
     w = compose(edge_word(graph, 2), edge_word(graph, 1))
-    want = conn.value(2).matrix @ conn.value(1).matrix
+    want = conn.values[2] @ conn.values[1]
     assert frob(holonomy_general(conn, w).matrix, want) < 1e-13
     w_back = inverse(w)
     assert frob(holonomy_general(conn, w_back).matrix, want.conj().T) < 1e-13
@@ -844,7 +844,7 @@ def test_whole_reads_of_a_restricted_connection_integrate_every_edge_in_one_batc
     dict(restrict(smooth, graph).values)
     list(restrict(smooth, graph).values.values())
     fresh = restrict(smooth, graph)
-    [fresh.value(e) for e in graph.edges]
+    [fresh.values[e] for e in graph.edges]
     # each fresh restriction integrates all 6 edges on its first read, in one batch
     assert [len(lines) for lines in transport_batches] == [len(graph.edges)] * 5
     # a batch transports each edge bit for bit as the edge alone
@@ -908,7 +908,7 @@ def test_generalized_connection_validates_edges():
         GeneralizedConnection(graph, SU2, vals)
     conn = random_generalized_connection(graph, SU2, seed=17)
     with pytest.raises(KeyError):
-        conn.value(99)
+        conn.values[99]
 
 
 def test_discrete_gauge_covariance_exact():
@@ -923,9 +923,9 @@ def test_discrete_gauge_covariance_exact():
     ]
     for w in words:
         lhs = holonomy_general(acted, w).matrix
-        rhs = (gauge.value(w.range).matrix.conj().T
+        rhs = (gauge.values[w.range].conj().T
                @ holonomy_general(conn, w).matrix
-               @ gauge.value(w.source).matrix)
+               @ gauge.values[w.source])
         assert frob(lhs, rhs) < 1e-12
 
 
@@ -991,9 +991,9 @@ def test_smooth_gauge_covariance_formula():
     pts = path_polyline(graph, word)
     lhs = gauge_transform(transport(conn, pts, tol=1e-11), gauge.at(pts[0]), gauge.at(pts[-1]))
     disc = gauge.as_discrete(graph)
-    rhs = (disc.value(word.range).matrix.conj().T
+    rhs = (disc.values[word.range].conj().T
            @ transport(conn, pts, tol=1e-11)
-           @ disc.value(word.source).matrix)
+           @ disc.values[word.source])
     assert frob(lhs, rhs) < 1e-9
 
 
