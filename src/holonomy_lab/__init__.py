@@ -103,7 +103,6 @@ from .cylindrical import (
     wilson_loop,
 )
 from .spectra import (
-    ApproximationReport,
     ClosureVerdict,
     LoopAssignment,
     ObstructionWitness,

@@ -4,12 +4,15 @@ Every command is a thin composition of library operations: load JSON
 inputs, run the named computation, and emit a deterministic JSON report
 (stdout, and ``<command>.json`` under ``--out`` when given).  Batch
 commands additionally write a CSV summary and two-column ``.dat`` files
-that any plotting tool can consume.  Nothing here owns numerics.
+that any plotting tool can consume.  Nothing here owns numerics, and
+every report's layout lives here: library results carry only what they
+compute, and the library's ``*_to_dict`` functions write input documents.
 
 ``main`` loads ``--graph`` whenever it is given, then the connection of
-each command that requires one, and hands both to the command, which only
-computes.  On the report it returns, ``main`` stamps ``command``, the
-``group`` of that connection, and ``ok`` (true unless the command set it).
+each command that requires one, and hands both to the command, which
+computes and lays out its report.  On that report ``main`` stamps
+``command``, the ``group`` of that connection, and ``ok`` (true unless the
+command set it).
 
 Exit codes, decided in ``main`` alone: 0 success; 1 a mathematical verdict
 failed under ``--strict``; 2 usage or input errors, where an input file that
@@ -263,7 +266,7 @@ def cmd_haar_mean(args, graph, conn):
         "value": mg.complex_pair(est.value),
         "stderr": est.stderr,
         "samples": est.samples,
-        "layers": est.layers,
+        "layers": args.layers,
         "seed": args.seed,
     }
     return report, [("haar-mean.dat", "".join(rows))]
@@ -291,24 +294,25 @@ def cmd_theta(args, graph, conn):
 def cmd_approx(args, graph, conn):
     graph, words, windows, label = _load(args.family, _family_from_dict, graph)
     desc = parse_group(args.group)
-    reports = [approximation_experiment(graph, words, desc, seed, windows=windows,
-                                        bound=args.bound, label=label, tol=args.tolerance)
-               for seed in range(args.seed, args.seed + args.seeds)]
-    csv_rows = ["seed,max_error,verdict\n"]
-    dat_rows = []
-    for r in reports:
-        worst = max(r.errors)
-        csv_rows.append(f"{r.seed},{worst!r},{str(r.verdict).lower()}\n")
-        dat_rows.append(f"{r.seed} {worst!r}\n")
+    group = mg.descriptor_to_dict(desc)
+    reports = []
+    for seed in range(args.seed, args.seed + args.seeds):
+        errors = approximation_experiment(graph, words, desc, seed, windows=windows,
+                                          tol=args.tolerance)
+        worst = max(errors)
+        reports.append({"experiment": label, "descriptor": group, "seed": seed,
+                        "errors": list(errors), "max_error": worst, "bound": args.bound,
+                        "verdict": worst <= args.bound})
+    csv = "".join(f"{r['seed']},{r['max_error']!r},{str(r['verdict']).lower()}\n" for r in reports)
+    dat = "".join(f"{r['seed']} {r['max_error']!r}\n" for r in reports)
     report = {
-        "group": mg.descriptor_to_dict(desc),
+        "group": group,
         "label": label,
         "bound": args.bound,
-        "reports": [r.to_dict() for r in reports],
-        "ok": all(r.verdict for r in reports),
+        "reports": reports,
+        "ok": all(r["verdict"] for r in reports),
     }
-    extras = [("approx.csv", "".join(csv_rows)), ("approx-errors.dat", "".join(dat_rows))]
-    return report, extras
+    return report, [("approx.csv", "seed,max_error,verdict\n" + csv), ("approx-errors.dat", dat)]
 
 
 def cmd_obstruction(args, graph, conn):
@@ -325,16 +329,25 @@ def cmd_obstruction(args, graph, conn):
     wit = abelian_obstruction_witness(graph)
     report = {
         "mode": "commutator",
+        "word": word_to_tokens(wit.word),
+        "abelianization": {},
+        "loop_a": word_to_tokens(wit.loop_a),
+        "loop_b": word_to_tokens(wit.loop_b),
+        "nonabelian_defect": wit.nonabelian_defect,
         "verdict": "Obstructed",
         "ok": wit.nonabelian_defect > 1.0,
     }
-    report.update(wit.to_dict())
     if args.connection is not None:
         conn = _load(args.connection, _connection_from_dict, graph, args)
         defect = wit.abelian_defect(conn)
         report["abelian_defect"] = defect
         report["ok"] = report["ok"] and defect <= args.check_tolerance
     return report, []
+
+
+CLOSURE_MODE = {mg.Torus: "torus-abelianized", mg.SpecialUnitary: "semisimple-full",
+                mg.Unitary: "unitary-determinant", mg.ProductGroup: "product-split",
+                mg.CentralQuotient: "quotient-pushforward"}  # keyed by descriptor type
 
 
 def cmd_closure(args, graph, conn):
@@ -345,8 +358,15 @@ def cmd_closure(args, graph, conn):
     else:
         data = _load(args.family, loop_assignment_from_dict, graph)
     verdict = closure_membership(data, bound=args.bound, tol=args.check_tolerance)
-    report = {"ok": verdict.member}
-    report.update(verdict.to_dict())
+    report = {
+        "member": verdict.member,
+        "mode": CLOSURE_MODE[type(data.descriptor)],
+        "certified": bool(verdict.certified),
+        "witness": list(verdict.witness) or None,
+        "detail": verdict.detail,
+        "checked": verdict.checked,
+        "ok": verdict.member,
+    }
     return report, []
 
 
@@ -378,7 +398,8 @@ def _parser_tree():
         p.add_argument("--graph", required=needs.get("graph", False))
         for opt in ("connection", "function", "group", "path", "family", "seed"):  # needs: required
             if opt in needs:
-                p.add_argument(f"--{opt}", type=int if opt == "seed" else str, required=needs[opt])
+                p.add_argument(f"--{opt}", type=_count(0) if opt == "seed" else str,
+                               required=needs[opt])
         for opt in ("samples", "seeds", "layers", "bound"):  # needs: (type, default)
             if opt in needs:
                 p.add_argument(f"--{opt}", type=needs[opt][0], default=needs[opt][1])

@@ -17,7 +17,9 @@ n-sample run.  Gauge layers and actions run leaf block by leaf block on entry-ma
 stacks (``matrixgroups.entry_major``), the action on cache-sized slices.
 
 Entry and trace indices are 1-based throughout (path 1 is the first path,
-H_11 the top-left entry), matching the usual matrix notation.
+H_11 the top-left entry), matching the usual matrix notation.  Results hold
+only what they compute; the ``cli`` module lays out their reports, and
+``cyl_to_dict`` writes an input document.
 """
 
 from __future__ import annotations
@@ -271,7 +273,6 @@ class MeanEstimate:
     value: complex
     stderr: float
     samples: int
-    layers: int
     ladder: tuple = field(default=(), compare=False)  # per rung n: the first n draws' estimate
 
 
@@ -313,7 +314,7 @@ class HaarMean:
                 v, d = vals[:n - done], dev[:n - done]
                 mean, dev_mean = (total + v.sum()) / n, (dev_total + d.sum()) / n
                 var = max((dev_sq + float(np.sum(np.abs(d) ** 2))) / n - abs(dev_mean) ** 2, 0.0)
-                ladder.append(MeanEstimate(complex(mean), float(np.sqrt(var / n)), n, self.layers))
+                ladder.append(MeanEstimate(complex(mean), float(np.sqrt(var / n)), n))
             total += vals.sum()
             dev_total += dev.sum()
             dev_sq += float(np.sum(np.abs(dev) ** 2))
@@ -341,7 +342,7 @@ class SeparationVerdict:
     """Outcome of a trace-invariant comparison of two holonomy tuples.
 
     ``separated`` True is conclusive: some invariant differs by more than
-    the threshold, so no simultaneous conjugation matches the tuples.
+    ``SEPARATION_THRESHOLD``, so no simultaneous conjugation matches the tuples.
     False only says no witness exists among products of length at most the
     bound that was searched.
     """
@@ -349,7 +350,6 @@ class SeparationVerdict:
     separated: bool
     gap: float
     witness: tuple
-    threshold: float
     words_checked: int
 
 
@@ -391,4 +391,4 @@ def separation_test(stack_a, stack_b, max_len: int = 3) -> SeparationVerdict:
     gaps = np.hypot(d.real, d.imag)  # bit for bit abs() of one gap, which numpy's complex abs is not
     best = int(np.argmax(gaps))  # the first maximal gap
     gap, witness = (float(gaps[best]), words[best]) if gaps[best] > 0.0 else (0.0, ())
-    return SeparationVerdict(gap > SEPARATION_THRESHOLD, gap, witness, SEPARATION_THRESHOLD, len(words))
+    return SeparationVerdict(gap > SEPARATION_THRESHOLD, gap, witness, len(words))

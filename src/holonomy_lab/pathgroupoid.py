@@ -57,9 +57,10 @@ class Graph:
     basepoint : vertex id
     positions : optional mapping vertex id -> chart point (tuple of floats)
 
-    Self-loops and parallel edges are allowed.  Ids must be hashable; tokens name an
-    edge by its id's ``str`` (``names``): one per edge, none read reversed (``-e``,
-    ``e^-1``).  Every chart point has ``chart_dim`` coordinates and a norm below 2^128.
+    Self-loops and parallel edges are allowed.  Ids must be hashable and unequal
+    (``1``, ``1.0`` and ``True`` are equal); tokens name an edge by its id's ``str``
+    (``names``): one per edge, none read reversed (``-e``, ``e^-1``).  Every chart
+    point has ``chart_dim`` coordinates and a norm below 2^128.
     """
 
     def __init__(self, vertices, edges, basepoint, positions=None):
@@ -74,6 +75,8 @@ class Graph:
             name = str(e.id)
             if name in self.names:
                 raise ValueError(f"edge id {e.id!r} repeats the name of edge {self.names[name]!r}")
+            if e.id in self.edges:  # 1, 1.0 and True are one dict key
+                raise ValueError(f"edge id {e.id!r} equals the id of edge {self.edges[e.id].id!r}")
             if name.startswith("-") or name.endswith("^-1"):
                 raise ValueError(f"edge id {e.id!r} reads as a reversed letter")
             self.names[name] = e.id

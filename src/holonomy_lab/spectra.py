@@ -16,6 +16,9 @@ relation that a Stallings fold finds among the loops to I, and a central
 quotient repeats this for each center lift in a finite search.  Both
 searches refuse up front a size past their cap, ``MAX_SEARCH_CUBE``
 exponent vectors and ``MAX_CENTER_LIFTS`` lifts.
+
+Results hold only what they compute; the ``cli`` module lays out their
+reports.  ``loop_assignment_to_dict`` writes an input document.
 """
 
 from __future__ import annotations
@@ -246,27 +249,6 @@ def orbit_representative(descriptor, values):
 # ---------------------------------------------------------------------------
 # interpolation experiments
 
-@dataclass(frozen=True)
-class ApproximationReport:
-    experiment: str
-    descriptor: dict
-    seed: int
-    errors: tuple
-    bound: float
-    verdict: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "descriptor": self.descriptor,
-            "seed": self.seed,
-            "errors": list(self.errors),
-            "max_error": max(self.errors),
-            "bound": self.bound,
-            "verdict": bool(self.verdict),
-        }
-
-
 def default_windows(graph: Graph, words: Sequence[PathWord]) -> list:
     """Each word's final edge from its second curve point on, a natural
     private segment; a straight two-point final edge gives its one segment."""
@@ -282,9 +264,8 @@ def default_windows(graph: Graph, words: Sequence[PathWord]) -> list:
 
 def approximation_experiment(graph: Graph, words: Sequence[PathWord], descriptor,
                              seed: int, windows: Sequence = None,
-                             bound: float = 1e-6, label: str = "interpolation",
-                             tol: float = DEFAULT_TOL) -> ApproximationReport:
-    """Draw Haar targets, interpolate, and measure the holonomy errors."""
+                             tol: float = DEFAULT_TOL) -> tuple:
+    """Draw Haar targets, interpolate, and return each word's holonomy error (Frobenius)."""
     if windows is None:
         windows = default_windows(graph, words)
     if len(windows) != len(words):
@@ -294,9 +275,7 @@ def approximation_experiment(graph: Graph, words: Sequence[PathWord], descriptor
     targets = [InterpolationTarget(w, mg.GroupElement(descriptor, m, check=False), tuple(win))
                for w, m, win in zip(words, targets_mats, windows)]
     conn = restrict(interpolate_connection(graph, targets), graph, tol)
-    errors = [float(np.linalg.norm(h - m)) for h, m in zip(holonomies(conn, words), targets_mats)]
-    return ApproximationReport(label, mg.descriptor_to_dict(descriptor), seed,
-                               tuple(errors), bound, max(errors) <= bound)
+    return tuple(float(np.linalg.norm(h - m)) for h, m in zip(holonomies(conn, words), targets_mats))
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +311,6 @@ class ObstructionWitness:
         """Distance of the witness word's holonomy from the identity."""
         h = holonomy_general(conn, self.word)
         return float(mg.distance(h, mg.identity(h.descriptor)))
-
-    def to_dict(self) -> dict:
-        return {
-            "word": word_to_tokens(self.word),
-            "abelianization": {},
-            "loop_a": word_to_tokens(self.loop_a),
-            "loop_b": word_to_tokens(self.loop_b),
-            "nonabelian_defect": self.nonabelian_defect,
-        }
 
 
 def abelian_obstruction_witness(graph: Graph) -> ObstructionWitness:
@@ -398,26 +368,10 @@ class LoopAssignment:
 @dataclass(frozen=True)
 class ClosureVerdict:
     member: bool
-    mode: str
     certified: bool
     witness: tuple
     detail: str
     checked: int
-
-    def to_dict(self) -> dict:
-        return {
-            "member": bool(self.member),
-            "mode": self.mode,
-            "certified": bool(self.certified),
-            "witness": list(self.witness) if self.witness else None,
-            "detail": self.detail,
-            "checked": self.checked,
-        }
-
-
-CLOSURE_MODE = {mg.Torus: "torus-abelianized", mg.SpecialUnitary: "semisimple-full",
-                mg.Unitary: "unitary-determinant", mg.ProductGroup: "product-split",
-                mg.CentralQuotient: "quotient-pushforward"}  # keyed by descriptor type
 
 
 def _exponent_vectors(k: int, bound: int):
@@ -439,7 +393,7 @@ def _exponent_matrix(loops):
     return A, np.linalg.matrix_rank(A)
 
 
-def _abelian_check(A, diagonals, bound, tol, mode, trivial_kernel):
+def _abelian_check(A, diagonals, bound, tol, trivial_kernel):
     """Zero-exponent words must multiply the abelian values to one.
 
     ``A`` holds the loops' edge-exponent rows and ``diagonals`` one complex
@@ -450,7 +404,7 @@ def _abelian_check(A, diagonals, bound, tol, mode, trivial_kernel):
     enumerated.
     """
     if trivial_kernel:
-        return ClosureVerdict(True, mode, True, (), "exponent relations have no nonzero solutions", 0)
+        return ClosureVerdict(True, True, (), "exponent relations have no nonzero solutions", 0)
     cube = (2 * bound + 1) ** len(A)
     if cube > MAX_SEARCH_CUBE:
         raise ValueError(f"closure search too large: {2 * bound + 1}^{len(A)} = {cube} "
@@ -463,16 +417,14 @@ def _abelian_check(A, diagonals, bound, tol, mode, trivial_kernel):
         checked += 1
         prod = np.prod(diag ** np.asarray(m)[:, None], axis=0)
         if np.max(np.abs(prod - 1.0)) > tol:
-            return ClosureVerdict(False, mode, True, tuple(m),
-                                  "zero-exponent word with nontrivial abelian value",
-                                  checked)
-    return ClosureVerdict(True, mode, False, (),
+            return ClosureVerdict(False, True, tuple(m),
+                                  "zero-exponent word with nontrivial abelian value", checked)
+    return ClosureVerdict(True, False, (),
                           f"no violation among exponent vectors with L1 norm <= {bound}", checked)
 
 
 def _loop_verdict(data: LoopAssignment, bound, tol) -> ClosureVerdict:
     descriptor, loops = data.descriptor, data.loops
-    mode = CLOSURE_MODE[type(descriptor)]
     relations, rank = loop_relations(data.graph, loops)
     A, exp_rank = _exponent_matrix(loops)
 
@@ -483,25 +435,25 @@ def _loop_verdict(data: LoopAssignment, bound, tol) -> ClosureVerdict:
         exponent sums span {m : A^T m = 0}; below it, where that kernel is nonzero, a U(n)
         leaf's determinants are searched."""
         if isinstance(leaf, mg.Torus):
-            return _abelian_check(A, np.diagonal(stack, axis1=1, axis2=2), bound, tol, mode,
-                                  exp_rank == len(A))
+            diagonals = np.diagonal(stack, axis1=1, axis2=2)
+            return _abelian_check(A, diagonals, bound, tol, exp_rank == len(A))
         residuals = _word_products(stack, relations) - np.eye(stack.shape[-1])
         broken = np.flatnonzero(np.linalg.norm(residuals, axis=(1, 2)) > tol)
         if broken.size:  # the first broken relation, numbered from 1
-            return ClosureVerdict(False, mode, True, relations[broken[0]],
+            return ClosureVerdict(False, True, relations[broken[0]],
                                   "loop values violate a relation among the loops", int(broken[0]) + 1)
         detail = (f"every relation among the loops holds ({len(relations)} found)" if relations else
                   "the loops obey no relation, so they are independent")
         if exp_rank != rank:
             detail += f"; exponent rank {exp_rank} < subgroup rank {rank}"
         if exp_rank == rank or isinstance(leaf, mg.SpecialUnitary):
-            return ClosureVerdict(True, mode, exp_rank == rank, (), detail, len(relations))
-        det_check = _abelian_check(A, mg.stack_det(stack)[:, None], bound, tol, mode, False)
+            return ClosureVerdict(True, exp_rank == rank, (), detail, len(relations))
+        det_check = _abelian_check(A, mg.stack_det(stack)[:, None], bound, tol, False)
         checked = len(relations) + det_check.checked
         if not det_check.member:
-            return ClosureVerdict(False, mode, True, det_check.witness,
+            return ClosureVerdict(False, True, det_check.witness,
                                   "zero-exponent word with nontrivial determinant", checked)
-        return ClosureVerdict(True, mode, False, (), f"{detail}; {det_check.detail}", checked)
+        return ClosureVerdict(True, False, (), f"{detail}; {det_check.detail}", checked)
 
     mats = np.array([v.matrix for v in data.values])
     if not isinstance(descriptor, (mg.ProductGroup, mg.CentralQuotient)):
@@ -516,10 +468,9 @@ def _loop_verdict(data: LoopAssignment, bound, tol) -> ClosureVerdict:
             total += sub.checked
             details.append(f"factor {idx}: {sub.detail}")
             if not sub.member:
-                return ClosureVerdict(False, mode, sub.certified, (idx,) + sub.witness,
-                                      details[-1], total)
+                return ClosureVerdict(False, sub.certified, (idx,) + sub.witness, details[-1], total)
             certified = certified and sub.certified
-        return ClosureVerdict(True, mode, certified, (), "; ".join(details), total)
+        return ClosureVerdict(True, certified, (), "; ".join(details), total)
 
     if isinstance(descriptor, mg.ProductGroup):
         return product_verdict(mats)
@@ -528,20 +479,19 @@ def _loop_verdict(data: LoopAssignment, bound, tol) -> ClosureVerdict:
         sub = product_verdict(stack)
         total += sub.checked
         if sub.member:
-            return ClosureVerdict(True, mode, sub.certified, tuple(choice),
+            return ClosureVerdict(True, sub.certified, tuple(choice),
                                   f"lift {choice} works: {sub.detail}", total)
         certified = certified and sub.certified
         if first_failure is None:
             first_failure = sub
-    return ClosureVerdict(False, mode, certified, first_failure.witness,
-                          f"no center lift works; identity lift: {first_failure.detail}",
-                          total)
+    return ClosureVerdict(False, certified, first_failure.witness,
+                          f"no center lift works; identity lift: {first_failure.detail}", total)
 
 
 def closure_membership(data, bound: int = 6, tol: float = 1e-8) -> ClosureVerdict:
     """Decide whether loop or edge data lies in the holonomy closure.
 
-    Edge assignments always do: each mode's relations telescope on edges.
+    Edge assignments always do: every relation telescopes on edges.
     A loop family is folded once (:func:`loop_relations`), its values are
     stacked once, and the stack is judged by :func:`matrixgroups.leaf_blocks`,
     once per center lift in a quotient; a product's witness and detail lead
@@ -553,9 +503,7 @@ def closure_membership(data, bound: int = 6, tol: float = 1e-8) -> ClosureVerdic
     if bound < 0:
         raise ValueError(f"closure search bound must be >= 0, got {bound}")
     if isinstance(data, GeneralizedConnection):
-        mode = CLOSURE_MODE[type(data.descriptor)]
-        return ClosureVerdict(True, mode, True, (),
-                              "edge assignments satisfy every closure relation "
+        return ClosureVerdict(True, True, (), "edge assignments satisfy every closure relation "
                               "automatically", 0)
     if isinstance(data, LoopAssignment):
         return _loop_verdict(data, bound, tol)

@@ -632,8 +632,7 @@ def separation_per_word(stack_a, stack_b, max_len: int = 3):
         if gap > best_gap:
             best_gap, best_word = gap, w
     return SeparationVerdict(best_gap > SEPARATION_THRESHOLD, best_gap,
-                             best_word if best_word is not None else (),
-                             SEPARATION_THRESHOLD, len(words))
+                             best_word if best_word is not None else (), len(words))
 
 
 def _word_trace(stack: np.ndarray, word) -> complex:

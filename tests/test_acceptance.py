@@ -281,9 +281,8 @@ def test_06_interpolation_fills_independent_families():
             words = [compose(edge_word(graph, r + k + 1), edge_word(graph, k + 1))
                      for k in range(r)]
             for seed in range(20):
-                report = approximation_experiment(graph, words, desc, seed=seed,
-                                                  bound=1e-6)
-                assert report.verdict, (desc, r, seed, report.errors)
+                errors = approximation_experiment(graph, words, desc, seed=seed)
+                assert max(errors) <= 1e-6, (desc, r, seed, errors)
     assert time.monotonic() - start < 300.0
 
 

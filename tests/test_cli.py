@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import holonomy_lab
+import holonomy_lab.cli as cli
 import holonomy_lab.matrixgroups as mg
 from holonomy_lab.cli import CliError, _build_parser, main, parse_group, parse_path_tokens
 from holonomy_lab.connections import (
@@ -47,6 +48,7 @@ from holonomy_lab.pathgroupoid import (
 from holonomy_lab.spectra import (
     LoopAssignment,
     abelian_obstruction_witness,
+    approximation_experiment,
     commutator_word,
     loop_assignment_from_dict,
     loop_assignment_to_dict,
@@ -192,6 +194,7 @@ def test_haar_mean_draws_each_gauge_sample_once(workspace, tmp_path, monkeypatch
     assert [int(r.split()[0]) for r in rows] == [93, 187, 375, 750, 1500, 3000]
     report = json.loads((tmp_path / "out" / "haar-mean.json").read_text())
     assert float(rows[-1].split()[1]) == report["value"][0]
+    assert report["layers"] == layers
 
 
 def test_theta_roundtrip_strict(workspace):
@@ -374,6 +377,21 @@ def test_approx_default_window_on_straight_edges(tmp_path, capsys):
                  "--strict"]) == 0
     report = json.loads(capsys.readouterr().out)["reports"][0]
     assert report["verdict"] and report["max_error"] <= 1e-12
+
+
+def test_approx_strict_bound_fails(tmp_path, capsys):
+    # a seed's entry lays out approximation_experiment's errors against --bound
+    fam = family_file(tmp_path)
+    graph = spider_graph(2)
+    words = [compose(edge_word(graph, 2 + k + 1), edge_word(graph, k + 1)) for k in range(2)]
+    errors = approximation_experiment(graph, words, SU2, 3)
+    assert main(["approx", "--group", "su2", "--family", str(fam), "--seed", "3",
+                 "--bound", "1e-20", "--strict"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["bound"] == 1e-20
+    assert report["reports"] == [{
+        "experiment": "spider-2", "descriptor": mg.descriptor_to_dict(SU2), "seed": 3,
+        "errors": list(errors), "max_error": max(errors), "bound": 1e-20, "verdict": False}]
 
 
 NESTED_QUOTIENT = {"kind": "product", "factors": [
@@ -607,12 +625,24 @@ def test_gauge_orbit_rejects_negative_samples(workspace, capsys):
     (["closure", "--family", "torus-loops.json", "--bound", "2.5"], "--bound"),
     (["approx", "--group", "su2", "--seed", "0", "--seeds", "0"], "--seeds"),
     (["approx", "--group", "su2", "--seed", "0", "--seeds", "-2"], "--seeds"),
+    (["haar-mean", "--connection", "conn.json", "--function", "wilson.json", "--seed", "-1"],
+     "argument --seed"),
+    (["approx", "--group", "su2", "--seed", "-1"], "argument --seed"),
+    (["gauge-orbit", "--connection", "conn.json", "--seed", "-1"], "argument --seed"),
+    (["gauge-orbit", "--connection", "conn.json", "--function", "wilson.json", "--seed", "-1"],
+     "argument --seed"),
 ], ids=["tolerance-nan", "tolerance-inf", "tolerance-negative", "check-tolerance-nan",
         "bound-nan", "zero-samples", "orbit-zero-samples", "orbit-negative-samples",
         "mean-one-sample", "mean-negative-samples", "closure-bound-negative",
-        "closure-bound-fraction", "zero-seeds", "negative-seeds"])
-def test_bad_numeric_flag_is_usage_error(workspace, tmp_path, capsys, argv, named):
+        "closure-bound-fraction", "zero-seeds", "negative-seeds", "mean-negative-seed",
+        "approx-negative-seed", "orbit-negative-seed", "orbit-function-negative-seed"])
+def test_bad_numeric_flag_is_usage_error(workspace, tmp_path, capsys, monkeypatch, argv, named):
     tmp, _, _ = workspace
+
+    def unread(path):  # a bad flag exits before any input is read
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(cli, "_load_json", unread)
     inputs = (["--family", str(family_file(tmp_path))] if argv[0] == "approx"
               else ["--graph", str(tmp / "graph.json")])
     argv = [str(tmp / a) if a.endswith(".json") else a for a in argv] + inputs
@@ -643,13 +673,13 @@ def test_option_census():
     assert census == {name: COMMON_OPTIONS | extra for name, extra in COMMAND_OPTIONS.items()}
 
 
-# the 22 defaulted parameters of every exported function, class __init__ and public method:
+# the 20 defaulted parameters of every exported function, class __init__ and public method:
 # a parameter exists only if some caller sets it (README, "Library layout")
 DEFAULTED_PARAMETERS = {
     "Edge.__init__": ("curve",), "Graph.__init__": ("positions",),
     "GroupElement.__init__": ("check",), "HaarMean.__init__": ("layers",),
     "MeanEstimate.__init__": ("ladder",),
-    "approximation_experiment": ("windows", "bound", "label", "tol"),
+    "approximation_experiment": ("windows", "tol"),
     "closure_membership": ("bound", "tol"), "edge_word": ("orientation",),
     "holonomy_smooth": ("tol",), "interpolate_connection": ("extra_paths",),
     "invariance_check": ("gauges", "seed"), "random_algebra": ("scale",),
@@ -677,7 +707,7 @@ def test_parameter_census():
 
 # every name the package exports; README's "Library layout" states what earns a place
 PUBLIC_SURFACE = [
-    "ApproximationReport", "BumpTerm", "CentralQuotient",
+    "BumpTerm", "CentralQuotient",
     "ClosureVerdict", "CompositionError", "Conj", "ConnectivityError", "Const",
     "CylFunction", "DescriptorMismatchError", "DiscreteGauge", "Edge", "Entry",
     "GeneralizedConnection", "GeometryError", "Graph", "GroupElement", "HaarMean",
@@ -866,13 +896,16 @@ def test_smooth_holonomy_without_chart_data_is_numeric_failure(workspace, tmp_pa
 
 
 def test_obstruction_commutator_mode(workspace):
-    tmp, _, _ = workspace
+    tmp, graph, _ = workspace
     result = run_cli(["obstruction", "--graph", str(tmp / "graph.json"),
                       "--connection", str(tmp / "abelian.json"), "--strict"])
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert report["verdict"] == "Obstructed"
     assert report["abelianization"] == {}
+    wit = abelian_obstruction_witness(graph)
+    words = [word_to_tokens(w) for w in (wit.word, wit.loop_a, wit.loop_b)]
+    assert [report[k] for k in ("word", "loop_a", "loop_b")] == json.loads(json.dumps(words))
     assert report["nonabelian_defect"] == pytest.approx(2.0 * np.sqrt(2.0))
     assert report["abelian_defect"] <= 1e-8
 
@@ -960,6 +993,23 @@ def test_closure_nested_and_flat_products_print_the_same_report(workspace, tmp_p
     assert report["member"] is not break_su2
     if break_su2:
         assert report["witness"][0] == 1 and report["detail"].startswith("factor 1: ")
+
+
+def test_closure_mode_names_the_descriptor_type(workspace, tmp_path, capsys):
+    tmp, graph, _ = workspace
+    quotient = mg.central_quotient(mg.ProductGroup((mg.Torus(1), SU2)), [np.eye(3), -np.eye(3)])
+    for desc, mode in ((mg.Torus(2), "torus-abelianized"), (SU2, "semisimple-full"),
+                       (mg.Unitary(2), "unitary-determinant"),
+                       (mg.ProductGroup((mg.Torus(1), SU2)), "product-split"),
+                       (quotient, "quotient-pushforward")):
+        conn = random_generalized_connection(graph, desc, seed=5)
+        (tmp_path / "conn.json").write_text(json.dumps(generalized_to_dict(conn)))
+        assert main(["closure", "--graph", str(tmp / "graph.json"),
+                     "--connection", str(tmp_path / "conn.json")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mode"] == mode
+        assert report["member"] is True and report["certified"] is True
+        assert report["witness"] is None and report["checked"] == 0
 
 
 def test_closure_edge_data_member(workspace):
@@ -1106,10 +1156,11 @@ def test_edge_ids_are_named_by_their_str(tmp_path, capsys):
                  "--connection", str(tmp_path / "conn.json"), "--path", "1,2"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["path"] == ["1", "2"] and report["range"] == "a"
-    # one name per edge, and none that a token would read as a reversed letter
-    for eid in (1, -3, "-y", "y^-1"):
-        with pytest.raises(ValueError, match="repeats the name|reversed letter"):
-            Graph(["a", "b"], [("1", "a", "b"), (eid, "b", "a")], "a")
+    # one name and one id per edge (1, 1.0 and True are one dict key), and no name
+    # that a token would read as a reversed letter
+    for eid in ("1", -3, "-y", "y^-1", 1.0, True):
+        with pytest.raises(ValueError, match="repeats the name|equals the id|reversed letter"):
+            Graph(["a", "b"], [(1, "a", "b"), (eid, "b", "a")], "a")
 
 
 def test_path_token_splitting():

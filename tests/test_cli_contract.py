@@ -164,8 +164,23 @@ def _strict_constant(text):
     raise AssertionError(f"report holds {text}")
 
 
-# commands whose report echoes the group of the connection or descriptor they read
-GROUP_COMMANDS = {"holonomy", "wilson", "gauge-orbit", "haar-mean", "theta", "approx"}
+# the top-level keys of each report, "command" and "ok" aside, and of each approx seed's
+# entry; "group" names the connection or descriptor that the command read
+REPORT_KEYS = {
+    "holonomy": {"group", "path", "source", "range", "matrix", "trace", "trace_normalized"},
+    "wilson": {"group", "path", "basepoint", "value"},
+    "theta": {"group", "tree_edges", "loop_ids", "frames", "loop_values", "roundtrip_error"},
+    "gauge-orbit": {"group", "loop_ids", "loop_values", "representative", "seed", "samples"},
+    "gauge-orbit --function": {"group", "loop_ids", "loop_values", "representative", "seed",
+                               "samples", "function_drift"},
+    "haar-mean": {"group", "value", "stderr", "samples", "layers", "seed"},
+    "approx": {"group", "label", "bound", "reports"},
+    "approx seed": {"experiment", "descriptor", "seed", "errors", "max_error", "bound",
+                    "verdict"},
+    "obstruction": {"mode", "word", "abelianization", "loop_a", "loop_b", "nonabelian_defect",
+                    "verdict"},
+    "closure": {"member", "mode", "certified", "witness", "detail", "checked"},
+}
 
 
 @pytest.mark.parametrize("kind, argv", CASES)
@@ -177,7 +192,10 @@ def test_fixture_commands_succeed(files, kind, argv):
     report = json.loads(out, parse_constant=_strict_constant)
     assert report["command"] == argv[0]
     assert isinstance(report["ok"], bool)
-    assert ("group" in report) == (argv[0] in GROUP_COMMANDS)
+    layout = argv[0] + (" --function" if argv[0] == "gauge-orbit" and "--function" in argv else "")
+    assert set(report) == REPORT_KEYS[layout] | {"command", "ok"}
+    for entry in report.get("reports", []):  # approx alone has them, one per seed
+        assert set(entry) == REPORT_KEYS["approx seed"]
 
 
 DEEP_ARRAY = "[" * 100_000 + "]" * 100_000  # fails while decoding

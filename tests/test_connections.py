@@ -501,8 +501,8 @@ def test_approx_fills_all_edges_in_one_batched_pass():
                            wraps=connections._transport_batch) as batch, \
             mock.patch.object(connections, "_segment_transport",
                               wraps=connections._segment_transport) as kernel:
-        report = approximation_experiment(graph, words, SU2, seed=1)
-    assert report.verdict
+        errors = approximation_experiment(graph, words, SU2, seed=1)
+    assert max(errors) <= 1e-6
     assert batch.call_count == 1 and len(batch.call_args.args[1]) == 16
     assert kernel.call_count == 0
 

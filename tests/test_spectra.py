@@ -23,7 +23,7 @@ from holonomy_lab.connections import (
 )
 from holonomy_lab.pathgroupoid import Graph, abelianize, compose, edge_word, inverse, loop_relations
 from holonomy_lab.spectra import (
-    ApproximationReport,
+    ClosureVerdict,
     LoopAssignment,
     abelian_obstruction_witness,
     approximation_experiment,
@@ -406,17 +406,10 @@ def test_approximation_experiment_report():
     graph = spider_graph(3)
     legs = [compose(edge_word(graph, 3 + k + 1), edge_word(graph, k + 1))
             for k in range(3)]
-    report = approximation_experiment(graph, legs, SU2, seed=11)
-    assert isinstance(report, ApproximationReport)
-    assert report.verdict
-    assert len(report.errors) == 3
-    assert max(report.errors) <= report.bound
-    again = approximation_experiment(graph, legs, SU2, seed=11)
-    assert report.errors == again.errors
-    payload = json.loads(json.dumps(report.to_dict(), sort_keys=True))
-    assert payload["verdict"] is True
-    assert payload["max_error"] == max(report.errors)
-    assert payload["descriptor"] == mg.descriptor_to_dict(SU2)
+    errors = approximation_experiment(graph, legs, SU2, seed=11)
+    assert type(errors) is tuple and len(errors) == 3
+    assert all(type(e) is float for e in errors) and max(errors) <= 1e-6
+    assert approximation_experiment(graph, legs, SU2, seed=11) == errors
 
 
 def test_approximation_experiment_needs_one_window_per_word():
@@ -424,15 +417,6 @@ def test_approximation_experiment_needs_one_window_per_word():
     legs = [compose(edge_word(graph, 3 + k + 1), edge_word(graph, k + 1)) for k in range(3)]
     with pytest.raises(ValueError, match="3 words but 2 windows"):
         approximation_experiment(graph, legs, SU2, seed=0, windows=[(5, 8), (5, 8)])
-
-
-def test_approximation_experiment_strict_bound_fails():
-    graph = spider_graph(2)
-    legs = [compose(edge_word(graph, 2 + k + 1), edge_word(graph, k + 1))
-            for k in range(2)]
-    report = approximation_experiment(graph, legs, SU2, seed=3, bound=1e-20)
-    assert not report.verdict
-    assert max(report.errors) > 1e-20
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +458,6 @@ def test_obstruction_witness_needs_two_loops():
         abelian_obstruction_witness(square_graph())
 
 
-def test_obstruction_witness_to_dict():
-    wit = abelian_obstruction_witness(pentagon_chord_graph())
-    payload = json.loads(json.dumps(wit.to_dict(), sort_keys=True))
-    assert payload["abelianization"] == {}
-    assert payload["nonabelian_defect"] == pytest.approx(2.0 * np.sqrt(2.0))
-    assert isinstance(payload["word"], list) and payload["word"]
-
-
 # ---------------------------------------------------------------------------
 # closure membership
 
@@ -516,7 +492,6 @@ def test_closure_torus_commutator_violation():
     verdict = closure_membership(data, bound=4)
     assert not verdict.member
     assert verdict.certified
-    assert verdict.mode == "torus-abelianized"
     m = np.array(verdict.witness)
     # the witness is a genuine relation: zero total edge exponents,
     # nontrivial product of the prescribed values
@@ -552,13 +527,13 @@ def assert_relation_witness(loops, verdict):
     """The witness is a family word in walk order that composes to the unit."""
     factors = [loops[i] if o == 1 else inverse(loops[i]) for i, o in verdict.witness]
     assert factors and compose_all(factors[::-1]).is_unit()
-    assert json.loads(json.dumps(verdict.to_dict()))["witness"] == [list(x) for x in verdict.witness]
+    assert json.loads(json.dumps(verdict.witness)) == [list(x) for x in verdict.witness]
 
 
 def verdicts_at_bounds(data):
     """The verdict at bounds 0, 6 and 8, which SU(n) mode must not tell apart."""
     first, *rest = (closure_membership(data, bound=b) for b in (0, 6, 8))
-    assert all(v.to_dict() == first.to_dict() for v in rest)
+    assert all(v == first for v in rest)
     return first
 
 
@@ -575,7 +550,6 @@ def test_closure_su_functoriality():
     bad = closure_membership(
         LoopAssignment(graph, (la, lb, prod_word), (a, b, mg.mul(a, b))), bound=4)
     assert not bad.member and bad.certified
-    assert bad.mode == "semisimple-full"
     assert_relation_witness((la, lb, prod_word), bad)
 
 
@@ -629,7 +603,6 @@ def test_closure_unitary_determinant_check():
     bad_det = mg.GroupElement(U2, np.diag([np.exp(0.5j), 1.0 + 0j]))
     verdict = closure_membership(LoopAssignment(graph, (comm,), (bad_det,)), bound=3)
     assert not verdict.member and verdict.certified
-    assert verdict.mode == "unitary-determinant"
     assert "determinant" in verdict.detail
     assert verdict.witness[0] != 0
     good_det = mg.GroupElement(U2, np.diag([np.exp(0.5j), np.exp(-0.5j)]))
@@ -696,7 +669,6 @@ def test_closure_product_names_failing_factor():
                            prod_elem(np.pi, np.eye(2, dtype=complex))))
     verdict = closure_membership(data, bound=4)
     assert not verdict.member
-    assert verdict.mode == "product-split"
     assert verdict.witness[0] == 0  # torus factor rejects
     assert "factor 0" in verdict.detail
 
@@ -714,7 +686,7 @@ def test_closure_product_unitary_leaf_reaches_determinant_search():
 
     bad = closure_membership(LoopAssignment(graph, comm, value(0.5)), bound=3)
     assert not bad.member and bad.certified
-    assert bad.mode == "product-split" and bad.witness == (1, -3)
+    assert bad.witness == (1, -3)
     assert bad.detail == "factor 1: zero-exponent word with nontrivial determinant"
     loose = closure_membership(LoopAssignment(graph, comm, value(0.0)), bound=3)
     assert loose.member and not loose.certified
@@ -737,11 +709,8 @@ def test_closure_quotient_unitary_leaves_reach_determinant_search():
 
     assert value(0.0)[0].matrix[0, 0].real < 0
     bad = closure_membership(LoopAssignment(graph, comm, value(0.5)), bound=3)
-    assert bad.to_dict() == {
-        "member": False, "mode": "quotient-pushforward", "certified": True, "witness": [0, -3],
-        "detail": "no center lift works; identity lift: "
-                  "factor 0: zero-exponent word with nontrivial determinant",
-        "checked": 8}
+    assert bad == ClosureVerdict(False, True, (0, -3), "no center lift works; identity lift: "
+                                 "factor 0: zero-exponent word with nontrivial determinant", 8)
     loose = closure_membership(LoopAssignment(graph, comm, value(0.0)), bound=3)
     assert loose.member and not loose.certified and loose.witness == (1,)
     assert loose.detail.startswith("lift (1,) works: factor 0: ")
@@ -761,10 +730,10 @@ def test_closure_quotient_judges_the_identity_lift_first_however_the_center_is_l
     for center in ([np.eye(3), -np.eye(3)], [-np.eye(3), np.eye(3)]):
         quo = mg.central_quotient(base, center)
         data = LoopAssignment(graph, loops, tuple(mg.GroupElement(quo, m) for m in values))
-        reports.append(closure_membership(data, bound=4).to_dict())
+        reports.append(closure_membership(data, bound=4))
     assert reports[0] == reports[1]
-    assert reports[0]["witness"] == [0, (2, 1), (1, -1), (0, -1)]
-    assert reports[0]["detail"] == ("no center lift works; identity lift: "
+    assert reports[0].witness == (0, (2, 1), (1, -1), (0, -1))
+    assert reports[0].detail == ("no center lift works; identity lift: "
                                     "factor 0: loop values violate a relation among the loops")
 
 
@@ -805,7 +774,6 @@ def test_closure_quotient_lift_search_succeeds():
     assert np.max(np.abs(rep - np.diag([-1.0, 1.0, 1.0]))) <= 1e-12
     verdict = closure_membership(LoopAssignment(graph, (la, lb, comm), values), bound=4)
     assert verdict.member
-    assert verdict.mode == "quotient-pushforward"
     assert any(verdict.witness)  # a nontrivial lift did the job
     assert "lift" in verdict.detail
 
@@ -824,16 +792,6 @@ def test_closure_quotient_rejects_unliftable():
     verdict = closure_membership(LoopAssignment(graph, (la, lb, comm), values), bound=4)
     assert not verdict.member
     assert "no center lift" in verdict.detail
-
-
-def test_closure_verdict_serializes():
-    graph = pentagon_chord_graph()
-    la, lb = pentagon_generators(graph)
-    verdict = closure_membership(
-        LoopAssignment(graph, (la, lb), (torus_phase(0.1), torus_phase(0.2))))
-    payload = json.loads(json.dumps(verdict.to_dict(), sort_keys=True))
-    assert payload["member"] is True
-    assert payload["mode"] == "torus-abelianized"
 
 
 def test_closure_rejects_negative_bound_in_every_mode():
