@@ -21,7 +21,16 @@ from holonomy_lab.connections import (
     random_smooth_connection,
     restrict,
 )
-from holonomy_lab.pathgroupoid import Graph, abelianize, compose, edge_word, inverse, loop_relations
+from holonomy_lab.pathgroupoid import (
+    Graph,
+    abelianize,
+    compose,
+    edge_word,
+    inverse,
+    loop_relations,
+    word_from_tokens,
+    word_to_tokens,
+)
 from holonomy_lab.spectra import (
     ClosureVerdict,
     LoopAssignment,
@@ -456,6 +465,21 @@ def test_obstruction_witness_smooth_abelian():
 def test_obstruction_witness_needs_two_loops():
     with pytest.raises(ValueError, match="two independent loops"):
         abelian_obstruction_witness(square_graph())
+
+
+def test_obstruction_witness_to_dict():
+    # the witness's words and defect survive a JSON round trip as the
+    # obstruction report writes them
+    graph = pentagon_chord_graph()
+    wit = abelian_obstruction_witness(graph)
+    words = (wit.word, wit.loop_a, wit.loop_b)
+    payload = json.loads(json.dumps(
+        {"words": [word_to_tokens(w) for w in words],
+         "nonabelian_defect": wit.nonabelian_defect}, sort_keys=True))
+    assert payload["words"][0]
+    assert [word_from_tokens(graph, t) for t in payload["words"]] == list(words)
+    assert abelianize(word_from_tokens(graph, payload["words"][0])) == {}
+    assert payload["nonabelian_defect"] == pytest.approx(2.0 * np.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
