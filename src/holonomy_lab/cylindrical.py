@@ -7,14 +7,15 @@ holonomies, so everything evaluates on batches of sampled matrices with
 plain array arithmetic.
 
 Gauge transformations touch F only through the path endpoints,
-H_i -> g(range_i)^-1 H_i g(source_i), so averaging F over the gauge group is an
-integral over one Haar factor per endpoint vertex, and over one per leaf block of
-the group within it.  One sampler, ``_gauged_values``, draws them; the Monte Carlo
-mean calls it in fixed-size chunks, which makes every estimate reproducible from
-(samples, seed) alone.  Its convergence ladder reads every rung as a prefix of that
-one stream: the rung n is the mean of the first n of the N draws, not a fresh
-n-sample run.  Gauge layers and actions run leaf block by leaf block on entry-major
-stacks (``matrixgroups.entry_major``), the action on cache-sized slices.
+H_i -> g(range_i)^-1 H_i g(source_i), so averaging F over the gauge group is an integral over one
+Haar factor per endpoint vertex, and over one per leaf block of the group within it.  The draws
+are leaves of the base group G (only ``matrixgroups.haar_batch`` and ``repair`` canonicalize):
+Haar measure on G pushes forward to that on G/K, so for G/K the integral over G is the average
+of a center-invariant F.  One sampler, ``_gauged_values``, draws them; the Monte Carlo mean calls
+it in fixed-size chunks, which makes every estimate reproducible from (samples, seed) alone.  Its
+convergence ladder reads every rung as a prefix of that one stream: the rung n is the mean of the
+first n of the N draws, not a fresh n-sample run.  Gauge layers and actions run leaf block by leaf
+block on entry-major stacks (``matrixgroups.entry_major``), the action on cache-sized slices.
 
 Entry and trace indices are 1-based throughout (path 1 is the first path,
 H_11 the top-left entry), matching the usual matrix notation.  Results hold
@@ -244,11 +245,10 @@ def evaluate(f: CylFunction, conn: GeneralizedConnection) -> complex:
 
 def _gauged_values(f: CylFunction, stack: np.ndarray, descriptor, count: int,
                    layers: int, rng) -> np.ndarray:
-    """f at ``count`` random gauge transforms of its holonomy stack, each
-    vertex's gauge the pointwise product of ``layers`` Haar draws.  Layers and
-    the gauge action run leaf block by leaf block (``matrixgroups._haar_blocks``),
-    the action on ``GAUGE_SLICE`` samples at a time, on entry-major stacks
-    (``matrixgroups.entry_major``) with the holonomies spread over the slice."""
+    """f at ``count`` random gauge transforms of its holonomy stack, each vertex's gauge the
+    pointwise product of ``layers`` Haar draws of the base group, never canonicalized, leaf block by
+    leaf block (``matrixgroups._haar_blocks``); the action runs on ``GAUGE_SLICE`` samples at a
+    time, on entry-major stacks with the holonomies spread over the slice."""
     verts = f.endpoint_vertices()
     index = {v: i for i, v in enumerate(verts)}
     gauges = mg._haar_blocks(descriptor, count * len(verts), rng)

@@ -30,10 +30,10 @@ the torus draws independent uniform phases and products sample their leaves
 independently, in order.  :func:`stack_mul` is the one product kernel for
 stacks of matrices, :func:`stack_det` the one determinant and
 :func:`complex_pair` the one writer of a complex number as ``[re, im]``.
-Haar stacks are entry-major (:func:`entry_major`): each matrix entry of the
-stack is one contiguous vector, so stack products and Gram-Schmidt run over long
-vectors rather than n-long rows.  Haar draws are canonicalized, and gauge averages act
-with them, leaf block by leaf block (:func:`_haar_blocks`), never on padded n x n stacks.
+Haar stacks are entry-major (:func:`entry_major`): each matrix entry of the stack is one contiguous
+vector, so products and Gram-Schmidt run over long vectors, not n-long rows.  Haar draws are leaves
+of the base group, one stack per leaf block (:func:`_haar_blocks`); only :func:`haar_batch` and
+:func:`repair` canonicalize.  A gauge average over G is the G/K one for center-invariant functions.
 
 Matrix exponential and logarithm exploit that every element here is normal,
 so the results are unitary/anti-hermitian to machine precision.
@@ -365,7 +365,7 @@ def _coset_tournament(desc: CentralQuotient, blocks: list) -> list:
 def canonicalize_batch(desc: CentralQuotient, batch: np.ndarray) -> np.ndarray:
     """Canonical coset representative of each matrix in a (N, n, n) stack: the least translate
     row-major, real part before imaginary (:func:`_lex_less`), by the coset tournament on one block,
-    the whole matrix (Haar draws run it leaf by leaf, :func:`_haar_blocks`).  Zero signs unspecified."""
+    the whole matrix (:func:`haar_batch` runs it leaf by leaf).  Zero signs unspecified."""
     return _coset_tournament(desc, [batch])[0]
 
 
@@ -586,19 +586,19 @@ def _haar_leaf(leaf, count: int, rng) -> np.ndarray:
 
 
 def _haar_blocks(desc, count: int, rng) -> list:
-    """``count`` Haar samples, one entry-major (count, m, m) stack per leaf, canonical in a quotient."""
-    blocks = [_haar_leaf(leaf, count, rng) for _, leaf in leaf_blocks(desc)]
-    return _coset_tournament(desc, blocks) if isinstance(desc, CentralQuotient) else blocks
+    """``count`` Haar samples of the base group, one entry-major (count, m, m) stack per leaf."""
+    return [_haar_leaf(leaf, count, rng) for _, leaf in leaf_blocks(desc)]
 
 
 def haar_batch(desc, count: int, rng) -> np.ndarray:
     """Stack of ``count`` Haar samples as a (count, n, n) entry-major array (:func:`entry_major`).
 
     ``rng`` is a ``numpy.random.Generator``; draws are consumed leaf by leaf (:func:`_haar_blocks`),
-    so results are deterministic in the generator state.  The blocks, canonical in a quotient, are
-    placed on a zero stack; one leaf is its own stack.
+    so results are deterministic in the generator state.  The blocks, made canonical in a quotient
+    by the coset tournament, are placed on a zero stack; one leaf is its own stack.
     """
     blocks = _haar_blocks(desc, count, rng)
+    blocks = _coset_tournament(desc, blocks) if isinstance(desc, CentralQuotient) else blocks
     if len(blocks) == 1:
         return blocks[0]
     out = entry_major((count, dim(desc), dim(desc)), np.zeros)

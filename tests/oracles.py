@@ -39,6 +39,8 @@ the columns by Gram-Schmidt),
 ``gauged_values_rows`` (the Haar draws and the gauge average on row-major
 stacks, every matrix's rows contiguous, where the library keeps every Haar
 stack entry-major and runs the gauge action on slices of samples),
+``gauged_values_canonical`` (the gauge average over Haar draws canonicalized
+in a quotient, where the library draws every gauge from the base group),
 ``canonicalize_batch_matmul`` (the coset tournament that formed every
 candidate ``batch @ k`` in full and compared full key arrays of every entry,
 with its own copy of that lexicographic compare, where the library keeps the
@@ -81,7 +83,6 @@ every relation among a loop family by one Stallings fold).
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -836,7 +837,15 @@ def haar_batch_rows(desc, count: int, rng) -> np.ndarray:
 
 def gauged_values_rows(f, stack: np.ndarray, descriptor, count: int, layers: int, rng) -> np.ndarray:
     """f at ``count`` random gauge transforms of its holonomy stack, each
-    vertex's gauge the pointwise product of ``layers`` Haar draws."""
+    vertex's gauge the pointwise product of ``layers`` Haar draws of the base
+    group: the stream of :func:`haar_batch_rows`, never canonicalized."""
+    return gauged_values_canonical(f, stack, mg.algebra_descriptor(descriptor), count, layers, rng)
+
+
+def gauged_values_canonical(f, stack: np.ndarray, descriptor, count: int, layers: int,
+                            rng) -> np.ndarray:
+    """:func:`gauged_values_rows` with every Haar draw in a quotient its canonical coset
+    representative, as the library drew gauges before it drew them from the base group."""
     verts = f.endpoint_vertices()
     index = {v: i for i, v in enumerate(verts)}
     n = mg.dim(descriptor)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import holonomy_lab
 import holonomy_lab.cli as cli
+import holonomy_lab.cylindrical as cyl
 import holonomy_lab.matrixgroups as mg
 from holonomy_lab.cli import CliError, _build_parser, main, parse_group, parse_path_tokens
 from holonomy_lab.connections import (
@@ -1211,6 +1212,40 @@ def quotient_workspace(workspace, tmp_path_factory):
     (out / "wilson.json").write_text(json.dumps(cyl_to_dict(wilson_loop(loop, 3))))
     (out / "group.json").write_text(json.dumps(mg.descriptor_to_dict(QUOTIENT)))
     return out
+
+
+@pytest.mark.parametrize("argv", [["haar-mean", "--samples", "64"], ["gauge-orbit", "--samples", "4"]],
+                         ids=lambda argv: argv[0])
+def test_quotient_gauge_draws_run_no_coset_tournament(workspace, quotient_workspace, tmp_path,
+                                                      monkeypatch, argv):
+    # a gauge average integrates over the base group, so its draws are never canonicalized;
+    # the loaded connection and its holonomies are, by matrixgroups.repair
+    tmp, _, _ = workspace
+    inside, calls, gauged = [False], [], []
+    tournament, gauged_values = mg._coset_tournament, cyl._gauged_values
+
+    def counting_tournament(desc, blocks):
+        calls.append(inside[0])
+        return tournament(desc, blocks)
+
+    def marked_gauged_values(*args):
+        gauged.append(args[3])  # the sample count
+        inside[0] = True
+        try:
+            return gauged_values(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(mg, "_coset_tournament", counting_tournament)
+    monkeypatch.setattr(cyl, "_gauged_values", marked_gauged_values)
+    files = quotient_workspace
+    assert main(argv + ["--seed", "1", "--function", str(files / "wilson.json"),
+                        "--graph", str(tmp / "graph.json"), "--connection", str(files / "conn.json"),
+                        "--out", str(tmp_path / "out")]) == 0
+    assert gauged == [int(argv[-1])] and calls and not any(calls)
+    before = len(calls)
+    mg.haar_batch(QUOTIENT, 3, np.random.default_rng(0))  # it returns coset representatives
+    assert len(calls) == before + 1
 
 
 def _negative_zeros(doc):

@@ -50,6 +50,7 @@ from oracles import (
     _word_trace,
     brute_force_conjugator,
     gauge_transform_matmul,
+    gauged_values_canonical,
     gauged_values_rows,
     separation_per_word,
     su2_grid,
@@ -415,6 +416,36 @@ def test_gauged_values_of_wide_groups_agree_with_the_padded_oracle(desc, layers)
             got = _gauged_values(f, stack, desc, count, layers, np.random.default_rng(count))
             want = gauged_values_rows(f, stack, desc, count, layers, np.random.default_rng(count))
             assert np.max(np.abs(got - want)) <= 1e-14, (name, count)
+
+
+@pytest.mark.parametrize("desc", [U1_SU2_MOD_Z2, T2_SU2_MOD_Z4, SU3_MOD_Z3],
+                         ids=["quotient", "T2xSU2modZ4", "SU3modZ3"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_base_group_draws_keep_every_center_invariant_value(desc, layers):
+    # Haar measure on G pushes forward to Haar measure on G/K, so a function on G/K, a
+    # center-invariant function on G, takes the same values at raw draws as at coset
+    # representatives: bitwise for the center {I, -I}, whose translates are exact negations,
+    # and to roundoff for the roots of unity beyond -1
+    graph = square_graph()
+    conn = random_generalized_connection(graph, desc, seed=36)
+    loop, edge, n = square_loop(graph), edge_word(graph, 2), mg.dim(desc)
+    invariant = {
+        "trace": CylFunction((loop,), TraceOf(1)),
+        "abs-trace": CylFunction((loop,), Prod((TraceOf(1), Conj(TraceOf(1))))),
+        "open-abs2": entry_abs_square(edge, n, n),
+    }
+    for name, f in invariant.items():
+        stack = holonomy_stack(f, conn)
+        for count in (1, cyl.GAUGE_SLICE + 1):
+            got = _gauged_values(f, stack, desc, count, layers, np.random.default_rng(count))
+            want = gauged_values_canonical(f, stack, desc, count, layers, np.random.default_rng(count))
+            if desc is U1_SU2_MOD_Z2:
+                assert got.tobytes() == want.tobytes(), (name, count)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-14, (name, count)
+    # an entry on an open edge is charged, no function on G/K: its mean is its base-group average, 0
+    est = HaarMean(entry_function(edge, 1, 1), desc, layers).estimate(conn, samples=4096, seed=37)
+    assert abs(est.value) <= 5 * est.stderr
 
 
 @pytest.mark.parametrize("desc", [U1_SU2_MOD_Z2, T2_SU2_MOD_Z4, U2_T1_SU2],

@@ -819,11 +819,14 @@ def test_canonicalize_batch_is_constant_on_cosets(desc, count, seed, form):
                                   SU3_MOD_Z3], ids=repr)
 def test_haar_batch_is_the_leaf_blocks_placed(desc):
     # the gauge average's draws, _haar_blocks, are haar_batch's blocks, from the same stream,
-    # placed bit for bit on a zero stack, off-block zeros included
+    # canonical in a quotient and placed bit for bit on a zero stack, off-block zeros included
     for count in (1, 7, 1025):
         got_rng, want_rng = np.random.default_rng(count), np.random.default_rng(count)
         got, want = haar_batch(desc, count, got_rng), np.zeros((count, dim(desc), dim(desc)), complex)
-        for (sl, _), b in zip(leaf_blocks(desc), mg._haar_blocks(desc, count, want_rng)):
+        blocks = mg._haar_blocks(desc, count, want_rng)
+        if isinstance(desc, mg.CentralQuotient):
+            blocks = mg._coset_tournament(desc, blocks)
+        for (sl, _), b in zip(leaf_blocks(desc), blocks):
             want[:, sl, sl] = b
         assert got.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
