@@ -62,7 +62,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import matrixgroups as mg
-from .pathgroupoid import Graph, PathWord, UnknownEdgeError, json_int
+from .pathgroupoid import Graph, PathWord, UnknownEdgeError, _id_key, json_int
 
 DEFAULT_STEPS = 8
 DEFAULT_TOL = 1e-9
@@ -161,7 +161,7 @@ def holonomy_general(conn: GeneralizedConnection, word: PathWord) -> mg.GroupEle
 
 def random_generalized_connection(graph: Graph, descriptor, seed: int) -> GeneralizedConnection:
     rng = np.random.default_rng(seed)
-    ids = sorted(graph.edges, key=lambda i: (isinstance(i, str), str(i)))
+    ids = sorted(graph.edges, key=_id_key)
     mats = mg.haar_batch(descriptor, len(ids), rng)
     return GeneralizedConnection(graph, descriptor, dict(zip(ids, mats)))
 

@@ -24,10 +24,12 @@ is the one gate for matrices from outside (one membership check per stack),
 :func:`repair` the one rule for products (the SVD polar factor past
 ``REPAIR_ATOL`` of drift, canonical representatives in a quotient).  All
 operations are pure; random sampling is deterministic in an explicit seed.
-Haar sampling of U(n) orthonormalizes the columns of a complex Ginibre matrix
-by Gram-Schmidt (Mezzadri 2007), SU(n) divides out the determinant phase,
-the torus draws independent uniform phases and products sample their leaves
-independently, in order.  :func:`stack_mul` is the one product kernel for
+Haar sampling of U(n) and SU(n) orthonormalizes the columns of a complex
+Gaussian matrix by Gram-Schmidt (Mezzadri 2007); up to 3x3 it draws n - 1
+columns and sets the last in closed form, which commutes with SU(n)
+(Diaconis and Shahshahani 1987), see :func:`_haar_leaf`.  The torus draws
+independent uniform phases and products sample their leaves independently,
+in order.  :func:`stack_mul` is the one product kernel for
 stacks of matrices, :func:`stack_det` the one determinant and
 :func:`complex_pair` the one writer of a complex number as ``[re, im]``.
 Haar stacks are entry-major (:func:`entry_major`): each matrix entry of the stack is one contiguous
@@ -553,10 +555,11 @@ def entry_major(shape, alloc=np.empty) -> np.ndarray:
 
 
 def _gram_schmidt(z: np.ndarray) -> np.ndarray:
-    """Q of ``z = QR`` with R's diagonal positive, for a (count, n, n) stack: modified
-    Gram-Schmidt projecting each column twice keeps Q unitary however ill-conditioned z is.
-    It works in entry-major memory, each column an (n, count) array of contiguous entries;
-    an entry-major ``z``, as :func:`_haar_leaf` builds it, is overwritten and returned."""
+    """Q of ``z = QR`` with R's diagonal positive, for a (count, n, m) stack of m <= n columns:
+    modified Gram-Schmidt projecting each column twice keeps Q's columns orthonormal however
+    ill-conditioned z is.  It works in entry-major memory, each column an (n, count) array of
+    contiguous entries; an entry-major ``z``, as :func:`_haar_leaf` builds it, is overwritten and
+    returned."""
     q = np.ascontiguousarray(z.transpose(1, 2, 0))  # q[i, j] holds entry (i, j) of every matrix
     cols = q.transpose(1, 0, 2)  # cols[j] holds column j of every matrix
     for j, v in enumerate(cols):
@@ -568,7 +571,35 @@ def _gram_schmidt(z: np.ndarray) -> np.ndarray:
     return q.transpose(2, 0, 1)
 
 
+def _complete_special(u: np.ndarray) -> np.ndarray:
+    """Set the last column of a (count, n, n) stack, n <= 3, to the conjugate of the generalized
+    cross product of its other columns: (-conj(b), conj(a)) for a first column (a, b), and
+    conj(q1 x q2) for n = 3.  With orthonormal first columns each matrix is then in SU(n), and the
+    completion commutes with left multiplication by SU(n), as (gx) x (gy) = conj(g)(x x y) there.
+    ``u`` is overwritten and returned."""
+    n = u.shape[-1]
+    if n == 1:
+        u[:, 0, 0] = 1.0
+    elif n == 2:
+        u[:, 0, 1] = -u[:, 1, 0].conj()
+        u[:, 1, 1] = u[:, 0, 0].conj()
+    else:
+        a, b = u[:, :, 0], u[:, :, 1]
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            u[:, i, 2] = (a[:, j] * b[:, k] - a[:, k] * b[:, j]).conj()
+    return u
+
+
 def _haar_leaf(leaf, count: int, rng) -> np.ndarray:
+    """``count`` Haar samples of one leaf as an entry-major (count, n, n) stack.
+
+    The torus draws ``count * n`` uniform phases.  U(n) and SU(n) orthonormalize the columns of a
+    complex Gaussian stack, real parts drawn first, by Gram-Schmidt, which is uniform on
+    orthonormal frames.  Up to 3x3 only the first n - 1 columns are drawn, and
+    :func:`_complete_special` sets the last: its image is left-invariant under SU(n), so Haar.
+    U(n) then turns that column by ``count`` uniform phases drawn after the normals, so U(1) draws
+    as the torus T1 and SU(1) draws nothing.  Beyond 3x3 all n columns are drawn, and SU(n)
+    divides out the determinant phase."""
     n = leaf.n
     if isinstance(leaf, Torus):
         theta = rng.uniform(-np.pi, np.pi, size=(count, n))
@@ -576,12 +607,20 @@ def _haar_leaf(leaf, count: int, rng) -> np.ndarray:
         idx = np.arange(n)
         out[:, idx, idx] = np.exp(1j * theta)
         return out
-    z = entry_major((count, n, n))
-    z.real = rng.standard_normal((count, n, n))
-    z.imag = rng.standard_normal((count, n, n))
-    u = _gram_schmidt(z)  # Q is scale-free, so z needs no 1/sqrt(2)
-    if isinstance(leaf, SpecialUnitary):
-        u = u * np.exp(-1j * np.angle(stack_det(u)) / n)[:, None, None]
+    m = n - 1 if n <= 3 else n
+    z = entry_major((count, n, m))
+    z.real = rng.standard_normal((count, n, m))
+    z.imag = rng.standard_normal((count, n, m))
+    q = _gram_schmidt(z)  # Q is scale-free, so z needs no 1/sqrt(2)
+    if m == n:
+        if isinstance(leaf, SpecialUnitary):
+            q = q * np.exp(-1j * np.angle(stack_det(q)) / n)[:, None, None]
+        return q
+    u = entry_major((count, n, n))
+    u[:, :, :m] = q
+    _complete_special(u)
+    if isinstance(leaf, Unitary):
+        u[:, :, m] *= np.exp(1j * rng.uniform(-np.pi, np.pi, size=count))[:, None]
     return u
 
 
@@ -594,8 +633,9 @@ def haar_batch(desc, count: int, rng) -> np.ndarray:
     """Stack of ``count`` Haar samples as a (count, n, n) entry-major array (:func:`entry_major`).
 
     ``rng`` is a ``numpy.random.Generator``; draws are consumed leaf by leaf (:func:`_haar_blocks`),
-    so results are deterministic in the generator state.  The blocks, made canonical in a quotient
-    by the coset tournament, are placed on a zero stack; one leaf is its own stack.
+    each in the order :func:`_haar_leaf` gives, so results are deterministic in the generator
+    state.  The blocks, made canonical in a quotient by the coset tournament, are placed on a zero
+    stack; one leaf is its own stack.
     """
     blocks = _haar_blocks(desc, count, rng)
     blocks = _coset_tournament(desc, blocks) if isinstance(desc, CentralQuotient) else blocks

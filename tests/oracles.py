@@ -32,13 +32,16 @@ the library exponentiates the whole block-diagonal matrix in one call),
 coset canonicalization of one matrix at a time, where the library admits
 every matrix from outside as one stack and repairs every product stack by one
 rule),
-``haar_leaf_qr`` (Haar draws of one leaf from numpy's QR of a Ginibre
-stack with the phase fix of the R diagonal, where the library orthonormalizes
-the columns by Gram-Schmidt),
+``haar_leaf_qr`` (Haar draws of one leaf from the same normals: numpy's complete QR
+of the n x (n - 1) Gaussian block up to 3x3, or of the n x n block beyond, with the
+phase fix of the R diagonal, and the last column's phase fixed through
+``np.linalg.det``, where the library orthonormalizes the columns by Gram-Schmidt
+and sets the last column up to 3x3 in closed form),
 ``gram_schmidt_rows``, ``haar_leaf_rows``, ``haar_batch_rows`` and
-``gauged_values_rows`` (the Haar draws and the gauge average on row-major
-stacks, every matrix's rows contiguous, where the library keeps every Haar
-stack entry-major and runs the gauge action on slices of samples),
+``gauged_values_rows`` (the Haar draws, with the closed-form last column from
+``np.cross``, and the gauge average on row-major stacks, every matrix's rows
+contiguous, where the library keeps every Haar stack entry-major and runs the
+gauge action on slices of samples),
 ``gauged_values_canonical`` (the gauge average over Haar draws canonicalized
 in a quotient, where the library draws every gauge from the base group),
 ``canonicalize_batch_matmul`` (the coset tournament that formed every
@@ -777,22 +780,27 @@ def haar_leaf_qr(leaf, count: int, rng) -> np.ndarray:
         idx = np.arange(n)
         out[:, idx, idx] = np.exp(1j * theta)
         return out
-    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
+    m = n - 1 if n <= 3 else n  # up to 3x3 the library draws the first n - 1 columns alone
+    z = (rng.standard_normal((count, n, m)) + 1j * rng.standard_normal((count, n, m)))
     z /= np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.einsum("kii->ki", r)
-    ph = d / np.abs(d)
-    u = q * ph[:, None, :]
-    if isinstance(leaf, mg.SpecialUnitary):
-        det = np.linalg.det(u)
-        u = u * np.exp(-1j * np.angle(det) / n)[:, None, None]
-    return u
+    q, r = np.linalg.qr(z, mode="complete")
+    d = np.einsum("kii->ki", r[:, :m])
+    q[:, :, :m] *= (d / np.abs(d))[:, None, :]
+    det = np.linalg.det(q)
+    if m < n:
+        q[:, :, m] *= (np.conj(det) / np.abs(det))[:, None]
+        if isinstance(leaf, mg.Unitary):
+            q[:, :, m] *= np.exp(1j * rng.uniform(-np.pi, np.pi, size=count))[:, None]
+    elif isinstance(leaf, mg.SpecialUnitary):
+        q = q * np.exp(-1j * np.angle(det) / n)[:, None, None]
+    return q
 
 
 def gram_schmidt_rows(z: np.ndarray) -> np.ndarray:
-    """Q of ``z = QR`` with R's diagonal positive, for a (count, n, n) stack: modified
-    Gram-Schmidt projecting each column twice keeps Q unitary however ill-conditioned z is.
-    A ``z`` laid out column first, as :func:`haar_leaf_rows` builds it, is overwritten."""
+    """Q of ``z = QR`` with R's diagonal positive, for a (count, n, m) stack of m <= n columns:
+    modified Gram-Schmidt projecting each column twice keeps Q's columns orthonormal however
+    ill-conditioned z is.  A ``z`` laid out column first, as :func:`haar_leaf_rows` builds it, is
+    overwritten."""
     q = np.ascontiguousarray(z.transpose(2, 0, 1))  # q[j] holds column j of every matrix
     for j, v in enumerate(q):
         for _ in range(2):
@@ -811,13 +819,24 @@ def haar_leaf_rows(leaf, count: int, rng) -> np.ndarray:
         idx = np.arange(n)
         out[:, idx, idx] = np.exp(1j * theta)
         return out
-    z = np.empty((n, count, n), dtype=complex).transpose(1, 2, 0)  # column first
-    z.real = rng.standard_normal((count, n, n))
-    z.imag = rng.standard_normal((count, n, n))
+    m = n - 1 if n <= 3 else n
+    z = np.empty((m, count, n), dtype=complex).transpose(1, 2, 0)  # column first
+    z.real = rng.standard_normal((count, n, m))
+    z.imag = rng.standard_normal((count, n, m))
     u = gram_schmidt_rows(z)  # Q is scale-free, so z needs no 1/sqrt(2)
-    if isinstance(leaf, mg.SpecialUnitary):
-        u = u * np.exp(-1j * np.angle(mg.stack_det(u)) / n)[:, None, None]
-    return u
+    if m == n:
+        if isinstance(leaf, mg.SpecialUnitary):
+            u = u * np.exp(-1j * np.angle(mg.stack_det(u)) / n)[:, None, None]
+        return u
+    if n == 1:
+        last = np.ones((count, 1), dtype=complex)
+    elif n == 2:
+        last = np.stack([-u[:, 1, 0].conj(), u[:, 0, 0].conj()], axis=-1)
+    else:
+        last = np.cross(u[:, :, 0], u[:, :, 1]).conj()
+    if isinstance(leaf, mg.Unitary):
+        last *= np.exp(1j * rng.uniform(-np.pi, np.pi, size=count))[:, None]
+    return np.concatenate([u, last[:, :, None]], axis=2)
 
 
 def haar_batch_rows(desc, count: int, rng) -> np.ndarray:

@@ -101,6 +101,12 @@ def bump_coefficient(center, radius, direction, polyline):
 # ---------------------------------------------------------------------------
 # bump profile
 
+def test_random_generalized_connection_draws_edges_in_id_order():
+    # spider-8 has ids 1..16: id 10 takes the tenth draw, after 9, where str order puts it after 1
+    conn = random_generalized_connection(spider_graph(8), SU2, seed=6)
+    want = mg.haar_batch(SU2, 16, np.random.default_rng(6))
+    assert all(np.array_equal(conn.values[eid], want[eid - 1]) for eid in range(1, 17))
+
 def test_smoothstep_boundaries():
     assert smoothstep(-1.0) == 0.0
     assert smoothstep(0.0) == 0.0

@@ -689,6 +689,46 @@ def test_u3_trace_and_entry_moments():
     assert abs(e2.mean() - 1.0 / 3.0) < 3.0 * e2.std() / np.sqrt(n)
 
 
+# (leaf, p, q, E[tr^p conj(tr)^q]) over Haar measure: tr^3 is the SU(3) determinant's own
+# representation, and |tr|^4 counts the 2 irreducibles of V (x) V for n >= 2
+TRACE_MOMENTS = [(SU3, 3, 0, 1.0), (U3, 3, 0, 0.0), (U2, 2, 0, 0.0),
+                 (SU2, 2, 2, 2.0), (U2, 2, 2, 2.0), (SU3, 2, 2, 2.0), (U3, 2, 2, 2.0)]
+
+
+@pytest.mark.parametrize("leaf, p, q, mean", TRACE_MOMENTS,
+                         ids=[f"{leaf!r}-{p}-{q}" for leaf, p, q, _ in TRACE_MOMENTS])
+def test_trace_moments_of_completed_draws(leaf, p, q, mean):
+    count = 100_000
+    tr = np.einsum("kii->k", haar_batch(leaf, count, np.random.default_rng(40 + 3 * p + q)))
+    x = tr ** p * np.conj(tr) ** q
+    assert abs(x.mean() - mean) <= 5.0 * x.std() / np.sqrt(count)
+
+
+@pytest.mark.parametrize("leaf", [SU2, SU3], ids=repr)
+def test_completion_commutes_with_special_unitary_left_multiplication(leaf):
+    # completing g times the first n - 1 columns gives g times the completed matrix, for g drawn
+    # by the QR oracle, so that a wrong completion cannot shape g too
+    rng = np.random.default_rng(41)
+    u, g = haar_batch(leaf, 500, rng), haar_leaf_qr(leaf, 500, rng)
+    gu = mg.stack_mul(g, u)
+    assert np.max(np.abs(mg._complete_special(gu.copy()) - gu)) <= 1e-14
+
+
+@pytest.mark.parametrize("count", [1, 7, 1025])
+def test_unitary_one_draws_as_the_torus_bitwise(count):
+    got_rng, want_rng = np.random.default_rng(count), np.random.default_rng(count)
+    got, want = haar_batch(Unitary(1), count, got_rng), haar_batch(T1, count, want_rng)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_special_unitary_one_is_the_identity_and_draws_nothing():
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert np.array_equal(haar_batch(SpecialUnitary(1), 9, rng), np.ones((9, 1, 1)))
+    assert rng.bit_generator.state == state
+
+
 U1_SU2_MOD_Z2 = central_quotient(ProductGroup((Unitary(1), SU2)), [np.eye(3), -np.eye(3)])
 
 
@@ -732,16 +772,17 @@ def test_haar_batch_is_entry_major(desc):
 
 @pytest.mark.parametrize("c", [1e6, 1e10, 1e14])
 def test_gram_schmidt_stays_unitary_on_nearly_singular_stacks(c):
-    rng = np.random.default_rng(11)
-    z = rng.standard_normal((500, 3, 3)) + 1j * rng.standard_normal((500, 3, 3))
-    z[:, :, 1] = z[:, :, 0] + z[:, :, 1] / c  # condition number ~ c
-    q = mg._gram_schmidt(z)
-    defect = np.linalg.norm(q.conj().transpose(0, 2, 1) @ q - np.eye(3), axis=(1, 2))
-    assert defect.max() <= 1e-14
-    # the Q of QR with a positive R diagonal, which both find only to about c * eps
-    qr_q, r = np.linalg.qr(z)
-    d = np.einsum("kii->ki", r)
-    assert np.max(np.abs(q - qr_q * (d / np.abs(d))[:, None, :])) <= c * 1e-13
+    for m in (3, 2):  # square stacks, and the first two columns alone as Haar draws up to 3x3 take
+        rng = np.random.default_rng(11)
+        z = rng.standard_normal((500, 3, m)) + 1j * rng.standard_normal((500, 3, m))
+        z[:, :, 1] = z[:, :, 0] + z[:, :, 1] / c  # condition number ~ c
+        q = mg._gram_schmidt(z)
+        defect = np.linalg.norm(q.conj().transpose(0, 2, 1) @ q - np.eye(m), axis=(1, 2))
+        assert defect.max() <= 1e-14
+        # the Q of QR with a positive R diagonal, which both find only to about c * eps
+        qr_q, r = np.linalg.qr(z)
+        d = np.einsum("kii->ki", r)
+        assert np.max(np.abs(q - qr_q * (d / np.abs(d))[:, None, :])) <= c * 1e-13
 
 
 # --- quotient specifics --------------------------------------------------------

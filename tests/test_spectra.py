@@ -750,13 +750,16 @@ def test_closure_quotient_judges_the_identity_lift_first_however_the_center_is_l
     A, B = mg.haar_batch(base, 2, np.random.default_rng(3))
     R = np.diag([1.0, np.exp(0.3j), np.exp(-0.3j)])
     values = (A, B, -B @ A, A @ B, A @ A @ R)
-    reports = []
+    reports, relations = [], loop_relations(graph, loops)[0]
     for center in ([np.eye(3), -np.eye(3)], [-np.eye(3), np.eye(3)]):
         quo = mg.central_quotient(base, center)
         data = LoopAssignment(graph, loops, tuple(mg.GroupElement(quo, m) for m in values))
         reports.append(closure_membership(data, bound=4))
+        # the identity lift judges factor 0, the U(1) block, of the canonical representatives
+        stack = np.array([v.matrix[:1, :1] for v in data.values])
+        assert reports[-1].witness[1:] == first_broken_relation(stack, relations, 1e-8)[0]
     assert reports[0] == reports[1]
-    assert reports[0].witness == (0, (2, 1), (1, -1), (0, -1))
+    assert reports[0].witness == (0, (4, 1), (0, -1), (0, -1))
     assert reports[0].detail == ("no center lift works; identity lift: "
                                     "factor 0: loop values violate a relation among the loops")
 
